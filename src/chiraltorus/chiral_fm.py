@@ -16,14 +16,11 @@ from dataclasses import dataclass
 from .exactlin import (
     AltTensor,
     DimensionMismatch,
-    ExactScalar,
     RationalMatrix,
     SingularMatrix,
     alt_pullback,
     invert,
 )
-
-ZERO = ExactScalar(0)
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,19 @@ the free boson live.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
-from .exactlin import ExactScalar, RationalMatrix
+from .exactlin import (
+    HALF,
+    IMAG,
+    ONE,
+    ZERO,
+    CoeffTable,
+    Frozen,
+    RationalMatrix,
+    S,
+    compositions,
+)
 from .jetcalc import (
     DiffPoly,
     Monomial,
@@ -27,12 +36,6 @@ from .jetcalc import (
     poly_to_tree,
     substitute_jets,
 )
-
-S = ExactScalar
-IMAG = S(0, 1)
-ONE = S(1)
-ZERO = S(0)
-HALF = S(Fraction(1, 2))
 
 
 class UnknownFamily(ValueError):
@@ -55,7 +58,7 @@ def as_density(obj) -> DiffPoly:
         obj = parse_expr(obj)
     if not isinstance(obj, DiffPoly):
         raise NotADensity(f"cannot interpret {obj!r} as a density")
-    for mono in obj.terms:
+    for mono in obj.coeffs:
         for (i, a, b) in mono.jets:
             if a > 1:
                 raise NotADensity("densities carry x- and p-jets only (tau-order 0 or 1)")
@@ -67,16 +70,13 @@ def as_density(obj) -> DiffPoly:
     return obj
 
 
-class LocalDensity:
+class LocalDensity(Frozen):
     """A density u(x, p, d_sigma x, ...) dsigma on the circle."""
 
     __slots__ = ("poly",)
 
     def __init__(self, poly):
-        object.__setattr__(self, "poly", as_density(poly))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LocalDensity is immutable")
+        self._set(poly=as_density(poly))
 
     def __add__(self, other):
         return LocalDensity(self.poly + as_density(other))
@@ -126,21 +126,11 @@ def xp_content(mono: Monomial):
     )
 
 
-def _weight_compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _weight_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def xp_enumerate(content, weight):
     """All sigma-jet monomials of the given content and weight."""
     mode, slots, names = content
     out = set()
-    for comp in _weight_compositions(weight, len(slots) + len(names)):
+    for comp in compositions(weight, len(slots) + len(names)):
         jets = tuple(
             sorted((i, a, comp[k]) for k, (i, a) in enumerate(slots))
         )
@@ -167,10 +157,10 @@ def _reduced_image_basis(content, max_weight):
         img = _reduce_poly(img, pivots)
         if img.is_zero():
             continue
-        lead = max(img.terms, key=_order_key)
-        img = img.scale(ONE / img.terms[lead])
+        lead = max(img.coeffs, key=_order_key)
+        img = img.scale(ONE / img.coeffs[lead])
         for lm, row in list(pivots.items()):
-            c = row.terms.get(lead)
+            c = row.coeffs.get(lead)
             if c is not None and not c.is_zero():
                 pivots[lm] = row - img.scale(c)
         pivots[lead] = img
@@ -180,41 +170,38 @@ def _reduced_image_basis(content, max_weight):
 def _reduce_poly(poly: DiffPoly, pivots) -> DiffPoly:
     while True:
         hit = None
-        for mono in sorted(poly.terms, key=_order_key, reverse=True):
+        for mono in sorted(poly.coeffs, key=_order_key, reverse=True):
             if mono in pivots:
                 hit = mono
                 break
         if hit is None:
             return poly
-        poly = poly - pivots[hit].scale(poly.terms[hit])
+        poly = poly - pivots[hit].scale(poly.coeffs[hit])
 
 
 def normal_form(density) -> DiffPoly:
     """Canonical representative modulo im(D_sigma) on the sigma-jet ring."""
     poly = as_density(density)
     blocks = {}
-    for mono, coeff in poly.terms.items():
+    for mono, coeff in poly.coeffs.items():
         blocks.setdefault(xp_content(mono), {})[mono] = coeff
     out = DiffPoly.zero()
     for content in sorted(blocks):
         target = DiffPoly(blocks[content])
-        top = max(xp_weight(m) for m in target.terms)
+        top = max(xp_weight(m) for m in target.coeffs)
         pivots = _reduced_image_basis(content, top)
         out = out + _reduce_poly(target, pivots)
     return out
 
 
-class FourierClass:
+class FourierClass(Frozen):
     """The class of a density modulo total sigma-derivatives: the Fourier
     component functional integral(density dsigma)."""
 
     __slots__ = ("rep",)
 
     def __init__(self, density):
-        object.__setattr__(self, "rep", normal_form(density))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FourierClass is immutable")
+        self._set(rep=normal_form(density))
 
     @staticmethod
     def zero() -> "FourierClass":
@@ -255,26 +242,14 @@ class FourierClass:
 # delta-distribution expansions
 # ----------------------------------------------------------------------
 
-class DeltaExpansion:
-    """sum_k c_k(sigma') d_sigma^k delta(sigma - sigma'), c_k densities."""
+class DeltaExpansion(CoeffTable):
+    """sum_k c_k(sigma') d_sigma^k delta(sigma - sigma'), c_k densities:
+    a table {k: DiffPoly}."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs=None):
-        table = {}
-        for k, poly in (coeffs or {}).items():
-            poly = as_density(poly)
-            if not poly.is_zero():
-                cur = table.get(k)
-                tot = poly if cur is None else cur + poly
-                if tot.is_zero():
-                    table.pop(k, None)
-                else:
-                    table[k] = tot
-        object.__setattr__(self, "coeffs", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DeltaExpansion is immutable")
+    def _entry(self, k, poly):
+        return k, as_density(poly)
 
     @staticmethod
     def zero() -> "DeltaExpansion":
@@ -283,44 +258,17 @@ class DeltaExpansion:
     def coefficient(self, k: int) -> DiffPoly:
         return self.coeffs.get(k, DiffPoly.zero())
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, poly in other.coeffs.items():
-            cur = out.get(k)
-            tot = poly if cur is None else cur + poly
-            if tot.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = tot
-        res = DeltaExpansion()
-        object.__setattr__(res, "coeffs", out)
-        return res
-
-    def scale(self, c) -> "DeltaExpansion":
-        return DeltaExpansion({k: p.scale(c) for k, p in self.coeffs.items()})
-
-    def __neg__(self):
-        return self.scale(S(-1))
-
-    def __eq__(self, other):
-        if not isinstance(other, DeltaExpansion):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def d_sigma(self) -> "DeltaExpansion":
         """Derivative in the first slot: shifts every delta-order up."""
-        return DeltaExpansion({k + 1: p for k, p in self.coeffs.items()})
+        return self._like({k + 1: p for k, p in self.coeffs.items()})
 
     def d_sigma_prime(self) -> "DeltaExpansion":
         """Derivative in the second slot: Leibniz on the coefficient plus
         d_sigma' delta = -d_sigma delta."""
-        out = DeltaExpansion.zero()
+        items = []
         for k, p in self.coeffs.items():
-            out = out + DeltaExpansion({k: p.D("s"), k + 1: -p})
-        return out
+            items += [(k, p.D("s")), (k + 1, -p)]
+        return DeltaExpansion(items)
 
     def transport(self, poly: DiffPoly) -> "DeltaExpansion":
         """Multiply by a first-slot function F(sigma) and rewrite at the
@@ -331,12 +279,12 @@ class DeltaExpansion:
         top = max(self.coeffs, default=0)
         for _ in range(top):
             derivs.append(derivs[-1].D("s"))
-        out = DeltaExpansion.zero()
+        items = []
         for k, c in self.coeffs.items():
             for j in range(k + 1):
                 sign = S(comb(k, j)) if j % 2 == 0 else S(-comb(k, j))
-                out = out + DeltaExpansion({k - j: (derivs[j] * c).scale(sign)})
-        return out
+                items.append((k - j, (derivs[j] * c).scale(sign)))
+        return DeltaExpansion(items)
 
     def mul_second_slot(self, poly: DiffPoly) -> "DeltaExpansion":
         poly = as_density(poly)
@@ -365,7 +313,7 @@ class DeltaExpansion:
 # bracket tables
 # ----------------------------------------------------------------------
 
-class BracketTable:
+class BracketTable(Frozen):
     """Generator brackets {p_i(sigma), x^j(sigma')} = scale * delta_i^j
     delta(sigma - sigma'), optionally twisted by a 3-form with polynomial
     coefficients: {p_i(sigma), p_j(sigma')} = sum_k h_ijk d_sigma x^k
@@ -379,22 +327,19 @@ class BracketTable:
     __slots__ = ("scale", "twist")
 
     def __init__(self, scale=1, twist=None):
-        object.__setattr__(self, "scale", S.coerce(scale))
+        scale = S.coerce(scale)
         table = {}
         for key, val in (twist or {}).items():
             i, j, k = key
             if not (0 < i < j < k):
                 raise ValueError("twist keys must be strictly increasing triples")
             poly = parse_expr(val) if isinstance(val, str) else val
-            for mono in poly.terms:
+            for mono in poly.coeffs:
                 if any((a, b) != (0, 0) for (_, a, b) in mono.jets) or mono.syms or mono.mode:
                     raise ValueError("twist coefficients must be polynomials in bare x")
             if not poly.is_zero():
                 table[(i, j, k)] = poly
-        object.__setattr__(self, "twist", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BracketTable is immutable")
+        self._set(scale=scale, twist=table)
 
     def twist_coefficient(self, i: int, j: int, k: int) -> DiffPoly:
         """h_ijk with full antisymmetry from the increasing-triple table."""
@@ -460,8 +405,8 @@ def density_bracket(a, b, table: BracketTable) -> DeltaExpansion:
     A = as_density(a)
     B = as_density(b)
     out = DeltaExpansion.zero()
-    for mono_a, ca in A.terms.items():
-        for mono_b, cb in B.terms.items():
+    for mono_a, ca in A.coeffs.items():
+        for mono_b, cb in B.coeffs.items():
             for pos_a, (ia, aa, ba) in enumerate(mono_a.jets):
                 for pos_b, (ib, ab, bb) in enumerate(mono_b.jets):
                     base = table.base_bracket((ia, aa), (ib, ab))

@@ -1,6 +1,7 @@
-"""Gaussian-rational scalars, exact matrices, alternating tensors.
+"""Gaussian-rational scalars, exact matrices, alternating tensors, and
+the frozen coefficient table every sparse exact type is built on.
 
-Every module downstream runs on these three types.  Scalars are elements
+Every module downstream runs on these types.  Scalars are elements
 of Q(i) stored as a pair of reduced fractions, so equality of any two
 computed quantities is decidable and all tests are equality tests.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 
 
 class SingularMatrix(ValueError):
@@ -20,6 +22,20 @@ class DimensionMismatch(ValueError):
     """Raised when shapes of matrices/tensors do not line up."""
 
 
+class Frozen:
+    """Base of the package's immutable types: attributes are set once,
+    while the instance is built, and never reassigned."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+
 _RAT = r"-?\d+(?:/\d+)?"
 _SCALAR_RE = _re.compile(
     rf"^\s*({_RAT})\s*(?:([+-])\s*({_RAT})\s*\*?\s*i\s*)?$"
@@ -27,22 +43,26 @@ _SCALAR_RE = _re.compile(
 _PURE_IM_RE = _re.compile(rf"^\s*(-?)\s*({_RAT})?\s*\*?\s*i\s*$")
 
 
-class ExactScalar:
+_INEXACT = (float, complex, bool)
+
+
+class ExactScalar(Frozen):
     """An element re + i*im of Q(i), immutable and canonical.
 
     Fraction keeps numerator/denominator reduced with positive
     denominator, so two equal values always compare equal and hash
-    equal.  Division by zero raises ZeroDivisionError.
+    equal.  Division by zero raises ZeroDivisionError.  Floats, complex
+    numbers and bools are refused: a float is already rounded, and a
+    bool is not a number.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
+        if isinstance(re, _INEXACT) or isinstance(im, _INEXACT):
+            raise TypeError(f"ExactScalar needs exact parts, got {re!r} and {im!r}")
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactScalar is immutable")
 
     # -- constructors ------------------------------------------------
 
@@ -78,20 +98,20 @@ class ExactScalar:
 
     def __add__(self, other):
         other = ExactScalar.coerce(other)
-        return ExactScalar(self.re + other.re, self.im + other.im)
+        return _exact(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = ExactScalar.coerce(other)
-        return ExactScalar(self.re - other.re, self.im - other.im)
+        return _exact(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return ExactScalar.coerce(other) - self
 
     def __mul__(self, other):
         other = ExactScalar.coerce(other)
-        return ExactScalar(
+        return _exact(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -103,7 +123,7 @@ class ExactScalar:
         d = other.re * other.re + other.im * other.im
         if d == 0:
             raise ZeroDivisionError("division of ExactScalar by zero")
-        return ExactScalar(
+        return _exact(
             (self.re * other.re + self.im * other.im) / d,
             (self.im * other.re - self.re * other.im) / d,
         )
@@ -112,14 +132,14 @@ class ExactScalar:
         return ExactScalar.coerce(other) / self
 
     def __neg__(self):
-        return ExactScalar(-self.re, -self.im)
+        return _exact(-self.re, -self.im)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
         if n < 0:
-            return (ExactScalar(1) / self) ** (-n)
-        out = ExactScalar(1)
+            return (ONE / self) ** (-n)
+        out = ONE
         base = self
         while n:
             if n & 1:
@@ -129,7 +149,7 @@ class ExactScalar:
         return out
 
     def conjugate(self) -> "ExactScalar":
-        return ExactScalar(self.re, -self.im)
+        return _exact(self.re, -self.im)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -146,7 +166,7 @@ class ExactScalar:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = ExactScalar(other)
+            return self.im == 0 and self.re == other
         if not isinstance(other, ExactScalar):
             return NotImplemented
         return self.re == other.re and self.im == other.im
@@ -180,9 +200,19 @@ class ExactScalar:
         return ExactScalar.from_string(s)
 
 
+def _exact(re: Fraction, im: Fraction) -> ExactScalar:
+    """The scalar re + i*im from two Fractions, without the constructor's
+    checks; arithmetic on Fractions never produces anything else."""
+    out = object.__new__(ExactScalar)
+    object.__setattr__(out, "re", re)
+    object.__setattr__(out, "im", im)
+    return out
+
+
+S = ExactScalar
 ZERO = ExactScalar(0)
 ONE = ExactScalar(1)
-I = ExactScalar(0, 1)
+IMAG = ExactScalar(0, 1)
 HALF = ExactScalar(Fraction(1, 2))
 
 
@@ -191,7 +221,7 @@ def scalar(x) -> ExactScalar:
     return ExactScalar.coerce(x)
 
 
-class RationalMatrix:
+class RationalMatrix(Frozen):
     """A rows x cols matrix over ExactScalar, immutable after construction."""
 
     __slots__ = ("rows", "cols", "entries")
@@ -203,12 +233,7 @@ class RationalMatrix:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise DimensionMismatch("ragged rows")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
+        self._set(rows=len(rows), cols=width, entries=rows)
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
@@ -367,13 +392,119 @@ def invert(m: RationalMatrix) -> RationalMatrix:
     return m.inverse()
 
 
+def add_into(table, key, value):
+    """Accumulate value into table[key], keeping the table zero-pruned:
+    a key whose sum is zero is removed.  Values need + and is_zero()."""
+    cur = table.get(key)
+    if cur is None:
+        if not value.is_zero():
+            table[key] = value
+        return
+    value = cur + value
+    if value.is_zero():
+        del table[key]
+    else:
+        table[key] = value
+
+
+class CoeffTable(Frozen):
+    """A frozen, zero-pruned table {key: coefficient} of exact values.
+
+    This is the one representation of every sparse exact type in the
+    package: canonical keys, no stored zero, so two equal elements have
+    equal tables and equal hashes.  Subclasses adjust it through small
+    hooks: _entry canonicalises one (key, value) pair of the public
+    constructor, _operand turns the right-hand side of +, - and == into
+    a table of the same type, and _like rebuilds extra shape fields.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=None):
+        """Build from a mapping or an iterable of (key, value) pairs;
+        repeated keys are summed and zero sums dropped."""
+        table = {}
+        items = coeffs.items() if isinstance(coeffs, dict) else (coeffs or ())
+        for key, value in items:
+            entry = self._entry(key, value)
+            if entry is not None:
+                add_into(table, *entry)
+        object.__setattr__(self, "coeffs", table)
+
+    def _entry(self, key, value):
+        """The canonical (key, value) for one input pair, or None to drop it."""
+        return key, ExactScalar.coerce(value)
+
+    def _like(self, table):
+        """A new table of this type around a table that is already
+        canonical and zero-pruned, taken without copying or checking."""
+        out = object.__new__(type(self))
+        object.__setattr__(out, "coeffs", table)
+        return out
+
+    def _operand(self, other):
+        return other if isinstance(other, type(self)) else NotImplemented
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        out = dict(self.coeffs)
+        for key, value in other.coeffs.items():
+            add_into(out, key, value)
+        return self._like(out)
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.coeffs.items()})
+
+    def scale(self, c):
+        c = ExactScalar.coerce(c)
+        if c.is_zero():
+            return self._like({})
+        return self._like({k: v * c for k, v in self.coeffs.items()})
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __eq__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.coeffs.items(), key=itemgetter(0))))
+
+
+class _Column(tuple):
+    """The value of a vector-valued AltTensor entry: a tuple of scalars
+    that adds and scales entrywise."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Column(x + y for x, y in zip(self, other))
+
+    def __mul__(self, c):
+        return _Column(x * c for x in self)
+
+    def is_zero(self) -> bool:
+        return all(x.is_zero() for x in self)
+
+
 def _as_value(val, valdim):
     # scalar-valued entries stay bare ExactScalars; vector-valued ones
-    # are length-valdim tuples
+    # are length-valdim columns
     if valdim is None:
         return ExactScalar.coerce(val)
     if isinstance(val, (list, tuple)):
-        col = tuple(ExactScalar.coerce(x) for x in val)
+        col = _Column(ExactScalar.coerce(x) for x in val)
     else:
         raise DimensionMismatch("vector-valued tensor entry must be a sequence")
     if len(col) != valdim:
@@ -381,25 +512,7 @@ def _as_value(val, valdim):
     return col
 
 
-def _value_is_zero(val):
-    if isinstance(val, tuple):
-        return all(x.is_zero() for x in val)
-    return val.is_zero()
-
-
-def _value_add(a, b):
-    if isinstance(a, tuple):
-        return tuple(x + y for x, y in zip(a, b))
-    return a + b
-
-
-def _value_scale(c, val):
-    if isinstance(val, tuple):
-        return tuple(c * x for x in val)
-    return c * val
-
-
-class AltTensor:
+class AltTensor(Frozen):
     """An alternating k-tensor on an n-dimensional space.
 
     Coefficients live only on strictly increasing index tuples; the
@@ -426,15 +539,9 @@ class AltTensor:
             if any(a >= b for a, b in zip(key, key[1:])):
                 raise DimensionMismatch(f"key {key} is not strictly increasing")
             v = _as_value(val, valdim)
-            if not _value_is_zero(v):
+            if not v.is_zero():
                 table[key] = v
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "valdim", valdim)
-        object.__setattr__(self, "coeffs", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AltTensor is immutable")
+        self._set(degree=degree, dim=dim, valdim=valdim, coeffs=table)
 
     def evaluate(self, idx):
         """Value on an arbitrary index tuple, by antisymmetrization."""
@@ -449,12 +556,12 @@ class AltTensor:
         val = self.coeffs.get(key)
         if val is None:
             return self._zero_value()
-        return _value_scale(ExactScalar(sign), val)
+        return val * ExactScalar(sign)
 
     def _zero_value(self):
         if self.valdim is None:
             return ZERO
-        return tuple(ZERO for _ in range(self.valdim))
+        return _Column(ZERO for _ in range(self.valdim))
 
     def __eq__(self, other):
         if not isinstance(other, AltTensor):
@@ -475,8 +582,7 @@ class AltTensor:
             raise DimensionMismatch("tensor addition shape mismatch")
         out = dict(self.coeffs)
         for key, val in other.coeffs.items():
-            cur = out.get(key)
-            out[key] = val if cur is None else _value_add(cur, val)
+            add_into(out, key, val)
         return AltTensor(self.degree, self.dim, out, self.valdim)
 
     def __sub__(self, other):
@@ -490,7 +596,7 @@ class AltTensor:
         return AltTensor(
             self.degree,
             self.dim,
-            {k: _value_scale(c, v) for k, v in self.coeffs.items()},
+            {k: v * c for k, v in self.coeffs.items()},
             self.valdim,
         )
 
@@ -559,6 +665,18 @@ def _perm_sign(perm) -> int:
     return sign
 
 
+def compositions(total: int, parts: int):
+    """All tuples of parts nonnegative integers summing to total, in
+    lexicographic order; one empty tuple for total = parts = 0."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
 def alt_pullback(k: int, mu: RationalMatrix, t: AltTensor) -> AltTensor:
     """Pull an alternating k-tensor back along the inverse of mu.
 
@@ -577,15 +695,10 @@ def alt_pullback(k: int, mu: RationalMatrix, t: AltTensor) -> AltTensor:
     inv = mu.inverse()
     out = {}
     for idx in combinations(range(1, n + 1), k):
-        total = None
         cols = [i - 1 for i in idx]
         for key, val in t.coeffs.items():
             rows = [j - 1 for j in key]
             minor = inv.submatrix(rows, cols).det()
-            if minor.is_zero():
-                continue
-            term = _value_scale(minor, val)
-            total = term if total is None else _value_add(total, term)
-        if total is not None and not _value_is_zero(total):
-            out[idx] = total
+            if not minor.is_zero():
+                add_into(out, idx, val * minor)
     return AltTensor(k, n, out, t.valdim)

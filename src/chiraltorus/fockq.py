@@ -17,14 +17,22 @@ commutation constraint [L_k, alpha_m] = -m alpha_{k+m}.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from itertools import product as iter_product
 
-from .exactlin import DimensionMismatch, ExactScalar, RationalMatrix
-
-S = ExactScalar
-ONE = S(1)
-ZERO = S(0)
-HALF = S(Fraction(1, 2))
+from .exactlin import (
+    HALF,
+    ONE,
+    ZERO,
+    CoeffTable,
+    DimensionMismatch,
+    ExactScalar,
+    Frozen,
+    RationalMatrix,
+    S,
+    add_into,
+    compositions,
+)
 
 
 class NotPositiveDefinite(ValueError):
@@ -63,26 +71,11 @@ class FormalUnitValue(ValueError):
 # the formal scale unit
 # ----------------------------------------------------------------------
 
-class UnitScalar:
-    """An exact Laurent polynomial in the formal unit u."""
+class UnitScalar(CoeffTable):
+    """An exact Laurent polynomial in the formal unit u: a table
+    {exponent: ExactScalar}."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        table = {}
-        for e, c in (coeffs or {}).items():
-            c = S.coerce(c)
-            if not c.is_zero():
-                cur = table.get(e)
-                tot = c if cur is None else cur + c
-                if tot.is_zero():
-                    table.pop(e, None)
-                else:
-                    table[e] = tot
-        object.__setattr__(self, "coeffs", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UnitScalar is immutable")
+    __slots__ = ()
 
     @staticmethod
     def coerce(x) -> "UnitScalar":
@@ -94,55 +87,22 @@ class UnitScalar:
     def unit(power: int = 1, coeff=1) -> "UnitScalar":
         return UnitScalar({power: S.coerce(coeff)})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def _operand(self, other):
+        if isinstance(other, (int, Fraction, ExactScalar)):
+            return UnitScalar.coerce(other)
+        return super()._operand(other)
 
-    def __add__(self, other):
-        other = UnitScalar.coerce(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            cur = out.get(e)
-            tot = c if cur is None else cur + c
-            if tot.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = tot
-        return UnitScalar(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UnitScalar({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-UnitScalar.coerce(other))
+    __radd__ = CoeffTable.__add__
 
     def __mul__(self, other):
         other = UnitScalar.coerce(other)
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                c = c1 * c2
-                cur = out.get(e)
-                tot = c if cur is None else cur + c
-                if tot.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = tot
-        return UnitScalar(out)
+                add_into(out, e1 + e2, c1 * c2)
+        return self._like(out)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            other = UnitScalar.coerce(other)
-        if not isinstance(other, UnitScalar):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
 
     def as_exact(self) -> ExactScalar:
         """The numeric value; defined only when no unit power remains."""
@@ -203,7 +163,7 @@ def _check_positive_definite(g: RationalMatrix):
             raise NotPositiveDefinite(f"leading minor {k} is not positive")
 
 
-class LatticeModel:
+class LatticeModel(Frozen):
     """Torus data (n, g, B, L) with the derived dual lattice."""
 
     __slots__ = ("n", "g", "B", "Lbasis", "LstarBasis", "g_inv",
@@ -228,19 +188,16 @@ class LatticeModel:
             # absorb the inverted unit; canonical form keeps exponent +1.
             L = L.scale(S(Fraction(1, 1) / Fraction(u_square)))
             unit_exponent = 1
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "Lbasis", L)
-        object.__setattr__(self, "LstarBasis", L.transpose().inverse())
-        object.__setattr__(self, "g_inv", g.inverse())
-        object.__setattr__(self, "unit_exponent", unit_exponent)
-        object.__setattr__(
-            self, "u_square", None if u_square is None else Fraction(u_square)
+        self._set(
+            n=n,
+            g=g,
+            B=B,
+            Lbasis=L,
+            LstarBasis=L.transpose().inverse(),
+            g_inv=g.inverse(),
+            unit_exponent=unit_exponent,
+            u_square=None if u_square is None else Fraction(u_square),
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LatticeModel is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, LatticeModel):
@@ -258,12 +215,8 @@ class LatticeModel:
         """Fold u^2 to its declared rational value, if any."""
         if self.u_square is None:
             return x
-        out = UnitScalar()
         rho = S(self.u_square)
-        for e, c in x.coeffs.items():
-            q, r = divmod(e, 2)
-            out = out + UnitScalar({r: c * rho ** q})
-        return out
+        return UnitScalar((e % 2, c * rho ** (e // 2)) for e, c in x.coeffs.items())
 
     def lattice_vector(self, coords) -> tuple:
         """Ambient vector of integer coordinates in Lbasis, carrying u^e."""
@@ -348,7 +301,7 @@ def load_model(data) -> LatticeModel:
 # sectors
 # ----------------------------------------------------------------------
 
-class Sector:
+class Sector(Frozen):
     """A momentum/winding label (l, l*) with its weight covectors.
 
     a_plus = -l* + B(l) + g(l) and a_minus = -l* + B(l) - g(l), where
@@ -373,18 +326,9 @@ class Sector:
         a_minus = tuple(
             model.canon(-lstar[i] + bl[i] - gl[i]) for i in range(model.n)
         )
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "l_coords", l_coords)
-        object.__setattr__(self, "lstar_coords", lstar_coords)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "lstar", lstar)
-        object.__setattr__(self, "a_plus", a_plus)
-        object.__setattr__(self, "a_minus", a_minus)
-        object.__setattr__(self, "h", self._weight(a_plus))
-        object.__setattr__(self, "hbar", self._weight(a_minus))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Sector is immutable")
+        self._set(model=model, l_coords=l_coords, lstar_coords=lstar_coords,
+                  l=l, lstar=lstar, a_plus=a_plus, a_minus=a_minus)
+        self._set(h=self._weight(a_plus), hbar=self._weight(a_minus))
 
     def _weight(self, a) -> UnitScalar:
         quad = _udot(a, _mat_uvec(self.model.g_inv, a))
@@ -524,7 +468,7 @@ def _partitions_upto(total):
     return [list(parts_of(k, k)) for k in range(total + 1)]
 
 
-class SparseOp:
+class SparseOp(Frozen):
     """A sparse exact operator on an indexed basis: column -> row -> coeff."""
 
     __slots__ = ("table", "dim")
@@ -535,11 +479,7 @@ class SparseOp:
             entries = {r: c for r, c in column.items() if not c.is_zero()}
             if entries:
                 clean[col] = entries
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "table", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SparseOp is immutable")
+        self._set(dim=dim, table=clean)
 
     @staticmethod
     def zero(dim):
@@ -558,7 +498,7 @@ class SparseOp:
         for c, col in other.table.items():
             tgt = out.setdefault(c, {})
             for r, v in col.items():
-                tgt[r] = tgt.get(r, ZERO) + v
+                add_into(tgt, r, v)
         return SparseOp(self.dim, out)
 
     def __sub__(self, other):
@@ -579,7 +519,7 @@ class SparseOp:
             acc = {}
             for mid, v in column.items():
                 for r, w in self.table.get(mid, {}).items():
-                    acc[r] = acc.get(r, ZERO) + v * w
+                    add_into(acc, r, v * w)
             out[col] = acc
         return SparseOp(self.dim, out)
 
@@ -600,7 +540,7 @@ class SparseOp:
         return all(self.column(c) == other.column(c) for c in cols)
 
 
-class FockTruncation:
+class FockTruncation(Frozen):
     """Level-truncated highest-weight module over the mode algebra.
 
     Basis vectors are n-colored partitions applied to the weight vector;
@@ -621,19 +561,12 @@ class FockTruncation:
         basis = []
         for total in range(N + 1):
             level_vectors = []
-            for split in _compositions(total, model.n):
+            for split in compositions(total, model.n):
                 for combo in iter_product(*[per_level[k] for k in split]):
                     level_vectors.append(tuple(combo))
             basis.extend(sorted(level_vectors))
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "index", {v: k for k, v in enumerate(basis)})
-        object.__setattr__(self, "_alpha_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FockTruncation is immutable")
+        self._set(model=model, weight=weight, N=N, basis=tuple(basis),
+                  index={v: k for k, v in enumerate(basis)}, _alpha_cache={})
 
     @property
     def dim(self):
@@ -690,9 +623,7 @@ class FockTruncation:
                     parts = list(vec[j - 1])
                     parts.remove(m)
                     new = vec[:j - 1] + (tuple(parts),) + vec[j:]
-                    coeff = -HALF * gij * S(m) * S(count)
-                    idx = self.index[new]
-                    out[idx] = out.get(idx, ZERO) + coeff
+                    add_into(out, self.index[new], -HALF * gij * S(m) * S(count))
             if out:
                 table[col] = out
         op = SparseOp(self.dim, table)
@@ -722,15 +653,6 @@ class FockTruncation:
         return total
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def build_fock(model: LatticeModel, weight, N: int) -> FockTruncation:
     return FockTruncation(model, weight, N)
 
@@ -755,18 +677,14 @@ def central_charge(model: LatticeModel, N: int = 3) -> ExactScalar:
     return value + value
 
 
-class TwoSidedFock:
+class TwoSidedFock(Frozen):
     """Product of a chiral and an antichiral truncation, for checking
     that the two mode families literally commute as matrices."""
 
     __slots__ = ("plus", "minus")
 
     def __init__(self, plus: FockTruncation, minus: FockTruncation):
-        object.__setattr__(self, "plus", plus)
-        object.__setattr__(self, "minus", minus)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwoSidedFock is immutable")
+        self._set(plus=plus, minus=minus)
 
     @property
     def dim(self):
@@ -814,36 +732,31 @@ def colored_partition_counts(n: int, order: int):
     return counts
 
 
-class QSeries:
-    """Truncated exact series in q with a rational leading exponent."""
+class QSeries(CoeffTable):
+    """Truncated exact series in q with a rational leading exponent: a
+    table {Fraction exponent: ExactScalar} holding no exponent above cap."""
 
-    __slots__ = ("coeffs", "cap")
+    __slots__ = ("cap",)
 
     def __init__(self, coeffs, cap):
-        cap = Fraction(cap)
-        table = {}
-        for e, c in coeffs.items():
-            e = Fraction(e)
-            c = S.coerce(c)
-            if e <= cap and not c.is_zero():
-                table[e] = table.get(e, ZERO) + c
-                if table[e].is_zero():
-                    del table[e]
-        object.__setattr__(self, "coeffs", table)
-        object.__setattr__(self, "cap", cap)
+        self._set(cap=Fraction(cap))
+        super().__init__(coeffs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QSeries is immutable")
+    def _entry(self, e, c):
+        e = Fraction(e)
+        return (e, S.coerce(c)) if e <= self.cap else None
+
+    def _like(self, table):
+        out = super()._like(table)
+        out._set(cap=self.cap)
+        return out
 
     def leading(self):
         return min(self.coeffs, default=None)
 
     def __add__(self, other):
-        cap = min(self.cap, other.cap)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, ZERO) + c
-        return QSeries(out, cap)
+        return QSeries(chain(self.coeffs.items(), other.coeffs.items()),
+                       min(self.cap, other.cap))
 
     def __mul__(self, other):
         lead_s = self.leading()
@@ -856,16 +769,8 @@ class QSeries:
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
                 if e <= cap:
-                    out[e] = out.get(e, ZERO) + c1 * c2
+                    add_into(out, e, c1 * c2)
         return QSeries(out, cap)
-
-    def __eq__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
 
     def __str__(self):
         if not self.coeffs:
@@ -896,38 +801,14 @@ def character(model: LatticeModel, sector: Sector, order: int) -> QSeries:
                    h.re + order)
 
 
-class BiSeries:
-    """Truncated exact series in q and qbar."""
+class BiSeries(CoeffTable):
+    """Truncated exact series in q and qbar: a table
+    {(Fraction, Fraction): ExactScalar}."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs):
-        table = {}
-        for key, c in coeffs.items():
-            c = S.coerce(c)
-            if not c.is_zero():
-                key = (Fraction(key[0]), Fraction(key[1]))
-                table[key] = table.get(key, ZERO) + c
-                if table[key].is_zero():
-                    del table[key]
-        object.__setattr__(self, "coeffs", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiSeries is immutable")
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, ZERO) + c
-        return BiSeries(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
+    def _entry(self, key, c):
+        return (Fraction(key[0]), Fraction(key[1])), S.coerce(c)
 
     def __str__(self):
         if not self.coeffs:
@@ -951,7 +832,7 @@ def partition_function(model: LatticeModel, cutoff: int, order: int,
     multiplicities, over enumerated sectors and oscillator levels up to
     order."""
     counts = colored_partition_counts(model.n, order)
-    out = {}
+    terms = []
     for s in enumerate_sectors(model, cutoff):
         if sector_filter is not None and not sector_filter(s):
             continue
@@ -959,7 +840,5 @@ def partition_function(model: LatticeModel, cutoff: int, order: int,
         hbar = model.canon(s.hbar).as_exact().re
         for k in range(order + 1):
             for kb in range(order + 1):
-                key = (h + k, hbar + kb)
-                cur = out.get(key, ZERO)
-                out[key] = cur + S(counts[k] * counts[kb])
-    return BiSeries(out)
+                terms.append(((h + k, hbar + kb), counts[k] * counts[kb]))
+    return BiSeries(terms)

@@ -18,13 +18,19 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
-from .exactlin import ExactScalar, RationalMatrix, SingularMatrix
-
-S = ExactScalar
-IMAG = S(0, 1)
-ONE = S(1)
-ZERO = S(0)
-HALF = S(Fraction(1, 2))
+from .exactlin import (
+    HALF,
+    IMAG,
+    ONE,
+    ZERO,
+    CoeffTable,
+    ExactScalar,
+    RationalMatrix,
+    S,
+    SingularMatrix,
+    add_into,
+    compositions,
+)
 
 
 class NotFirstOrder(ValueError):
@@ -83,29 +89,18 @@ def monomial_content(m: Monomial):
             tuple(sorted(n for (n, _) in m.syms)))
 
 
-class DiffPoly:
-    """An exact polynomial in jet variables and coefficient symbols."""
+class DiffPoly(CoeffTable):
+    """An exact polynomial in jet variables and coefficient symbols:
+    a table {Monomial: ExactScalar}."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        table = {}
-        for mono, coeff in (terms or {}).items():
-            coeff = S.coerce(coeff)
-            if not coeff.is_zero():
-                cur = table.get(mono)
-                if cur is None:
-                    table[mono] = coeff
-                else:
-                    tot = cur + coeff
-                    if tot.is_zero():
-                        del table[mono]
-                    else:
-                        table[mono] = tot
-        object.__setattr__(self, "terms", table)
+    terms = property(lambda self: self.coeffs, doc="Read-only alias of coeffs.")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DiffPoly is immutable")
+    def _operand(self, other):
+        if isinstance(other, (int, Fraction, ExactScalar)):
+            return DiffPoly.const(other)
+        return super()._operand(other)
 
     # -- constructors ------------------------------------------------
 
@@ -133,53 +128,19 @@ class DiffPoly:
 
     # -- ring operations ---------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            other = DiffPoly.const(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            cur = out.get(mono)
-            tot = c if cur is None else cur + c
-            if tot.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = tot
-        return DiffPoly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            other = DiffPoly.const(other)
-        return self + other.scale(S(-1))
+    __radd__ = CoeffTable.__add__
 
     def __rsub__(self, other):
         return DiffPoly.const(other) - self
-
-    def __neg__(self):
-        return self.scale(S(-1))
-
-    def scale(self, c) -> "DiffPoly":
-        c = S.coerce(c)
-        if c.is_zero():
-            return DiffPoly()
-        return DiffPoly({m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ExactScalar)):
             return self.scale(other)
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                coeff = c1 * c2
-                cur = out.get(mono)
-                tot = coeff if cur is None else cur + coeff
-                if tot.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = tot
-        return DiffPoly(out)
+        for m1, c1 in self.coeffs.items():
+            for m2, c2 in other.coeffs.items():
+                add_into(out, _mono_mul(m1, m2), c1 * c2)
+        return self._like(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, ExactScalar)):
@@ -194,19 +155,6 @@ class DiffPoly:
             out = out * self
         return out
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            other = DiffPoly.const(other)
-        if not isinstance(other, DiffPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
     # -- calculus ----------------------------------------------------
 
     def D(self, direction: str) -> "DiffPoly":
@@ -214,58 +162,47 @@ class DiffPoly:
         if direction not in ("t", "s"):
             raise ValueError("direction must be 't' or 's'")
         out = {}
-
-        def put(mono, coeff):
-            cur = out.get(mono)
-            tot = coeff if cur is None else cur + coeff
-            if tot.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = tot
-
-        for mono, coeff in self.terms.items():
+        for mono, coeff in self.coeffs.items():
             if direction == "s" and mono.mode != 0:
-                put(mono, coeff * IMAG * S(mono.mode))
+                add_into(out, mono, coeff * IMAG * S(mono.mode))
             for k, (name, order) in enumerate(mono.syms):
                 factor = _D_RULES[(SYMBOL_KINDS[name], direction)]
                 if factor is None:
                     continue
                 syms = list(mono.syms)
                 syms[k] = (name, order + 1)
-                put(Monomial(mono.mode, tuple(sorted(syms)), mono.jets), coeff * factor)
+                add_into(out, Monomial(mono.mode, tuple(sorted(syms)), mono.jets),
+                         coeff * factor)
             for k, (i, a, b) in enumerate(mono.jets):
                 jets = list(mono.jets)
                 jets[k] = (i, a + 1, b) if direction == "t" else (i, a, b + 1)
-                put(Monomial(mono.mode, mono.syms, tuple(sorted(jets))), coeff)
-        return DiffPoly(out)
+                add_into(out, Monomial(mono.mode, mono.syms, tuple(sorted(jets))), coeff)
+        return self._like(out)
 
     def partial(self, key) -> "DiffPoly":
         """Partial derivative with respect to the jet variable key=(i,a,b)."""
         key = tuple(key)
         out = {}
-        for mono, coeff in self.terms.items():
+        for mono, coeff in self.coeffs.items():
             mult = mono.jets.count(key)
             if not mult:
                 continue
             jets = list(mono.jets)
             jets.remove(key)
-            reduced = Monomial(mono.mode, mono.syms, tuple(jets))
-            cur = out.get(reduced)
-            add = coeff * S(mult)
-            out[reduced] = add if cur is None else cur + add
-        return DiffPoly(out)
+            add_into(out, Monomial(mono.mode, mono.syms, tuple(jets)), coeff * S(mult))
+        return self._like(out)
 
     def jet_support(self):
         keys = set()
-        for mono in self.terms:
+        for mono in self.coeffs:
             keys.update(mono.jets)
         return sorted(keys)
 
     def max_jet_order(self) -> int:
-        return max((a + b for mono in self.terms for (_, a, b) in mono.jets), default=0)
+        return max((a + b for mono in self.coeffs for (_, a, b) in mono.jets), default=0)
 
     def field_indices(self):
-        return sorted({i for mono in self.terms for (i, _, _) in mono.jets})
+        return sorted({i for mono in self.coeffs for (i, _, _) in mono.jets})
 
     def __str__(self):
         return poly_str(self)
@@ -302,7 +239,7 @@ def substitute_jets(poly: DiffPoly, mapping) -> DiffPoly:
         return cache[key]
 
     out = DiffPoly()
-    for mono, coeff in poly.terms.items():
+    for mono, coeff in poly.coeffs.items():
         acc = DiffPoly({Monomial(mono.mode, mono.syms, ()): coeff})
         for (i, a, b) in mono.jets:
             if (i, a) in mapping:
@@ -364,8 +301,8 @@ def poly_str(poly: DiffPoly, style: str = "tau") -> str:
     if poly.is_zero():
         return "0"
     bits = []
-    for mono in sorted(poly.terms):
-        coeff = poly.terms[mono]
+    for mono in sorted(poly.coeffs):
+        coeff = poly.coeffs[mono]
         factors = _mono_str(mono, style)
         neg = False
         if coeff == S(-1) and factors:
@@ -389,10 +326,10 @@ def poly_str(poly: DiffPoly, style: str = "tau") -> str:
 def poly_to_tree(poly: DiffPoly):
     """JSON expression tree: canonical sum of monomials."""
     terms = []
-    for mono in sorted(poly.terms):
+    for mono in sorted(poly.coeffs):
         terms.append(
             {
-                "coeff": poly.terms[mono].to_json(),
+                "coeff": poly.coeffs[mono].to_json(),
                 "trig": mono.mode,
                 "symbols": [[n, o] for (n, o) in mono.syms],
                 "jets": [[i, a, b] for (i, a, b) in mono.jets],
@@ -611,41 +548,30 @@ def _insert_h(c, hkeys):
     return 0, None
 
 
-class VariationalForm:
+class VariationalForm(CoeffTable):
     """A form of the variational bicomplex with polynomial coefficients.
 
     Stored as a table {(vkeys, hkeys): DiffPoly}: the component
     P * delta u_{J1} ^ ... ^ delta u_{Jv} ^ h with vkeys strictly
     increasing (delta factors anticommute) and h one of (), (t,), (s,),
-    (t, s).
+    (t, s).  The constructor sorts vkeys with the matching sign and drops
+    components with a repeated delta factor.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts=None):
-        table = {}
-        for (vkeys, hkeys), poly in (parts or {}).items():
-            vkeys = tuple(tuple(k) for k in vkeys)
-            hkeys = tuple(hkeys)
-            if hkeys not in _H_ORDER:
-                raise ValueError(f"bad horizontal factor {hkeys!r}")
-            sign, canon = _canon_vkeys(vkeys)
-            if sign == 0:
-                continue
-            poly = poly if sign == 1 else poly.scale(S(-1))
-            if poly.is_zero():
-                continue
-            key = (canon, hkeys)
-            cur = table.get(key)
-            tot = poly if cur is None else cur + poly
-            if tot.is_zero():
-                table.pop(key, None)
-            else:
-                table[key] = tot
-        object.__setattr__(self, "parts", table)
+    parts = property(lambda self: self.coeffs, doc="Read-only alias of coeffs.")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("VariationalForm is immutable")
+    def _entry(self, key, poly):
+        vkeys, hkeys = key
+        vkeys = tuple(tuple(k) for k in vkeys)
+        hkeys = tuple(hkeys)
+        if hkeys not in _H_ORDER:
+            raise ValueError(f"bad horizontal factor {hkeys!r}")
+        sign, canon = _canon_vkeys(vkeys)
+        if sign == 0:
+            return None
+        return (canon, hkeys), (poly if sign == 1 else -poly)
 
     @staticmethod
     def zero() -> "VariationalForm":
@@ -653,122 +579,49 @@ class VariationalForm:
 
     def component(self, vkeys, hkeys) -> DiffPoly:
         vkeys = tuple(tuple(k) for k in vkeys)
-        return self.parts.get((vkeys, tuple(hkeys)), DiffPoly.zero())
-
-    def __add__(self, other):
-        out = {k: v for k, v in self.parts.items()}
-        for k, v in other.parts.items():
-            cur = out.get(k)
-            tot = v if cur is None else cur + v
-            if tot.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = tot
-        res = VariationalForm()
-        object.__setattr__(res, "parts", out)
-        return res
-
-    def __sub__(self, other):
-        return self + other.scale(S(-1))
-
-    def __neg__(self):
-        return self.scale(S(-1))
-
-    def scale(self, c) -> "VariationalForm":
-        c = S.coerce(c)
-        res = VariationalForm()
-        if c.is_zero():
-            return res
-        object.__setattr__(
-            res, "parts", {k: v.scale(c) for k, v in self.parts.items()}
-        )
-        return res
+        return self.coeffs.get((vkeys, tuple(hkeys)), DiffPoly.zero())
 
     def mul_poly(self, poly: DiffPoly) -> "VariationalForm":
         out = {}
-        for k, v in self.parts.items():
+        for k, v in self.coeffs.items():
             prod = v * poly
             if not prod.is_zero():
                 out[k] = prod
-        res = VariationalForm()
-        object.__setattr__(res, "parts", out)
-        return res
-
-    def is_zero(self) -> bool:
-        return not self.parts
-
-    def __eq__(self, other):
-        if not isinstance(other, VariationalForm):
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.parts.items(), key=lambda kv: kv[0])))
+        return self._like(out)
 
     # -- the two differentials -----------------------------------------
 
     def horizontal_differential(self) -> "VariationalForm":
         """d = dtau ^ D_tau + dsigma ^ D_sigma, dc wedged from the left."""
-        acc = {}
-
-        def put(vkeys, hkeys, poly):
-            sign, canon = _canon_vkeys(vkeys)
-            if sign == 0 or poly.is_zero():
-                return
-            poly = poly if sign == 1 else poly.scale(S(-1))
-            key = (canon, hkeys)
-            cur = acc.get(key)
-            tot = poly if cur is None else cur + poly
-            if tot.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = tot
-
-        for (vkeys, hkeys), poly in self.parts.items():
+        items = []
+        for (vkeys, hkeys), poly in self.coeffs.items():
             v = len(vkeys)
             for c in ("t", "s"):
                 hsign, newh = _insert_h(c, hkeys)
                 if hsign == 0:
                     continue
                 total_sign = S(hsign) if v % 2 == 0 else S(-hsign)
-                put(vkeys, newh, poly.D(c).scale(total_sign))
+                items.append(((vkeys, newh), poly.D(c).scale(total_sign)))
                 for k, (i, a, b) in enumerate(vkeys):
                     bumped = list(vkeys)
                     bumped[k] = (i, a + 1, b) if c == "t" else (i, a, b + 1)
-                    put(tuple(bumped), newh, poly.scale(total_sign))
-        res = VariationalForm()
-        object.__setattr__(res, "parts", acc)
-        return res
+                    items.append(((bumped, newh), poly.scale(total_sign)))
+        return VariationalForm(items)
 
     def vertical_differential(self) -> "VariationalForm":
         """delta = sum_J delta u_J ^ d/du_J, the new factor wedged leftmost."""
-        acc = {}
-        for (vkeys, hkeys), poly in self.parts.items():
+        items = []
+        for (vkeys, hkeys), poly in self.coeffs.items():
             for key in poly.jet_support():
-                dpoly = poly.partial(key)
-                if dpoly.is_zero():
-                    continue
-                sign, canon = _canon_vkeys((key,) + vkeys)
-                if sign == 0:
-                    continue
-                k2 = (canon, hkeys)
-                add = dpoly if sign == 1 else dpoly.scale(S(-1))
-                cur = acc.get(k2)
-                tot = add if cur is None else cur + add
-                if tot.is_zero():
-                    acc.pop(k2, None)
-                else:
-                    acc[k2] = tot
-        res = VariationalForm()
-        object.__setattr__(res, "parts", acc)
-        return res
+                items.append((((key,) + vkeys, hkeys), poly.partial(key)))
+        return VariationalForm(items)
 
     def __str__(self):
-        if not self.parts:
+        if not self.coeffs:
             return "0"
         bits = []
-        for (vkeys, hkeys) in sorted(self.parts, key=lambda kv: (len(kv[0]), kv)):
-            poly = self.parts[(vkeys, hkeys)]
+        for (vkeys, hkeys) in sorted(self.coeffs, key=lambda kv: (len(kv[0]), kv)):
+            poly = self.coeffs[(vkeys, hkeys)]
             label = "^".join(
                 [f"d[{_jet_str(i, a, b, 'tau')}]" for (i, a, b) in vkeys]
                 + [{"t": "dt", "s": "ds"}[c] for c in hkeys]
@@ -820,33 +673,28 @@ def prolong(generator, target):
     field = generator if isinstance(generator, EvolutionaryField) else EvolutionaryField(generator)
     if isinstance(target, DiffPoly):
         return field.apply_poly(target)
-    acc = VariationalForm.zero()
-    for (vkeys, hkeys), poly in target.parts.items():
-        acc = acc + VariationalForm({(vkeys, hkeys): field.apply_poly(poly)})
+    items = []
+    for (vkeys, hkeys), poly in target.coeffs.items():
+        items.append(((vkeys, hkeys), field.apply_poly(poly)))
         for k, key in enumerate(vkeys):
             w = field.on_jet(key)
             for new_key in w.jet_support():
-                coeff_poly = w.partial(new_key)
-                if coeff_poly.is_zero():
-                    continue
                 newv = list(vkeys)
                 newv[k] = new_key
-                acc = acc + VariationalForm({(tuple(newv), hkeys): poly * coeff_poly})
-    return acc
+                items.append(((newv, hkeys), poly * w.partial(new_key)))
+    return VariationalForm(items)
 
 
 def contract(generator, form: VariationalForm) -> VariationalForm:
     """Interior product iota_{x-hat}: odd derivation, delta u_J |-> x-hat(u_J)."""
     field = generator if isinstance(generator, EvolutionaryField) else EvolutionaryField(generator)
-    acc = VariationalForm.zero()
-    for (vkeys, hkeys), poly in form.parts.items():
+    items = []
+    for (vkeys, hkeys), poly in form.coeffs.items():
         for k, key in enumerate(vkeys):
             rest = vkeys[:k] + vkeys[k + 1:]
             sgn = ONE if k % 2 == 0 else S(-1)
-            acc = acc + VariationalForm(
-                {(rest, hkeys): (poly * field.on_jet(key)).scale(sgn)}
-            )
-    return acc
+            items.append(((rest, hkeys), (poly * field.on_jet(key)).scale(sgn)))
+    return VariationalForm(items)
 
 
 # ----------------------------------------------------------------------
@@ -885,26 +733,11 @@ def euler_lagrange(L: Lagrangian):
 def variational_one_form(L: Lagrangian) -> VariationalForm:
     """gamma = sum_i dl/d(u_tau^i) delta x^i ^ dsigma
                  - dl/d(u_sigma^i) delta x^i ^ dtau."""
-    parts = {}
+    items = []
     for i in range(1, L.n + 1):
-        pt = L.density.partial((i, 1, 0))
-        ps = L.density.partial((i, 0, 1))
-        if not pt.is_zero():
-            parts[(((i, 0, 0),), ("s",))] = pt
-        if not ps.is_zero():
-            parts_key = (((i, 0, 0),), ("t",))
-            parts[parts_key] = parts.get(parts_key, DiffPoly.zero()) - ps
-    return VariationalForm(parts)
-
-
-def _compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+        items.append(((((i, 0, 0),), ("s",)), L.density.partial((i, 1, 0))))
+        items.append(((((i, 0, 0),), ("t",)), -L.density.partial((i, 0, 1))))
+    return VariationalForm(items)
 
 
 def enumerate_monomials(content, weight, forbid_bare=False):
@@ -915,7 +748,7 @@ def enumerate_monomials(content, weight, forbid_bare=False):
     """
     mode, fields, names = content
     out = set()
-    for comp in _compositions(weight, len(fields) + len(names)):
+    for comp in compositions(weight, len(fields) + len(names)):
         jet_orders = comp[: len(fields)]
         sym_orders = comp[len(fields):]
         if forbid_bare and any(o == 0 for o in jet_orders):
@@ -935,16 +768,16 @@ def _solve_in_span(columns, target: DiffPoly):
 
     Deterministic: fixed monomial order, free variables set to zero.
     """
-    basis = sorted(set().union(*[set(c.terms) for c in columns], set(target.terms)))
+    basis = sorted(set().union(*[set(c.coeffs) for c in columns], set(target.coeffs)))
     if not basis:
         return [ZERO] * len(columns)
     index = {m: r for r, m in enumerate(basis)}
     rows = [[ZERO] * len(columns) for _ in basis]
     rhs = [ZERO] * len(basis)
     for c, col in enumerate(columns):
-        for mono, val in col.terms.items():
+        for mono, val in col.coeffs.items():
             rows[index[mono]][c] = val
-    for mono, val in target.terms.items():
+    for mono, val in target.coeffs.items():
         rhs[index[mono]] = val
     m = [list(r) + [v] for r, v in zip(rows, rhs)]
     nrow, ncol = len(m), len(columns)
@@ -987,13 +820,13 @@ def _solve_total_derivative(q: DiffPoly):
     if q.is_zero():
         return DiffPoly.zero(), DiffPoly.zero()
     blocks = {}
-    for mono, coeff in q.terms.items():
+    for mono, coeff in q.coeffs.items():
         blocks.setdefault(monomial_content(mono), {})[mono] = coeff
     P = DiffPoly.zero()
     Q = DiffPoly.zero()
     for content in sorted(blocks):
         target = DiffPoly(blocks[content])
-        weights = sorted({monomial_weight(m) for m in target.terms})
+        weights = sorted({monomial_weight(m) for m in target.coeffs})
         solved = None
         for forbid_bare in (True, False):
             cands = []
@@ -1031,7 +864,7 @@ def _solve_total_derivative(q: DiffPoly):
 def wave_reduce_poly(poly: DiffPoly) -> DiffPoly:
     """Rewrite every jet with a >= 2 via d_tau^2 x = -d_sigma^2 x."""
     out = {}
-    for mono, coeff in poly.terms.items():
+    for mono, coeff in poly.coeffs.items():
         sign = 1
         jets = []
         for (i, a, b) in mono.jets:
@@ -1040,14 +873,8 @@ def wave_reduce_poly(poly: DiffPoly) -> DiffPoly:
                 sign = -sign
             jets.append((i, a % 2, b + 2 * k))
         mono2 = Monomial(mono.mode, mono.syms, tuple(sorted(jets)))
-        add = coeff if sign == 1 else -coeff
-        cur = out.get(mono2)
-        tot = add if cur is None else cur + add
-        if tot.is_zero():
-            out.pop(mono2, None)
-        else:
-            out[mono2] = tot
-    return DiffPoly(out)
+        add_into(out, mono2, coeff if sign == 1 else -coeff)
+    return poly._like(out)
 
 
 def _validate_wave_model(L: Lagrangian):
@@ -1058,7 +885,7 @@ def _validate_wave_model(L: Lagrangian):
     m_tt = [[ZERO] * n for _ in range(n)]
     m_ss = [[ZERO] * n for _ in range(n)]
     for row, e in enumerate(els):
-        for mono, coeff in e.terms.items():
+        for mono, coeff in e.coeffs.items():
             if mono.mode != 0 or mono.syms or len(mono.jets) != 1:
                 raise NonLinearEL("Euler-Lagrange system is not constant-coefficient linear")
             (j, a, b) = mono.jets[0]
@@ -1110,8 +937,8 @@ def restrict_to_sol0(expr, L: Lagrangian | None = None):
         _validate_wave_model(L)
     if isinstance(expr, DiffPoly):
         return wave_reduce_poly(expr)
-    acc = {}
-    for (vkeys, hkeys), poly in expr.parts.items():
+    items = []
+    for (vkeys, hkeys), poly in expr.coeffs.items():
         if "t" in hkeys:
             continue
         sign = 1
@@ -1122,20 +949,8 @@ def restrict_to_sol0(expr, L: Lagrangian | None = None):
                 sign = -sign
             newv.append((i, a % 2, b + 2 * k))
         reduced = wave_reduce_poly(poly if sign == 1 else poly.scale(S(-1)))
-        if reduced.is_zero():
-            continue
-        key = (tuple(newv), hkeys)
-        part = VariationalForm({key: reduced})
-        for k, v in part.parts.items():
-            cur = acc.get(k)
-            tot = v if cur is None else cur + v
-            if tot.is_zero():
-                acc.pop(k, None)
-            else:
-                acc[k] = tot
-    res = VariationalForm()
-    object.__setattr__(res, "parts", acc)
-    return res
+        items.append(((newv, hkeys), reduced))
+    return VariationalForm(items)
 
 
 # ----------------------------------------------------------------------

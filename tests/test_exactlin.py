@@ -4,16 +4,36 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chiraltorus.coisson import (
+    BracketTable,
+    DeltaExpansion,
+    FourierClass,
+    LocalDensity,
+)
 from chiraltorus.exactlin import (
     AltTensor,
+    CoeffTable,
     DimensionMismatch,
     ExactScalar,
+    Frozen,
     RationalMatrix,
     SingularMatrix,
     alt_pullback,
     invert,
 )
+from chiraltorus.fockq import (
+    BiSeries,
+    FockTruncation,
+    QSeries,
+    SparseOp,
+    TwoSidedFock,
+    UnitScalar,
+    one_dim_model,
+)
+from chiraltorus.jetcalc import DiffPoly, Monomial, VariationalForm, parse_expr
 
 
 def rand_scalar(rng, den=6):
@@ -68,10 +88,19 @@ class TestExactScalar:
         assert ExactScalar.from_string("-i") == ExactScalar(0, -1)
         assert ExactScalar.from_string("2/3 i") == ExactScalar(0, Fraction(2, 3))
 
-    def test_immutability(self):
-        x = ExactScalar(1, 2)
-        with pytest.raises(AttributeError):
-            x.re = Fraction(5)
+    @pytest.mark.parametrize("bad", [0.1, 1.0, 1j, True, False])
+    def test_inexact_parts_are_refused(self, bad):
+        with pytest.raises(TypeError):
+            ExactScalar(bad)
+        with pytest.raises(TypeError):
+            ExactScalar(1, bad)
+        with pytest.raises(TypeError):
+            ExactScalar.coerce(bad)
+
+    def test_arithmetic_results_stay_fractions(self):
+        a = ExactScalar(Fraction(1, 3), 2)
+        for x in (a + a, a - 1, a * a, a / 3, -a, a.conjugate(), a ** 3):
+            assert type(x.re) is Fraction and type(x.im) is Fraction
 
 
 class TestRationalMatrix:
@@ -256,3 +285,117 @@ class TestAltTensor:
             alt_pullback(2, RationalMatrix.identity(4), t)
         with pytest.raises(SingularMatrix):
             alt_pullback(2, RationalMatrix([[1, 2], [2, 4]]).scale(1), AltTensor(2, 2, {(1, 2): 1}))
+
+
+# ----------------------------------------------------------------------
+# frozen types and the shared coefficient table
+# ----------------------------------------------------------------------
+
+def _fock():
+    return FockTruncation(one_dim_model(), [0], 1)
+
+
+# one instance of every frozen type, with an attribute to try to reassign
+FROZEN_CASES = {
+    "ExactScalar": (lambda: ExactScalar(1, 2), "re"),
+    "RationalMatrix": (lambda: RationalMatrix.identity(2), "entries"),
+    "AltTensor": (lambda: AltTensor(2, 2, {(1, 2): 1}), "coeffs"),
+    "DiffPoly": (lambda: parse_expr("x1*p1"), "terms"),
+    "VariationalForm": (
+        lambda: VariationalForm({((), ("t", "s")): parse_expr("x1")}), "parts"),
+    "LocalDensity": (lambda: LocalDensity("p1"), "poly"),
+    "FourierClass": (lambda: FourierClass("p1"), "rep"),
+    "DeltaExpansion": (lambda: DeltaExpansion({0: parse_expr("p1")}), "coeffs"),
+    "BracketTable": (lambda: BracketTable(), "twist"),
+    "UnitScalar": (lambda: UnitScalar.unit(1), "coeffs"),
+    "LatticeModel": (lambda: one_dim_model(), "g"),
+    "Sector": (lambda: one_dim_model().sector([1], [0]), "h"),
+    "SparseOp": (lambda: SparseOp.identity(2), "table"),
+    "FockTruncation": (_fock, "basis"),
+    "TwoSidedFock": (lambda: TwoSidedFock(_fock(), _fock()), "plus"),
+    "QSeries": (lambda: QSeries({0: 1}, 2), "cap"),
+    "BiSeries": (lambda: BiSeries({(0, 0): 1}), "coeffs"),
+}
+
+
+def _frozen_classes(base=Frozen):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _frozen_classes(cls)
+
+
+def test_every_frozen_class_has_an_immutability_case():
+    names = {cls.__name__ for cls in _frozen_classes()} - {"CoeffTable"}
+    assert names == set(FROZEN_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_CASES))
+def test_immutability(name):
+    make, attr = FROZEN_CASES[name]
+    obj = make()
+    before = getattr(obj, attr)
+    assert type(obj).__name__ == name
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        setattr(obj, attr, None)
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        obj.new_attribute = 1
+    assert getattr(obj, attr) is before
+
+
+small_scalars = st.builds(
+    ExactScalar,
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    st.sampled_from([0, 0, 1, -1]),
+)
+
+TABLE_KEYS = {
+    DiffPoly: st.builds(
+        lambda m, i, b: Monomial(m, (), ((i, 0, b),)),
+        st.integers(-1, 1), st.integers(1, 2), st.integers(0, 1),
+    ),
+    UnitScalar: st.integers(-2, 2),
+    # equal exponents given as int and as Fraction must meet in one key
+    BiSeries: st.tuples(
+        st.sampled_from([0, Fraction(0), Fraction(1, 2), 1, Fraction(1)]),
+        st.sampled_from([0, Fraction(0), Fraction(-1, 2)]),
+    ),
+}
+
+
+def table_items(cls):
+    return st.lists(st.tuples(TABLE_KEYS[cls], small_scalars), max_size=8)
+
+
+def assert_pruned(x: CoeffTable):
+    assert all(not v.is_zero() for v in x.coeffs.values())
+
+
+@pytest.mark.parametrize("cls", list(TABLE_KEYS), ids=lambda c: c.__name__)
+class TestCoeffTable:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_order_of_items_does_not_matter(self, cls, data):
+        items = data.draw(table_items(cls))
+        shuffled = data.draw(st.permutations(items))
+        x, y = cls(items), cls(shuffled)
+        assert x == y
+        assert hash(x) == hash(y)
+        assert x.coeffs == y.coeffs
+        assert_pruned(x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_arithmetic_keeps_tables_pruned(self, cls, data):
+        x = cls(data.draw(table_items(cls)))
+        y = cls(data.draw(table_items(cls)))
+        c = data.draw(small_scalars)
+        assert (x + (-x)).coeffs == {}
+        assert x - x == cls()
+        assert (x - y) + y == x
+        assert x + y == y + x
+        for z in (x + y, x - y, -x, x.scale(c)):
+            assert_pruned(z)
+        assert x.scale(c).is_zero() == (c.is_zero() or x.is_zero())
+        if cls is not BiSeries:
+            assert_pruned(x * y)
+
