@@ -2,7 +2,8 @@
 the frozen coefficient table every sparse exact type is built on.
 
 Every module downstream runs on these types.  Scalars are elements
-of Q(i) stored as a pair of reduced fractions, so equality of any two
+(a + b*i)/d of Q(i), stored as three ints over one shared denominator in
+the canonical form d > 0, gcd(a, b, d) = 1, so equality of any two
 computed quantities is decidable and all tests are equality tests.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import gcd
 from itertools import combinations
 from operator import itemgetter
 
@@ -44,25 +46,45 @@ _PURE_IM_RE = _re.compile(rf"^\s*(-?)\s*({_RAT})?\s*\*?\s*i\s*$")
 
 
 _INEXACT = (float, complex, bool)
+_new = object.__new__
 
 
 class ExactScalar(Frozen):
-    """An element re + i*im of Q(i), immutable and canonical.
+    """An element (a + b*i)/d of Q(i), immutable and canonical.
 
-    Fraction keeps numerator/denominator reduced with positive
-    denominator, so two equal values always compare equal and hash
-    equal.  Division by zero raises ZeroDivisionError.  Floats, complex
-    numbers and bools are refused: a float is already rounded, and a
-    bool is not a number.
+    The value is held as three ints with d > 0 and gcd(a, b, d) = 1, so
+    equal values are equal triples: == compares three ints, and every
+    operation normalises its result with one gcd.  re and im are
+    read-only Fraction views.  Division by zero raises ZeroDivisionError.
+    Floats, complex numbers and bools are refused: a float is already
+    rounded, and a bool is not a number.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
         if isinstance(re, _INEXACT) or isinstance(im, _INEXACT):
             raise TypeError(f"ExactScalar needs exact parts, got {re!r} and {im!r}")
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            # over the lcm of two reduced denominators the triple is
+            # already canonical
+            p, q = _ratio(re)
+            r, s = _ratio(im)
+            d = q // gcd(q, s) * s
+            a, b = p * (d // q), r * (d // s)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- constructors ------------------------------------------------
 
@@ -97,42 +119,58 @@ class ExactScalar(Frozen):
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other):
-        other = ExactScalar.coerce(other)
-        return _exact(self.re + other.re, self.im + other.im)
+        if type(other) is not ExactScalar:
+            other = ExactScalar.coerce(other)
+        d = self.d
+        if d == other.d:
+            return _reduced(self.a + other.a, self.b + other.b, d)
+        e = other.d
+        return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = ExactScalar.coerce(other)
-        return _exact(self.re - other.re, self.im - other.im)
+        if type(other) is not ExactScalar:
+            other = ExactScalar.coerce(other)
+        d = self.d
+        if d == other.d:
+            return _reduced(self.a - other.a, self.b - other.b, d)
+        e = other.d
+        return _reduced(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
         return ExactScalar.coerce(other) - self
 
     def __mul__(self, other):
-        other = ExactScalar.coerce(other)
-        return _exact(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not ExactScalar:
+            other = ExactScalar.coerce(other)
+        a, b, c, e = self.a, self.b, other.a, other.b
+        if not b and not e:
+            return _reduced(a * c, 0, self.d * other.d)
+        return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = ExactScalar.coerce(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division of ExactScalar by zero")
-        return _exact(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        if type(other) is not ExactScalar:
+            other = ExactScalar.coerce(other)
+        # (a + bi)/d / ((c + ei)/f) = f (a + bi)(c - ei) / (d (c^2 + e^2))
+        a, b, c, e, f = self.a, self.b, other.a, other.b, other.d
+        if not e:
+            if not c:
+                raise ZeroDivisionError("division of ExactScalar by zero")
+            den = self.d * c
+            if den < 0:
+                f, den = -f, -den
+            return _reduced(a * f, b * f, den)
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f,
+                        self.d * (c * c + e * e))
 
     def __rtruediv__(self, other):
         return ExactScalar.coerce(other) / self
 
     def __neg__(self):
-        return _exact(-self.re, -self.im)
+        return _triple(-self.a, -self.b, self.d)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -149,31 +187,40 @@ class ExactScalar(Frozen):
         return out
 
     def conjugate(self) -> "ExactScalar":
-        return _exact(self.re, -self.im)
+        return _triple(self.a, -self.b, self.d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.a and not self.b
 
     def is_rational(self) -> bool:
-        return self.im == 0
+        return not self.b
+
+    def is_integer(self) -> bool:
+        """True for a real integer; its value is then self.a."""
+        return not self.b and self.d == 1
 
     def as_fraction(self) -> Fraction:
-        if self.im != 0:
+        if self.b:
             raise ValueError(f"{self} has a nonzero imaginary part")
-        return self.re
+        return Fraction(self.a, self.d)
 
     # -- identity ----------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        if not isinstance(other, ExactScalar):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, ExactScalar):
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, int):
+            return not self.b and self.d == 1 and self.a == other
+        if isinstance(other, Fraction):
+            return (not self.b and self.d == other.denominator
+                    and self.a == other.numerator)
+        return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
+        # the hash of the equal Fraction (or int) for a real value, so
+        # that ExactScalar, Fraction and int keys meet in one dict slot
+        if not self.b:
+            return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
         return hash((self.re, self.im))
 
     def __bool__(self):
@@ -185,10 +232,10 @@ class ExactScalar(Frozen):
     # -- display -----------------------------------------------------
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)} i"
+        if not self.b:
+            return _ratio_str(self.a, self.d)
+        sign = "+" if self.b > 0 else "-"
+        return f"{_ratio_str(self.a, self.d)}{sign}{_ratio_str(abs(self.b), self.d)} i"
 
     __repr__ = __str__
 
@@ -200,13 +247,46 @@ class ExactScalar(Frozen):
         return ExactScalar.from_string(s)
 
 
-def _exact(re: Fraction, im: Fraction) -> ExactScalar:
-    """The scalar re + i*im from two Fractions, without the constructor's
-    checks; arithmetic on Fractions never produces anything else."""
-    out = object.__new__(ExactScalar)
-    object.__setattr__(out, "re", re)
-    object.__setattr__(out, "im", im)
+_set_a = ExactScalar.a.__set__
+_set_b = ExactScalar.b.__set__
+_set_d = ExactScalar.d.__set__
+
+
+def _ratio(x) -> tuple:
+    """Reduced (numerator, denominator) of an exact rational part."""
+    if isinstance(x, int):
+        return x, 1
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, without building the Fraction."""
+    if d != 1:
+        g = gcd(n, d)
+        if g != 1:
+            n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _triple(a: int, b: int, d: int) -> ExactScalar:
+    """The scalar (a + b*i)/d from a triple that is already canonical,
+    without the constructor's checks."""
+    out = _new(ExactScalar)
+    _set_a(out, a)
+    _set_b(out, b)
+    _set_d(out, d)
     return out
+
+
+def _reduced(a: int, b: int, d: int) -> ExactScalar:
+    """The scalar (a + b*i)/d for d > 0, divided through by gcd(a, b, d)."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _triple(a, b, d)
 
 
 S = ExactScalar
@@ -219,6 +299,14 @@ HALF = ExactScalar(Fraction(1, 2))
 def scalar(x) -> ExactScalar:
     """Shorthand coercion used throughout the package."""
     return ExactScalar.coerce(x)
+
+
+def exact_fraction(x, what: str) -> Fraction:
+    """x as a Fraction, refusing floats, complex numbers and bools as
+    ExactScalar does; what names x in the error message."""
+    if isinstance(x, _INEXACT):
+        raise TypeError(f"{what} must be an exact rational, got {x!r}")
+    return Fraction(x)
 
 
 class RationalMatrix(Frozen):

@@ -32,6 +32,7 @@ from .exactlin import (
     S,
     add_into,
     compositions,
+    exact_fraction,
 )
 
 
@@ -154,12 +155,12 @@ def _check_positive_definite(g: RationalMatrix):
         for j in range(n):
             if g[(i, j)] != g[(j, i)]:
                 raise NotPositiveDefinite("metric must be symmetric")
-            if g[(i, j)].im != 0:
+            if not g[(i, j)].is_rational():
                 raise NotPositiveDefinite("metric must be real")
     for k in range(1, n + 1):
         minor = RationalMatrix([[g[(i, j)] for j in range(k)] for i in range(k)])
         d = minor.det()
-        if d.re <= 0 or d.im != 0:
+        if not d.is_rational() or d.a <= 0:
             raise NotPositiveDefinite(f"leading minor {k} is not positive")
 
 
@@ -183,11 +184,13 @@ class LatticeModel(Frozen):
             raise NotAntisymmetric("B must equal -B^T")
         if L.det().is_zero():
             raise SingularLattice("lattice generators are dependent")
-        if u_square is not None and unit_exponent == -1:
-            # u^{-1} = u / u^2, so a declared unit square lets the basis
-            # absorb the inverted unit; canonical form keeps exponent +1.
-            L = L.scale(S(Fraction(1, 1) / Fraction(u_square)))
-            unit_exponent = 1
+        if u_square is not None:
+            u_square = exact_fraction(u_square, "u_square")
+            if unit_exponent == -1:
+                # u^{-1} = u / u^2, so a declared unit square lets the basis
+                # absorb the inverted unit; canonical form keeps exponent +1.
+                L = L.scale(S(1 / u_square))
+                unit_exponent = 1
         self._set(
             n=n,
             g=g,
@@ -196,7 +199,7 @@ class LatticeModel(Frozen):
             LstarBasis=L.transpose().inverse(),
             g_inv=g.inverse(),
             unit_exponent=unit_exponent,
-            u_square=None if u_square is None else Fraction(u_square),
+            u_square=u_square,
         )
 
     def __eq__(self, other):
@@ -257,9 +260,9 @@ def _as_integer_coords(coords, n):
         raise DimensionMismatch(f"expected {n} coordinates")
     out = []
     for v in vals:
-        if v.im != 0 or v.re.denominator != 1:
+        if not v.is_integer():
             raise NotInLattice(f"coordinate {v} is not an integer")
-        out.append(int(v.re))
+        out.append(v.a)
     return out
 
 
@@ -273,7 +276,7 @@ def one_dim_model(radius_unit=None) -> LatticeModel:
     the generic-radius case."""
     u_square = None
     if radius_unit is not None:
-        r = Fraction(radius_unit)
+        r = exact_fraction(radius_unit, "radius_unit")
         if r <= 0:
             raise SingularLattice("scale must be positive")
         u_square = r * r
@@ -285,15 +288,14 @@ def load_model(data) -> LatticeModel:
     """Model from its JSON form: either full matrices or the 1-d
     {"radius_unit": "p/q"} shorthand."""
     if "radius_unit" in data:
-        r = data["radius_unit"]
-        return one_dim_model(None if r is None else Fraction(r))
+        return one_dim_model(data["radius_unit"])
     return LatticeModel(
         data["n"],
         [[S.coerce(x) for x in row] for row in data["g"]],
         [[S.coerce(x) for x in row] for row in data["B"]],
         [[S.coerce(x) for x in row] for row in data["L"]],
         unit_exponent=data.get("unit_exponent", 0),
-        u_square=None if data.get("u_square") is None else Fraction(data["u_square"]),
+        u_square=data.get("u_square"),
     )
 
 
@@ -417,7 +419,7 @@ def ko_locality(model: LatticeModel, cutoff: int):
         for s2 in sectors:
             hol, antihol = vertex_exponents(s1, s2)
             diff = (hol - antihol).as_exact()
-            integral = diff.im == 0 and diff.re.denominator == 1
+            integral = diff.is_integer()
             all_integral = all_integral and integral
             rows.append({
                 "l1": list(s1.l_coords), "lstar1": list(s1.lstar_coords),
@@ -482,6 +484,14 @@ class SparseOp(Frozen):
         self._set(dim=dim, table=clean)
 
     @staticmethod
+    def _trusted(dim, table):
+        """An operator around columns that are already zero-pruned,
+        taken without copying or re-checking; empty columns are dropped."""
+        out = object.__new__(SparseOp)
+        out._set(dim=dim, table={c: col for c, col in table.items() if col})
+        return out
+
+    @staticmethod
     def zero(dim):
         return SparseOp(dim)
 
@@ -494,19 +504,23 @@ class SparseOp(Frozen):
         return dict(self.table.get(col, {}))
 
     def __add__(self, other):
-        out = {c: dict(col) for c, col in self.table.items()}
+        # columns are never mutated once built, so untouched ones are shared
+        out = dict(self.table)
         for c, col in other.table.items():
-            tgt = out.setdefault(c, {})
+            tgt = dict(out.get(c, ()))
             for r, v in col.items():
                 add_into(tgt, r, v)
-        return SparseOp(self.dim, out)
+            out[c] = tgt
+        return SparseOp._trusted(self.dim, out)
 
     def __sub__(self, other):
         return self + other.scale(S(-1))
 
     def scale(self, c):
         c = S.coerce(c)
-        return SparseOp(
+        if c.is_zero():
+            return SparseOp(self.dim)
+        return SparseOp._trusted(
             self.dim,
             {col: {r: c * v for r, v in column.items()}
              for col, column in self.table.items()},
@@ -521,7 +535,7 @@ class SparseOp(Frozen):
                 for r, w in self.table.get(mid, {}).items():
                     add_into(acc, r, v * w)
             out[col] = acc
-        return SparseOp(self.dim, out)
+        return SparseOp._trusted(self.dim, out)
 
     def commutator(self, other):
         return (self @ other) - (other @ self)
@@ -626,7 +640,7 @@ class FockTruncation(Frozen):
                     add_into(out, self.index[new], -HALF * gij * S(m) * S(count))
             if out:
                 table[col] = out
-        op = SparseOp(self.dim, table)
+        op = SparseOp._trusted(self.dim, table)
         self._alpha_cache[key] = op
         return op
 
@@ -705,7 +719,7 @@ class TwoSidedFock(Frozen):
                     table[base * dm + col] = {
                         base * dm + r: v for r, v in column.items()
                     }
-        return SparseOp(self.dim, table)
+        return SparseOp._trusted(self.dim, table)
 
     def alpha(self, i: int, m: int, side: str = "+") -> SparseOp:
         if side == "+":

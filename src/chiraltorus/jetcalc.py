@@ -136,6 +136,8 @@ class DiffPoly(CoeffTable):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ExactScalar)):
             return self.scale(other)
+        if not isinstance(other, DiffPoly):
+            return NotImplemented
         out = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
@@ -256,18 +258,19 @@ def substitute_jets(poly: DiffPoly, mapping) -> DiffPoly:
 
 def _coeff_str(c: ExactScalar):
     """Render a coefficient in the grammar the parser accepts."""
-    if c.im == 0:
-        return str(c.re)
-    if c.re == 0:
-        if c.im == 1:
+    if c.is_rational():
+        return str(c)
+    re, im = c.re, c.im
+    if re == 0:
+        if im == 1:
             return "i"
-        if c.im == -1:
+        if im == -1:
             return "-i"
-        return f"{c.im}*i"
-    sign = "+" if c.im > 0 else "-"
-    mag = abs(c.im)
+        return f"{im}*i"
+    sign = "+" if im > 0 else "-"
+    mag = abs(im)
     imag = "i" if mag == 1 else f"{mag}*i"
-    return f"({c.re}{sign}{imag})"
+    return f"({re}{sign}{imag})"
 
 
 def _jet_str(i, a, b, style):

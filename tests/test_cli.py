@@ -383,6 +383,13 @@ class TestTdual:
         model = load_model(json.loads(out))
         assert model.to_json() == json.loads(out)
 
+    def test_float_radius_in_model_file_exit1(self, tmp_path, capsys):
+        path = write_model(tmp_path, {"radius_unit": 0.1})
+        rc, out, err = invoke(["spectrum", "--model", path], capsys)
+        assert rc == 1 and out == ""
+        assert "radius_unit must be an exact rational, got 0.1" in err
+        assert "Traceback" not in err
+
     def test_b_field_exit2(self, tmp_path, capsys):
         path = write_model(tmp_path)
         rc, _, err = invoke(["tdual", "--model", path], capsys)

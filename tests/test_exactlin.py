@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -97,10 +98,194 @@ class TestExactScalar:
         with pytest.raises(TypeError):
             ExactScalar.coerce(bad)
 
+    @pytest.mark.parametrize("view", ["re", "im"])
+    def test_parts_are_read_only(self, view):
+        x = ExactScalar(Fraction(1, 3), 2)
+        with pytest.raises(AttributeError, match="^ExactScalar is immutable$"):
+            setattr(x, view, Fraction(5))
+        assert (x.re, x.im) == (Fraction(1, 3), 2)
+
     def test_arithmetic_results_stay_fractions(self):
         a = ExactScalar(Fraction(1, 3), 2)
         for x in (a + a, a - 1, a * a, a / 3, -a, a.conjugate(), a ** 3):
             assert type(x.re) is Fraction and type(x.im) is Fraction
+
+
+# ----------------------------------------------------------------------
+# ExactScalar against a reference Q(i): a pair of Fractions
+# ----------------------------------------------------------------------
+
+class RefQi:
+    """The reference Gaussian rational re + i*im, kept independent of
+    ExactScalar: every operation is written out on two Fractions."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def of(x):
+        if isinstance(x, ExactScalar):
+            return RefQi(x.re, x.im)
+        return RefQi(x)
+
+    def pair(self):
+        return (self.re, self.im)
+
+    def __add__(self, o):
+        return RefQi(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return RefQi(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return RefQi(self.re * o.re - self.im * o.im,
+                     self.re * o.im + self.im * o.re)
+
+    def __truediv__(self, o):
+        n = o.re * o.re + o.im * o.im
+        if n == 0:
+            raise ZeroDivisionError
+        return RefQi((self.re * o.re + self.im * o.im) / n,
+                     (self.im * o.re - self.re * o.im) / n)
+
+    def __pow__(self, n):
+        base = RefQi(1) / self if n < 0 else self
+        out = RefQi(1)
+        for _ in range(abs(n)):
+            out = out * base
+        return out
+
+    def __str__(self):
+        if self.im == 0:
+            return str(self.re)
+        sign = "+" if self.im > 0 else "-"
+        return f"{self.re}{sign}{abs(self.im)} i"
+
+    def __hash__(self):
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
+
+
+def as_pair(x: ExactScalar):
+    return (x.re, x.im)
+
+
+def canonical_triple(r: RefQi):
+    """(a, b, d) with (a + b*i)/d = r, d > 0 and gcd(a, b, d) = 1."""
+    d = r.re.denominator * r.im.denominator // gcd(r.re.denominator, r.im.denominator)
+    return (int(r.re * d), int(r.im * d), d)
+
+
+# parts on a few denominators, so sums share or mix denominators and
+# products cancel often; a third of the draws are real
+rationals = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]),
+)
+gaussians = st.one_of(
+    st.builds(ExactScalar, rationals),
+    st.builds(ExactScalar, rationals, rationals),
+    st.builds(ExactScalar, st.just(0), rationals),
+)
+exact_operands = st.one_of(gaussians, st.integers(-12, 12), rationals)
+
+
+class TestExactScalarAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(x=gaussians, y=exact_operands)
+    def test_field_operations(self, x, y):
+        rx, ry = RefQi.of(x), RefQi.of(y)
+        assert as_pair(x + y) == (rx + ry).pair()
+        assert as_pair(y + x) == (ry + rx).pair()
+        assert as_pair(x - y) == (rx - ry).pair()
+        assert as_pair(y - x) == (ry - rx).pair()
+        assert as_pair(x * y) == (rx * ry).pair()
+        assert as_pair(y * x) == (ry * rx).pair()
+        if ry.pair() != (0, 0):
+            assert as_pair(x / y) == (rx / ry).pair()
+        if rx.pair() != (0, 0):
+            assert as_pair(y / x) == (ry / rx).pair()
+        for z in (x + y, y - x, x * y):
+            assert isinstance(z, ExactScalar)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=gaussians, n=st.integers(-4, 4))
+    def test_negation_conjugate_and_powers(self, x, n):
+        rx = RefQi.of(x)
+        assert as_pair(-x) == (-rx.re, -rx.im)
+        assert as_pair(x.conjugate()) == (rx.re, -rx.im)
+        if rx.pair() == (0, 0) and n < 0:
+            with pytest.raises(ZeroDivisionError):
+                x ** n
+        else:
+            assert as_pair(x ** n) == (rx ** n).pair()
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=gaussians, y=gaussians)
+    def test_equality_and_order_key(self, x, y):
+        rx, ry = RefQi.of(x), RefQi.of(y)
+        assert (x == y) == (rx.pair() == ry.pair())
+        assert (x != y) == (rx.pair() != ry.pair())
+        assert x.sort_key() == rx.pair()
+        assert (x.sort_key() < y.sort_key()) == (rx.pair() < ry.pair())
+        assert x.is_zero() == (rx.pair() == (0, 0))
+        assert x.is_rational() == (rx.im == 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=gaussians, q=rationals)
+    def test_equality_with_plain_numbers(self, x, q):
+        rx = RefQi.of(x)
+        assert (x == q) == (rx.pair() == (q, 0))
+        assert (q == x) == (rx.pair() == (q, 0))
+        assert ExactScalar(q) == q and q == ExactScalar(q)
+        assert ExactScalar(q) != q + 1
+        if q != 0:
+            assert ExactScalar(0, q) != q and ExactScalar(q, q) != q
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=gaussians)
+    def test_string_round_trip_and_format(self, x):
+        assert str(x) == str(RefQi.of(x))
+        assert repr(x) == str(x)
+        assert x.to_json() == str(x)
+        assert ExactScalar.from_string(str(x)) == x
+        assert ExactScalar.from_json(x.to_json()) == x
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=gaussians)
+    def test_hash_matches_fraction_for_reals(self, x):
+        rx = RefQi.of(x)
+        assert hash(x) == hash(rx)
+        if rx.im == 0:
+            assert hash(x) == hash(rx.re)
+            assert len({x, rx.re}) == 1
+        else:
+            assert hash(x) == hash((rx.re, rx.im))
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=gaussians, y=exact_operands, n=st.integers(-3, 3))
+    def test_stored_triple_is_canonical(self, x, y, n):
+        results = [x, -x, x.conjugate(), x + y, y + x, x - y, y - x, x * y, y * x]
+        if not ExactScalar.coerce(y).is_zero():
+            results.append(x / y)
+        if not x.is_zero():
+            results += [y / x, x ** n]
+        for z in results:
+            assert all(type(v) is int for v in (z.a, z.b, z.d))
+            assert z.d > 0 and gcd(z.a, z.b, z.d) == 1
+            assert (z.a, z.b, z.d) == canonical_triple(RefQi.of(z))
+
+    @given(x=gaussians)
+    @settings(max_examples=100, deadline=None)
+    def test_division_by_zero_raises(self, x):
+        for zero in (ExactScalar(0), 0, Fraction(0), ExactScalar(0, 0)):
+            with pytest.raises(ZeroDivisionError):
+                x / zero
+        if x.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                1 / x
+            with pytest.raises(ZeroDivisionError):
+                x ** -1
 
 
 class TestRationalMatrix:
@@ -297,7 +482,8 @@ def _fock():
 
 # one instance of every frozen type, with an attribute to try to reassign
 FROZEN_CASES = {
-    "ExactScalar": (lambda: ExactScalar(1, 2), "re"),
+    # a stored slot: re and im are computed views, rebuilt on each read
+    "ExactScalar": (lambda: ExactScalar(1, 2), "b"),
     "RationalMatrix": (lambda: RationalMatrix.identity(2), "entries"),
     "AltTensor": (lambda: AltTensor(2, 2, {(1, 2): 1}), "coeffs"),
     "DiffPoly": (lambda: parse_expr("x1*p1"), "terms"),

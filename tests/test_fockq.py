@@ -225,6 +225,20 @@ class TestModelBuild:
         assert m3 == m2
         assert load_model({"radius_unit": None}) == one_dim_model()
 
+    @pytest.mark.parametrize("bad", [0.1, 1.0, True, 1j])
+    def test_inexact_model_numbers_are_refused(self, bad):
+        # a float is already rounded: 0.1 would become a 2^-55 fraction
+        with pytest.raises(TypeError, match="radius_unit must be an exact rational"):
+            one_dim_model(bad)
+        with pytest.raises(TypeError, match="radius_unit must be an exact rational"):
+            load_model({"radius_unit": bad})
+        data = dict(one_dim_model(1).to_json(), u_square=bad)
+        with pytest.raises(TypeError, match="u_square must be an exact rational"):
+            load_model(data)
+        with pytest.raises(TypeError):
+            load_model(dict(one_dim_model().to_json(), g=[[bad]]))
+        assert load_model({"radius_unit": "1/10"}).u_square == Fraction(1, 100)
+
 
 # ----------------------------------------------------------------------
 # sectors and weights

@@ -164,6 +164,13 @@ class TestRingAndPartials:
         assert p.partial((1, 1, 0)) == jet(1, 1, 0) ** 2 * 3
         assert p.partial((1, 0, 1)) == DiffPoly.zero()
 
+    @pytest.mark.parametrize("other", ["x", 0.5, [1], None])
+    def test_unsupported_operand_is_a_type_error(self, other):
+        with pytest.raises(TypeError):
+            jet(1, 0, 0) * other
+        with pytest.raises(TypeError):
+            other * jet(1, 0, 0)
+
     def test_like_terms_merge(self):
         assert jet(1, 0, 0) + jet(1, 0, 0) - jet(1, 0, 0).scale(2) == DiffPoly.zero()
 
