@@ -145,8 +145,6 @@ class ExactScalar(Frozen):
         if type(other) is not ExactScalar:
             other = ExactScalar.coerce(other)
         a, b, c, e = self.a, self.b, other.a, other.b
-        if not b and not e:
-            return _reduced(a * c, 0, self.d * other.d)
         return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
@@ -156,15 +154,10 @@ class ExactScalar(Frozen):
             other = ExactScalar.coerce(other)
         # (a + bi)/d / ((c + ei)/f) = f (a + bi)(c - ei) / (d (c^2 + e^2))
         a, b, c, e, f = self.a, self.b, other.a, other.b, other.d
-        if not e:
-            if not c:
-                raise ZeroDivisionError("division of ExactScalar by zero")
-            den = self.d * c
-            if den < 0:
-                f, den = -f, -den
-            return _reduced(a * f, b * f, den)
-        return _reduced((a * c + b * e) * f, (b * c - a * e) * f,
-                        self.d * (c * c + e * e))
+        n = c * c + e * e
+        if not n:
+            raise ZeroDivisionError("division of ExactScalar by zero")
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self.d * n)
 
     def __rtruediv__(self, other):
         return ExactScalar.coerce(other) / self
@@ -233,9 +226,9 @@ class ExactScalar(Frozen):
 
     def __str__(self):
         if not self.b:
-            return _ratio_str(self.a, self.d)
+            return str(self.re)
         sign = "+" if self.b > 0 else "-"
-        return f"{_ratio_str(self.a, self.d)}{sign}{_ratio_str(abs(self.b), self.d)} i"
+        return f"{self.re}{sign}{abs(self.im)} i"
 
     __repr__ = __str__
 
@@ -259,15 +252,6 @@ def _ratio(x) -> tuple:
     if not isinstance(x, Fraction):
         x = Fraction(x)
     return x.numerator, x.denominator
-
-
-def _ratio_str(n: int, d: int) -> str:
-    """str(Fraction(n, d)) for d > 0, without building the Fraction."""
-    if d != 1:
-        g = gcd(n, d)
-        if g != 1:
-            n, d = n // g, d // g
-    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _triple(a: int, b: int, d: int) -> ExactScalar:

@@ -485,10 +485,10 @@ class SparseOp(Frozen):
 
     @staticmethod
     def _trusted(dim, table):
-        """An operator around columns that are already zero-pruned,
-        taken without copying or re-checking; empty columns are dropped."""
+        """An operator around nonempty, zero-pruned columns, taken
+        without copying or re-checking."""
         out = object.__new__(SparseOp)
-        out._set(dim=dim, table={c: col for c, col in table.items() if col})
+        out._set(dim=dim, table=table)
         return out
 
     @staticmethod
@@ -510,7 +510,10 @@ class SparseOp(Frozen):
             tgt = dict(out.get(c, ()))
             for r, v in col.items():
                 add_into(tgt, r, v)
-            out[c] = tgt
+            if tgt:
+                out[c] = tgt
+            else:
+                out.pop(c, None)
         return SparseOp._trusted(self.dim, out)
 
     def __sub__(self, other):
@@ -534,7 +537,8 @@ class SparseOp(Frozen):
             for mid, v in column.items():
                 for r, w in self.table.get(mid, {}).items():
                     add_into(acc, r, v * w)
-            out[col] = acc
+            if acc:
+                out[col] = acc
         return SparseOp._trusted(self.dim, out)
 
     def commutator(self, other):

@@ -108,7 +108,8 @@ class TestExactScalar:
     def test_arithmetic_results_stay_fractions(self):
         a = ExactScalar(Fraction(1, 3), 2)
         for x in (a + a, a - 1, a * a, a / 3, -a, a.conjugate(), a ** 3):
-            assert type(x.re) is Fraction and type(x.im) is Fraction
+            assert type(x.a) is int and type(x.b) is int and type(x.d) is int
+            assert x.d > 0
 
 
 # ----------------------------------------------------------------------
