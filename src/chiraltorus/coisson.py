@@ -26,6 +26,8 @@ from .exactlin import (
     RationalMatrix,
     S,
     compositions,
+    echelon,
+    reduce_row,
 )
 from .jetcalc import (
     DiffPoly,
@@ -144,54 +146,28 @@ def _order_key(mono: Monomial):
 
 
 def _reduced_image_basis(content, max_weight):
-    """Row-reduced basis of { D_sigma(monomial) } for the content block,
-    keyed by leading monomial in the graded order.  Leading terms of
-    D_sigma images always sit one weight up, so reduction of a target
+    """Echelon basis of { D_sigma(monomial) } for the content block,
+    pivoting on the leading monomial in the graded order.  Leading terms
+    of D_sigma images always sit one weight up, so reduction of a target
     never escalates its weight: the normal form is window-stable."""
-    pivots = {}
-    gens = []
-    for w in range(max_weight + 1):
-        gens.extend(xp_enumerate(content, w))
-    for mono in gens:
-        img = DiffPoly({mono: ONE}).D("s")
-        img = _reduce_poly(img, pivots)
-        if img.is_zero():
-            continue
-        lead = max(img.coeffs, key=_order_key)
-        img = img.scale(ONE / img.coeffs[lead])
-        for lm, row in list(pivots.items()):
-            c = row.coeffs.get(lead)
-            if c is not None and not c.is_zero():
-                pivots[lm] = row - img.scale(c)
-        pivots[lead] = img
-    return pivots
-
-
-def _reduce_poly(poly: DiffPoly, pivots) -> DiffPoly:
-    while True:
-        hit = None
-        for mono in sorted(poly.coeffs, key=_order_key, reverse=True):
-            if mono in pivots:
-                hit = mono
-                break
-        if hit is None:
-            return poly
-        poly = poly - pivots[hit].scale(poly.coeffs[hit])
+    images = (DiffPoly({mono: ONE}).D("s").coeffs
+              for w in range(max_weight + 1) for mono in xp_enumerate(content, w))
+    return echelon(images, lambda row: max(row, key=_order_key))
 
 
 def normal_form(density) -> DiffPoly:
-    """Canonical representative modulo im(D_sigma) on the sigma-jet ring."""
+    """Canonical representative modulo im(D_sigma) on the sigma-jet ring:
+    in each content block, the remainder with no pivot monomial."""
     poly = as_density(density)
     blocks = {}
     for mono, coeff in poly.coeffs.items():
         blocks.setdefault(xp_content(mono), {})[mono] = coeff
-    out = DiffPoly.zero()
+    out = {}
     for content in sorted(blocks):
-        target = DiffPoly(blocks[content])
-        top = max(xp_weight(m) for m in target.coeffs)
-        pivots = _reduced_image_basis(content, top)
-        out = out + _reduce_poly(target, pivots)
-    return out
+        target = blocks[content]
+        top = max(xp_weight(m) for m in target)
+        out.update(reduce_row(target, _reduced_image_basis(content, top)))
+    return poly._like(out)
 
 
 class FourierClass(Frozen):
@@ -478,11 +454,6 @@ def b_shift(density, alpha_rows) -> DiffPoly:
 # model densities and mode families
 # ----------------------------------------------------------------------
 
-def _inverse_metric(g_rows):
-    g = RationalMatrix(g_rows)
-    return g.inverse()
-
-
 def from_tau_jets(poly: DiffPoly, g_rows=None, b_rows=None) -> DiffPoly:
     """Rewrite a time-zero density from tau-jets to momenta: substitutes
     d_tau x^j = -i g^{jk} (p_k - b_kl d_sigma x^l) per the Legendre map
@@ -491,7 +462,7 @@ def from_tau_jets(poly: DiffPoly, g_rows=None, b_rows=None) -> DiffPoly:
     n = max(fields, default=1)
     if g_rows is None:
         g_rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    ginv = _inverse_metric(g_rows)
+    ginv = RationalMatrix(g_rows).inverse()
     n = ginv.rows
     if b_rows is None:
         b = [[ZERO] * n for _ in range(n)]

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import gcd
-from itertools import combinations
+from math import gcd, prod
+from itertools import combinations, permutations
 from operator import itemgetter
 
 
@@ -46,6 +46,9 @@ _PURE_IM_RE = _re.compile(rf"^\s*(-?)\s*({_RAT})?\s*\*?\s*i\s*$")
 
 
 _INEXACT = (float, complex, bool)
+# operand types coerce accepts besides ExactScalar; arithmetic with any
+# other type returns NotImplemented, so Python tries its reflected method
+_COERCIBLE = (int, Fraction, str)
 _new = object.__new__
 
 
@@ -120,6 +123,8 @@ class ExactScalar(Frozen):
 
     def __add__(self, other):
         if type(other) is not ExactScalar:
+            if not isinstance(other, _COERCIBLE):
+                return NotImplemented
             other = ExactScalar.coerce(other)
         d = self.d
         if d == other.d:
@@ -131,6 +136,8 @@ class ExactScalar(Frozen):
 
     def __sub__(self, other):
         if type(other) is not ExactScalar:
+            if not isinstance(other, _COERCIBLE):
+                return NotImplemented
             other = ExactScalar.coerce(other)
         d = self.d
         if d == other.d:
@@ -139,10 +146,14 @@ class ExactScalar(Frozen):
         return _reduced(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
+        if not isinstance(other, _COERCIBLE):
+            return NotImplemented
         return ExactScalar.coerce(other) - self
 
     def __mul__(self, other):
         if type(other) is not ExactScalar:
+            if not isinstance(other, _COERCIBLE):
+                return NotImplemented
             other = ExactScalar.coerce(other)
         a, b, c, e = self.a, self.b, other.a, other.b
         return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
@@ -151,6 +162,8 @@ class ExactScalar(Frozen):
 
     def __truediv__(self, other):
         if type(other) is not ExactScalar:
+            if not isinstance(other, _COERCIBLE):
+                return NotImplemented
             other = ExactScalar.coerce(other)
         # (a + bi)/d / ((c + ei)/f) = f (a + bi)(c - ei) / (d (c^2 + e^2))
         a, b, c, e, f = self.a, self.b, other.a, other.b, other.d
@@ -160,6 +173,8 @@ class ExactScalar(Frozen):
         return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self.d * n)
 
     def __rtruediv__(self, other):
+        if not isinstance(other, _COERCIBLE):
+            return NotImplemented
         return ExactScalar.coerce(other) / self
 
     def __neg__(self):
@@ -393,55 +408,48 @@ class RationalMatrix(Frozen):
             for i in range(self.rows)
         )
 
+    def _sparse_rows(self) -> list:
+        return [{j: x for j, x in enumerate(row) if not x.is_zero()}
+                for row in self.entries]
+
     def det(self) -> ExactScalar:
+        """The sign of the pivot permutation times the product of the
+        pivot values met on the way to echelon form; 0 when a row
+        reduces to zero."""
         if self.rows != self.cols:
             raise DimensionMismatch("determinant of a non-square matrix")
-        n = self.rows
-        a = [list(row) for row in self.entries]
-        out = ONE
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-            if pivot is None:
-                return ZERO
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                out = -out
-            out = out * a[col][col]
-            inv = ONE / a[col][col]
-            for r in range(col + 1, n):
-                if a[r][col].is_zero():
-                    continue
-                f = a[r][col] * inv
-                for c in range(col, n):
-                    a[r][c] = a[r][c] - f * a[col][c]
-        return out
+        leads = []
+
+        def lowest(row):
+            col = min(row)
+            leads.append(row[col])
+            return col
+
+        basis = echelon(self._sparse_rows(), lowest)
+        if len(basis) < self.rows:
+            return ZERO
+        return prod(leads, start=ExactScalar(_perm_sign(list(basis))))
 
     def inverse(self) -> "RationalMatrix":
-        """Exact Gauss-Jordan inverse; raises SingularMatrix if det = 0."""
+        """Exact inverse; raises SingularMatrix if det = 0.
+
+        The echelon basis of [A | I], pivoting in A only, spans the rows
+        (x A | x); reducing (e_j | 0) against it leaves (0 | -x) with
+        x A = e_j, so row j of the inverse is minus that I part."""
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
-        a = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-             for i, row in enumerate(self.entries)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-            if pivot is None:
-                raise SingularMatrix("matrix has zero determinant")
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-            inv = ONE / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            for r in range(n):
-                if r == col or a[r][col].is_zero():
-                    continue
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return RationalMatrix([row[n:] for row in a])
-
-    def submatrix(self, row_idx, col_idx) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self.entries[i][j] for j in col_idx] for i in row_idx]
-        )
+        rows = self._sparse_rows()
+        for i, row in enumerate(rows):
+            row[n + i] = ONE
+        basis = echelon(rows, lambda row: col if (col := min(row)) < n else None)
+        if len(basis) < n:
+            raise SingularMatrix("matrix has zero determinant")
+        out = []
+        for j in range(n):
+            rest = reduce_row({j: ONE}, basis)
+            out.append([-rest[n + i] if n + i in rest else ZERO for i in range(n)])
+        return RationalMatrix(out)
 
     def __str__(self):
         body = "; ".join(
@@ -477,6 +485,41 @@ def add_into(table, key, value):
         del table[key]
     else:
         table[key] = value
+
+
+def echelon(rows, lead) -> dict:
+    """Echelon basis {pivot: row scaled to 1 there} of the span of rows.
+
+    Rows are zero-pruned dicts {column: ExactScalar} and are not
+    modified.  Each row is reduced against the basis built so far; lead
+    picks the pivot column of a nonzero remainder, or returns None when
+    the remainder has no admissible column, and the row is then
+    dropped.  There is no back-substitution: a basis row is zero at the
+    pivots of the rows before it, which is all reduce_row needs.
+    """
+    basis = {}
+    for row in rows:
+        row = reduce_row(row, basis)
+        if not row:
+            continue
+        col = lead(row)
+        if col is None:
+            continue
+        inv = ONE / row[col]
+        basis[col] = {k: v * inv for k, v in row.items()}
+    return basis
+
+
+def reduce_row(row, basis) -> dict:
+    """row minus the combination of basis rows that is zero at every
+    pivot, in one pass over the basis in the order it was built."""
+    out = dict(row)
+    for col, brow in basis.items():
+        if col in out:
+            c = -out[col]
+            for k, v in brow.items():
+                add_into(out, k, c * v)
+    return out
 
 
 class CoeffTable(Frozen):
@@ -754,8 +797,9 @@ def alt_pullback(k: int, mu: RationalMatrix, t: AltTensor) -> AltTensor:
 
     result(w_1, ..., w_k) = t(mu^{-1} w_1, ..., mu^{-1} w_k).  The
     coefficient on an increasing tuple I is the sum over increasing
-    tuples J of t_J times the (J, I) minor of mu^{-1}.  Value columns
-    of a vector-valued tensor ride along untouched.
+    tuples J of t_J times the (J, I) minor of mu^{-1}, expanded by the
+    Leibniz formula (k is 2 or 3).  Value columns of a vector-valued
+    tensor ride along untouched.
     """
     if mu.rows != mu.cols:
         raise DimensionMismatch("pullback needs a square matrix")
@@ -764,13 +808,18 @@ def alt_pullback(k: int, mu: RationalMatrix, t: AltTensor) -> AltTensor:
     if t.dim != mu.rows:
         raise DimensionMismatch("tensor dim does not match matrix size")
     n = mu.rows
-    inv = mu.inverse()
+    inv = mu.inverse().entries
+    perms = [(p, _perm_sign(p)) for p in permutations(range(k))]
     out = {}
     for idx in combinations(range(1, n + 1), k):
-        cols = [i - 1 for i in idx]
         for key, val in t.coeffs.items():
-            rows = [j - 1 for j in key]
-            minor = inv.submatrix(rows, cols).det()
+            rows = [inv[j - 1] for j in key]
+            minor = ZERO
+            for p, sign in perms:
+                term = rows[0][idx[p[0]] - 1]
+                for r in range(1, k):
+                    term = term * rows[r][idx[p[r]] - 1]
+                minor = minor + term if sign > 0 else minor - term
             if not minor.is_zero():
                 add_into(out, idx, val * minor)
     return AltTensor(k, n, out, t.valdim)

@@ -36,6 +36,10 @@ from .exactlin import (
 )
 
 
+MINUS_HALF = -HALF
+MINUS_QUARTER = S(Fraction(-1, 4))
+
+
 class NotPositiveDefinite(ValueError):
     """Metric fails symmetry or a leading principal minor test."""
 
@@ -334,7 +338,7 @@ class Sector(Frozen):
 
     def _weight(self, a) -> UnitScalar:
         quad = _udot(a, _mat_uvec(self.model.g_inv, a))
-        return self.model.canon(quad * S(Fraction(-1, 4)))
+        return self.model.canon(quad * MINUS_QUARTER)
 
     def one_dim_labels(self):
         """The chiral/antichiral module labels a_pm / 2 of a circle
@@ -386,12 +390,11 @@ def spectrum_point(model: LatticeModel, l_coords, lstar_coords):
     (1/2(g^{-1}(l* - B(l)) - l), 1/2(g^{-1}(l* - B(l)) + l)), equal to
     (-1/2 g^{-1} a_plus, -1/2 g^{-1} a_minus)."""
     s = Sector(model, l_coords, lstar_coords)
-    minus_half = S(Fraction(-1, 2))
     p_plus = tuple(
-        model.canon(v * minus_half) for v in _mat_uvec(model.g_inv, s.a_plus)
+        model.canon(v * MINUS_HALF) for v in _mat_uvec(model.g_inv, s.a_plus)
     )
     p_minus = tuple(
-        model.canon(v * minus_half) for v in _mat_uvec(model.g_inv, s.a_minus)
+        model.canon(v * MINUS_HALF) for v in _mat_uvec(model.g_inv, s.a_minus)
     )
     return (p_plus, p_minus)
 
@@ -403,9 +406,8 @@ def vertex_exponents(s1: Sector, s2: Sector):
     if s1.model != s2.model:
         raise ModelMismatch("sectors from different models")
     m = s1.model
-    minus_half = S(Fraction(-1, 2))
-    hol = m.canon(_udot(s1.a_plus, _mat_uvec(m.g_inv, s2.a_plus)) * minus_half)
-    antihol = m.canon(_udot(s1.a_minus, _mat_uvec(m.g_inv, s2.a_minus)) * minus_half)
+    hol = m.canon(_udot(s1.a_plus, _mat_uvec(m.g_inv, s2.a_plus)) * MINUS_HALF)
+    antihol = m.canon(_udot(s1.a_minus, _mat_uvec(m.g_inv, s2.a_minus)) * MINUS_HALF)
     return (hol, antihol)
 
 

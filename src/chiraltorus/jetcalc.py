@@ -27,9 +27,10 @@ from .exactlin import (
     ExactScalar,
     RationalMatrix,
     S,
-    SingularMatrix,
     add_into,
     compositions,
+    echelon,
+    reduce_row,
 )
 
 
@@ -769,45 +770,19 @@ def enumerate_monomials(content, weight, forbid_bare=False):
 def _solve_in_span(columns, target: DiffPoly):
     """Exact coefficients c with sum c_k columns[k] = target, or None.
 
-    Deterministic: fixed monomial order, free variables set to zero.
+    Column k becomes a row tagged with the int key k beside its Monomial
+    keys.  A column in the span of the ones before it gets no pivot, so
+    its coefficient, a free variable, is 0.  What reducing the target
+    leaves is minus the solution on the tags, and untagged only when the
+    target is outside the span.
     """
-    basis = sorted(set().union(*[set(c.coeffs) for c in columns], set(target.coeffs)))
-    if not basis:
-        return [ZERO] * len(columns)
-    index = {m: r for r, m in enumerate(basis)}
-    rows = [[ZERO] * len(columns) for _ in basis]
-    rhs = [ZERO] * len(basis)
-    for c, col in enumerate(columns):
-        for mono, val in col.coeffs.items():
-            rows[index[mono]][c] = val
-    for mono, val in target.coeffs.items():
-        rhs[index[mono]] = val
-    m = [list(r) + [v] for r, v in zip(rows, rhs)]
-    nrow, ncol = len(m), len(columns)
-    pivots = []
-    r = 0
-    for c in range(ncol):
-        pr = next((k for k in range(r, nrow) if not m[k][c].is_zero()), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for k in range(nrow):
-            if k != r and not m[k][c].is_zero():
-                f = m[k][c]
-                m[k] = [x - f * y for x, y in zip(m[k], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrow:
-            break
-    for k in range(r, nrow):
-        if not m[k][ncol].is_zero():
-            return None
-    sol = [ZERO] * ncol
-    for row_i, c in enumerate(pivots):
-        sol[c] = m[row_i][ncol]
-    return sol
+    rows = [{**col.coeffs, k: ONE} for k, col in enumerate(columns)]
+    basis = echelon(rows, lambda row: min(
+        (key for key in row if type(key) is not int), default=None))
+    rest = reduce_row(target.coeffs, basis)
+    if any(type(key) is not int for key in rest):
+        return None
+    return [-rest[k] if k in rest else ZERO for k in range(len(columns))]
 
 
 def _solve_total_derivative(q: DiffPoly):
@@ -900,10 +875,8 @@ def _validate_wave_model(L: Lagrangian):
                 raise NonLinearEL("Euler-Lagrange system is not the flat wave system")
     if m_tt != m_ss:
         raise NonLinearEL("d_tau^2 and d_sigma^2 blocks differ")
-    try:
-        RationalMatrix(m_tt).inverse()
-    except SingularMatrix:
-        raise NonLinearEL("wave operator coefficient matrix is singular") from None
+    if RationalMatrix(m_tt).det().is_zero():
+        raise NonLinearEL("wave operator coefficient matrix is singular")
 
 
 def noether(L: Lagrangian, generator) -> VariationalForm:

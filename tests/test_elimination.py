@@ -1,0 +1,334 @@
+"""The one echelon eliminator against the dense routines it replaced.
+
+det, inverse, _solve_in_span, normal_form and alt_pullback all run on
+exactlin.echelon / reduce_row.  The reference oracles below are the
+dense implementations each of them used before: a dense determinant, a
+Gauss-Jordan inverse, a Gauss-Jordan span solver, an incrementally
+fully reduced image basis with repeated leading-term reduction, and a
+pullback that takes a fresh determinant for every minor.  Every result
+is unique, so both sides must agree exactly.
+"""
+
+from itertools import combinations
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from chiraltorus.coisson import (
+    _order_key,
+    normal_form,
+    xp_content,
+    xp_enumerate,
+    xp_weight,
+)
+from chiraltorus.exactlin import (
+    ONE,
+    ZERO,
+    AltTensor,
+    ExactScalar,
+    RationalMatrix,
+    SingularMatrix,
+    alt_pullback,
+)
+from chiraltorus.jetcalc import DiffPoly, Monomial, _solve_in_span
+
+
+# ----------------------------------------------------------------------
+# reference oracles
+# ----------------------------------------------------------------------
+
+def ref_det(m: RationalMatrix) -> ExactScalar:
+    n = m.rows
+    a = [list(row) for row in m.entries]
+    out = ONE
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
+        if pivot is None:
+            return ZERO
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            out = -out
+        out = out * a[col][col]
+        inv = ONE / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col].is_zero():
+                continue
+            f = a[r][col] * inv
+            for c in range(col, n):
+                a[r][c] = a[r][c] - f * a[col][c]
+    return out
+
+
+def ref_inverse(m: RationalMatrix) -> RationalMatrix:
+    n = m.rows
+    a = [list(row) + [ONE if i == j else ZERO for j in range(n)]
+         for i, row in enumerate(m.entries)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
+        if pivot is None:
+            raise SingularMatrix("matrix has zero determinant")
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+        inv = ONE / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r == col or a[r][col].is_zero():
+                continue
+            f = a[r][col]
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return RationalMatrix([row[n:] for row in a])
+
+
+def ref_solve_in_span(columns, target: DiffPoly):
+    basis = sorted(set().union(*[set(c.coeffs) for c in columns], set(target.coeffs)))
+    if not basis:
+        return [ZERO] * len(columns)
+    index = {m: r for r, m in enumerate(basis)}
+    rows = [[ZERO] * len(columns) for _ in basis]
+    rhs = [ZERO] * len(basis)
+    for c, col in enumerate(columns):
+        for mono, val in col.coeffs.items():
+            rows[index[mono]][c] = val
+    for mono, val in target.coeffs.items():
+        rhs[index[mono]] = val
+    m = [list(r) + [v] for r, v in zip(rows, rhs)]
+    nrow, ncol = len(m), len(columns)
+    pivots = []
+    r = 0
+    for c in range(ncol):
+        pr = next((k for k in range(r, nrow) if not m[k][c].is_zero()), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = ONE / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for k in range(nrow):
+            if k != r and not m[k][c].is_zero():
+                f = m[k][c]
+                m[k] = [x - f * y for x, y in zip(m[k], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrow:
+            break
+    for k in range(r, nrow):
+        if not m[k][ncol].is_zero():
+            return None
+    sol = [ZERO] * ncol
+    for row_i, c in enumerate(pivots):
+        sol[c] = m[row_i][ncol]
+    return sol
+
+
+def ref_reduce_poly(poly: DiffPoly, pivots) -> DiffPoly:
+    while True:
+        hit = None
+        for mono in sorted(poly.coeffs, key=_order_key, reverse=True):
+            if mono in pivots:
+                hit = mono
+                break
+        if hit is None:
+            return poly
+        poly = poly - pivots[hit].scale(poly.coeffs[hit])
+
+
+def ref_reduced_image_basis(content, max_weight):
+    pivots = {}
+    gens = []
+    for w in range(max_weight + 1):
+        gens.extend(xp_enumerate(content, w))
+    for mono in gens:
+        img = DiffPoly({mono: ONE}).D("s")
+        img = ref_reduce_poly(img, pivots)
+        if img.is_zero():
+            continue
+        lead = max(img.coeffs, key=_order_key)
+        img = img.scale(ONE / img.coeffs[lead])
+        for lm, row in list(pivots.items()):
+            c = row.coeffs.get(lead)
+            if c is not None and not c.is_zero():
+                pivots[lm] = row - img.scale(c)
+        pivots[lead] = img
+    return pivots
+
+
+def ref_normal_form(poly: DiffPoly) -> DiffPoly:
+    blocks = {}
+    for mono, coeff in poly.coeffs.items():
+        blocks.setdefault(xp_content(mono), {})[mono] = coeff
+    out = DiffPoly.zero()
+    for content in sorted(blocks):
+        target = DiffPoly(blocks[content])
+        top = max(xp_weight(m) for m in target.coeffs)
+        out = out + ref_reduce_poly(target, ref_reduced_image_basis(content, top))
+    return out
+
+
+def ref_alt_pullback(k: int, mu: RationalMatrix, t: AltTensor) -> AltTensor:
+    n = mu.rows
+    inv = ref_inverse(mu)
+    out = {}
+    for idx in combinations(range(1, n + 1), k):
+        for key, val in t.coeffs.items():
+            minor = ref_det(RationalMatrix(
+                [[inv[(j - 1, i - 1)] for i in idx] for j in key]))
+            if not minor.is_zero():
+                cur = out.get(idx)
+                out[idx] = val * minor if cur is None else cur + val * minor
+    return AltTensor(k, n, out, t.valdim)
+
+
+# ----------------------------------------------------------------------
+# strategies: sparse Gaussian-rational data with forced dependencies
+# ----------------------------------------------------------------------
+
+small = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+nonzero = st.one_of(
+    st.builds(ExactScalar, small),
+    st.builds(ExactScalar, small, small),
+).filter(lambda x: not x.is_zero())
+entries = st.one_of(st.just(ZERO), nonzero)
+
+
+def combination(draw, vectors):
+    """A random linear combination of equal-length scalar lists."""
+    out = [ZERO] * len(vectors[0])
+    for v in vectors:
+        c = draw(entries)
+        out = [x + c * y for x, y in zip(out, v)]
+    return out
+
+
+@st.composite
+def square_matrices(draw, max_n=5):
+    n = draw(st.integers(1, max_n))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    how = draw(st.sampled_from(["free", "dependent row", "dependent column"]))
+    if how != "free":
+        if how == "dependent column":
+            rows = [list(r) for r in zip(*rows)]
+        i = draw(st.integers(0, n - 1))
+        others = [r for j, r in enumerate(rows) if j != i]
+        rows[i] = combination(draw, others) if others else [ZERO] * n
+        if how == "dependent column":
+            rows = [list(r) for r in zip(*rows)]
+    return RationalMatrix(rows)
+
+
+MONOS = sorted(
+    [Monomial(0, (), ((i, a, b),)) for i in (1, 2) for a in (0, 1) for b in range(2)]
+    + [Monomial(1, (), ((1, 0, 0), (2, 0, 1))), Monomial(0, (), ())]
+)
+
+
+@st.composite
+def sparse_polys(draw):
+    return DiffPoly({m: draw(entries) for m in draw(st.sets(st.sampled_from(MONOS)))})
+
+
+def poly_combination(draw, polys):
+    out = DiffPoly.zero()
+    for p in polys:
+        out = out + p.scale(draw(entries))
+    return out
+
+
+@st.composite
+def span_systems(draw):
+    columns = draw(st.lists(sparse_polys(), max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        if columns:
+            pos = draw(st.integers(0, len(columns)))
+            columns.insert(pos, poly_combination(draw, columns))
+    if columns and draw(st.booleans()):
+        target = poly_combination(draw, columns)
+    else:
+        target = draw(sparse_polys())
+    return columns, target
+
+
+@st.composite
+def densities(draw):
+    out = DiffPoly.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        term = DiffPoly.const(draw(nonzero)) * DiffPoly.trig(draw(st.integers(-2, 2)))
+        for _ in range(draw(st.integers(1, 3))):
+            term = term * DiffPoly.jet(draw(st.integers(1, 2)), draw(st.integers(0, 1)),
+                                       draw(st.integers(0, 2)))
+        if draw(st.integers(0, 3)) == 0:
+            term = term * DiffPoly.symbol(draw(st.sampled_from(["phi", "psi"])),
+                                          draw(st.integers(0, 1)))
+        out = out + term
+    return out
+
+
+@st.composite
+def pullback_cases(draw):
+    k = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(k, 4))
+    mu = RationalMatrix([[draw(entries) for _ in range(n)] for _ in range(n)])
+    valdim = draw(st.sampled_from([None, 2]))
+    coeffs = {}
+    for key in draw(st.sets(st.sampled_from(list(combinations(range(1, n + 1), k))))):
+        coeffs[key] = draw(entries) if valdim is None else [draw(entries), draw(entries)]
+    return k, mu, AltTensor(k, n, coeffs, valdim)
+
+
+# ----------------------------------------------------------------------
+# properties
+# ----------------------------------------------------------------------
+
+class TestMatrixRoutines:
+    @settings(max_examples=200, deadline=None)
+    @given(m=square_matrices())
+    def test_det_matches_dense_reference(self, m):
+        assert m.det() == ref_det(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=square_matrices())
+    def test_inverse_matches_gauss_jordan(self, m):
+        try:
+            want = ref_inverse(m)
+        except SingularMatrix:
+            with pytest.raises(SingularMatrix):
+                m.inverse()
+            assert m.det().is_zero()
+            return
+        got = m.inverse()
+        assert got == want
+        assert m * got == RationalMatrix.identity(m.rows)
+
+
+class TestSpanSolver:
+    @settings(max_examples=150, deadline=None)
+    @given(system=span_systems())
+    def test_matches_gauss_jordan(self, system):
+        columns, target = system
+        got = _solve_in_span(columns, target)
+        assert got == ref_solve_in_span(columns, target)
+        if got is not None:
+            combo = DiffPoly.zero()
+            for c, col in zip(got, columns):
+                combo = combo + col.scale(c)
+            assert combo == target
+
+
+class TestNormalForm:
+    @settings(max_examples=100, deadline=None)
+    @given(density=densities())
+    def test_matches_reference_and_is_idempotent(self, density):
+        nf = normal_form(density)
+        assert nf == ref_normal_form(density)
+        assert normal_form(nf) == nf
+
+
+class TestAltPullback:
+    @settings(max_examples=100, deadline=None)
+    @given(case=pullback_cases())
+    def test_matches_determinant_per_minor(self, case):
+        k, mu, t = case
+        assume(not ref_det(mu).is_zero())
+        assert alt_pullback(k, mu, t) == ref_alt_pullback(k, mu, t)

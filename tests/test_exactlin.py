@@ -1,5 +1,6 @@
 """Exact linear algebra substrate: scalars, inverses, alternating tensors."""
 
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -88,6 +89,25 @@ class TestExactScalar:
         assert ExactScalar.from_string("i") == ExactScalar(0, 1)
         assert ExactScalar.from_string("-i") == ExactScalar(0, -1)
         assert ExactScalar.from_string("2/3 i") == ExactScalar(0, Fraction(2, 3))
+
+    def test_unknown_operands_reach_reflected_methods(self):
+        two = ExactScalar(2)
+        x1 = DiffPoly.jet(1, 0, 0)
+        assert two * x1 == x1.scale(2)
+        assert two + x1 == x1 + two
+        assert two - x1 == DiffPoly.const(2) - x1
+        u = UnitScalar.unit(1)
+        assert two + u == UnitScalar({0: 2, 1: 1})
+        assert two * u == UnitScalar.unit(1, 2)
+        assert two * RationalMatrix.identity(2) == RationalMatrix([[2, 0], [0, 2]])
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv])
+    def test_float_operands_still_raise(self, op):
+        with pytest.raises(TypeError):
+            op(ExactScalar(1), 0.5)
+        with pytest.raises(TypeError):
+            op(0.5, ExactScalar(1))
 
     @pytest.mark.parametrize("bad", [0.1, 1.0, 1j, True, False])
     def test_inexact_parts_are_refused(self, bad):
