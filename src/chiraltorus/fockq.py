@@ -8,17 +8,22 @@ ever reach an observable, so declaring a rational value for u^2 (or none
 at all, the generic case) keeps every computation in exact arithmetic.
 
 Sectors are labeled by (l, l*) in L + L*, with weight covectors
-a_pm = -l* + B(l) +- g(l).  Fock truncations realize the mode algebra
-[alpha^i_m, alpha^j_n] = -1/2 g^{ij} m delta_{m,-n} on colored partitions
-up to a level cutoff, with Virasoro operators normalized by the
-commutation constraint [L_k, alpha_m] = -m alpha_{k+m}.
+a_pm = -l* + B(l) +- g(l); every sector quantity is an integer form in
+the coordinates, tabulated once per model (SectorTables).  Fock
+truncations realize the mode algebra [alpha^i_m, alpha^j_n] =
+-1/2 g^{ij} m delta_{m,-n} on colored partitions up to a level cutoff,
+with Virasoro operators normalized by the commutation constraint
+[L_k, alpha_m] = -m alpha_{k+m}.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from itertools import product as iter_product
+from math import lcm
+from operator import mul
 
 from .exactlin import (
     HALF,
@@ -30,6 +35,7 @@ from .exactlin import (
     Frozen,
     RationalMatrix,
     S,
+    _reduced,
     add_into,
     compositions,
     exact_fraction,
@@ -37,7 +43,6 @@ from .exactlin import (
 
 
 MINUS_HALF = -HALF
-MINUS_QUARTER = S(Fraction(-1, 4))
 
 
 class NotPositiveDefinite(ValueError):
@@ -134,21 +139,6 @@ class UnitScalar(CoeffTable):
         return {str(e): str(c) for e, c in sorted(self.coeffs.items())}
 
 
-def _uvec(values) -> tuple:
-    return tuple(UnitScalar.coerce(v) for v in values)
-
-
-def _mat_uvec(m: RationalMatrix, v: tuple) -> tuple:
-    return tuple(
-        sum((v[j] * m[(i, j)] for j in range(m.cols)), UnitScalar())
-        for i in range(m.rows)
-    )
-
-
-def _udot(a: tuple, b: tuple) -> UnitScalar:
-    return sum((x * y for x, y in zip(a, b)), UnitScalar())
-
-
 # ----------------------------------------------------------------------
 # lattice models
 # ----------------------------------------------------------------------
@@ -172,7 +162,7 @@ class LatticeModel(Frozen):
     """Torus data (n, g, B, L) with the derived dual lattice."""
 
     __slots__ = ("n", "g", "B", "Lbasis", "LstarBasis", "g_inv",
-                 "unit_exponent", "u_square")
+                 "unit_exponent", "u_square", "__dict__")
 
     def __init__(self, n, g, B, Lbasis, unit_exponent=0, u_square=None):
         g = g if isinstance(g, RationalMatrix) else RationalMatrix(g)
@@ -190,6 +180,8 @@ class LatticeModel(Frozen):
             raise SingularLattice("lattice generators are dependent")
         if u_square is not None:
             u_square = exact_fraction(u_square, "u_square")
+            if unit_exponent and not u_square:
+                raise SingularLattice("u_square must be nonzero: u^-1 = u / u^2")
             if unit_exponent == -1:
                 # u^{-1} = u / u^2, so a declared unit square lets the basis
                 # absorb the inverted unit; canonical form keeps exponent +1.
@@ -205,6 +197,9 @@ class LatticeModel(Frozen):
             unit_exponent=unit_exponent,
             u_square=u_square,
         )
+
+    # the SectorTables, built on first use
+    tables = cached_property(lambda m: SectorTables(m))
 
     def __eq__(self, other):
         if not isinstance(other, LatticeModel):
@@ -228,16 +223,12 @@ class LatticeModel(Frozen):
     def lattice_vector(self, coords) -> tuple:
         """Ambient vector of integer coordinates in Lbasis, carrying u^e."""
         coords = _as_integer_coords(coords, self.n)
-        raw = _mat_uvec(self.Lbasis, _uvec(coords))
-        u = UnitScalar.unit(self.unit_exponent) if self.unit_exponent else UnitScalar.coerce(1)
-        return tuple(self.canon(v * u) for v in raw)
+        return self.tables.l.apply(coords + [0] * self.n)
 
     def dual_vector(self, coords) -> tuple:
         """Ambient covector of integer coordinates in LstarBasis, u^{-e}."""
         coords = _as_integer_coords(coords, self.n)
-        raw = _mat_uvec(self.LstarBasis, _uvec(coords))
-        u = UnitScalar.unit(-self.unit_exponent) if self.unit_exponent else UnitScalar.coerce(1)
-        return tuple(self.canon(v * u) for v in raw)
+        return self.tables.lstar.apply([0] * self.n + coords)
 
     def pairing_matrix(self) -> RationalMatrix:
         """LstarBasis^T Lbasis; unimodular integer for a true dual pair."""
@@ -259,15 +250,13 @@ class LatticeModel(Frozen):
 
 
 def _as_integer_coords(coords, n):
-    vals = [S.coerce(c) for c in coords]
+    vals = [c if type(c) is int else S.coerce(c) for c in coords]
     if len(vals) != n:
         raise DimensionMismatch(f"expected {n} coordinates")
-    out = []
     for v in vals:
-        if not v.is_integer():
+        if type(v) is not int and not v.is_integer():
             raise NotInLattice(f"coordinate {v} is not an integer")
-        out.append(v.a)
-    return out
+    return [v if type(v) is int else v.a for v in vals]
 
 
 def build_model(n, g, B, Lbasis) -> LatticeModel:
@@ -304,6 +293,129 @@ def load_model(data) -> LatticeModel:
 
 
 # ----------------------------------------------------------------------
+# sector tables
+# ----------------------------------------------------------------------
+
+_UNIT = UnitScalar()
+
+
+def _unit_at(parts, x, den) -> UnitScalar:
+    """sum_p u^p (re . x + i im . x) / den over integer rows (p, re, im)."""
+    table = {}
+    for p, re, im in parts:
+        a = sum(map(mul, re, x))
+        b = sum(map(mul, im, x)) if im else 0
+        if a or b:
+            table[p] = _reduced(a, b, den)
+    return _UNIT._like(table)
+
+
+def _row_times(x, rows) -> tuple:
+    return tuple(sum(map(mul, x, col)) for col in zip(*rows))
+
+
+class IntegerForm(Frozen):
+    """A matrix over Q(i) in the coordinates x = (l, l*), folded through
+    canon once and split by power of u into parts (power, re, im):
+    integer matrices over one denominator den, im None when it vanishes.
+
+    Column j carries u^e on the l block and u^-e on the l* block, e the
+    model's unit exponent; the rows of a 2n x 2n matrix (a bilinear
+    form) carry the same powers, the rows of an n x 2n one none."""
+
+    __slots__ = ("rows", "den", "parts")
+
+    def __init__(self, model, matrix: RationalMatrix):
+        e, n, rho = model.unit_exponent, model.n, model.u_square
+        signs = [1] * n + [-1] * n
+        grids = {}
+        for i, row in enumerate(matrix.entries):
+            for j, x in enumerate(row):
+                if x.is_zero():
+                    continue
+                p = e * (signs[j] + (signs[i] if matrix.rows > n else 0))
+                if rho is not None:
+                    # canon is a ring homomorphism: u^p -> rho^(p // 2) u^(p % 2)
+                    x, p = x * S(rho) ** (p // 2), p % 2
+                if p not in grids:
+                    grids[p] = [[ZERO] * matrix.cols for _ in matrix.entries]
+                grids[p][i][j] = x
+        den = lcm(*(x.d for grid in grids.values() for row in grid for x in row))
+        parts = []
+        for p, grid in sorted(grids.items()):
+            re = tuple(tuple(x.a * (den // x.d) for x in row) for row in grid)
+            im = tuple(tuple(x.b * (den // x.d) for x in row) for row in grid)
+            parts.append((p, re, im if any(map(any, im)) else None))
+        self._set(rows=matrix.rows, den=den, parts=tuple(parts))
+
+    def apply(self, x) -> tuple:
+        """M x, one UnitScalar per row."""
+        return tuple(
+            _unit_at([(p, re[i], im and im[i]) for p, re, im in self.parts],
+                     x, self.den)
+            for i in range(self.rows))
+
+    def times(self, x) -> tuple:
+        """x^T M as integer parts, for at()."""
+        return tuple((p, _row_times(x, re), im and _row_times(x, im))
+                     for p, re, im in self.parts)
+
+    def at(self, row, y) -> UnitScalar:
+        """x^T M y from row = times(x)."""
+        return _unit_at(row, y, self.den)
+
+    def half_square(self, x) -> UnitScalar:
+        """1/2 x^T M x."""
+        return _unit_at(self.times(x), x, 2 * self.den)
+
+
+def _hstack(left: RationalMatrix, right: RationalMatrix) -> RationalMatrix:
+    return RationalMatrix([a + b for a, b in zip(left.entries, right.entries)])
+
+
+class SectorTables(Frozen):
+    """Every sector quantity of a model as an integer form in the
+    coordinates x = (l, l*) in Z^{2n}, each form built on first use.
+
+    With P_pm = (B^T +- g) L, the weight covectors are a_pm = A_pm x for
+    A_pm = [P_pm u^e | -L* u^{-e}], the momenta p_pm = -1/2 g^{-1} a_pm,
+    and H_pm = -1/2 A_pm^T g^{-1} A_pm gives the branch exponents
+    x1^T H_pm x2 and the weights 1/2 x^T H_pm x.
+    """
+
+    __slots__ = ("model", "__dict__")
+
+    def __init__(self, model: LatticeModel):
+        self._set(model=model)
+
+    def _weight(self, sign) -> RationalMatrix:
+        """A_pm without its powers of u: [P_pm | -L*]."""
+        m = self.model
+        return _hstack((m.B.transpose() + m.g.scale(sign)) * m.Lbasis, -m.LstarBasis)
+
+    def _exponent(self, sign) -> RationalMatrix:
+        """H_pm without its powers of u."""
+        a = self._weight(sign)
+        return a.transpose() * (self.model.g_inv * a) * MINUS_HALF
+
+    l = cached_property(lambda t: IntegerForm(t.model, _hstack(
+        t.model.Lbasis, RationalMatrix.zeros(t.model.n, t.model.n))))
+    lstar = cached_property(lambda t: IntegerForm(t.model, _hstack(
+        RationalMatrix.zeros(t.model.n, t.model.n), t.model.LstarBasis)))
+    a_plus = cached_property(lambda t: IntegerForm(t.model, t._weight(1)))
+    a_minus = cached_property(lambda t: IntegerForm(t.model, t._weight(-1)))
+    p_plus = cached_property(lambda t: IntegerForm(
+        t.model, t.model.g_inv * t._weight(1) * MINUS_HALF))
+    p_minus = cached_property(lambda t: IntegerForm(
+        t.model, t.model.g_inv * t._weight(-1) * MINUS_HALF))
+    h_plus = cached_property(lambda t: IntegerForm(t.model, t._exponent(1)))
+    h_minus = cached_property(lambda t: IntegerForm(t.model, t._exponent(-1)))
+    # H_+ - H_-, so that hol - antihol costs one dot product
+    h_difference = cached_property(lambda t: IntegerForm(
+        t.model, t._exponent(1) - t._exponent(-1)))
+
+
+# ----------------------------------------------------------------------
 # sectors
 # ----------------------------------------------------------------------
 
@@ -313,32 +425,25 @@ class Sector(Frozen):
     a_plus = -l* + B(l) + g(l) and a_minus = -l* + B(l) - g(l), where
     B(l) is the covector l^T B.  Conformal weights are the measured
     zero-mode eigenvalues h = -1/4 g^{-1}(a, a) of the implemented
-    Virasoro normalization.
+    Virasoro normalization.  The sector holds its integer coordinates;
+    each quantity is read from the model's SectorTables when first asked
+    for.
     """
 
-    __slots__ = ("model", "l_coords", "lstar_coords", "l", "lstar",
-                 "a_plus", "a_minus", "h", "hbar")
+    __slots__ = ("model", "l_coords", "lstar_coords", "coords", "__dict__")
+
+    l = cached_property(lambda s: s.model.tables.l.apply(s.coords))
+    lstar = cached_property(lambda s: s.model.tables.lstar.apply(s.coords))
+    a_plus = cached_property(lambda s: s.model.tables.a_plus.apply(s.coords))
+    a_minus = cached_property(lambda s: s.model.tables.a_minus.apply(s.coords))
+    h = cached_property(lambda s: s.model.tables.h_plus.half_square(s.coords))
+    hbar = cached_property(lambda s: s.model.tables.h_minus.half_square(s.coords))
 
     def __init__(self, model: LatticeModel, l_coords, lstar_coords):
         l_coords = tuple(_as_integer_coords(l_coords, model.n))
         lstar_coords = tuple(_as_integer_coords(lstar_coords, model.n))
-        l = model.lattice_vector(l_coords)
-        lstar = model.dual_vector(lstar_coords)
-        gl = _mat_uvec(model.g, l)
-        bl = _mat_uvec(model.B.transpose(), l)   # covector l^T B
-        a_plus = tuple(
-            model.canon(-lstar[i] + bl[i] + gl[i]) for i in range(model.n)
-        )
-        a_minus = tuple(
-            model.canon(-lstar[i] + bl[i] - gl[i]) for i in range(model.n)
-        )
         self._set(model=model, l_coords=l_coords, lstar_coords=lstar_coords,
-                  l=l, lstar=lstar, a_plus=a_plus, a_minus=a_minus)
-        self._set(h=self._weight(a_plus), hbar=self._weight(a_minus))
-
-    def _weight(self, a) -> UnitScalar:
-        quad = _udot(a, _mat_uvec(self.model.g_inv, a))
-        return self.model.canon(quad * MINUS_QUARTER)
+                  coords=l_coords + lstar_coords)
 
     def one_dim_labels(self):
         """The chiral/antichiral module labels a_pm / 2 of a circle
@@ -389,14 +494,9 @@ def spectrum_point(model: LatticeModel, l_coords, lstar_coords):
     """Joint zero-mode spectrum of a sector: the vector pair
     (1/2(g^{-1}(l* - B(l)) - l), 1/2(g^{-1}(l* - B(l)) + l)), equal to
     (-1/2 g^{-1} a_plus, -1/2 g^{-1} a_minus)."""
-    s = Sector(model, l_coords, lstar_coords)
-    p_plus = tuple(
-        model.canon(v * MINUS_HALF) for v in _mat_uvec(model.g_inv, s.a_plus)
-    )
-    p_minus = tuple(
-        model.canon(v * MINUS_HALF) for v in _mat_uvec(model.g_inv, s.a_minus)
-    )
-    return (p_plus, p_minus)
+    x = Sector(model, l_coords, lstar_coords).coords
+    tables = model.tables
+    return (tables.p_plus.apply(x), tables.p_minus.apply(x))
 
 
 def vertex_exponents(s1: Sector, s2: Sector):
@@ -405,30 +505,41 @@ def vertex_exponents(s1: Sector, s2: Sector):
     Their difference is <l1*, l2> + <l2*, l1>, an integer."""
     if s1.model != s2.model:
         raise ModelMismatch("sectors from different models")
-    m = s1.model
-    hol = m.canon(_udot(s1.a_plus, _mat_uvec(m.g_inv, s2.a_plus)) * MINUS_HALF)
-    antihol = m.canon(_udot(s1.a_minus, _mat_uvec(m.g_inv, s2.a_minus)) * MINUS_HALF)
-    return (hol, antihol)
+    tables = s1.model.tables
+    return tuple(h.at(h.times(s1.coords), s2.coords)
+                 for h in (tables.h_plus, tables.h_minus))
+
+
+def locality_pairs(model: LatticeModel, cutoff: int):
+    """Every ordered pair of sectors within the cutoff with its branch
+    exponents, as (s1, s2, hol, antihol, hol - antihol): one row
+    x1^T H_pm per s1, then one dot product per s2."""
+    tables = model.tables
+    h_plus, h_minus, h_diff = tables.h_plus, tables.h_minus, tables.h_difference
+    sectors = enumerate_sectors(model, cutoff)
+    for s1 in sectors:
+        x = s1.coords
+        r_plus, r_minus, r_diff = h_plus.times(x), h_minus.times(x), h_diff.times(x)
+        for s2 in sectors:
+            y = s2.coords
+            yield (s1, s2, h_plus.at(r_plus, y), h_minus.at(r_minus, y),
+                   h_diff.at(r_diff, y).as_exact())
 
 
 def ko_locality(model: LatticeModel, cutoff: int):
     """Exponent table over all sector pairs within the cutoff, checking
     that hol - antihol is an integer (single-valued correlator branch)."""
-    sectors = enumerate_sectors(model, cutoff)
     rows = []
     all_integral = True
-    for s1 in sectors:
-        for s2 in sectors:
-            hol, antihol = vertex_exponents(s1, s2)
-            diff = (hol - antihol).as_exact()
-            integral = diff.is_integer()
-            all_integral = all_integral and integral
-            rows.append({
-                "l1": list(s1.l_coords), "lstar1": list(s1.lstar_coords),
-                "l2": list(s2.l_coords), "lstar2": list(s2.lstar_coords),
-                "hol": str(hol), "antihol": str(antihol),
-                "difference": str(diff), "integral": integral,
-            })
+    for s1, s2, hol, antihol, diff in locality_pairs(model, cutoff):
+        integral = diff.is_integer()
+        all_integral = all_integral and integral
+        rows.append({
+            "l1": list(s1.l_coords), "lstar1": list(s1.lstar_coords),
+            "l2": list(s2.l_coords), "lstar2": list(s2.lstar_coords),
+            "hol": str(hol), "antihol": str(antihol),
+            "difference": str(diff), "integral": integral,
+        })
     return {"cutoff": cutoff, "all_integral": all_integral, "pairs": rows}
 
 
@@ -813,7 +924,7 @@ class QSeries(CoeffTable):
 
 def character(model: LatticeModel, sector: Sector, order: int) -> QSeries:
     """q^h times the oscillator tower prod (1-q^k)^{-n}, level-truncated."""
-    h = model.canon(sector.h).as_exact()
+    h = sector.h.as_exact()
     if h.im != 0:
         raise FormalUnitValue("complex weight has no character exponent")
     counts = colored_partition_counts(model.n, order)
@@ -856,8 +967,8 @@ def partition_function(model: LatticeModel, cutoff: int, order: int,
     for s in enumerate_sectors(model, cutoff):
         if sector_filter is not None and not sector_filter(s):
             continue
-        h = model.canon(s.h).as_exact().re
-        hbar = model.canon(s.hbar).as_exact().re
+        h = s.h.as_exact().re
+        hbar = s.hbar.as_exact().re
         for k in range(order + 1):
             for kb in range(order + 1):
                 terms.append(((h + k, hbar + kb), counts[k] * counts[kb]))

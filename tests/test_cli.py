@@ -444,6 +444,47 @@ class TestChiralCharacter:
         assert rc == 2
 
 
+class TestLatticeGoldens:
+    """Byte-exact output of every lattice subcommand on an n = 2 model
+    with B and a non-identity basis, and on the circle with u = 1/2."""
+
+    MODEL = str(GOLDEN / "lattice_model_n2.json")
+    CASES = (
+        (["states", "--model", MODEL, "--cutoff", "1", "--level", "2",
+          "--format", "json"], "states_n2_cutoff1.json"),
+        (["locality", "--model", MODEL, "--cutoff", "1", "--format", "csv"],
+         "locality_n2_cutoff1.csv"),
+        (["chiral", "--model", MODEL, "--cutoff", "2", "--format", "csv"],
+         "chiral_n2_cutoff2.csv"),
+        (["spectrum", "--model", MODEL, "--cutoff", "1", "--format", "text"],
+         "spectrum_n2_cutoff1.txt"),
+        (["character", "--model", MODEL, "--l=1,-1", "--lstar=0,1",
+          "--order", "4", "--format", "json"], "character_n2_sector.json"),
+        (["character", "--model", MODEL, "--cutoff", "1", "--order", "2",
+          "--format", "text"], "partition_n2_cutoff1.txt"),
+        (["states", "--radius-unit", "1/2", "--cutoff", "2", "--level", "3",
+          "--format", "csv"], "states_circle_half_cutoff2.csv"),
+        (["locality", "--radius-unit", "1/2", "--cutoff", "1",
+          "--format", "json"], "locality_circle_half_cutoff1.json"),
+    )
+
+    @pytest.mark.parametrize("args,name", CASES, ids=[c[1] for c in CASES])
+    def test_golden(self, args, name, capsys):
+        rc, out, err = invoke(args, capsys)
+        assert (rc, err) == (0, "")
+        assert out == golden(name)
+
+    def test_locality_text_streams_the_same_verdict(self, capsys):
+        rc, out, _ = invoke(
+            ["locality", "--model", self.MODEL, "--cutoff", "1",
+             "--format", "text"], capsys)
+        assert rc == 0
+        assert out == (
+            "cutoff: 1\npairs checked: 6561\n"
+            "all exponent differences integral: yes\n"
+        )
+
+
 class TestDeterminism:
     CASES = (
         ["noether", "--generator", "ds"],

@@ -216,6 +216,15 @@ class TestModelBuild:
         assert m.u_square == Fraction(9, 4)
         assert one_dim_model().u_square is None
 
+    def test_zero_unit_square_refused(self):
+        # dual vectors carry u^-1 = u / u^2, so a formal unit needs u^2 != 0
+        for e in (-1, 1):
+            with pytest.raises(SingularLattice, match="u_square must be nonzero"):
+                LatticeModel(1, [[1]], [[0]], [[1]], unit_exponent=e, u_square=0)
+        m = LatticeModel(1, [[1]], [[0]], [[2]], unit_exponent=0, u_square=0)
+        # a_+ = -l*/2 + 2 l = 3/2 at l = l* = 1, so h = -1/4 (3/2)^2
+        assert m.sector([1], [1]).h == u_poly({0: "-9/16"})
+
     def test_json_roundtrip(self):
         m1 = build_model(2, G_OFFDIAG, B_STANDARD, [["1", "1"], ["0", "1"]])
         assert load_model(json.loads(json.dumps(m1.to_json()))) == m1

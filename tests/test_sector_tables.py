@@ -1,0 +1,310 @@
+"""Sector quantities from the per-model integer tables against the
+per-sector UnitScalar path they replaced.
+
+The reference oracles below are that path as it was: every sector
+multiplies its coordinates through Lbasis, LstarBasis, g, B^T and g^{-1}
+as UnitScalar vectors (_mat_uvec, _udot) and folds through canon at
+every step.  The tables fold once and evaluate integer dot products, so
+both sides must agree exactly, and so must their str.  Random models
+cover n = 1-3, with and without B, real and Gaussian-rational bases,
+unit exponents -1, 0, 1 and u^2 formal or rational: the CLI never uses
+a formal unit, so only these tests pin the u-power split and the fold.
+"""
+
+from fractions import Fraction
+from itertools import product as iter_product
+
+import pytest
+from hypothesis import Phase, assume, given, settings
+from hypothesis import strategies as st
+
+from chiraltorus.exactlin import ExactScalar, RationalMatrix
+from chiraltorus.fockq import (
+    FockTruncation,
+    LatticeModel,
+    UnitScalar,
+    chiral_sectors,
+    ko_locality,
+    load_model,
+    locality_pairs,
+    one_dim_model,
+    spectrum_point,
+    t_dual,
+    vertex_exponents,
+)
+
+S = ExactScalar
+MINUS_HALF = S(Fraction(-1, 2))
+MINUS_QUARTER = S(Fraction(-1, 4))
+
+
+# ----------------------------------------------------------------------
+# reference oracles: the per-sector UnitScalar path
+# ----------------------------------------------------------------------
+
+def ref_uvec(values) -> tuple:
+    return tuple(UnitScalar.coerce(v) for v in values)
+
+
+def ref_mat_uvec(m: RationalMatrix, v: tuple) -> tuple:
+    return tuple(
+        sum((v[j] * m[(i, j)] for j in range(m.cols)), UnitScalar())
+        for i in range(m.rows)
+    )
+
+
+def ref_udot(a: tuple, b: tuple) -> UnitScalar:
+    return sum((x * y for x, y in zip(a, b)), UnitScalar())
+
+
+def ref_lattice_vector(model, coords) -> tuple:
+    raw = ref_mat_uvec(model.Lbasis, ref_uvec(coords))
+    e = model.unit_exponent
+    u = UnitScalar.unit(e) if e else UnitScalar.coerce(1)
+    return tuple(model.canon(v * u) for v in raw)
+
+
+def ref_dual_vector(model, coords) -> tuple:
+    raw = ref_mat_uvec(model.LstarBasis, ref_uvec(coords))
+    e = model.unit_exponent
+    u = UnitScalar.unit(-e) if e else UnitScalar.coerce(1)
+    return tuple(model.canon(v * u) for v in raw)
+
+
+class RefSector:
+    """The sector as it was built before the tables: every quantity
+    computed eagerly from UnitScalar vectors."""
+
+    def __init__(self, model, l_coords, lstar_coords):
+        self.model = model
+        self.l_coords, self.lstar_coords = tuple(l_coords), tuple(lstar_coords)
+        self.l = ref_lattice_vector(model, l_coords)
+        self.lstar = ref_dual_vector(model, lstar_coords)
+        gl = ref_mat_uvec(model.g, self.l)
+        bl = ref_mat_uvec(model.B.transpose(), self.l)
+        self.a_plus = tuple(
+            model.canon(-self.lstar[i] + bl[i] + gl[i]) for i in range(model.n))
+        self.a_minus = tuple(
+            model.canon(-self.lstar[i] + bl[i] - gl[i]) for i in range(model.n))
+        # g^{-1} a_pm, kept so that a pair costs one ref_udot per exponent
+        self.ga_plus = ref_mat_uvec(model.g_inv, self.a_plus)
+        self.ga_minus = ref_mat_uvec(model.g_inv, self.a_minus)
+        self.h = model.canon(ref_udot(self.a_plus, self.ga_plus) * MINUS_QUARTER)
+        self.hbar = model.canon(ref_udot(self.a_minus, self.ga_minus) * MINUS_QUARTER)
+
+
+def ref_spectrum_point(model, l_coords, lstar_coords):
+    s = RefSector(model, l_coords, lstar_coords)
+    return tuple(
+        tuple(model.canon(v * MINUS_HALF) for v in ref_mat_uvec(model.g_inv, a))
+        for a in (s.a_plus, s.a_minus)
+    )
+
+
+def ref_vertex_exponents(s1: RefSector, s2: RefSector):
+    m = s1.model
+    return tuple(
+        m.canon(ref_udot(a1, ga2) * MINUS_HALF)
+        for a1, ga2 in ((s1.a_plus, s2.ga_plus), (s1.a_minus, s2.ga_minus))
+    )
+
+
+def ref_box(model, cutoff):
+    rng = range(-cutoff, cutoff + 1)
+    return [RefSector(model, lc, sc)
+            for lc in iter_product(rng, repeat=model.n)
+            for sc in iter_product(rng, repeat=model.n)]
+
+
+def ref_ko_rows(model, cutoff):
+    sectors = ref_box(model, cutoff)
+    rows = []
+    for s1 in sectors:
+        for s2 in sectors:
+            hol, antihol = ref_vertex_exponents(s1, s2)
+            diff = (hol - antihol).as_exact()
+            rows.append({
+                "l1": list(s1.l_coords), "lstar1": list(s1.lstar_coords),
+                "l2": list(s2.l_coords), "lstar2": list(s2.lstar_coords),
+                "hol": str(hol), "antihol": str(antihol),
+                "difference": str(diff), "integral": diff.is_integer(),
+            })
+    return rows
+
+
+def same(got, want):
+    """Exact equality of UnitScalars or tuples of them, and of their str."""
+    assert got == want
+    assert str(got) == str(want)
+
+
+# ----------------------------------------------------------------------
+# random models
+# ----------------------------------------------------------------------
+
+small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def metrics(draw, n):
+    """Symmetric and diagonally dominant, hence positive definite."""
+    off = {(i, j): draw(small) for i in range(n) for j in range(i + 1, n)}
+    g = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), x in off.items():
+        g[i][j] = g[j][i] = x
+    for i in range(n):
+        slack = draw(st.fractions(min_value=Fraction(1, 3), max_value=3,
+                                  max_denominator=3))
+        g[i][i] = sum(abs(x) for x in g[i]) + slack
+    return g
+
+
+@st.composite
+def models(draw, max_n=3):
+    n = draw(st.integers(1, max_n))
+    g = draw(metrics(n))
+    b = [[Fraction(0)] * n for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            for j in range(i + 1, n):
+                b[i][j] = draw(small)
+                b[j][i] = -b[i][j]
+    gaussian = draw(st.booleans())
+    basis = [[S(draw(small), draw(small) if gaussian else 0) for _ in range(n)]
+             for _ in range(n)]
+    assume(not RationalMatrix(basis).det().is_zero())
+    unit_exponent = draw(st.sampled_from((-1, 0, 1)))
+    u_square = draw(st.none() | st.fractions(min_value=Fraction(1, 4), max_value=4,
+                                              max_denominator=4))
+    return LatticeModel(n, g, b, basis, unit_exponent=unit_exponent,
+                        u_square=u_square)
+
+
+@st.composite
+def model_and_coords(draw, count=1):
+    model = draw(models())
+    coords = st.lists(st.integers(-2, 2), min_size=model.n, max_size=model.n)
+    return model, [(draw(coords), draw(coords)) for _ in range(count)]
+
+
+# models with several chiral sectors: the self-dual circle, a circle
+# declared with the inverted unit u^-1 and u^2 = 4, and an n = 2 model
+# with B and an integral non-identity basis
+CHIRAL_MODELS = {
+    "selfdual_circle": lambda: one_dim_model(1),
+    "inverted_unit_circle": lambda: LatticeModel(
+        1, [[1]], [[0]], [[2]], unit_exponent=-1, u_square=4),
+    "n2_b_basis": lambda: load_model({
+        "n": 2, "g": [["2", "1"], ["1", "2"]], "B": [["0", "1"], ["-1", "0"]],
+        "L": [["1", "1"], ["0", "2"]],
+    }),
+}
+
+
+# ----------------------------------------------------------------------
+# properties
+# ----------------------------------------------------------------------
+
+class TestSectorViews:
+    @settings(max_examples=150, deadline=None)
+    @given(model_and_coords())
+    def test_views_equal_the_reference(self, case):
+        model, [(lc, sc)] = case
+        got, want = model.sector(lc, sc), RefSector(model, lc, sc)
+        for name in ("l", "lstar", "a_plus", "a_minus", "h", "hbar"):
+            same(getattr(got, name), getattr(want, name))
+        assert got.to_json() == {
+            "l": list(want.l_coords), "lstar": list(want.lstar_coords),
+            "a_plus": [a.to_json() for a in want.a_plus],
+            "a_minus": [a.to_json() for a in want.a_minus],
+            "h": want.h.to_json(), "hbar": want.hbar.to_json(),
+        }
+
+    @settings(max_examples=100, deadline=None)
+    @given(model_and_coords())
+    def test_lattice_and_dual_vectors(self, case):
+        model, [(lc, sc)] = case
+        same(model.lattice_vector(lc), ref_lattice_vector(model, lc))
+        same(model.dual_vector(sc), ref_dual_vector(model, sc))
+
+    @settings(max_examples=150, deadline=None)
+    @given(model_and_coords())
+    def test_spectrum_point(self, case):
+        model, [(lc, sc)] = case
+        got = spectrum_point(model, lc, sc)
+        want = ref_spectrum_point(model, lc, sc)
+        for g, w in zip(got, want):
+            same(g, w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(model_and_coords(count=2))
+    def test_vertex_exponents(self, case):
+        model, [(l1, s1), (l2, s2)] = case
+        got = vertex_exponents(model.sector(l1, s1), model.sector(l2, s2))
+        want = ref_vertex_exponents(RefSector(model, l1, s1), RefSector(model, l2, s2))
+        for g, w in zip(got, want):
+            same(g, w)
+
+    def test_views_are_computed_once(self):
+        s = one_dim_model().sector([1], [2])
+        assert s.h is s.h and s.a_plus is s.a_plus
+
+
+class TestLocalityAndChiral:
+    # an n = 2 box of 6561 pairs takes the reference about a second, so
+    # a failure is reported as found, without shrinking
+    @settings(max_examples=15, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(models(max_n=2), st.integers(1, 2))
+    def test_ko_locality_rows_and_stream(self, model, cutoff):
+        cutoff = cutoff if model.n == 1 else 1
+        want = ref_ko_rows(model, cutoff)
+        report = ko_locality(model, cutoff)
+        assert report["pairs"] == want
+        assert report["all_integral"] is all(r["integral"] for r in want)
+        streamed = list(locality_pairs(model, cutoff))
+        assert len(streamed) == len(want)
+        for (s1, s2, hol, antihol, diff), row in zip(streamed, want):
+            assert (list(s1.l_coords), list(s1.lstar_coords),
+                    list(s2.l_coords), list(s2.lstar_coords)) == \
+                (row["l1"], row["lstar1"], row["l2"], row["lstar2"])
+            assert (str(hol), str(antihol), str(diff)) == \
+                (row["hol"], row["antihol"], row["difference"])
+            assert hol - antihol == UnitScalar.coerce(diff)
+
+    @settings(max_examples=40, deadline=None)
+    @given(models())
+    def test_chiral_sectors_random(self, model):
+        self._check_chiral(model, 1 if model.n < 3 else 0)
+
+    @pytest.mark.parametrize("name", sorted(CHIRAL_MODELS))
+    def test_chiral_sectors_known(self, name):
+        self._check_chiral(CHIRAL_MODELS[name](), 2)
+
+    @staticmethod
+    def _check_chiral(model, cutoff):
+        got = chiral_sectors(model, cutoff)
+        want = [s for s in ref_box(model, cutoff)
+                if all(a.is_zero() for a in s.a_minus)]
+        assert [s.key() for s in got] == \
+            [(s.l_coords, s.lstar_coords) for s in want]
+        for g, w in zip(got, want):
+            same(g.a_plus, w.a_plus)
+            same(g.h, w.h)
+
+    def test_known_models_have_chiral_sectors(self):
+        for make in CHIRAL_MODELS.values():
+            assert len(chiral_sectors(make(), 2)) > 1
+
+
+class TestLaziness:
+    def test_validation_and_duality_build_no_table(self):
+        m = one_dim_model(Fraction(1, 2))
+        t_dual(m)
+        FockTruncation(m, [0], 2)
+        assert "tables" not in m.__dict__
+
+    def test_tables_build_one_form_at_a_time(self):
+        m = one_dim_model(1)
+        m.sector([1], [1]).h
+        assert set(m.tables.__dict__) == {"h_plus"}
