@@ -671,16 +671,32 @@ class SparseOp(Frozen):
         return all(self.column(c) == other.column(c) for c in cols)
 
 
+def _append_part(vec, i, part):
+    """The partition state vec with one more part `part` in colour i."""
+    return vec[:i] + (tuple(sorted(vec[i] + (part,), reverse=True)),) + vec[i + 1:]
+
+
+def _remove_part(vec, i, part):
+    """(vec with one part `part` taken from colour i, the multiplicity of
+    that part in vec), or (None, 0) when colour i has no such part."""
+    parts = vec[i]
+    if part not in parts:
+        return None, 0
+    k = parts.index(part)
+    return vec[:i] + (parts[:k] + parts[k + 1:],) + vec[i + 1:], parts.count(part)
+
+
 class FockTruncation(Frozen):
     """Level-truncated highest-weight module over the mode algebra.
 
     Basis vectors are n-colored partitions applied to the weight vector;
     creation operators append parts, annihilation removes them with the
-    -1/2 g^{ij} m coefficient, and the zero modes act by the scalar
-    -1/2 g^{-1}(dx^i, a).
+    -1/2 g^{ij} m coefficient, and the zero modes act by the scalars
+    zero_modes = -1/2 g^{-1} w of the weight covector w.
     """
 
-    __slots__ = ("model", "weight", "N", "basis", "index", "_alpha_cache")
+    __slots__ = ("model", "weight", "N", "basis", "index", "levels",
+                 "zero_modes", "_alpha_cache")
 
     def __init__(self, model: LatticeModel, weight, N: int):
         if N < 0:
@@ -689,32 +705,56 @@ class FockTruncation(Frozen):
         if len(weight) != model.n:
             raise DimensionMismatch("weight covector has wrong length")
         per_level = _partitions_upto(N)
-        basis = []
+        basis, levels = [], []
         for total in range(N + 1):
             level_vectors = []
             for split in compositions(total, model.n):
                 for combo in iter_product(*[per_level[k] for k in split]):
                     level_vectors.append(tuple(combo))
             basis.extend(sorted(level_vectors))
+            levels.extend([total] * len(level_vectors))
+        zero_modes = tuple(MINUS_HALF * x for x in model.g_inv.apply(weight))
         self._set(model=model, weight=weight, N=N, basis=tuple(basis),
-                  index={v: k for k, v in enumerate(basis)}, _alpha_cache={})
+                  index={v: k for k, v in enumerate(basis)},
+                  levels=tuple(levels), zero_modes=zero_modes, _alpha_cache={})
 
     @property
     def dim(self):
         return len(self.basis)
 
-    @staticmethod
-    def level(vector) -> int:
-        return sum(sum(p) for p in vector)
-
     def level_dimensions(self):
-        dims = [0] * (self.N + 1)
-        for v in self.basis:
-            dims[self.level(v)] += 1
-        return dims
+        return [self.levels.count(k) for k in range(self.N + 1)]
 
     def vectors_up_to_level(self, k):
-        return [i for i, v in enumerate(self.basis) if self.level(v) <= k]
+        return [i for i, level in enumerate(self.levels) if level <= k]
+
+    def _operator(self, terms, k) -> SparseOp:
+        """The operator sum c * edits over terms (c, edits) that each lower
+        the level by k.  The edits (i, m) act in order on a column's
+        partition state: m < 0 appends part -m to colour i, m > 0 removes
+        a part m and multiplies c by its multiplicity.  A column whose
+        image would lie above level N is left out."""
+        terms = [(c, edits) for c, edits in terms if not c.is_zero()]
+        table = {}
+        for col, vec in enumerate(self.basis):
+            if self.levels[col] - k > self.N:
+                continue
+            out = {}
+            for c, edits in terms:
+                new, mult = vec, 1
+                for i, m in edits:
+                    if m < 0:
+                        new = _append_part(new, i, -m)
+                    else:
+                        new, count = _remove_part(new, i, m)
+                        if not count:
+                            break
+                        mult *= count
+                else:
+                    add_into(out, self.index[new], c * mult if mult > 1 else c)
+            if out:
+                table[col] = out
+        return SparseOp._trusted(self.dim, table)
 
     def alpha(self, i: int, m: int) -> SparseOp:
         """Mode operator alpha^i_m, 1-based color, |m| <= N."""
@@ -723,65 +763,62 @@ class FockTruncation(Frozen):
         if abs(m) > self.N:
             raise CutoffExceeded(f"mode {m} outside cutoff {self.N}")
         key = (i, m)
-        if key in self._alpha_cache:
-            return self._alpha_cache[key]
-        ginv = self.model.g_inv
-        table = {}
-        for col, vec in enumerate(self.basis):
-            out = {}
-            if m == 0:
-                lam = ZERO
-                for k in range(self.model.n):
-                    lam = lam + ginv[(i - 1, k)] * self.weight[k]
-                lam = -HALF * lam
-                if not lam.is_zero():
-                    out[col] = lam
-            elif m < 0:
-                parts = list(vec[i - 1])
-                parts.append(-m)
-                parts.sort(reverse=True)
-                new = vec[:i - 1] + (tuple(parts),) + vec[i:]
-                if self.level(new) <= self.N:
-                    out[self.index[new]] = ONE
+        if key not in self._alpha_cache:
+            if m < 0:
+                terms = [(ONE, ((i - 1, m),))]
+            elif m > 0:
+                terms = [(MINUS_HALF * m * self.model.g_inv[(i - 1, j)], ((j, m),))
+                         for j in range(self.model.n)]
             else:
-                for j in range(1, self.model.n + 1):
-                    gij = ginv[(i - 1, j - 1)]
-                    if gij.is_zero():
-                        continue
-                    count = vec[j - 1].count(m)
-                    if count == 0:
-                        continue
-                    parts = list(vec[j - 1])
-                    parts.remove(m)
-                    new = vec[:j - 1] + (tuple(parts),) + vec[j:]
-                    add_into(out, self.index[new], -HALF * gij * S(m) * S(count))
-            if out:
-                table[col] = out
-        op = SparseOp._trusted(self.dim, table)
-        self._alpha_cache[key] = op
-        return op
+                terms = [(self.zero_modes[i - 1], ())]
+            self._alpha_cache[key] = self._operator(terms, m)
+        return self._alpha_cache[key]
 
     def virasoro(self, k: int) -> SparseOp:
         """L_k = -sum_m :g_{ij} alpha^i_m alpha^j_{k-m}:, normalized so
-        that [L_k, alpha^j_m] = -m alpha^j_{k+m} inside the truncation."""
+        that [L_k, alpha^j_m] = -m alpha^j_{k+m} inside the truncation.
+
+        Built column by column from the Sugawara formula with one index
+        lowered, with no operator products.  With c_i(m) appending part m
+        to colour i, a_i(m) removing one times its multiplicity and
+        lambda = zero_modes, the term of mode m (p = m, q = k - m, swapped
+        when p > 0 > q so that the annihilator acts first) is
+
+            p, q < 0         -g_ij c_i(-p) c_j(-q)
+            p < 0 < q        +1/2 q c_i(-p) a_i(q)
+            p, q > 0         -1/4 pq g^{ab} a_a(p) a_b(q)
+            r < 0, other 0   +1/2 w_i c_i(-r)
+            r > 0, other 0   +1/2 r lambda_a a_a(r) = -1/4 r (g^{-1} w)_a a_a(r)
+            p = q = 0        +1/2 w_i lambda_i = -1/4 w^T g^{-1} w
+
+        The mixed term carries no metric: g_ij g^{jb} = delta_i^b exactly.
+        Every term lowers the level by k, so the level-N cut of the
+        truncated product is a cut on the final level alone."""
         if abs(k) > self.N:
             raise CutoffExceeded(f"mode {k} outside cutoff {self.N}")
-        g = self.model.g
-        total = SparseOp.zero(self.dim)
-        for m in range(-self.N, self.N + 1):
-            if abs(k - m) > self.N:
-                continue
+        g, ginv = self.model.g, self.model.g_inv
+        w, lam, colours = self.weight, self.zero_modes, range(self.model.n)
+        terms = []
+        for m in range(max(-self.N, k - self.N), min(self.N, k + self.N) + 1):
             p, q = m, k - m
-            if p > 0 and q < 0:
+            if p > 0 > q:
                 p, q = q, p
-            for i in range(1, self.model.n + 1):
-                for j in range(1, self.model.n + 1):
-                    gij = g[(i - 1, j - 1)]
-                    if gij.is_zero():
-                        continue
-                    term = (self.alpha(i, p) @ self.alpha(j, q)).scale(-gij)
-                    total = total + term
-        return total
+            if p < 0 and q < 0:
+                terms += [(-g[(i, j)], ((j, q), (i, p)))
+                          for i in colours for j in colours]
+            elif p < 0 < q:
+                terms += [(HALF * q, ((i, q), (i, p))) for i in colours]
+            elif p > 0 and q > 0:
+                c = MINUS_HALF * HALF * (p * q)
+                terms += [(c * ginv[(a, b)], ((b, q), (a, p)))
+                          for a in colours for b in colours]
+            elif p + q < 0:
+                terms += [(HALF * w[i], ((i, p + q),)) for i in colours]
+            elif p + q > 0:
+                terms += [(HALF * (p + q) * lam[a], ((a, p + q),)) for a in colours]
+            else:
+                terms.append((HALF * sum(map(mul, w, lam), ZERO), ()))
+        return self._operator(terms, k)
 
 
 def build_fock(model: LatticeModel, weight, N: int) -> FockTruncation:
