@@ -11,14 +11,14 @@ shadow of the transform on period matrices is A |-> -A^{-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .exactlin import (
     AltTensor,
     DimensionMismatch,
     RationalMatrix,
     SingularMatrix,
-    alt_pullback,
+    _pullback_by_inverse,
     invert,
 )
 
@@ -116,9 +116,14 @@ class TdoIsoClass:
 
 @dataclass(frozen=True)
 class NondegClass:
-    """A nondegenerate element mu of Hom(g, g-hat); indexes the transform."""
+    """A nondegenerate element mu of Hom(g, g-hat); indexes the transform.
+
+    A class made by inverse_class carries the mu it came from as its
+    inverse; that reference is not part of the value.
+    """
 
     mu: RationalMatrix
+    _inv: RationalMatrix | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.mu.rows != self.mu.cols:
@@ -130,8 +135,12 @@ class NondegClass:
     def n(self) -> int:
         return self.mu.rows
 
+    def mu_inverse(self) -> RationalMatrix:
+        """mu^{-1}: the carried matrix of an inverse class, else computed."""
+        return invert(self.mu) if self._inv is None else self._inv
+
     def inverse_class(self) -> "NondegClass":
-        return NondegClass(invert(self.mu))
+        return NondegClass(self.mu_inverse(), self.mu)
 
     def to_json(self):
         return {"mu": self.mu.to_json()}
@@ -174,17 +183,16 @@ def fm_cdo(mu: NondegClass, x: CdoIsoClass) -> CdoIsoClass:
     """
     if mu.n != x.n:
         raise DimensionMismatch("mu and class dimensions differ")
-    lam_out = alt_pullback(3, mu.mu, x.lam)
-    inv = invert(mu.mu)
-    nu_out = alt_pullback(2, mu.mu, x.nu).map_values(lambda v: inv.apply(v))
-    return CdoIsoClass(x.n, lam_out, nu_out)
+    inv = mu.mu_inverse()
+    nu_out = _pullback_by_inverse(2, inv, x.nu).map_values(inv.apply)
+    return CdoIsoClass(x.n, _pullback_by_inverse(3, inv, x.lam), nu_out)
 
 
 def fm_cdo_morphism(mu: NondegClass, m: CdoMorphism) -> CdoMorphism:
     """Transport a morphism: h pulls back along mu^{-1} as a 2-form."""
     if mu.n != m.h.dim:
         raise DimensionMismatch("mu and morphism dimensions differ")
-    return CdoMorphism(alt_pullback(2, mu.mu, m.h))
+    return CdoMorphism(_pullback_by_inverse(2, mu.mu_inverse(), m.h))
 
 
 def fm_tdo(mu: NondegClass, x: TdoIsoClass) -> TdoIsoClass:
@@ -196,5 +204,5 @@ def fm_tdo(mu: NondegClass, x: TdoIsoClass) -> TdoIsoClass:
     """
     if mu.n != x.c.rows:
         raise DimensionMismatch("mu and class dimensions differ")
-    inv = invert(mu.mu)
-    return TdoIsoClass(inv * x.c * inv, alt_pullback(2, mu.mu, x.omega))
+    inv = mu.mu_inverse()
+    return TdoIsoClass(inv * x.c * inv, _pullback_by_inverse(2, inv, x.omega))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 from math import gcd, prod
-from itertools import combinations, permutations
+from itertools import combinations
 from operator import itemgetter
 
 
@@ -358,7 +358,7 @@ class RationalMatrix(Frozen):
         return self + (-other)
 
     def __neg__(self):
-        return self.scale(ExactScalar(-1))
+        return RationalMatrix([[-x for x in row] for row in self.entries])
 
     def scale(self, c) -> "RationalMatrix":
         c = ExactScalar.coerce(c)
@@ -797,9 +797,8 @@ def alt_pullback(k: int, mu: RationalMatrix, t: AltTensor) -> AltTensor:
 
     result(w_1, ..., w_k) = t(mu^{-1} w_1, ..., mu^{-1} w_k).  The
     coefficient on an increasing tuple I is the sum over increasing
-    tuples J of t_J times the (J, I) minor of mu^{-1}, expanded by the
-    Leibniz formula (k is 2 or 3).  Value columns of a vector-valued
-    tensor ride along untouched.
+    tuples J of t_J times the (J, I) minor of mu^{-1} (k is 2 or 3).
+    Value columns of a vector-valued tensor ride along untouched.
     """
     if mu.rows != mu.cols:
         raise DimensionMismatch("pullback needs a square matrix")
@@ -807,19 +806,41 @@ def alt_pullback(k: int, mu: RationalMatrix, t: AltTensor) -> AltTensor:
         raise DimensionMismatch(f"tensor degree {t.degree} does not match k={k}")
     if t.dim != mu.rows:
         raise DimensionMismatch("tensor dim does not match matrix size")
-    n = mu.rows
-    inv = mu.inverse().entries
-    perms = [(p, _perm_sign(p)) for p in permutations(range(k))]
+    return _pullback_by_inverse(k, mu.inverse(), t)
+
+
+def _pullback_by_inverse(k: int, inv: RationalMatrix, t: AltTensor) -> AltTensor:
+    """alt_pullback given inv = mu^{-1}, for a k-tensor t of matching dim.
+
+    Only the keys J of t are walked.  The 2x2 minors of a row pair are
+    tabulated once over every column pair: for k = 2 they are the (J, I)
+    minors, and for k = 3 each minor is the Laplace expansion along J's
+    first row over the table of its last two rows, shared by every I and
+    by every J that ends in the same pair.
+    """
+    rows = inv.entries
+    cols = range(1, inv.rows + 1)
+    tables = {}
     out = {}
-    for idx in combinations(range(1, n + 1), k):
-        for key, val in t.coeffs.items():
-            rows = [inv[j - 1] for j in key]
-            minor = ZERO
-            for p, sign in perms:
-                term = rows[0][idx[p[0]] - 1]
-                for r in range(1, k):
-                    term = term * rows[r][idx[p[r]] - 1]
-                minor = minor + term if sign > 0 else minor - term
+    for key, val in t.coeffs.items():
+        pair = key[-2:]
+        m2 = tables.get(pair)
+        if m2 is None:
+            ra, rb = rows[pair[0] - 1], rows[pair[1] - 1]
+            m2 = tables[pair] = {
+                (a, b): ra[a - 1] * rb[b - 1] - ra[b - 1] * rb[a - 1]
+                for a, b in combinations(cols, 2)
+            }
+        if k == 2:
+            minors = m2.items()
+        else:
+            top = rows[key[0] - 1]
+            minors = (
+                ((a, b, c), top[a - 1] * m2[b, c] - top[b - 1] * m2[a, c]
+                 + top[c - 1] * m2[a, b])
+                for a, b, c in combinations(cols, 3)
+            )
+        for idx, minor in minors:
             if not minor.is_zero():
                 add_into(out, idx, val * minor)
-    return AltTensor(k, n, out, t.valdim)
+    return AltTensor(k, inv.rows, out, t.valdim)

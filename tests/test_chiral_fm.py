@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chiraltorus.exactlin import (
     AltTensor,
@@ -26,6 +29,7 @@ from chiraltorus.chiral_fm import (
     vertex_algebroid_pairing,
 )
 
+from test_elimination import entries, nonzero, ref_alt_pullback
 from test_exactlin import rand_invertible, rand_scalar, rand_tensor
 
 ZERO = ExactScalar(0)
@@ -298,3 +302,95 @@ class TestFmTdo:
         assert TdoIsoClass.from_json(x.to_json()) == x
         mu = NondegClass(rand_invertible(rng, 3))
         assert NondegClass.from_json(mu.to_json()) == mu
+
+
+# ----------------------------------------------------------------------
+# the transforms against a reference that inverts mu on every use
+# ----------------------------------------------------------------------
+
+@st.composite
+def nondeg_matrices(draw, n):
+    """P L U with L unit lower triangular and U upper triangular with a
+    nonzero diagonal: every invertible matrix has this form."""
+    low = [[ONE if i == j else draw(entries) if j < i else ZERO for j in range(n)]
+           for i in range(n)]
+    up = [[draw(nonzero) if i == j else draw(entries) if j > i else ZERO for j in range(n)]
+          for i in range(n)]
+    perm = draw(st.permutations(range(n)))
+    lu = RationalMatrix(low) * RationalMatrix(up)
+    return RationalMatrix([lu.entries[i] for i in perm])
+
+
+@st.composite
+def sparse_tensors(draw, k, n, valdim=None):
+    # n = 2 has no 3-tensor keys; the type still wants a 3-tensor
+    domain = list(combinations(range(1, n + 1), k))
+    keys = draw(st.sets(st.sampled_from(domain))) if domain else set()
+    if valdim is None:
+        return AltTensor(k, n, {key: draw(entries) for key in keys})
+    return AltTensor(k, n, {key: [draw(entries) for _ in range(valdim)] for key in keys},
+                     valdim)
+
+
+@st.composite
+def fm_cases(draw):
+    n = draw(st.integers(2, 5))
+    mu = NondegClass(draw(nondeg_matrices(n)))
+    cdo = CdoIsoClass(n, draw(sparse_tensors(3, n)), draw(sparse_tensors(2, n, valdim=n)))
+    c = RationalMatrix([[draw(entries) for _ in range(n)] for _ in range(n)])
+    tdo = TdoIsoClass(c, draw(sparse_tensors(2, n)))
+    return mu, cdo, tdo, CdoMorphism(draw(sparse_tensors(2, n)))
+
+
+def both_ways(mu):
+    """(class, matrix) along mu and along its inverse class; the matrix
+    of the inverse class is built by an explicit invert."""
+    return [(mu, mu.mu), (mu.inverse_class(), invert(mu.mu))]
+
+
+class TestTransformsAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(case=fm_cases())
+    def test_fm_cdo(self, case):
+        mu, x, _, _ = case
+        for along, m in both_ways(mu):
+            inv = invert(m)
+            want = CdoIsoClass(x.n, ref_alt_pullback(3, m, x.lam),
+                               ref_alt_pullback(2, m, x.nu).map_values(inv.apply))
+            assert fm_cdo(along, x) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=fm_cases())
+    def test_fm_tdo(self, case):
+        mu, _, x, _ = case
+        for along, m in both_ways(mu):
+            inv = invert(m)
+            want = TdoIsoClass(inv * x.c * inv, ref_alt_pullback(2, m, x.omega))
+            assert fm_tdo(along, x) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=fm_cases())
+    def test_fm_cdo_morphism(self, case):
+        mu, _, _, h = case
+        for along, m in both_ways(mu):
+            assert fm_cdo_morphism(along, h) == CdoMorphism(ref_alt_pullback(2, m, h.h))
+
+
+class TestInverseClass:
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 5).flatmap(nondeg_matrices))
+    def test_equals_class_of_explicit_inverse(self, m):
+        got = NondegClass(m).inverse_class()
+        want = NondegClass(invert(m))
+        assert got == want
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want)
+        assert got.to_json() == want.to_json()
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 5).flatmap(nondeg_matrices))
+    def test_inverse_of_inverse_class_is_mu(self, m):
+        mu = NondegClass(m)
+        back = mu.inverse_class().inverse_class()
+        assert back == mu
+        assert repr(back) == repr(mu)
