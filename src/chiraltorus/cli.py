@@ -6,7 +6,10 @@ and a fixed indent, CSV with a fixed field order and "\n" line ends.
 
 Exit codes: 0 success, 1 parse or validation error (with the offending
 source named), 2 mathematical precondition violation (singular matrix,
-generator that is not a symmetry, lattice and truncation errors).
+generator that is not a symmetry, lattice and truncation errors), 3 a
+failed internal invariant (a library bug).  The code is carried by the
+exception class: every package error is a ChiraltorusError whose
+exit_code main reports.
 """
 
 import argparse
@@ -14,11 +17,13 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from functools import cache
 
 from fractions import Fraction
 
-from .exactlin import DimensionMismatch, ExactScalar, RationalMatrix, SingularMatrix
+from .exactlin import ChiraltorusError, ExactScalar, RationalMatrix
 from .chiral_fm import (
     CdoIsoClass,
     NondegClass,
@@ -28,9 +33,6 @@ from .chiral_fm import (
     fm_tdo,
 )
 from .jetcalc import (
-    NonLinearEL,
-    NotASymmetry,
-    NotFirstOrder,
     boson_circle_lagrangian,
     gen_conformal,
     gen_sigma,
@@ -42,21 +44,12 @@ from .jetcalc import (
 )
 from .coisson import (
     BracketTable,
-    NotADensity,
     as_density,
     fourier_bracket,
     generator_density,
     jacobi_residual,
 )
 from .fockq import (
-    BFieldUnsupported,
-    CutoffExceeded,
-    FormalUnitValue,
-    ModelMismatch,
-    NotAntisymmetric,
-    NotInLattice,
-    NotPositiveDefinite,
-    SingularLattice,
     character,
     chiral_sectors,
     colored_partition_counts,
@@ -71,28 +64,8 @@ from .fockq import (
 )
 
 
-class CliError(Exception):
-    """Parse or validation failure; rendered on stderr with exit code 1."""
-
-
-# precondition failures: the input was well formed but mathematically
-# inadmissible for the requested operation
-MATH_ERRORS = (
-    SingularMatrix,
-    DimensionMismatch,
-    NotFirstOrder,
-    NotASymmetry,
-    NonLinearEL,
-    NotADensity,
-    NotPositiveDefinite,
-    NotAntisymmetric,
-    SingularLattice,
-    NotInLattice,
-    CutoffExceeded,
-    ModelMismatch,
-    BFieldUnsupported,
-    FormalUnitValue,
-)
+# parse or validation failure: the exit-1 class of the package's errors
+CliError = ChiraltorusError
 
 SUBCOMMANDS = (
     "fm",
@@ -187,12 +160,28 @@ def _read_text(path: str) -> str:
         raise CliError(f"{path}: {exc.strerror or exc}") from None
 
 
-def _load_json(path: str):
-    text = _read_text(path)
+def _load_json(path: str | None):
+    """JSON from the file at path, or from stdin when path is None."""
+    if path is None:
+        source, text = "stdin", sys.stdin.read()
+    else:
+        source, text = path, _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+        raise CliError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+
+
+@contextmanager
+def _source(prefix: str):
+    """Name the input a usage error came from; errors with another exit
+    code pass through unchanged."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        if getattr(exc, "exit_code", 1) != 1:
+            raise
+        raise CliError(f"{prefix}: {exc}") from None
 
 
 def _take(data, key, where):
@@ -236,43 +225,29 @@ def _density(text: str):
             except ValueError:
                 raise CliError(f"{text!r}: mode must be an integer") from None
         return generator_density(head, mode)
-    try:
+    with _source(f"expression {text!r}"):
         return as_density(text)
-    except MATH_ERRORS:
-        raise
-    except ValueError as exc:
-        raise CliError(f"expression {text!r}: {exc}") from None
+
+
+def _rational(text: str, flag: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"--{flag}: {text!r} is not a rational") from None
 
 
 def _coords(text: str, what: str):
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        try:
-            out.append(Fraction(piece))
-        except (ValueError, ZeroDivisionError):
-            raise CliError(f"--{what}: {piece!r} is not a rational") from None
-    return out
+    return [_rational(piece.strip(), what) for piece in text.split(",")]
 
 
 def _model_from(cfg: RunConfig):
     if cfg.radius_unit is not None:
-        try:
-            r = Fraction(cfg.radius_unit)
-        except (ValueError, ZeroDivisionError):
-            raise CliError(
-                f"--radius-unit: {cfg.radius_unit!r} is not a rational"
-            ) from None
-        return one_dim_model(r)
+        return one_dim_model(_rational(cfg.radius_unit, "radius-unit"))
     if cfg.model is None:
         raise CliError("a model is required: pass --model or --radius-unit")
     data = _load_json(cfg.model)
-    try:
+    with _source(cfg.model):
         return load_model(data)
-    except MATH_ERRORS:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"{cfg.model}: {exc}") from None
 
 
 def _matrix_arg(text: str, flag: str):
@@ -318,37 +293,18 @@ def run_fm(cfg: RunConfig) -> str:
         mu_rows = _take(mu_data, "mu", cfg.mu)
     else:
         mu_rows = mu_data
-    try:
+    with _source(cfg.mu):
         mu = NondegClass(RationalMatrix.from_json(mu_rows))
-    except MATH_ERRORS:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"{cfg.mu}: {exc}") from None
 
-    if cfg.input is None or cfg.input == "-":
-        source = "stdin"
-        text = sys.stdin.read()
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CliError(
-                f"stdin:{exc.lineno}:{exc.colno}: {exc.msg}"
-            ) from None
-    else:
-        source = cfg.input
-        data = _load_json(cfg.input)
-
-    try:
+    path = None if cfg.input == "-" else cfg.input
+    data = _load_json(path)
+    with _source(path or "stdin"):
         if cfg.kind == "cdo":
             result = fm_cdo(mu, CdoIsoClass.from_json(data)).to_json()
         elif cfg.kind == "tdo":
             result = fm_tdo(mu, TdoIsoClass.from_json(data)).to_json()
         else:
             result = fm_linear(RationalMatrix.from_json(data)).to_json()
-    except MATH_ERRORS:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"{source}: {exc}") from None
 
     if cfg.format == "text":
         return dump_text([json.dumps(result, sort_keys=True)])
@@ -389,12 +345,8 @@ def run_noether(cfg: RunConfig) -> str:
         b_rows = None
         if cfg.bfield is not None:
             b_rows = _matrix_arg(cfg.bfield, "bfield")
-        try:
+        with _source("--metric/--bfield"):
             L = torus_lagrangian(g_rows, b_rows)
-        except MATH_ERRORS:
-            raise
-        except ValueError as exc:
-            raise CliError(f"--metric/--bfield: {exc}") from None
         n = L.n
     field = _build_generator(cfg.generator, n)
     current = noether(L, field)
@@ -448,12 +400,8 @@ def _twist_table(path: str):
 def run_jacobi(cfg: RunConfig) -> str:
     twist = _twist_table(cfg.twist) if cfg.twist is not None else None
     a_text, b_text, c_text = _expressions(cfg, 3)
-    try:
+    with _source("--twist"):
         table = BracketTable(scale=cfg.bracket_scale(), twist=twist)
-    except MATH_ERRORS:
-        raise
-    except ValueError as exc:
-        raise CliError(f"--twist: {exc}") from None
     residual = jacobi_residual(
         table, _density(a_text), _density(b_text), _density(c_text)
     )
@@ -682,6 +630,7 @@ def _add_common(sub, *, model=False, cutoff=False, level=False,
         sub.add_argument("--sign-convention", default="-1", dest="sign")
 
 
+@cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="chiraltorus", add_help=True)
     subs = parser.add_subparsers(dest="subcommand", required=True)
@@ -755,15 +704,9 @@ def main(argv=None) -> int:
                 raise CliError(
                     f"{cfg.out}: {exc.strerror or exc}"
                 ) from None
-    except MATH_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except (ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return getattr(exc, "exit_code", 1)
     return 0
 
 

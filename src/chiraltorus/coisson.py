@@ -21,8 +21,10 @@ from .exactlin import (
     IMAG,
     ONE,
     ZERO,
+    ChiraltorusError,
     CoeffTable,
     Frozen,
+    PreconditionError,
     RationalMatrix,
     S,
     compositions,
@@ -40,11 +42,11 @@ from .jetcalc import (
 )
 
 
-class UnknownFamily(ValueError):
+class UnknownFamily(ChiraltorusError):
     """Raised for a generator family name outside the supported list."""
 
 
-class NotADensity(ValueError):
+class NotADensity(PreconditionError):
     """Raised when an expression leaves the sigma-jet ring."""
 
 
@@ -308,11 +310,11 @@ class BracketTable(Frozen):
         for key, val in (twist or {}).items():
             i, j, k = key
             if not (0 < i < j < k):
-                raise ValueError("twist keys must be strictly increasing triples")
+                raise ChiraltorusError("twist keys must be strictly increasing triples")
             poly = parse_expr(val) if isinstance(val, str) else val
             for mono in poly.coeffs:
                 if any((a, b) != (0, 0) for (_, a, b) in mono.jets) or mono.syms or mono.mode:
-                    raise ValueError("twist coefficients must be polynomials in bare x")
+                    raise ChiraltorusError("twist coefficients must be polynomials in bare x")
             if not poly.is_zero():
                 table[(i, j, k)] = poly
         self._set(scale=scale, twist=table)
@@ -439,7 +441,7 @@ def b_shift(density, alpha_rows) -> DiffPoly:
     alpha = [[S.coerce(x) for x in row] for row in alpha_rows]
     n = len(alpha)
     if any(len(row) != n for row in alpha):
-        raise ValueError("shift matrix must be square")
+        raise ChiraltorusError("shift matrix must be square")
     mapping = {}
     for j in range(1, n + 1):
         rep = DiffPoly.jet(j, 1, 0)

@@ -16,11 +16,31 @@ from itertools import combinations
 from operator import itemgetter
 
 
-class SingularMatrix(ValueError):
+class ChiraltorusError(ValueError):
+    """Base of the package's errors; exit_code is the command line's exit
+    status for it: 1 for a usage or parse error."""
+
+    exit_code = 1
+
+
+class PreconditionError(ChiraltorusError):
+    """Well-formed input that is mathematically inadmissible for the
+    requested operation."""
+
+    exit_code = 2
+
+
+class InvariantError(ChiraltorusError):
+    """An internal consistency check failed: a library bug."""
+
+    exit_code = 3
+
+
+class SingularMatrix(PreconditionError):
     """Raised when an exact inverse is requested of a singular matrix."""
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(PreconditionError):
     """Raised when shapes of matrices/tensors do not line up."""
 
 
@@ -110,7 +130,7 @@ class ExactScalar(Frozen):
             return ExactScalar(0, -mag if m.group(1) == "-" else mag)
         m = _SCALAR_RE.match(s)
         if not m:
-            raise ValueError(f"not a Gaussian rational literal: {s!r}")
+            raise ChiraltorusError(f"not a Gaussian rational literal: {s!r}")
         re_part = Fraction(m.group(1))
         if m.group(3) is None:
             return ExactScalar(re_part)
@@ -209,7 +229,7 @@ class ExactScalar(Frozen):
 
     def as_fraction(self) -> Fraction:
         if self.b:
-            raise ValueError(f"{self} has a nonzero imaginary part")
+            raise ChiraltorusError(f"{self} has a nonzero imaginary part")
         return Fraction(self.a, self.d)
 
     # -- identity ----------------------------------------------------

@@ -29,10 +29,13 @@ from .exactlin import (
     HALF,
     ONE,
     ZERO,
+    ChiraltorusError,
     CoeffTable,
     DimensionMismatch,
     ExactScalar,
     Frozen,
+    InvariantError,
+    PreconditionError,
     RationalMatrix,
     S,
     _reduced,
@@ -45,35 +48,35 @@ from .exactlin import (
 MINUS_HALF = -HALF
 
 
-class NotPositiveDefinite(ValueError):
+class NotPositiveDefinite(PreconditionError):
     """Metric fails symmetry or a leading principal minor test."""
 
 
-class NotAntisymmetric(ValueError):
+class NotAntisymmetric(PreconditionError):
     """B-field is not antisymmetric."""
 
 
-class SingularLattice(ValueError):
+class SingularLattice(PreconditionError):
     """Lattice generators are linearly dependent."""
 
 
-class NotInLattice(ValueError):
+class NotInLattice(PreconditionError):
     """Coordinates are not integral."""
 
 
-class CutoffExceeded(ValueError):
+class CutoffExceeded(PreconditionError):
     """Requested mode lies outside the truncation."""
 
 
-class ModelMismatch(ValueError):
+class ModelMismatch(PreconditionError):
     """Sectors belong to different models."""
 
 
-class BFieldUnsupported(ValueError):
+class BFieldUnsupported(PreconditionError):
     """T-duality is only defined at B = 0."""
 
 
-class FormalUnitValue(ValueError):
+class FormalUnitValue(PreconditionError):
     """A numeric value was requested of a formal unit expression."""
 
 
@@ -172,7 +175,7 @@ class LatticeModel(Frozen):
                 or L.rows != n or L.cols != n:
             raise DimensionMismatch("model matrices must be n x n")
         if unit_exponent not in (-1, 0, 1):
-            raise ValueError("unit exponent must be -1, 0, or 1")
+            raise ChiraltorusError("unit exponent must be -1, 0, or 1")
         _check_positive_definite(g)
         if B.transpose() != B.scale(S(-1)):
             raise NotAntisymmetric("B must equal -B^T")
@@ -700,7 +703,7 @@ class FockTruncation(Frozen):
 
     def __init__(self, model: LatticeModel, weight, N: int):
         if N < 0:
-            raise ValueError("cutoff must be nonnegative")
+            raise ChiraltorusError("cutoff must be nonnegative")
         weight = tuple(S.coerce(w) for w in weight)
         if len(weight) != model.n:
             raise DimensionMismatch("weight covector has wrong length")
@@ -841,7 +844,7 @@ def central_charge(model: LatticeModel, N: int = 3) -> ExactScalar:
     column = op.column(vac)
     value = column.get(vac, ZERO)
     if set(column) - {vac}:
-        raise ValueError("central measurement is not diagonal on the vacuum")
+        raise InvariantError("central measurement is not diagonal on the vacuum")
     return value + value
 
 

@@ -23,8 +23,11 @@ from .exactlin import (
     IMAG,
     ONE,
     ZERO,
+    ChiraltorusError,
     CoeffTable,
     ExactScalar,
+    InvariantError,
+    PreconditionError,
     RationalMatrix,
     S,
     add_into,
@@ -34,15 +37,15 @@ from .exactlin import (
 )
 
 
-class NotFirstOrder(ValueError):
+class NotFirstOrder(PreconditionError):
     """Raised when a Lagrangian density contains jets of order above one."""
 
 
-class NotASymmetry(ValueError):
+class NotASymmetry(PreconditionError):
     """Raised when x-hat L is not a total derivative on the candidate space."""
 
 
-class NonLinearEL(ValueError):
+class NonLinearEL(PreconditionError):
     """Raised when the Euler-Lagrange system is not the flat wave system."""
 
 
@@ -120,7 +123,7 @@ class DiffPoly(CoeffTable):
     @staticmethod
     def symbol(name: str, order: int = 0) -> "DiffPoly":
         if name not in SYMBOL_KINDS:
-            raise ValueError(f"unknown symbol {name!r}")
+            raise ChiraltorusError(f"unknown symbol {name!r}")
         return DiffPoly({Monomial(0, ((name, order),), ()): ONE})
 
     @staticmethod
@@ -152,7 +155,7 @@ class DiffPoly(CoeffTable):
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
+            raise ChiraltorusError("polynomial powers must be nonnegative integers")
         out = DiffPoly.const(1)
         for _ in range(n):
             out = out * self
@@ -163,7 +166,7 @@ class DiffPoly(CoeffTable):
     def D(self, direction: str) -> "DiffPoly":
         """Total derivative D_tau (direction 't') or D_sigma ('s')."""
         if direction not in ("t", "s"):
-            raise ValueError("direction must be 't' or 's'")
+            raise ChiraltorusError("direction must be 't' or 's'")
         out = {}
         for mono, coeff in self.coeffs.items():
             if direction == "s" and mono.mode != 0:
@@ -219,7 +222,7 @@ _DIRECTIONS = {"t": "t", "tau": "t", "τ": "t", "s": "s", "sigma": "s", "σ": "s
 def total_derivative(direction: str, poly: DiffPoly) -> DiffPoly:
     """D_tau or D_sigma as a free function; accepts 't'/'tau' and 's'/'sigma'."""
     if direction not in _DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}")
+        raise ChiraltorusError(f"unknown direction {direction!r}")
     return poly.D(_DIRECTIONS[direction])
 
 
@@ -383,7 +386,7 @@ def _tokenize(text: str):
             toks.append((ch, ch))
             k += 1
             continue
-        raise ValueError(f"unexpected character {ch!r} in expression")
+        raise ChiraltorusError(f"unexpected character {ch!r} in expression")
     toks.append(("end", ""))
     return toks
 
@@ -404,13 +407,13 @@ class _Parser:
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            raise ValueError(f"expected {kind!r}, got {tok[1]!r}")
+            raise ChiraltorusError(f"expected {kind!r}, got {tok[1]!r}")
         return tok
 
     def parse(self) -> DiffPoly:
         out = self.expr()
         if self.peek()[0] != "end":
-            raise ValueError(f"trailing input near {self.peek()[1]!r}")
+            raise ChiraltorusError(f"trailing input near {self.peek()[1]!r}")
         return out
 
     def expr(self):
@@ -457,7 +460,7 @@ class _Parser:
         if kind == "num":
             return DiffPoly.const(self.rational(val))
         if kind != "name":
-            raise ValueError(f"unexpected token {val!r}")
+            raise ChiraltorusError(f"unexpected token {val!r}")
         return self.name_atom(val)
 
     def name_atom(self, name):
@@ -476,7 +479,7 @@ class _Parser:
             self.expect(".")
             inner_kind, inner = self.next()
             if inner_kind != "name":
-                raise ValueError("derivative prefix must be applied to a jet variable")
+                raise ChiraltorusError("derivative prefix must be applied to a jet variable")
             target = self.name_atom(inner)
             return _apply_prefix(name, target)
         if name.startswith("x") and name[1:].isdigit():
@@ -488,7 +491,7 @@ class _Parser:
                 rest = name[len(base):]
                 if rest == "" or set(rest) == {"p"}:
                     return DiffPoly.symbol(base, len(rest))
-        raise ValueError(f"unknown name {name!r} in expression")
+        raise ChiraltorusError(f"unknown name {name!r} in expression")
 
 
 def _apply_prefix(prefix, target: DiffPoly) -> DiffPoly:
@@ -571,7 +574,7 @@ class VariationalForm(CoeffTable):
         vkeys = tuple(tuple(k) for k in vkeys)
         hkeys = tuple(hkeys)
         if hkeys not in _H_ORDER:
-            raise ValueError(f"bad horizontal factor {hkeys!r}")
+            raise ChiraltorusError(f"bad horizontal factor {hkeys!r}")
         sign, canon = _canon_vkeys(vkeys)
         if sign == 0:
             return None
@@ -649,7 +652,7 @@ class EvolutionaryField:
     def on_jet(self, key) -> DiffPoly:
         i, a, b = key
         if i > len(self.components):
-            raise ValueError(f"no generator component for field {i}")
+            raise ChiraltorusError(f"no generator component for field {i}")
         if key not in self._cache:
             cur = self.components[i - 1]
             for _ in range(a):
@@ -714,7 +717,7 @@ class Lagrangian:
         fields = density.field_indices()
         self.n = n if n is not None else (fields[-1] if fields else 1)
         if fields and fields[-1] > self.n:
-            raise ValueError("field index exceeds declared number of fields")
+            raise ChiraltorusError("field index exceeds declared number of fields")
         self.density = density
 
     def form(self) -> VariationalForm:
@@ -891,7 +894,7 @@ def noether(L: Lagrangian, generator) -> VariationalForm:
     P, Q = _solve_total_derivative(q)
     check = Q.D("t") - P.D("s")
     if not (check - q).is_zero():
-        raise NotASymmetry("internal: peel produced an incorrect representation")
+        raise InvariantError("internal: peel produced an incorrect representation")
     alpha = VariationalForm({((), ("t",)): P, ((), ("s",)): Q})
     current = alpha - contract(field, variational_one_form(L))
     _validate_wave_model(L)
@@ -951,17 +954,17 @@ def torus_lagrangian(g_rows, b_rows=None) -> Lagrangian:
     g = [[S.coerce(x) for x in row] for row in g_rows]
     n = len(g)
     if any(len(row) != n for row in g):
-        raise ValueError("metric must be square")
+        raise ChiraltorusError("metric must be square")
     if any(g[i][j] != g[j][i] for i in range(n) for j in range(n)):
-        raise ValueError("metric must be symmetric")
+        raise ChiraltorusError("metric must be symmetric")
     if b_rows is None:
         b = [[ZERO] * n for _ in range(n)]
     else:
         b = [[S.coerce(x) for x in row] for row in b_rows]
         if len(b) != n or any(len(row) != n for row in b):
-            raise ValueError("B-field shape must match the metric")
+            raise ChiraltorusError("B-field shape must match the metric")
         if any(b[i][j] != -b[j][i] for i in range(n) for j in range(n)):
-            raise ValueError("B-field must be antisymmetric")
+            raise ChiraltorusError("B-field must be antisymmetric")
     density = DiffPoly.zero()
     for i in range(n):
         for j in range(n):

@@ -3,6 +3,8 @@
 The runner is invoked in process through main(argv); golden files under
 tests/golden/ pin the exact output bytes of the displayed examples."""
 
+import ast
+import inspect
 import io
 import json
 import sys
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import chiraltorus
+from chiraltorus import chiral_fm, cli, coisson, exactlin, fockq, jetcalc
 from chiraltorus.cli import RunConfig, CliError, dump_json, main
 from chiraltorus.fockq import load_model, one_dim_model, partition_function
 from chiraltorus.jetcalc import parse_expr
@@ -518,6 +522,181 @@ class TestDeterminism:
         rc2 = main(args + ["--out", str(target)])
         assert (rc1, rc2) == (0, 0)
         assert target.read_text(encoding="utf-8") == out
+
+
+class TestErrorBytes:
+    """Exact (exit code, stderr) of the errors raised under a named input
+    source: a usage error is prefixed with the source, a precondition
+    failure passes through with exit code 2."""
+
+    FILES = {
+        "mu_id.json": {"mu": [["1", "0"], ["0", "1"]]},
+        "mu_bad.json": [["x"]],
+        "mu_sing.json": {"mu": [["1", "1"], ["1", "1"]]},
+        "sing.json": [["1", "1"], ["1", "1"]],
+        "no_L.json": {"n": 1, "g": [["1"]], "B": [["0"]]},
+        "neg_g.json": {"n": 1, "g": [["-1"]], "B": [["0"]], "L": [["1"]]},
+        "twist_p.json": {"1,2,3": "p1"},
+        "twist_zero.json": {"1,2,3": "1/0"},
+    }
+    # (args, stdin, exit code, stderr); {name} is a file from FILES
+    CASES = {
+        "density-usage": (
+            ["bracket", "x1^1.5", "p1"], None, 1,
+            "error: expression 'x1^1.5': trailing input near '.'\n"),
+        "density-precondition": (
+            ["bracket", "x1*dt.dt.x1", "p1"], None, 2,
+            "error: densities carry x- and p-jets only (tau-order 0 or 1)\n"),
+        "model-usage": (
+            ["spectrum", "--model", "{no_L.json}"], None, 1,
+            "error: {no_L.json}: 'L'\n"),
+        "model-precondition": (
+            ["spectrum", "--model", "{neg_g.json}"], None, 2,
+            "error: leading minor 1 is not positive\n"),
+        "mu-usage": (
+            ["fm", "--mu", "{mu_bad.json}", "--input", "{mu_id.json}"], None, 1,
+            "error: {mu_bad.json}: not a Gaussian rational literal: 'x'\n"),
+        "mu-precondition": (
+            ["fm", "--mu", "{mu_sing.json}", "--input", "{mu_id.json}"], None,
+            2, "error: mu must be nondegenerate\n"),
+        "fm-stdin-malformed": (
+            ["fm", "--mu", "{mu_id.json}"], "{oops", 1,
+            "error: stdin:1:2: Expecting property name enclosed in double "
+            "quotes\n"),
+        "fm-stdin-missing-field": (
+            ["fm", "--mu", "{mu_id.json}", "--input", "-"], '{"n": 2}', 1,
+            "error: stdin: 'lambda'\n"),
+        "fm-precondition": (
+            ["fm", "--kind", "linear", "--mu", "{mu_id.json}",
+             "--input", "{sing.json}"], None, 2,
+            "error: matrix has zero determinant\n"),
+        "metric-asymmetric": (
+            ["noether", "--lagrangian", "torus", "--metric", "[[1,2],[3,4]]"],
+            None, 1, "error: --metric/--bfield: metric must be symmetric\n"),
+        "metric-literal": (
+            ["noether", "--lagrangian", "torus", "--metric", '[["x"]]'],
+            None, 1,
+            "error: --metric/--bfield: not a Gaussian rational literal: "
+            "'x'\n"),
+        "twist-not-polynomial": (
+            ["jacobi", "--twist", "{twist_p.json}", "p1", "p2", "p3"], None, 1,
+            "error: --twist: twist coefficients must be polynomials in bare "
+            "x\n"),
+        "twist-zero-division": (
+            ["jacobi", "--twist", "{twist_zero.json}", "p1", "p2", "p3"],
+            None, 1, "error: Fraction(1, 0)\n"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_error_bytes(self, case, tmp_path, capsys):
+        args, stdin, want_rc, want_err = self.CASES[case]
+        for name, obj in self.FILES.items():
+            (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
+
+        def fill(text):
+            for name in self.FILES:
+                text = text.replace("{" + name + "}", str(tmp_path / name))
+            return text
+
+        rc, out, err = invoke([fill(a) for a in args], capsys, stdin=stdin)
+        assert (rc, out, err) == (want_rc, "", fill(want_err))
+
+
+class TestExitCodes:
+    """Each exception class carries the exit code the command line reports
+    for it."""
+
+    # the code each class was reported with before the codes moved onto
+    # the classes, plus the three bases of the hierarchy
+    WANT = {
+        "ChiraltorusError": 1,
+        "PreconditionError": 2,
+        "InvariantError": 3,
+        "UnknownFamily": 1,
+        "SingularMatrix": 2,
+        "DimensionMismatch": 2,
+        "NotFirstOrder": 2,
+        "NotASymmetry": 2,
+        "NonLinearEL": 2,
+        "NotADensity": 2,
+        "NotPositiveDefinite": 2,
+        "NotAntisymmetric": 2,
+        "SingularLattice": 2,
+        "NotInLattice": 2,
+        "CutoffExceeded": 2,
+        "ModelMismatch": 2,
+        "BFieldUnsupported": 2,
+        "FormalUnitValue": 2,
+    }
+    MODULES = (exactlin, chiral_fm, jetcalc, coisson, fockq)
+
+    def test_every_class_is_a_value_error_with_its_code(self):
+        found = {
+            name: obj
+            for mod in self.MODULES
+            for name, obj in vars(mod).items()
+            if inspect.isclass(obj) and issubclass(obj, BaseException)
+            and obj.__module__ == mod.__name__
+        }
+        assert set(found) == set(self.WANT)
+        for name, cls in found.items():
+            assert issubclass(cls, ValueError), name
+            assert issubclass(cls, exactlin.ChiraltorusError), name
+            assert cls.exit_code == self.WANT[name], name
+        assert CliError is exactlin.ChiraltorusError
+        for name in ("ChiraltorusError", "PreconditionError", "InvariantError"):
+            assert getattr(chiraltorus, name) is getattr(exactlin, name)
+            assert name in chiraltorus.__all__
+
+    def test_library_raises_no_bare_value_error(self):
+        src = Path(chiraltorus.__file__).parent
+        bare = []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                exc = node.exc if isinstance(node, ast.Raise) else None
+                if isinstance(exc, ast.Call):
+                    exc = exc.func
+                if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                    bare.append(f"{path.name}:{node.lineno}")
+        assert bare == []
+
+    def test_invariant_failure_exits_3(self, monkeypatch, capsys):
+        def broken(cfg):
+            raise exactlin.InvariantError("internal: check failed")
+
+        monkeypatch.setitem(cli.RUNNERS, "tdual", broken)
+        rc, out, err = invoke(["tdual", "--radius-unit", "1"], capsys)
+        assert (rc, out, err) == (3, "", "error: internal: check failed\n")
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--metric", "[[1.5]]"], "cannot coerce 1.5 to ExactScalar"),
+        (["--metric", "[[1]]", "--bfield", "[[0.5]]"],
+         "cannot coerce 0.5 to ExactScalar"),
+        (["--metric", "[[true]]"], "ExactScalar needs exact parts, got True and 0"),
+    ])
+    def test_inexact_matrix_entry_exit1(self, flags, message, capsys):
+        rc, out, err = invoke(
+            ["noether", "--lagrangian", "torus", *flags], capsys
+        )
+        assert (rc, out) == (1, "")
+        assert err == f"error: --metric/--bfield: {message}\n"
+        assert "Traceback" not in err
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_flag_value_leaks_between_calls(self, capsys):
+        model = str(GOLDEN / "lattice_model_n2.json")
+        spectrum = ["spectrum", "--model", model]
+        cli.build_parser.cache_clear()
+        fresh = invoke(spectrum, capsys)
+        invoke(["states", "--model", model, "--level", "2"], capsys)
+        again = invoke(spectrum, capsys)
+        assert fresh[0] == 0
+        assert again == fresh
 
 
 class TestArgHandling:
