@@ -126,7 +126,7 @@ class RunConfig:
             raise CliError("--lagrangian must be circle or torus")
         try:
             scale = ExactScalar.from_string(self.sign)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise CliError(f"--sign-convention: {exc}") from None
         if scale.is_zero():
             raise CliError("--sign-convention must be nonzero")
@@ -255,7 +255,7 @@ def _matrix_arg(text: str, flag: str):
         rows = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"--{flag}: {exc.msg}") from None
-    if not isinstance(rows, list):
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise CliError(f"--{flag}: expected a list of rows")
     return rows
 

@@ -30,6 +30,7 @@ from .exactlin import (
     compositions,
     echelon,
     reduce_row,
+    signed_sort,
 )
 from .jetcalc import (
     DiffPoly,
@@ -321,18 +322,11 @@ class BracketTable(Frozen):
 
     def twist_coefficient(self, i: int, j: int, k: int) -> DiffPoly:
         """h_ijk with full antisymmetry from the increasing-triple table."""
-        trip = (i, j, k)
-        if len(set(trip)) < 3:
-            return DiffPoly.zero()
-        order = tuple(sorted(trip))
-        base = self.twist.get(order)
+        sign, order = signed_sort((i, j, k))
+        base = self.twist.get(order)  # order is None for a repeated index
         if base is None:
             return DiffPoly.zero()
-        perm = tuple(sorted(range(3), key=lambda t: trip[t]))
-        inversions = sum(
-            1 for a in range(3) for b in range(a + 1, 3) if perm[a] > perm[b]
-        )
-        return base if inversions % 2 == 0 else -base
+        return base if sign > 0 else -base
 
     def momentum_momentum(self, i: int, j: int) -> DiffPoly:
         """{p_i(sigma), p_j(sigma')} coefficient at sigma'."""

@@ -1,5 +1,6 @@
-"""Gaussian-rational scalars, exact matrices, alternating tensors, and
-the frozen coefficient table every sparse exact type is built on.
+"""Gaussian-rational scalars, exact matrices, and the frozen coefficient
+table every sparse exact type is built on, alternating tensors included;
+signed_sort is the one sign rule of everything antisymmetric.
 
 Every module downstream runs on these types.  Scalars are elements
 (a + b*i)/d of Q(i), stored as three ints over one shared denominator in
@@ -124,20 +125,21 @@ class ExactScalar(Frozen):
     @staticmethod
     def from_string(s: str) -> "ExactScalar":
         """Parse "p/q", "p/q+r/s i", "p/q-r/s i", or a pure "r/s i"."""
-        m = _PURE_IM_RE.match(s)
-        if m:
-            mag = Fraction(m.group(2)) if m.group(2) else Fraction(1)
-            return ExactScalar(0, -mag if m.group(1) == "-" else mag)
-        m = _SCALAR_RE.match(s)
-        if not m:
-            raise ChiraltorusError(f"not a Gaussian rational literal: {s!r}")
-        re_part = Fraction(m.group(1))
-        if m.group(3) is None:
-            return ExactScalar(re_part)
-        im_part = Fraction(m.group(3))
-        if m.group(2) == "-":
-            im_part = -im_part
-        return ExactScalar(re_part, im_part)
+        try:
+            m = _PURE_IM_RE.match(s)
+            if m:
+                mag = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+                return ExactScalar(0, -mag if m.group(1) == "-" else mag)
+            m = _SCALAR_RE.match(s)
+            if not m:
+                raise ChiraltorusError(f"not a Gaussian rational literal: {s!r}")
+            re_part = Fraction(m.group(1))
+            if m.group(3) is None:
+                return ExactScalar(re_part)
+            im_part = Fraction(m.group(3))
+        except ZeroDivisionError:
+            raise ChiraltorusError(f"zero denominator in {s!r}") from None
+        return ExactScalar(re_part, -im_part if m.group(2) == "-" else im_part)
 
     # -- arithmetic --------------------------------------------------
 
@@ -227,11 +229,6 @@ class ExactScalar(Frozen):
         """True for a real integer; its value is then self.a."""
         return not self.b and self.d == 1
 
-    def as_fraction(self) -> Fraction:
-        if self.b:
-            raise ChiraltorusError(f"{self} has a nonzero imaginary part")
-        return Fraction(self.a, self.d)
-
     # -- identity ----------------------------------------------------
 
     def __eq__(self, other):
@@ -315,17 +312,34 @@ IMAG = ExactScalar(0, 1)
 HALF = ExactScalar(Fraction(1, 2))
 
 
-def scalar(x) -> ExactScalar:
-    """Shorthand coercion used throughout the package."""
-    return ExactScalar.coerce(x)
-
-
 def exact_fraction(x, what: str) -> Fraction:
     """x as a Fraction, refusing floats, complex numbers and bools as
     ExactScalar does; what names x in the error message."""
     if isinstance(x, _INEXACT):
         raise TypeError(f"{what} must be an exact rational, got {x!r}")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ChiraltorusError(f"{what}: zero denominator in {x!r}") from None
+
+
+def signed_sort(keys) -> tuple:
+    """(sign, sorted tuple) of a sequence of comparable keys, the sign
+    being that of the permutation that sorts them; (0, None) when a key
+    repeats, so that an alternating form vanishes there."""
+    out = list(keys)
+    sign = 1
+    for i in range(1, len(out)):
+        key = out[i]
+        j = i
+        while j and out[j - 1] > key:
+            out[j] = out[j - 1]
+            j -= 1
+            sign = -sign
+        if j and out[j - 1] == key:
+            return 0, None
+        out[j] = key
+    return sign, tuple(out)
 
 
 class RationalMatrix(Frozen):
@@ -448,7 +462,7 @@ class RationalMatrix(Frozen):
         basis = echelon(self._sparse_rows(), lowest)
         if len(basis) < self.rows:
             return ZERO
-        return prod(leads, start=ExactScalar(_perm_sign(list(basis))))
+        return prod(leads, start=ExactScalar(signed_sort(basis)[0]))
 
     def inverse(self) -> "RationalMatrix":
         """Exact inverse; raises SingularMatrix if det = 0.
@@ -629,6 +643,9 @@ class _Column(tuple):
     def __mul__(self, c):
         return _Column(x * c for x in self)
 
+    def __neg__(self):
+        return _Column(-x for x in self)
+
     def is_zero(self) -> bool:
         return all(x.is_zero() for x in self)
 
@@ -647,7 +664,7 @@ def _as_value(val, valdim):
     return col
 
 
-class AltTensor(Frozen):
+class AltTensor(CoeffTable):
     """An alternating k-tensor on an n-dimensional space.
 
     Coefficients live only on strictly increasing index tuples; the
@@ -657,41 +674,41 @@ class AltTensor(Frozen):
     Indices are 1-based, matching the way bases are written on paper.
     """
 
-    __slots__ = ("degree", "dim", "valdim", "coeffs")
+    __slots__ = ("degree", "dim", "valdim")
 
     def __init__(self, degree: int, dim: int, coeffs=None, valdim=None):
         if degree not in (2, 3):
             raise DimensionMismatch("tensor degree must be 2 or 3")
         if dim < 1:
             raise DimensionMismatch("tensor dim must be positive")
-        table = {}
-        for key, val in (coeffs or {}).items():
-            key = tuple(int(i) for i in key)
-            if len(key) != degree:
-                raise DimensionMismatch(f"key {key} has wrong length for degree {degree}")
-            if any(not (1 <= i <= dim) for i in key):
-                raise DimensionMismatch(f"key {key} out of range for dim {dim}")
-            if any(a >= b for a, b in zip(key, key[1:])):
-                raise DimensionMismatch(f"key {key} is not strictly increasing")
-            v = _as_value(val, valdim)
-            if not v.is_zero():
-                table[key] = v
-        self._set(degree=degree, dim=dim, valdim=valdim, coeffs=table)
+        self._set(degree=degree, dim=dim, valdim=valdim)
+        super().__init__(coeffs)
+
+    def _entry(self, key, val):
+        key = tuple(int(i) for i in key)
+        if len(key) != self.degree:
+            raise DimensionMismatch(f"key {key} has wrong length for degree {self.degree}")
+        if any(not (1 <= i <= self.dim) for i in key):
+            raise DimensionMismatch(f"key {key} out of range for dim {self.dim}")
+        if any(a >= b for a, b in zip(key, key[1:])):
+            raise DimensionMismatch(f"key {key} is not strictly increasing")
+        return key, _as_value(val, self.valdim)
+
+    def _like(self, table):
+        out = super()._like(table)
+        out._set(degree=self.degree, dim=self.dim, valdim=self.valdim)
+        return out
 
     def evaluate(self, idx):
         """Value on an arbitrary index tuple, by antisymmetrization."""
         idx = tuple(int(i) for i in idx)
         if len(idx) != self.degree:
             raise DimensionMismatch("wrong number of arguments")
-        if len(set(idx)) != len(idx):
-            return self._zero_value()
-        order = sorted(range(len(idx)), key=lambda p: idx[p])
-        key = tuple(idx[p] for p in order)
-        sign = _perm_sign(order)
-        val = self.coeffs.get(key)
+        sign, key = signed_sort(idx)
+        val = self.coeffs.get(key)  # key is None for a repeated index
         if val is None:
             return self._zero_value()
-        return val * ExactScalar(sign)
+        return val if sign > 0 else -val
 
     def _zero_value(self):
         if self.valdim is None:
@@ -708,35 +725,12 @@ class AltTensor(Frozen):
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self):
-        return hash((self.degree, self.dim, self.valdim,
-                     tuple(sorted(self.coeffs.items()))))
+    __hash__ = CoeffTable.__hash__
 
     def __add__(self, other):
         if (self.degree, self.dim, self.valdim) != (other.degree, other.dim, other.valdim):
             raise DimensionMismatch("tensor addition shape mismatch")
-        out = dict(self.coeffs)
-        for key, val in other.coeffs.items():
-            add_into(out, key, val)
-        return AltTensor(self.degree, self.dim, out, self.valdim)
-
-    def __sub__(self, other):
-        return self + other.scale(ExactScalar(-1))
-
-    def __neg__(self):
-        return self.scale(ExactScalar(-1))
-
-    def scale(self, c) -> "AltTensor":
-        c = ExactScalar.coerce(c)
-        return AltTensor(
-            self.degree,
-            self.dim,
-            {k: v * c for k, v in self.coeffs.items()},
-            self.valdim,
-        )
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return super().__add__(other)
 
     def map_values(self, fn) -> "AltTensor":
         """Apply fn to each value column (used to post-compose with a map)."""
@@ -781,23 +775,6 @@ class AltTensor(Frozen):
     def from_json(data) -> "AltTensor":
         coeffs = {tuple(e["idx"]): e["val"] for e in data["entries"]}
         return AltTensor(data["degree"], data["dim"], coeffs, data.get("valdim"))
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def compositions(total: int, parts: int):
@@ -863,4 +840,4 @@ def _pullback_by_inverse(k: int, inv: RationalMatrix, t: AltTensor) -> AltTensor
         for idx, minor in minors:
             if not minor.is_zero():
                 add_into(out, idx, val * minor)
-    return AltTensor(k, inv.rows, out, t.valdim)
+    return t._like(out)

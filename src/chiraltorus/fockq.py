@@ -285,8 +285,11 @@ def load_model(data) -> LatticeModel:
     {"radius_unit": "p/q"} shorthand."""
     if "radius_unit" in data:
         return one_dim_model(data["radius_unit"])
+    n = data["n"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ChiraltorusError(f"model size n must be an integer, got {n!r}")
     return LatticeModel(
-        data["n"],
+        n,
         [[S.coerce(x) for x in row] for row in data["g"]],
         [[S.coerce(x) for x in row] for row in data["B"]],
         [[S.coerce(x) for x in row] for row in data["L"]],

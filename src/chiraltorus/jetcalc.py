@@ -34,6 +34,7 @@ from .exactlin import (
     compositions,
     echelon,
     reduce_row,
+    signed_sort,
 )
 
 
@@ -447,8 +448,10 @@ class _Parser:
         num = int(first)
         if self.peek()[0] == "/":
             self.next()
-            den = int(self.expect("num")[1])
-            return Fraction(num, den)
+            den = self.expect("num")[1]
+            if not int(den):
+                raise ChiraltorusError(f"zero denominator in '{first}/{den}'")
+            return Fraction(num, int(den))
         return Fraction(num)
 
     def primary(self):
@@ -513,30 +516,17 @@ def parse_expr(text: str) -> DiffPoly:
 
 def dz_jet(i: int) -> DiffPoly:
     """The jet polynomial for d_z x^i = (d_tau x^i - i d_sigma x^i)/2."""
-    return (DiffPoly.jet(i, 1, 0) - DiffPoly.jet(i, 0, 1).scale(IMAG)).scale(HALF)
+    return _apply_prefix("dz", DiffPoly.jet(i, 0, 0))
 
 
 def dzb_jet(i: int) -> DiffPoly:
     """The jet polynomial for d_zbar x^i = (d_tau x^i + i d_sigma x^i)/2."""
-    return (DiffPoly.jet(i, 1, 0) + DiffPoly.jet(i, 0, 1).scale(IMAG)).scale(HALF)
+    return _apply_prefix("dzb", DiffPoly.jet(i, 0, 0))
 
 
 # ----------------------------------------------------------------------
 # variational bicomplex
 # ----------------------------------------------------------------------
-
-def _canon_vkeys(keys):
-    keys = list(keys)
-    if len(set(keys)) != len(keys):
-        return 0, None
-    sign = 1
-    for i in range(len(keys)):
-        for j in range(len(keys) - 1 - i):
-            if keys[j] > keys[j + 1]:
-                keys[j], keys[j + 1] = keys[j + 1], keys[j]
-                sign = -sign
-    return sign, tuple(keys)
-
 
 _H_ORDER = {(): 0, ("t",): 1, ("s",): 1, ("t", "s"): 2}
 
@@ -575,7 +565,7 @@ class VariationalForm(CoeffTable):
         hkeys = tuple(hkeys)
         if hkeys not in _H_ORDER:
             raise ChiraltorusError(f"bad horizontal factor {hkeys!r}")
-        sign, canon = _canon_vkeys(vkeys)
+        sign, canon = signed_sort(vkeys)
         if sign == 0:
             return None
         return (canon, hkeys), (poly if sign == 1 else -poly)
@@ -587,14 +577,6 @@ class VariationalForm(CoeffTable):
     def component(self, vkeys, hkeys) -> DiffPoly:
         vkeys = tuple(tuple(k) for k in vkeys)
         return self.coeffs.get((vkeys, tuple(hkeys)), DiffPoly.zero())
-
-    def mul_poly(self, poly: DiffPoly) -> "VariationalForm":
-        out = {}
-        for k, v in self.coeffs.items():
-            prod = v * poly
-            if not prod.is_zero():
-                out[k] = prod
-        return self._like(out)
 
     # -- the two differentials -----------------------------------------
 
@@ -842,17 +824,24 @@ def _solve_total_derivative(q: DiffPoly):
     return P, Q
 
 
+def _wave_jets(jets):
+    """(sign, jets) after rewriting each jet with a >= 2 by
+    d_tau^2 x = -d_sigma^2 x; the jets keep their order."""
+    sign = 1
+    out = []
+    for (i, a, b) in jets:
+        k = a // 2
+        if k % 2 == 1:
+            sign = -sign
+        out.append((i, a % 2, b + 2 * k))
+    return sign, out
+
+
 def wave_reduce_poly(poly: DiffPoly) -> DiffPoly:
     """Rewrite every jet with a >= 2 via d_tau^2 x = -d_sigma^2 x."""
     out = {}
     for mono, coeff in poly.coeffs.items():
-        sign = 1
-        jets = []
-        for (i, a, b) in mono.jets:
-            k = a // 2
-            if k % 2 == 1:
-                sign = -sign
-            jets.append((i, a % 2, b + 2 * k))
+        sign, jets = _wave_jets(mono.jets)
         mono2 = Monomial(mono.mode, mono.syms, tuple(sorted(jets)))
         add_into(out, mono2, coeff if sign == 1 else -coeff)
     return poly._like(out)
@@ -920,13 +909,7 @@ def restrict_to_sol0(expr, L: Lagrangian | None = None):
     for (vkeys, hkeys), poly in expr.coeffs.items():
         if "t" in hkeys:
             continue
-        sign = 1
-        newv = []
-        for (i, a, b) in vkeys:
-            k = a // 2
-            if k % 2 == 1:
-                sign = -sign
-            newv.append((i, a % 2, b + 2 * k))
+        sign, newv = _wave_jets(vkeys)
         reduced = wave_reduce_poly(poly if sign == 1 else poly.scale(S(-1)))
         items.append(((newv, hkeys), reduced))
     return VariationalForm(items)

@@ -538,6 +538,12 @@ class TestErrorBytes:
         "neg_g.json": {"n": 1, "g": [["-1"]], "B": [["0"]], "L": [["1"]]},
         "twist_p.json": {"1,2,3": "p1"},
         "twist_zero.json": {"1,2,3": "1/0"},
+        "g_zero.json": {"n": 1, "g": [["1/0"]], "B": [["0"]], "L": [["1"]]},
+        "mu_zero.json": [["1/0"]],
+        "radius_zero.json": {"radius_unit": "1/0"},
+        "n_str.json": {"n": "2", "g": [["1"]], "B": [["0"]], "L": [["1"]]},
+        "n_float.json": {"n": 1.5, "g": [["1"]], "B": [["0"]], "L": [["1"]]},
+        "n_bool.json": {"n": True, "g": [["1"]], "B": [["0"]], "L": [["1"]]},
     }
     # (args, stdin, exit code, stderr); {name} is a file from FILES
     CASES = {
@@ -584,7 +590,44 @@ class TestErrorBytes:
             "x\n"),
         "twist-zero-division": (
             ["jacobi", "--twist", "{twist_zero.json}", "p1", "p2", "p3"],
-            None, 1, "error: Fraction(1, 0)\n"),
+            None, 1, "error: --twist: zero denominator in '1/0'\n"),
+        "model-zero-division": (
+            ["spectrum", "--model", "{g_zero.json}"], None, 1,
+            "error: {g_zero.json}: zero denominator in '1/0'\n"),
+        "radius-zero-division": (
+            ["spectrum", "--model", "{radius_zero.json}"], None, 1,
+            "error: {radius_zero.json}: radius_unit: zero denominator in "
+            "'1/0'\n"),
+        "mu-zero-division": (
+            ["fm", "--mu", "{mu_zero.json}", "--input", "{mu_id.json}"], None,
+            1, "error: {mu_zero.json}: zero denominator in '1/0'\n"),
+        "metric-zero-division": (
+            ["noether", "--lagrangian", "torus", "--metric", '[["1/0"]]'],
+            None, 1, "error: --metric/--bfield: zero denominator in '1/0'\n"),
+        "density-zero-division": (
+            ["bracket", "1/0*p1", "x1"], None, 1,
+            "error: expression '1/0*p1': zero denominator in '1/0'\n"),
+        "sign-zero-division": (
+            ["bracket", "--sign-convention", "1/0", "x1", "p1"], None, 1,
+            "error: --sign-convention: zero denominator in '1/0'\n"),
+        "metric-row-not-list": (
+            ["noether", "--lagrangian", "torus", "--metric", "[1]"], None, 1,
+            "error: --metric: expected a list of rows\n"),
+        "bfield-row-not-list": (
+            ["noether", "--lagrangian", "torus", "--metric", "[[1]]",
+             "--bfield", "[0]"], None, 1,
+            "error: --bfield: expected a list of rows\n"),
+        "model-n-string": (
+            ["spectrum", "--model", "{n_str.json}"], None, 1,
+            "error: {n_str.json}: model size n must be an integer, got '2'\n"),
+        "model-n-float": (
+            ["spectrum", "--model", "{n_float.json}"], None, 1,
+            "error: {n_float.json}: model size n must be an integer, got "
+            "1.5\n"),
+        "model-n-bool": (
+            ["spectrum", "--model", "{n_bool.json}"], None, 1,
+            "error: {n_bool.json}: model size n must be an integer, got "
+            "True\n"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -25,6 +25,7 @@ from chiraltorus.exactlin import (
     SingularMatrix,
     alt_pullback,
     invert,
+    signed_sort,
 )
 from chiraltorus.fockq import (
     BiSeries,
@@ -391,6 +392,47 @@ def rand_tensor(rng, k, n, valdim=None):
     return AltTensor(k, n, coeffs, valdim)
 
 
+def _perm_sign(perm) -> int:
+    """Sign of a permutation of range(len(perm)), by its cycle count."""
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+class TestSignedSort:
+    @settings(max_examples=200, deadline=None)
+    @given(keys=st.one_of(
+        st.lists(st.integers(-3, 3), max_size=6),
+        st.lists(st.tuples(st.integers(1, 2), st.integers(0, 1),
+                           st.integers(0, 1)), max_size=5),
+    ))
+    def test_sign_is_the_parity_of_the_sorting_permutation(self, keys):
+        sign, out = signed_sort(keys)
+        if len(set(keys)) < len(keys):
+            assert (sign, out) == (0, None)
+        else:
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            assert out == tuple(sorted(keys))
+            assert sign == _perm_sign(order)
+
+    def test_small_cases(self):
+        assert signed_sort(()) == (1, ())
+        assert signed_sort([2, 1]) == (-1, (1, 2))
+        assert signed_sort((2, 3, 1)) == (1, (1, 2, 3))
+        assert signed_sort((3, 1, 3)) == (0, None)
+
+
 class TestAltTensor:
     def test_repeated_index_evaluates_to_zero(self):
         t = AltTensor(2, 3, {(1, 2): 5})
@@ -405,6 +447,16 @@ class TestAltTensor:
         assert t.evaluate((1, 2, 3)) == ExactScalar(1)
         assert t.evaluate((2, 1, 3)) == ExactScalar(-1)
         assert t.evaluate((2, 3, 1)) == ExactScalar(1)
+
+    def test_table_operations_keep_the_shape(self):
+        t = AltTensor(2, 3, {(1, 2): [1, 2]}, valdim=2)
+        ident = RationalMatrix.identity(3)
+        for u in (-t, t.scale(3), t + t, t - t, alt_pullback(2, ident, t)):
+            assert (u.degree, u.dim, u.valdim) == (2, 3, 2)
+        assert alt_pullback(2, ident, t) == t
+        with pytest.raises(DimensionMismatch):
+            t + AltTensor(2, 4, {(1, 2): [1, 2]}, valdim=2)
+        assert t != AltTensor(2, 4, {(1, 2): [1, 2]}, valdim=2)
 
     def test_key_validation(self):
         with pytest.raises(DimensionMismatch):
@@ -557,6 +609,18 @@ small_scalars = st.builds(
     st.sampled_from([0, 0, 1, -1]),
 )
 
+def _alt_tensor(valdim, name):
+    """An AltTensor constructor with the shape (degree 2, dim 3, valdim)
+    bound, called like the other table types."""
+    def make(coeffs=None):
+        return AltTensor(2, 3, coeffs, valdim)
+    make.__name__ = name
+    return make
+
+
+SCALAR_ALT = _alt_tensor(None, "AltTensor")
+VECTOR_ALT = _alt_tensor(2, "AltTensorValued")
+
 TABLE_KEYS = {
     DiffPoly: st.builds(
         lambda m, i, b: Monomial(m, (), ((i, 0, b),)),
@@ -568,11 +632,17 @@ TABLE_KEYS = {
         st.sampled_from([0, Fraction(0), Fraction(1, 2), 1, Fraction(1)]),
         st.sampled_from([0, Fraction(0), Fraction(-1, 2)]),
     ),
+    SCALAR_ALT: st.sampled_from([(1, 2), (1, 3), (2, 3)]),
+    VECTOR_ALT: st.sampled_from([(1, 2), (1, 3), (2, 3)]),
 }
+TABLE_VALUES = {VECTOR_ALT: st.lists(small_scalars, min_size=2, max_size=2)}
+# table types without a product of two elements
+NO_PRODUCT = (BiSeries, SCALAR_ALT, VECTOR_ALT)
 
 
 def table_items(cls):
-    return st.lists(st.tuples(TABLE_KEYS[cls], small_scalars), max_size=8)
+    values = TABLE_VALUES.get(cls, small_scalars)
+    return st.lists(st.tuples(TABLE_KEYS[cls], values), max_size=8)
 
 
 def assert_pruned(x: CoeffTable):
@@ -605,6 +675,6 @@ class TestCoeffTable:
         for z in (x + y, x - y, -x, x.scale(c)):
             assert_pruned(z)
         assert x.scale(c).is_zero() == (c.is_zero() or x.is_zero())
-        if cls is not BiSeries:
+        if cls not in NO_PRODUCT:
             assert_pruned(x * y)
 
