@@ -470,6 +470,18 @@ class TestLatticeGoldens:
           "--format", "csv"], "states_circle_half_cutoff2.csv"),
         (["locality", "--radius-unit", "1/2", "--cutoff", "1",
           "--format", "json"], "locality_circle_half_cutoff1.json"),
+        (["spectrum", "--model", MODEL, "--cutoff", "1", "--format", "json"],
+         "spectrum_n2_cutoff1.json"),
+        (["states", "--model", MODEL, "--cutoff", "1", "--level", "2",
+          "--format", "text"], "states_n2_cutoff1.txt"),
+        (["chiral", "--model", MODEL, "--cutoff", "2", "--format", "json"],
+         "chiral_n2_cutoff2.json"),
+        (["chiral", "--model", MODEL, "--cutoff", "2", "--format", "text"],
+         "chiral_n2_cutoff2.txt"),
+        (["character", "--model", MODEL, "--l=1,-1", "--lstar=0,1",
+          "--order", "4", "--format", "text"], "character_n2_sector.txt"),
+        (["character", "--model", MODEL, "--cutoff", "1", "--order", "2",
+          "--format", "json"], "partition_n2_cutoff1.json"),
     )
 
     @pytest.mark.parametrize("args,name", CASES, ids=[c[1] for c in CASES])

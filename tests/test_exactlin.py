@@ -640,6 +640,49 @@ TABLE_VALUES = {VECTOR_ALT: st.lists(small_scalars, min_size=2, max_size=2)}
 NO_PRODUCT = (BiSeries, SCALAR_ALT, VECTOR_ALT)
 
 
+# one fixed instance of every printed table form, with its exact text
+PRINTED_FORMS = [
+    (lambda: AltTensor(2, 3, {(2, 3): 3, (1, 2): "1/2", (1, 3): "-2+1 i"}),
+     "(1/2) e1*e2* + (-2+1 i) e1*e3* + (3) e2*e3*"),
+    (lambda: AltTensor(3, 3, {(1, 2, 3): ["1", "-1/3"]}, valdim=2),
+     "(1, -1/3) e1*e2*e3*"),
+    (lambda: AltTensor(2, 3, {(1, 3): [0, "1 i"], (1, 2): [2, 0]}, valdim=2),
+     "(2, 0) e1*e2* + (0, 0+1 i) e1*e3*"),
+    (lambda: UnitScalar({2: -1, 0: "1/2", 1: 1, -2: 3, -1: "1+1 i"}),
+     "3*u^-2 + 1+1 i*u^-1 + 1/2 + u + -1*u^2"),
+    (lambda: QSeries({Fraction(3, 2): "1/2", 0: 2, 1: 1, Fraction(-1, 8): 1,
+                      3: 5}, 2),
+     "q^-1/8 + 2 + q + 1/2*q^3/2"),
+    (lambda: BiSeries({(0, Fraction(1, 2)): 1, (Fraction(-1, 4), 1): 3,
+                       (1, 0): "-1 i"}),
+     "3*q^-1/4*qb^1 + q^0*qb^1/2 + 0-1 i*q^1*qb^0"),
+    (lambda: DeltaExpansion({0: parse_expr("p1"), 1: parse_expr("i*x1"),
+                             2: parse_expr("x1*p1 - ds.x1")}),
+     "(x1*p1 - ds.x1) ds.ds.delta + (i*x1) ds.delta + (p1) delta"),
+    (lambda: VariationalForm({
+        (((1, 0, 0),), ("s",)): parse_expr("p1"),
+        ((), ()): parse_expr("x1"),
+        (((1, 0, 1), (1, 0, 0)), ()): parse_expr("2"),
+        ((), ("t", "s")): parse_expr("-dt.x1^2")}),
+     "(x1) + (-dt.x1^2) dt^ds + (dt.x1) d[x1]^ds + (-2) d[x1]^d[ds.x1]"),
+]
+
+
+@pytest.mark.parametrize("make,text", PRINTED_FORMS, ids=[
+    "AltTensor", "AltTensorValued3", "AltTensorValued2", "UnitScalar",
+    "QSeries", "BiSeries", "DeltaExpansion", "VariationalForm"])
+def test_printed_form(make, text):
+    x = make()
+    assert str(x) == text
+    assert repr(x) == text
+
+
+@pytest.mark.parametrize("zero", [
+    QSeries({}, 1), DeltaExpansion(), VariationalForm(), DiffPoly()])
+def test_empty_table_prints_zero(zero):
+    assert str(zero) == repr(zero) == "0"
+
+
 def table_items(cls):
     values = TABLE_VALUES.get(cls, small_scalars)
     return st.lists(st.tuples(TABLE_KEYS[cls], values), max_size=8)
@@ -677,4 +720,12 @@ class TestCoeffTable:
         assert x.scale(c).is_zero() == (c.is_zero() or x.is_zero())
         if cls not in NO_PRODUCT:
             assert_pruned(x * y)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_printed_form_is_its_repr(self, cls, data):
+        x = cls(data.draw(table_items(cls)))
+        assert repr(x) == str(x)
+        assert (str(x) == "0") == x.is_zero()
+        assert str(cls()) == "0"
 
