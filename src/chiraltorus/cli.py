@@ -67,19 +67,6 @@ from .fockq import (
 # parse or validation failure: the exit-1 class of the package's errors
 CliError = ChiraltorusError
 
-SUBCOMMANDS = (
-    "fm",
-    "noether",
-    "bracket",
-    "jacobi",
-    "spectrum",
-    "states",
-    "locality",
-    "tdual",
-    "chiral",
-    "character",
-)
-
 FORMATS = ("json", "csv", "text")
 
 # csv is a flat-table format; only the tabular reports support it
@@ -112,7 +99,7 @@ class RunConfig:
     sign: str = "-1"
 
     def __post_init__(self):
-        if self.subcommand not in SUBCOMMANDS:
+        if self.subcommand not in RUNNERS:
             raise CliError(f"unknown subcommand {self.subcommand!r}")
         if self.format not in FORMATS:
             raise CliError(f"--format must be one of {', '.join(FORMATS)}")
@@ -411,39 +398,31 @@ def run_jacobi(cfg: RunConfig) -> str:
     return dump_json({"residual": rep, "is_zero": residual.is_zero()})
 
 
+def _join(values, sep=", ") -> str:
+    return sep.join(map(str, values))
+
+
+def _label(s) -> str:
+    return f"l={s.l_coords} l*={s.lstar_coords}"
+
+
 def run_spectrum(cfg: RunConfig) -> str:
     model = _model_from(cfg)
-    rows = []
-    for s in enumerate_sectors(model, cfg.cutoff):
-        p_plus, p_minus = spectrum_point(model, s.l_coords, s.lstar_coords)
-        rows.append({
-            "l": list(s.l_coords),
-            "lstar": list(s.lstar_coords),
-            "p_plus": [str(x) for x in p_plus],
-            "p_minus": [str(x) for x in p_minus],
-        })
+    points = [(s, *spectrum_point(model, s.l_coords, s.lstar_coords))
+              for s in enumerate_sectors(model, cfg.cutoff)]
     if cfg.format == "csv":
-        header = ["l", "lstar", "p_plus", "p_minus"]
-        table = [
-            [
-                " ".join(str(x) for x in r["l"]),
-                " ".join(str(x) for x in r["lstar"]),
-                "; ".join(r["p_plus"]),
-                "; ".join(r["p_minus"]),
-            ]
-            for r in rows
-        ]
-        return dump_csv(header, table)
+        return dump_csv(["l", "lstar", "p_plus", "p_minus"], (
+            [_join(s.l_coords, " "), _join(s.lstar_coords, " "),
+             _join(p_plus, "; "), _join(p_minus, "; ")]
+            for s, p_plus, p_minus in points))
     if cfg.format == "text":
-        lines = []
-        for r in rows:
-            lines.append(
-                f"l={tuple(r['l'])} l*={tuple(r['lstar'])}  "
-                f"p+=({', '.join(r['p_plus'])})  "
-                f"p-=({', '.join(r['p_minus'])})"
-            )
-        return dump_text(lines)
-    return dump_json({"cutoff": cfg.cutoff, "sectors": rows})
+        return dump_text(
+            f"{_label(s)}  p+=({_join(p_plus)})  p-=({_join(p_minus)})"
+            for s, p_plus, p_minus in points)
+    return dump_json({"cutoff": cfg.cutoff, "sectors": [
+        {"l": list(s.l_coords), "lstar": list(s.lstar_coords),
+         "p_plus": list(map(str, p_plus)), "p_minus": list(map(str, p_minus))}
+        for s, p_plus, p_minus in points]})
 
 
 def run_states(cfg: RunConfig) -> str:
@@ -451,27 +430,13 @@ def run_states(cfg: RunConfig) -> str:
     sectors = enumerate_sectors(model, cfg.cutoff)
     counts = colored_partition_counts(model.n, cfg.level)
     if cfg.format == "csv":
-        header = ["l", "lstar", "a_plus", "a_minus", "h", "hbar"]
-        table = [
-            [
-                " ".join(str(x) for x in s.l_coords),
-                " ".join(str(x) for x in s.lstar_coords),
-                "; ".join(str(x) for x in s.a_plus),
-                "; ".join(str(x) for x in s.a_minus),
-                str(s.h),
-                str(s.hbar),
-            ]
-            for s in sectors
-        ]
-        return dump_csv(header, table)
+        return dump_csv(["l", "lstar", "a_plus", "a_minus", "h", "hbar"], (
+            [_join(s.l_coords, " "), _join(s.lstar_coords, " "),
+             _join(s.a_plus, "; "), _join(s.a_minus, "; "), str(s.h), str(s.hbar)]
+            for s in sectors))
     if cfg.format == "text":
-        lines = [f"oscillator level counts: {counts}"]
-        for s in sectors:
-            lines.append(
-                f"l={tuple(s.l_coords)} l*={tuple(s.lstar_coords)}  "
-                f"h={s.h}  hbar={s.hbar}"
-            )
-        return dump_text(lines)
+        return dump_text([f"oscillator level counts: {counts}"] + [
+            f"{_label(s)}  h={s.h}  hbar={s.hbar}" for s in sectors])
     return dump_json({
         "cutoff": cfg.cutoff,
         "level_counts": counts,
@@ -481,36 +446,29 @@ def run_states(cfg: RunConfig) -> str:
 
 def run_locality(cfg: RunConfig) -> str:
     model = _model_from(cfg)
-    if cfg.format == "text":
-        # the summary needs only the count and the verdict: stream the pairs
-        count = integral = 0
-        for *_, diff in locality_pairs(model, cfg.cutoff):
-            count, integral = count + 1, integral + diff.is_integer()
-        verdict = "yes" if integral == count else "no"
-        return dump_text([
-            f"cutoff: {cfg.cutoff}",
-            f"pairs checked: {count}",
-            f"all exponent differences integral: {verdict}",
-        ])
-    report = ko_locality(model, cfg.cutoff)
+    if cfg.format == "json":
+        return dump_json(ko_locality(model, cfg.cutoff))
+    pairs = locality_pairs(model, cfg.cutoff)
     if cfg.format == "csv":
-        header = [
+        return dump_csv([
             "l1", "lstar1", "l2", "lstar2",
             "hol", "antihol", "difference", "integral",
-        ]
-        table = [
-            [
-                " ".join(str(x) for x in p["l1"]),
-                " ".join(str(x) for x in p["lstar1"]),
-                " ".join(str(x) for x in p["l2"]),
-                " ".join(str(x) for x in p["lstar2"]),
-                p["hol"], p["antihol"], p["difference"],
-                "yes" if p["integral"] else "no",
-            ]
-            for p in report["pairs"]
-        ]
-        return dump_csv(header, table)
-    return dump_json(report)
+        ], (
+            [_join(s1.l_coords, " "), _join(s1.lstar_coords, " "),
+             _join(s2.l_coords, " "), _join(s2.lstar_coords, " "),
+             str(hol), str(antihol), str(diff),
+             "yes" if diff.is_integer() else "no"]
+            for s1, s2, hol, antihol, diff in pairs))
+    # the summary needs only the count and the verdict
+    count = integral = 0
+    for *_, diff in pairs:
+        count, integral = count + 1, integral + diff.is_integer()
+    verdict = "yes" if integral == count else "no"
+    return dump_text([
+        f"cutoff: {cfg.cutoff}",
+        f"pairs checked: {count}",
+        f"all exponent differences integral: {verdict}",
+    ])
 
 
 def run_tdual(cfg: RunConfig) -> str:
@@ -525,67 +483,35 @@ def run_tdual(cfg: RunConfig) -> str:
 def run_chiral(cfg: RunConfig) -> str:
     model = _model_from(cfg)
     found = chiral_sectors(model, cfg.cutoff)
-    rows = [
-        {
-            "l": list(s.l_coords),
-            "lstar": list(s.lstar_coords),
-            "a_plus": [str(x) for x in s.a_plus],
-            "h": str(s.h),
-        }
-        for s in found
-    ]
     if cfg.format == "csv":
-        header = ["l", "lstar", "a_plus", "h"]
-        table = [
-            [
-                " ".join(str(x) for x in r["l"]),
-                " ".join(str(x) for x in r["lstar"]),
-                "; ".join(r["a_plus"]),
-                r["h"],
-            ]
-            for r in rows
-        ]
-        return dump_csv(header, table)
+        return dump_csv(["l", "lstar", "a_plus", "h"], (
+            [_join(s.l_coords, " "), _join(s.lstar_coords, " "),
+             _join(s.a_plus, "; "), str(s.h)]
+            for s in found))
     if cfg.format == "text":
-        lines = [
-            f"l={tuple(r['l'])} l*={tuple(r['lstar'])}  "
-            f"a+=({', '.join(r['a_plus'])})  h={r['h']}"
-            for r in rows
-        ]
-        return dump_text(lines)
-    return dump_json({"cutoff": cfg.cutoff, "sectors": rows})
+        return dump_text(
+            f"{_label(s)}  a+=({_join(s.a_plus)})  h={s.h}" for s in found)
+    return dump_json({"cutoff": cfg.cutoff, "sectors": [
+        {"l": list(s.l_coords), "lstar": list(s.lstar_coords),
+         "a_plus": list(map(str, s.a_plus)), "h": str(s.h)}
+        for s in found]})
 
 
 def run_character(cfg: RunConfig) -> str:
     model = _model_from(cfg)
     if cfg.l is not None or cfg.lstar is not None:
-        l_coords = _coords(cfg.l, "l") if cfg.l is not None else [0] * model.n
-        lstar_coords = (
-            _coords(cfg.lstar, "lstar")
-            if cfg.lstar is not None else [0] * model.n
-        )
-        sector = model.sector(l_coords, lstar_coords)
-        series = character(model, sector, cfg.order)
-        payload = {
-            "kind": "character",
-            "l": [str(x) for x in l_coords],
-            "lstar": [str(x) for x in lstar_coords],
-            "order": cfg.order,
-            "series": series.to_json(),
-        }
-        if cfg.format == "text":
-            return dump_text([str(series)])
-        return dump_json(payload)
-    series = partition_function(model, cfg.cutoff, cfg.order)
-    payload = {
-        "kind": "partition_function",
-        "cutoff": cfg.cutoff,
-        "order": cfg.order,
-        "series": series.to_json(),
-    }
+        zero = [0] * model.n
+        l_coords = _coords(cfg.l, "l") if cfg.l is not None else zero
+        lstar_coords = _coords(cfg.lstar, "lstar") if cfg.lstar is not None else zero
+        series = character(model, model.sector(l_coords, lstar_coords), cfg.order)
+        payload = {"kind": "character", "l": list(map(str, l_coords)),
+                   "lstar": list(map(str, lstar_coords))}
+    else:
+        series = partition_function(model, cfg.cutoff, cfg.order)
+        payload = {"kind": "partition_function", "cutoff": cfg.cutoff}
     if cfg.format == "text":
         return dump_text([str(series)])
-    return dump_json(payload)
+    return dump_json({**payload, "order": cfg.order, "series": series.to_json()})
 
 
 RUNNERS = {

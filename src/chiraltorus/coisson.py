@@ -273,16 +273,9 @@ class DeltaExpansion(CoeffTable):
         """integral over sigma: only the k = 0 coefficient survives."""
         return self.coefficient(0)
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
+    def _terms(self):
         for k in sorted(self.coeffs, reverse=True):
-            head = "delta" if k == 0 else ("ds." * k + "delta")
-            bits.append(f"({poly_str(self.coeffs[k], style='xp')}) {head}")
-        return " + ".join(bits)
-
-    __repr__ = __str__
+            yield f"({poly_str(self.coeffs[k], style='xp')}) " + "ds." * k + "delta"
 
     def to_json(self):
         return {str(k): poly_to_tree(p) for k, p in sorted(self.coeffs.items())}

@@ -564,7 +564,9 @@ class CoeffTable(Frozen):
     equal tables and equal hashes.  Subclasses adjust it through small
     hooks: _entry canonicalises one (key, value) pair of the public
     constructor, _operand turns the right-hand side of +, - and == into
-    a table of the same type, and _like rebuilds extra shape fields.
+    a table of the same type, _like rebuilds extra shape fields, and
+    _term(key, value) prints one entry of the " + "-joined text form,
+    whose order _terms sets.
     """
 
     __slots__ = ("coeffs",)
@@ -630,6 +632,24 @@ class CoeffTable(Frozen):
     def __hash__(self):
         return hash(tuple(sorted(self.coeffs.items(), key=itemgetter(0))))
 
+    def _convolve(self, other, combine):
+        """The product table: c1 * c2 summed at combine(k1, k2) over
+        every pair of entries."""
+        out = {}
+        for k1, c1 in self.coeffs.items():
+            for k2, c2 in other.coeffs.items():
+                add_into(out, combine(k1, k2), c1 * c2)
+        return self._like(out)
+
+    def _terms(self):
+        return (self._term(key, self.coeffs[key]) for key in sorted(self.coeffs))
+
+    def __str__(self):
+        return " + ".join(self._terms()) or "0"
+
+    def __repr__(self):
+        return str(self)
+
 
 class _Column(tuple):
     """The value of a vector-valued AltTensor entry: a tuple of scalars
@@ -655,10 +675,9 @@ def _as_value(val, valdim):
     # are length-valdim columns
     if valdim is None:
         return ExactScalar.coerce(val)
-    if isinstance(val, (list, tuple)):
-        col = _Column(ExactScalar.coerce(x) for x in val)
-    else:
-        raise DimensionMismatch("vector-valued tensor entry must be a sequence")
+    if not isinstance(val, (list, tuple)):
+        raise ChiraltorusError(f"vector-valued tensor entry must be a sequence, got {val!r}")
+    col = _Column(ExactScalar.coerce(x) for x in val)
     if len(col) != valdim:
         raise DimensionMismatch(f"value column has length {len(col)}, expected {valdim}")
     return col
@@ -677,6 +696,9 @@ class AltTensor(CoeffTable):
     __slots__ = ("degree", "dim", "valdim")
 
     def __init__(self, degree: int, dim: int, coeffs=None, valdim=None):
+        for name, val in (("degree", degree), ("dim", dim), ("valdim", valdim)):
+            if type(val) is not int and (val is not None or name != "valdim"):
+                raise ChiraltorusError(f"tensor {name} must be an integer, got {val!r}")
         if degree not in (2, 3):
             raise DimensionMismatch("tensor degree must be 2 or 3")
         if dim < 1:
@@ -741,21 +763,9 @@ class AltTensor(CoeffTable):
             self.valdim,
         )
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for key in sorted(self.coeffs):
-            val = self.coeffs[key]
-            label = "".join(f"e{i}*" for i in key)
-            if isinstance(val, tuple):
-                col = "(" + ", ".join(str(x) for x in val) + ")"
-                bits.append(f"{col} {label}")
-            else:
-                bits.append(f"({val}) {label}")
-        return " + ".join(bits)
-
-    __repr__ = __str__
+    def _term(self, key, val):
+        body = ", ".join(map(str, val)) if isinstance(val, tuple) else val
+        return f"({body}) " + "".join(f"e{i}*" for i in key)
 
     def to_json(self):
         entries = []

@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import chain
 from itertools import product as iter_product
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from .exactlin import (
     HALF,
@@ -84,6 +84,18 @@ class FormalUnitValue(PreconditionError):
 # the formal scale unit
 # ----------------------------------------------------------------------
 
+def _power_term(var, e, c) -> str:
+    """The printed term c var^e of a Laurent or q-series."""
+    if e == 0:
+        return str(c)
+    head = var if e == 1 else f"{var}^{e}"
+    return head if c == ONE else f"{c}*{head}"
+
+
+def _power_json(series) -> dict:
+    return {str(e): str(c) for e, c in sorted(series.coeffs.items())}
+
+
 class UnitScalar(CoeffTable):
     """An exact Laurent polynomial in the formal unit u: a table
     {exponent: ExactScalar}."""
@@ -108,12 +120,7 @@ class UnitScalar(CoeffTable):
     __radd__ = CoeffTable.__add__
 
     def __mul__(self, other):
-        other = UnitScalar.coerce(other)
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                add_into(out, e1 + e2, c1 * c2)
-        return self._like(out)
+        return self._convolve(UnitScalar.coerce(other), add)
 
     __rmul__ = __mul__
 
@@ -123,23 +130,10 @@ class UnitScalar(CoeffTable):
             raise FormalUnitValue(f"{self} carries unresolved unit powers")
         return self.coeffs.get(0, ZERO)
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            head = str(c)
-            if e != 0:
-                upow = "u" if e == 1 else f"u^{e}"
-                head = upow if c == ONE else f"{c}*{upow}"
-            bits.append(head)
-        return " + ".join(bits)
+    def _term(self, e, c):
+        return _power_term("u", e, c)
 
-    __repr__ = __str__
-
-    def to_json(self):
-        return {str(e): str(c) for e, c in sorted(self.coeffs.items())}
+    to_json = _power_json
 
 
 # ----------------------------------------------------------------------
@@ -241,11 +235,8 @@ class LatticeModel(Frozen):
         return Sector(self, l_coords, lstar_coords)
 
     def to_json(self):
-        def mat(m):
-            return [[str(m[(i, j)]) for j in range(m.cols)] for i in range(m.rows)]
-
-        out = {"n": self.n, "g": mat(self.g), "B": mat(self.B),
-               "L": mat(self.Lbasis)}
+        out = {"n": self.n, "g": self.g.to_json(), "B": self.B.to_json(),
+               "L": self.Lbasis.to_json()}
         if self.unit_exponent:
             out["unit_exponent"] = self.unit_exponent
             out["u_square"] = None if self.u_square is None else str(self.u_square)
@@ -937,32 +928,14 @@ class QSeries(CoeffTable):
         lead_o = other.leading()
         if lead_s is None or lead_o is None:
             return QSeries({}, min(self.cap, other.cap))
+        # the constructor's _entry drops the terms above the new cap
         cap = min(self.cap + lead_o, other.cap + lead_s)
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if e <= cap:
-                    add_into(out, e, c1 * c2)
-        return QSeries(out, cap)
+        return QSeries(self._convolve(other, add).coeffs, cap)
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            if e == 0:
-                bits.append(str(c))
-            else:
-                head = "q" if e == 1 else f"q^{e}"
-                bits.append(head if c == ONE else f"{c}*{head}")
-        return " + ".join(bits)
+    def _term(self, e, c):
+        return _power_term("q", e, c)
 
-    __repr__ = __str__
-
-    def to_json(self):
-        return {str(e): str(c) for e, c in sorted(self.coeffs.items())}
+    to_json = _power_json
 
 
 def character(model: LatticeModel, sector: Sector, order: int) -> QSeries:
@@ -984,17 +957,9 @@ class BiSeries(CoeffTable):
     def _entry(self, key, c):
         return (Fraction(key[0]), Fraction(key[1])), S.coerce(c)
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for (e, eb) in sorted(self.coeffs):
-            c = self.coeffs[(e, eb)]
-            head = f"q^{e}*qb^{eb}"
-            bits.append(head if c == ONE else f"{c}*{head}")
-        return " + ".join(bits)
-
-    __repr__ = __str__
+    def _term(self, key, c):
+        head = "q^{}*qb^{}".format(*key)
+        return head if c == ONE else f"{c}*{head}"
 
     def to_json(self):
         return {f"{e}|{eb}": str(c) for (e, eb), c in sorted(self.coeffs.items())}

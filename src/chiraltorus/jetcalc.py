@@ -143,11 +143,7 @@ class DiffPoly(CoeffTable):
             return self.scale(other)
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        out = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                add_into(out, _mono_mul(m1, m2), c1 * c2)
-        return self._like(out)
+        return self._convolve(other, _mono_mul)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, ExactScalar)):
@@ -213,8 +209,6 @@ class DiffPoly(CoeffTable):
 
     def __str__(self):
         return poly_str(self)
-
-    __repr__ = __str__
 
 
 _DIRECTIONS = {"t": "t", "tau": "t", "τ": "t", "s": "s", "sigma": "s", "σ": "s"}
@@ -358,7 +352,9 @@ def tree_to_poly(data) -> DiffPoly:
     return DiffPoly(out)
 
 
-_TOKEN_CHARS = set("+-*^().,/ \t\n")
+# the largest exponent the expression grammar accepts after "^"; larger
+# literals are refused before any multiplication starts
+MAX_EXPONENT = 64
 
 
 def _tokenize(text: str):
@@ -440,8 +436,10 @@ class _Parser:
         base = self.primary()
         if self.peek()[0] == "^":
             self.next()
-            tok = self.expect("num")
-            base = base ** int(tok[1])
+            n = int(self.expect("num")[1])
+            if n > MAX_EXPONENT:
+                raise ChiraltorusError(f"exponent {n} is above the limit {MAX_EXPONENT}")
+            base = base ** n
         return base
 
     def rational(self, first):
@@ -605,21 +603,13 @@ class VariationalForm(CoeffTable):
                 items.append((((key,) + vkeys, hkeys), poly.partial(key)))
         return VariationalForm(items)
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for (vkeys, hkeys) in sorted(self.coeffs, key=lambda kv: (len(kv[0]), kv)):
-            poly = self.coeffs[(vkeys, hkeys)]
+    def _terms(self):
+        for vkeys, hkeys in sorted(self.coeffs, key=lambda kv: (len(kv[0]), kv)):
             label = "^".join(
                 [f"d[{_jet_str(i, a, b, 'tau')}]" for (i, a, b) in vkeys]
                 + [{"t": "dt", "s": "ds"}[c] for c in hkeys]
             )
-            body = f"({poly_str(poly)})"
-            bits.append(f"{body} {label}".strip())
-        return " + ".join(bits)
-
-    __repr__ = __str__
+            yield f"({poly_str(self.coeffs[(vkeys, hkeys)])}) {label}".strip()
 
 
 class EvolutionaryField:

@@ -556,6 +556,16 @@ class TestErrorBytes:
         "n_str.json": {"n": "2", "g": [["1"]], "B": [["0"]], "L": [["1"]]},
         "n_float.json": {"n": 1.5, "g": [["1"]], "B": [["0"]], "L": [["1"]]},
         "n_bool.json": {"n": True, "g": [["1"]], "B": [["0"]], "L": [["1"]]},
+        "cdo_dim_str.json": {
+            "n": 2, "lambda": {"degree": 3, "dim": "2", "entries": []},
+            "nu": {"degree": 2, "dim": 2, "valdim": 2, "entries": []}},
+        "cdo_valdim_bool.json": {
+            "n": 2, "lambda": {"degree": 3, "dim": 2, "entries": []},
+            "nu": {"degree": 2, "dim": 2, "valdim": True, "entries": []}},
+        "cdo_bare_value.json": {
+            "n": 2, "lambda": {"degree": 3, "dim": 2, "entries": []},
+            "nu": {"degree": 2, "dim": 2, "valdim": 2,
+                   "entries": [{"idx": [1, 2], "val": "1"}]}},
     }
     # (args, stdin, exit code, stderr); {name} is a file from FILES
     CASES = {
@@ -640,6 +650,25 @@ class TestErrorBytes:
             ["spectrum", "--model", "{n_bool.json}"], None, 1,
             "error: {n_bool.json}: model size n must be an integer, got "
             "True\n"),
+        "exponent-above-limit": (
+            ["bracket", "x1^99999999999999999999", "p1"], None, 1,
+            "error: expression 'x1^99999999999999999999': exponent "
+            "99999999999999999999 is above the limit 64\n"),
+        "tensor-dim-string": (
+            ["fm", "--mu", "{mu_id.json}", "--input", "{cdo_dim_str.json}"],
+            None, 1,
+            "error: {cdo_dim_str.json}: tensor dim must be an integer, got "
+            "'2'\n"),
+        "tensor-valdim-bool": (
+            ["fm", "--mu", "{mu_id.json}", "--input", "{cdo_valdim_bool.json}"],
+            None, 1,
+            "error: {cdo_valdim_bool.json}: tensor valdim must be an integer, "
+            "got True\n"),
+        "tensor-bare-value": (
+            ["fm", "--mu", "{mu_id.json}", "--input", "{cdo_bare_value.json}"],
+            None, 1,
+            "error: {cdo_bare_value.json}: vector-valued tensor entry must be "
+            "a sequence, got '1'\n"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -10,8 +10,9 @@ import random
 
 import pytest
 
-from chiraltorus.exactlin import ExactScalar
+from chiraltorus.exactlin import ChiraltorusError, ExactScalar
 from chiraltorus.jetcalc import (
+    MAX_EXPONENT,
     DiffPoly,
     EvolutionaryField,
     Lagrangian,
@@ -219,6 +220,12 @@ class TestParserPrinter:
         for bad in ["q1", "x", "dt.2", "x1 +", "pp", "e(2", "x1 x2"]:
             with pytest.raises(ValueError):
                 parse_expr(bad)
+
+    def test_exponent_limit(self):
+        assert parse_expr(f"x1^{MAX_EXPONENT}") == jet(1, 0, 0) ** MAX_EXPONENT
+        for big in (MAX_EXPONENT + 1, 10 ** 20):
+            with pytest.raises(ChiraltorusError, match=f"^exponent {big} is above"):
+                parse_expr(f"(x1 + p1)^{big}")
 
     def test_round_trip_random(self):
         rng = random.Random(12)
