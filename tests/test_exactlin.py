@@ -678,7 +678,7 @@ def test_printed_form(make, text):
 
 
 @pytest.mark.parametrize("zero", [
-    QSeries({}, 1), DeltaExpansion(), VariationalForm(), DiffPoly()])
+    QSeries({}, 1), DeltaExpansion(), VariationalForm()])
 def test_empty_table_prints_zero(zero):
     assert str(zero) == repr(zero) == "0"
 
