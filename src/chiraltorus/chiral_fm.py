@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .exactlin import (
     AltTensor,
+    ChiraltorusError,
     DimensionMismatch,
     RationalMatrix,
     SingularMatrix,
@@ -50,8 +51,11 @@ class CdoIsoClass:
 
     @staticmethod
     def from_json(data) -> "CdoIsoClass":
+        n = data["n"]
+        if type(n) is not int:
+            raise ChiraltorusError(f"CDO class size n must be an integer, got {n!r}")
         return CdoIsoClass(
-            data["n"],
+            n,
             AltTensor.from_json(data["lambda"]),
             AltTensor.from_json(data["nu"]),
         )

@@ -59,7 +59,6 @@ from .fockq import (
     locality_pairs,
     one_dim_model,
     partition_function,
-    spectrum_point,
     t_dual,
 )
 
@@ -408,7 +407,8 @@ def _label(s) -> str:
 
 def run_spectrum(cfg: RunConfig) -> str:
     model = _model_from(cfg)
-    points = [(s, *spectrum_point(model, s.l_coords, s.lstar_coords))
+    p_plus, p_minus = model.tables.p_plus, model.tables.p_minus
+    points = [(s, p_plus.apply(s.coords), p_minus.apply(s.coords))
               for s in enumerate_sectors(model, cfg.cutoff)]
     if cfg.format == "csv":
         return dump_csv(["l", "lstar", "p_plus", "p_minus"], (

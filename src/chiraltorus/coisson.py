@@ -5,11 +5,20 @@ momenta p_i with their sigma-derivatives, trig factors e^{im sigma}, and
 circle test symbols phi/psi.  A jet key (i, 0, b) is d_sigma^b x^i and
 (i, 1, b) is d_sigma^b p_i; tau-orders above one never appear here.
 
-The bracket of two densities is a finite delta-distribution expansion
-sum_k c_k(sigma') d_sigma^k delta(sigma - sigma'); integrating the first
-slot keeps c_0, and reducing modulo total sigma-derivatives lands in the
-Lie algebra of Fourier components, where all the structure constants of
-the free boson live.
+The generator table is ultralocal, {u_A(sigma), u_B(sigma')} =
+K_AB(sigma') delta(sigma - sigma'), so every bracket follows from one
+Euler operator delta/delta u_A = sum_n (-D_sigma)^n d/d u_A^(n) by the
+master formula of Barakat, De Sole and Kac:
+
+    {a_lambda b} = sum_{A,B,n} d b/d u_B^(n) (D_sigma - lambda)^n
+                   [K_AB sum_m (lambda - D_sigma)^m d a/d u_A^(m)],
+
+whose lambda^k coefficient is the coefficient of d_sigma^k delta in the
+bracket of the densities.  At lambda = 0 it gives the Lie bracket of
+Fourier components, {integral a, integral b} = integral sum_AB
+(delta a/delta u_A) K_AB (delta b/delta u_B), a class modulo total
+sigma-derivatives; the Euler operator kills those, so classes need no
+normal form until the end.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from .exactlin import (
     PreconditionError,
     RationalMatrix,
     S,
+    add_into,
     compositions,
     echelon,
     reduce_row,
@@ -36,9 +46,10 @@ from .jetcalc import (
     DiffPoly,
     Monomial,
     SYMBOL_KINDS,
+    dz_jet,
+    dzb_jet,
     parse_expr,
     poly_str,
-    poly_to_tree,
     substitute_jets,
 )
 
@@ -223,7 +234,7 @@ class FourierClass(Frozen):
 
 class DeltaExpansion(CoeffTable):
     """sum_k c_k(sigma') d_sigma^k delta(sigma - sigma'), c_k densities:
-    a table {k: DiffPoly}."""
+    a table {k: DiffPoly}, read as the lambda-polynomial sum_k c_k lambda^k."""
 
     __slots__ = ()
 
@@ -234,51 +245,9 @@ class DeltaExpansion(CoeffTable):
     def zero() -> "DeltaExpansion":
         return DeltaExpansion()
 
-    def coefficient(self, k: int) -> DiffPoly:
-        return self.coeffs.get(k, DiffPoly.zero())
-
-    def d_sigma(self) -> "DeltaExpansion":
-        """Derivative in the first slot: shifts every delta-order up."""
-        return self._like({k + 1: p for k, p in self.coeffs.items()})
-
-    def d_sigma_prime(self) -> "DeltaExpansion":
-        """Derivative in the second slot: Leibniz on the coefficient plus
-        d_sigma' delta = -d_sigma delta."""
-        items = []
-        for k, p in self.coeffs.items():
-            items += [(k, p.D("s")), (k + 1, -p)]
-        return DeltaExpansion(items)
-
-    def transport(self, poly: DiffPoly) -> "DeltaExpansion":
-        """Multiply by a first-slot function F(sigma) and rewrite at the
-        diagonal: F(sigma) d^k delta = sum_j binom(k,j) (-1)^j
-        F^(j)(sigma') d^(k-j) delta."""
-        poly = as_density(poly)
-        derivs = [poly]
-        top = max(self.coeffs, default=0)
-        for _ in range(top):
-            derivs.append(derivs[-1].D("s"))
-        items = []
-        for k, c in self.coeffs.items():
-            for j in range(k + 1):
-                sign = S(comb(k, j)) if j % 2 == 0 else S(-comb(k, j))
-                items.append((k - j, (derivs[j] * c).scale(sign)))
-        return DeltaExpansion(items)
-
-    def mul_second_slot(self, poly: DiffPoly) -> "DeltaExpansion":
-        poly = as_density(poly)
-        return DeltaExpansion({k: p * poly for k, p in self.coeffs.items()})
-
-    def integrate_first_slot(self) -> DiffPoly:
-        """integral over sigma: only the k = 0 coefficient survives."""
-        return self.coefficient(0)
-
     def _terms(self):
         for k in sorted(self.coeffs, reverse=True):
             yield f"({poly_str(self.coeffs[k], style='xp')}) " + "ds." * k + "delta"
-
-    def to_json(self):
-        return {str(k): poly_to_tree(p) for k, p in sorted(self.coeffs.items())}
 
 
 # ----------------------------------------------------------------------
@@ -323,29 +292,18 @@ class BracketTable(Frozen):
 
     def momentum_momentum(self, i: int, j: int) -> DiffPoly:
         """{p_i(sigma), p_j(sigma')} coefficient at sigma'."""
-        out = DiffPoly.zero()
-        ks = {k for (a, b, k2) in self.twist for k in (a, b, k2)}
-        for k in ks:
-            h = self.twist_coefficient(i, j, k)
-            if not h.is_zero():
-                out = out + h * DiffPoly.jet(k, 0, 1)
-        return out
+        ks = {k for triple in self.twist for k in triple}
+        return sum((self.twist_coefficient(i, j, k) * DiffPoly.jet(k, 0, 1) for k in ks),
+                   DiffPoly.zero())
 
-    def base_bracket(self, gen_a, gen_b) -> DeltaExpansion:
-        """The bracket of two ring generators; gen = (field index, kind)
+    def base_bracket(self, slot_a, slot_b) -> DiffPoly:
+        """K_AB in {u_A(sigma), u_B(sigma')} = K_AB(sigma') delta(sigma -
+        sigma') for two ring generators; a slot is (field index, kind)
         with kind 0 for x and 1 for p."""
-        (i, a), (j, b) = gen_a, gen_b
-        if a == 1 and b == 0:
-            if i != j:
-                return DeltaExpansion.zero()
-            return DeltaExpansion({0: DiffPoly.const(self.scale)})
-        if a == 0 and b == 1:
-            if i != j:
-                return DeltaExpansion.zero()
-            return DeltaExpansion({0: DiffPoly.const(-self.scale)})
-        if a == 1 and b == 1:
-            return DeltaExpansion({0: self.momentum_momentum(i, j)})
-        return DeltaExpansion.zero()
+        (i, a), (j, b) = slot_a, slot_b
+        if a != b:
+            return DiffPoly.const(self.scale if a else -self.scale) if i == j else DiffPoly.zero()
+        return self.momentum_momentum(i, j) if a else DiffPoly.zero()
 
 
 def boson_table(twist=None) -> BracketTable:
@@ -360,64 +318,96 @@ def boson_table(twist=None) -> BracketTable:
 
 
 # ----------------------------------------------------------------------
-# the bracket calculus
+# the bracket calculus: one Euler operator under every bracket
 # ----------------------------------------------------------------------
 
-def density_bracket(a, b, table: BracketTable) -> DeltaExpansion:
-    """{a(sigma) dsigma, b(sigma') dsigma'} by bilinearity and Leibniz,
-    with {d_sigma^m u(sigma), d_sigma^n v(sigma')} expanded through slot
-    derivatives of the generator bracket."""
-    A = as_density(a)
-    B = as_density(b)
-    out = DeltaExpansion.zero()
-    for mono_a, ca in A.coeffs.items():
-        for mono_b, cb in B.coeffs.items():
-            for pos_a, (ia, aa, ba) in enumerate(mono_a.jets):
-                for pos_b, (ib, ab, bb) in enumerate(mono_b.jets):
-                    base = table.base_bracket((ia, aa), (ib, ab))
-                    if base.is_zero():
-                        continue
-                    for _ in range(ba):
-                        base = base.d_sigma()
-                    for _ in range(bb):
-                        base = base.d_sigma_prime()
-                    rest_b = mono_b.jets[:pos_b] + mono_b.jets[pos_b + 1:]
-                    cof_b = DiffPoly({Monomial(mono_b.mode, mono_b.syms, rest_b): cb})
-                    base = base.mul_second_slot(cof_b)
-                    rest_a = mono_a.jets[:pos_a] + mono_a.jets[pos_a + 1:]
-                    cof_a = DiffPoly({Monomial(mono_a.mode, mono_a.syms, rest_a): ca})
-                    out = out + base.transport(cof_a)
+def _slot_partials(poly: DiffPoly):
+    """{(i, kind): {m: d poly / d u^(m)}} over the jets u^(m) of poly,
+    where u^(m) is d_sigma^m x^i for kind 0 and d_sigma^m p_i for kind 1."""
+    out = {}
+    for (i, kind, m) in poly.jet_support():
+        out.setdefault((i, kind), {})[m] = poly.partial((i, kind, m))
     return out
+
+
+def variational_derivative(poly, k: int = 0) -> dict:
+    """The coefficient of lambda^k in sum_m (lambda - D_sigma)^m d poly /
+    d u^(m), slot by slot: {(i, kind): DiffPoly}, zero slots left out.
+
+    At k = 0 this is the Euler operator delta/delta u = sum_m (-D_sigma)^m
+    d/d u^(m), which kills every total sigma-derivative, trig modes and
+    circle symbols included."""
+    out = {}
+    for slot, parts in _slot_partials(as_density(poly)).items():
+        acc = DiffPoly.zero()
+        for m in range(max(parts), k - 1, -1):  # Horner in -D_sigma
+            part = parts.get(m, DiffPoly.zero())
+            acc = (part.scale(comb(m, k)) if k else part) - acc.D("s")
+        if not acc.is_zero():
+            out[slot] = acc
+    return out
+
+
+def density_bracket(a, b, table: BracketTable) -> DeltaExpansion:
+    """{a(sigma) dsigma, b(sigma') dsigma'} = sum_k c_k(sigma') d_sigma^k
+    delta(sigma - sigma'), where c_k is the lambda^k coefficient of
+    {a_lambda b} = sum_{B,n} d b/d u_B^(n) (D_sigma - lambda)^n {a_lambda u_B}
+    and {a_lambda u_B} = sum_A K_AB sum_m (lambda - D_sigma)^m d a/d u_A^(m)."""
+    a = as_density(a)
+    top = max((m for mono in a.coeffs for (_, _, m) in mono.jets), default=0)
+    va = [variational_derivative(a, k) for k in range(top + 1)]
+    out = {}
+    for slot_b, parts in _slot_partials(as_density(b)).items():
+        w = {}  # {a_lambda u_B} as {k: lambda^k coefficient}
+        for k, v in enumerate(va):
+            for slot_a, vk in v.items():
+                add_into(w, k, table.base_bracket(slot_a, slot_b) * vk)
+        for n in range(max(parts) + 1):
+            if n:  # w becomes (D_sigma - lambda)^n {a_lambda u_B}
+                step = {}
+                for k, c in w.items():
+                    add_into(step, k, c.D("s"))
+                    add_into(step, k + 1, -c)
+                w = step
+            if n in parts:
+                for k, c in w.items():
+                    add_into(out, k, parts[n] * c)
+    return DeltaExpansion(out)
+
+
+def _pairing(a, b, table: BracketTable) -> DiffPoly:
+    """sum_AB (delta a/delta u_A) K_AB (delta b/delta u_B): a density
+    whose class is {integral a, integral b}."""
+    db = variational_derivative(b)
+    return sum((va * table.base_bracket(slot_a, slot_b) * vb
+                for slot_a, va in variational_derivative(a).items()
+                for slot_b, vb in db.items()), DiffPoly.zero())
 
 
 def fourier_bracket(a, b, table: BracketTable) -> FourierClass:
     """The Lie bracket of Fourier-component functionals:
     {integral a, integral b} as a class modulo im(D_sigma).
 
-    Well defined on classes: a first-slot total derivative shifts every
-    delta order up, so nothing survives the sigma-integration, and a
-    second-slot total derivative integrates away in the class.
+    Well defined on classes: the Euler operator kills total derivatives.
     """
-    expansion = density_bracket(as_density(a), as_density(b), table)
-    return FourierClass(expansion.integrate_first_slot())
+    return FourierClass(_pairing(a, b, table))
 
 
 def hamiltonian_flow(H, a, table: BracketTable) -> LocalDensity:
-    """{integral H, a(sigma')} as a density in sigma'."""
-    expansion = density_bracket(as_density(H), as_density(a), table)
-    return LocalDensity(expansion.integrate_first_slot())
+    """{integral H, a(sigma')} as a density in sigma': the delta
+    coefficient sum_{B,n} d a/d u_B^(n) D_sigma^n (sum_A delta H/delta u_A K_AB)."""
+    return LocalDensity(density_bracket(H, a, table).coeffs.get(0, DiffPoly.zero()))
 
 
 def jacobi_residual(table: BracketTable, a, b, c) -> FourierClass:
     """Cyclic sum {{a,b},c} + {{b,c},a} + {{c,a},b} on Fourier classes;
-    zero certifies the Jacobi identity for the sampled triple."""
-    def fb(u, v):
-        return fourier_bracket(u, v, table)
+    zero certifies the Jacobi identity for the sampled triple.  The inner
+    brackets stay raw densities: the outer Euler operator sees only their
+    classes, so one normal form of the sum decides the residual."""
+    def br(u, v):
+        return _pairing(u, v, table)
 
-    r1 = fb(fb(a, b), c)
-    r2 = fb(fb(b, c), a)
-    r3 = fb(fb(c, a), b)
-    return r1 + r2.rep + r3.rep
+    return FourierClass(br(br(a, b), c) + br(br(b, c), a) + br(br(c, a), b))
 
 
 def b_shift(density, alpha_rows) -> DiffPoly:
@@ -474,15 +464,11 @@ def from_tau_jets(poly: DiffPoly, g_rows=None, b_rows=None) -> DiffPoly:
 
 def dz_density(i: int = 1, g_rows=None, b_rows=None) -> DiffPoly:
     """d_z x^i on the time-zero slice, in x and p."""
-    from .jetcalc import dz_jet
-
     return from_tau_jets(dz_jet(i), g_rows, b_rows)
 
 
 def dzb_density(i: int = 1, g_rows=None, b_rows=None) -> DiffPoly:
     """d_zbar x^i on the time-zero slice, in x and p."""
-    from .jetcalc import dzb_jet
-
     return from_tau_jets(dzb_jet(i), g_rows, b_rows)
 
 
@@ -527,13 +513,6 @@ def mode_structure_constants(families, m: int, n: int, table: BracketTable | Non
     argument at mode m, the second at mode n."""
     if table is None:
         table = boson_table()
-    gens = {}
-    for fam in families:
-        gens[fam] = (generator_density(fam, m), generator_density(fam, n))
-    out = {}
-    for fam_a in families:
-        for fam_b in families:
-            out[(fam_a, fam_b)] = fourier_bracket(
-                gens[fam_a][0], gens[fam_b][1], table
-            )
-    return out
+    gens = {fam: (generator_density(fam, m), generator_density(fam, n)) for fam in families}
+    return {(fa, fb): fourier_bracket(gens[fa][0], gens[fb][1], table)
+            for fa in families for fb in families}

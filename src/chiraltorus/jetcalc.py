@@ -866,7 +866,10 @@ def noether(L: Lagrangian, generator) -> VariationalForm:
 
     Solves x-hat(L) = d(alpha) by graded peeling and certifies that the
     returned current is closed on shell (the horizontal differential
-    reduces to zero under the wave rewrite).
+    reduces to zero under the wave rewrite).  By the Noether identity
+    d(alpha - iota_{x-hat} gamma) = sum_i F_i E_i, which the wave rewrite
+    sends to zero once the peel is exact, so a failed certificate is a
+    library bug and raises InvariantError.
     """
     field = generator if isinstance(generator, EvolutionaryField) else EvolutionaryField(generator)
     q = field.apply_poly(L.density)
@@ -880,7 +883,7 @@ def noether(L: Lagrangian, generator) -> VariationalForm:
     d_current = current.horizontal_differential()
     residual = wave_reduce_poly(d_current.component((), ("t", "s")))
     if not residual.is_zero():
-        raise NotASymmetry("on-shell certificate failed for the computed current")
+        raise InvariantError("internal: on-shell certificate failed for the computed current")
     return current
 
 

@@ -312,6 +312,20 @@ class TestSpectrumStates:
         assert rc == 0
         assert out == golden("spectrum_circle_cutoff1.csv")
 
+    def test_spectrum_builds_each_sector_once(self, capsys, monkeypatch):
+        built = []
+        init = fockq.Sector.__init__
+        monkeypatch.setattr(fockq.Sector, "__init__",
+                            lambda self, *a: built.append(1) or init(self, *a))
+        rc, out, _ = invoke(
+            ["spectrum", "--radius-unit", "1", "--cutoff", "1",
+             "--format", "csv"],
+            capsys,
+        )
+        assert rc == 0
+        assert out == golden("spectrum_circle_cutoff1.csv")
+        assert len(built) == len(out.splitlines()) - 1
+
     def test_spectrum_json_vacuum(self, capsys):
         rc, out, _ = invoke(["spectrum", "--radius-unit", "1"], capsys)
         data = json.loads(out)
@@ -562,6 +576,12 @@ class TestErrorBytes:
         "cdo_valdim_bool.json": {
             "n": 2, "lambda": {"degree": 3, "dim": 2, "entries": []},
             "nu": {"degree": 2, "dim": 2, "valdim": True, "entries": []}},
+        "cdo_n_str.json": {
+            "n": "2", "lambda": {"degree": 3, "dim": 2, "entries": []},
+            "nu": {"degree": 2, "dim": 2, "valdim": 2, "entries": []}},
+        "cdo_n_bool.json": {
+            "n": True, "lambda": {"degree": 3, "dim": 1, "entries": []},
+            "nu": {"degree": 2, "dim": 1, "valdim": 1, "entries": []}},
         "cdo_bare_value.json": {
             "n": 2, "lambda": {"degree": 3, "dim": 2, "entries": []},
             "nu": {"degree": 2, "dim": 2, "valdim": 2,
@@ -669,6 +689,16 @@ class TestErrorBytes:
             None, 1,
             "error: {cdo_bare_value.json}: vector-valued tensor entry must be "
             "a sequence, got '1'\n"),
+        "cdo-n-string": (
+            ["fm", "--mu", "{mu_id.json}", "--input", "{cdo_n_str.json}"],
+            None, 1,
+            "error: {cdo_n_str.json}: CDO class size n must be an integer, "
+            "got '2'\n"),
+        "cdo-n-bool": (
+            ["fm", "--mu", "{mu_id.json}", "--input", "{cdo_n_bool.json}"],
+            None, 1,
+            "error: {cdo_n_bool.json}: CDO class size n must be an integer, "
+            "got True\n"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -752,6 +782,12 @@ class TestExitCodes:
         monkeypatch.setitem(cli.RUNNERS, "tdual", broken)
         rc, out, err = invoke(["tdual", "--radius-unit", "1"], capsys)
         assert (rc, out, err) == (3, "", "error: internal: check failed\n")
+
+    def test_failed_noether_certificate_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(jetcalc, "wave_reduce_poly", lambda p: jetcalc.DiffPoly.const(1))
+        rc, out, err = invoke(["noether", "--generator", "dt"], capsys)
+        assert (rc, out, err) == (
+            3, "", "error: internal: on-shell certificate failed for the computed current\n")
 
     @pytest.mark.parametrize("flags,message", [
         (["--metric", "[[1.5]]"], "cannot coerce 1.5 to ExactScalar"),

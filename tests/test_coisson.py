@@ -2,10 +2,15 @@
 classes, structure constants of the free-boson mode algebras, flows,
 and the twisted Jacobi probe."""
 
+import operator
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chiraltorus import coisson
 from chiraltorus.exactlin import ExactScalar as S
 from chiraltorus.jetcalc import (
     DiffPoly,
@@ -34,7 +39,9 @@ from chiraltorus.coisson import (
     jacobi_residual,
     mode_structure_constants,
     normal_form,
+    variational_derivative,
 )
+import delta_oracle as oracle
 from test_exactlin import rand_scalar
 
 I = S(0, 1)
@@ -68,32 +75,34 @@ def rand_density(rng, nfields=2, maxterms=3, maxfactors=3, with_syms=False):
 # ----------------------------------------------------------------------
 
 class TestDeltaExpansion:
+    """The slot calculus of the reference path in delta_oracle."""
+
     def test_taylor_transport_order_two(self):
         # F(s) d^2 delta = F d^2 - 2 F' d + F'' at s'
         F = P("e(3)*x1")
-        E = DeltaExpansion({2: DiffPoly.const(1)}).transport(F)
-        assert E.coefficient(2) == F
-        assert E.coefficient(1) == F.D("s").scale(-2)
-        assert E.coefficient(0) == F.D("s").D("s")
+        E = oracle.transport(DeltaExpansion({2: DiffPoly.const(1)}), F)
+        assert oracle.coefficient(E, 2) == F
+        assert oracle.coefficient(E, 1) == F.D("s").scale(-2)
+        assert oracle.coefficient(E, 0) == F.D("s").D("s")
 
     def test_transport_of_constant_is_multiplication(self):
         E = DeltaExpansion({1: P("p1"), 0: P("x1")})
-        assert E.transport(DiffPoly.const(5)) == E.scale(5)
+        assert oracle.transport(E, DiffPoly.const(5)) == E.scale(5)
 
     def test_second_slot_derivative(self):
         E = DeltaExpansion({0: P("x1")})
-        D = E.d_sigma_prime()
-        assert D.coefficient(0) == P("ds.x1")
-        assert D.coefficient(1) == P("-x1")
+        D = oracle.d_sigma_prime(E)
+        assert oracle.coefficient(D, 0) == P("ds.x1")
+        assert oracle.coefficient(D, 1) == P("-x1")
 
     def test_diagonal_derivative_hits_coefficients(self):
         # (d_sigma + d_sigma') of an expansion differentiates each c_k
         rng = random.Random(7)
         for _ in range(10):
             E = DeltaExpansion({0: rand_density(rng), 1: rand_density(rng)})
-            both = E.d_sigma() + E.d_sigma_prime()
+            both = oracle.d_sigma(E) + oracle.d_sigma_prime(E)
             expected = DeltaExpansion(
-                {k: E.coefficient(k).D("s") for k in (0, 1)}
+                {k: oracle.coefficient(E, k).D("s") for k in (0, 1)}
             )
             assert both == expected
 
@@ -101,8 +110,8 @@ class TestDeltaExpansion:
         # [e_m(s) - e_m(s')] d delta = -(d e_m)(s') delta
         m = 4
         E = DeltaExpansion({1: DiffPoly.const(1)})
-        moved = E.transport(DiffPoly.trig(m))
-        direct = E.mul_second_slot(DiffPoly.trig(m))
+        moved = oracle.transport(E, DiffPoly.trig(m))
+        direct = oracle.mul_second_slot(E, DiffPoly.trig(m))
         diff = moved + direct.scale(-1)
         assert diff == DeltaExpansion({0: DiffPoly.trig(m).D("s").scale(-1)})
 
@@ -114,11 +123,8 @@ class TestDeltaExpansion:
 class TestBracketTable:
     def test_momentum_field_pairing(self):
         t = BracketTable()
-        E = t.base_bracket((2, 1), (2, 0))
-        assert E == DeltaExpansion({0: DiffPoly.const(1)})
-        assert t.base_bracket((2, 0), (2, 1)) == DeltaExpansion(
-            {0: DiffPoly.const(-1)}
-        )
+        assert t.base_bracket((2, 1), (2, 0)) == DiffPoly.const(1)
+        assert t.base_bracket((2, 0), (2, 1)) == DiffPoly.const(-1)
         assert t.base_bracket((1, 1), (2, 0)).is_zero()
         assert t.base_bracket((1, 0), (2, 0)).is_zero()
 
@@ -197,7 +203,7 @@ class TestDensityBracket:
             a = rand_density(rng)
             b = rand_density(rng)
             lhs = density_bracket(a.D("s"), b, TABLE)
-            assert lhs == density_bracket(a, b, TABLE).d_sigma()
+            assert lhs == oracle.d_sigma(density_bracket(a, b, TABLE))
 
     def test_second_slot_derivative_rule(self):
         rng = random.Random(12)
@@ -205,7 +211,7 @@ class TestDensityBracket:
             a = rand_density(rng)
             b = rand_density(rng)
             lhs = density_bracket(a, b.D("s"), TABLE)
-            assert lhs == density_bracket(a, b, TABLE).d_sigma_prime()
+            assert lhs == oracle.d_sigma_prime(density_bracket(a, b, TABLE))
 
     def test_leibniz_in_second_slot(self):
         rng = random.Random(13)
@@ -214,8 +220,8 @@ class TestDensityBracket:
             b = rand_density(rng, maxterms=1, maxfactors=2)
             c = rand_density(rng, maxterms=1, maxfactors=2)
             lhs = density_bracket(a, b * c, TABLE)
-            rhs = density_bracket(a, b, TABLE).mul_second_slot(c) + \
-                density_bracket(a, c, TABLE).mul_second_slot(b)
+            rhs = oracle.mul_second_slot(density_bracket(a, b, TABLE), c) + \
+                oracle.mul_second_slot(density_bracket(a, c, TABLE), b)
             assert lhs == rhs
 
     def test_density_validation(self):
@@ -224,6 +230,84 @@ class TestDensityBracket:
         with pytest.raises(NotADensity):
             density_bracket(P("f*x1"), P("x1"), TABLE)
         LocalDensity("phi*p1")  # circle symbols are fine
+
+
+# ----------------------------------------------------------------------
+# the Euler operator against the slot-calculus reference path
+# ----------------------------------------------------------------------
+
+ORACLE_TABLES = {
+    "untwisted": boson_table(),
+    "constant": boson_table(twist={(1, 2, 3): "1"}),
+    "x1": boson_table(twist={(1, 2, 3): "x1"}),
+    "x4x1": boson_table(twist={(1, 2, 4): "x4*x1"}),
+}
+
+gaussian = st.builds(
+    S, st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+).filter(lambda c: not c.is_zero())
+jets = st.builds(DiffPoly.jet, st.integers(1, 4), st.integers(0, 1), st.integers(0, 2))
+factors = st.one_of(
+    jets,
+    st.builds(DiffPoly.trig, st.integers(-2, 2)),
+    st.builds(DiffPoly.symbol, st.sampled_from(["phi", "psi"]), st.integers(0, 1)),
+)
+
+
+def densities(max_terms=2, max_factors=3):
+    """Sums of up to max_terms monomials: a Gaussian-rational coefficient,
+    a jet, and up to max_factors - 1 further jets, trig modes or symbols."""
+    term = st.builds(
+        lambda c, u, rest: reduce(operator.mul, rest, u.scale(c)),
+        gaussian, jets, st.lists(factors, max_size=max_factors - 1),
+    )
+    return st.lists(term, min_size=1, max_size=max_terms).map(sum)
+
+
+class TestEulerOperator:
+    def test_euler_operator_of_a_known_density(self):
+        # delta/delta x of x ds.x^2 = ds.x^2 - D(2 x ds.x) = -ds.x^2 - 2 x ds.ds.x
+        out = variational_derivative(P("x1*ds.x1^2 + e(1)*p2"))
+        assert out == {(1, 0): P("-ds.x1^2 - 2*x1*ds.ds.x1"), (2, 1): P("e(1)")}
+
+    def test_higher_coefficients_are_binomial(self):
+        # (lambda - D)^2 phi = lambda^2 phi - 2 lambda phi' + phi''
+        poly = P("phi*ds.ds.x1")
+        assert variational_derivative(poly, 2) == {(1, 0): P("phi")}
+        assert variational_derivative(poly, 1) == {(1, 0): P("-2*phip")}
+        assert variational_derivative(poly, 0) == {(1, 0): P("phipp")}
+        assert variational_derivative(poly, 3) == {}
+
+    @settings(max_examples=40, deadline=None)
+    @given(f=densities())
+    def test_total_derivatives_die(self, f):
+        assert variational_derivative(f.D("s")) == {}
+
+    def test_jacobi_takes_one_normal_form(self, monkeypatch):
+        calls = []
+        real = coisson.normal_form
+        monkeypatch.setattr(coisson, "normal_form", lambda d: calls.append(1) or real(d))
+        jacobi_residual(ORACLE_TABLES["x1"], P("e(1)*p1"), P("p2*x3"), P("ds.p3"))
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_TABLES))
+class TestAgainstSlotCalculus:
+    @settings(max_examples=25, deadline=None)
+    @given(a=densities(), b=densities())
+    def test_brackets_and_flows(self, name, a, b):
+        table = ORACLE_TABLES[name]
+        assert density_bracket(a, b, table) == oracle.slot_bracket(a, b, table)
+        assert fourier_bracket(a, b, table) == oracle.slot_fourier_bracket(a, b, table)
+        assert hamiltonian_flow(a, b, table) == oracle.slot_flow(a, b, table)
+
+    @settings(max_examples=12, deadline=None)
+    @given(a=densities(2, 2), b=densities(2, 2), c=densities(2, 2))
+    def test_jacobi_residual(self, name, a, b, c):
+        table = ORACLE_TABLES[name]
+        got = jacobi_residual(table, a, b, c)
+        assert got == oracle.slot_jacobi_residual(table, a, b, c)
 
 
 # ----------------------------------------------------------------------

@@ -6,11 +6,16 @@ once and frozen here as parseable strings.
 """
 
 import json
+import operator
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chiraltorus.exactlin import ChiraltorusError, ExactScalar
+from chiraltorus import jetcalc
+from chiraltorus.exactlin import ChiraltorusError, ExactScalar, InvariantError
 from chiraltorus.jetcalc import (
     MAX_EXPONENT,
     DiffPoly,
@@ -190,6 +195,24 @@ class TestRingAndPartials:
         assert substitute_jets(jet(2, 1, 0), mapping) == jet(2, 1, 0)
 
 
+# a Gaussian-rational coefficient times up to four factors: jets
+# (momenta included, as tau-order 1), trig modes and coefficient symbols
+coefficients = st.builds(
+    S, st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+)
+atoms = st.one_of(
+    st.builds(jet, st.integers(1, 3), st.integers(0, 2), st.integers(0, 2)),
+    st.builds(trig, st.integers(-3, 3)),
+    st.builds(sym, st.sampled_from(["f", "g", "phi", "psi"]), st.integers(0, 2)),
+)
+monomials = st.builds(
+    lambda c, fs: reduce(operator.mul, fs, const(c)),
+    coefficients, st.lists(atoms, max_size=4),
+)
+polynomials = st.lists(monomials, max_size=4).map(lambda ms: sum(ms, DiffPoly.zero()))
+
+
 class TestParserPrinter:
     def test_jet_atoms(self):
         assert parse_expr("x3") == jet(3, 0, 0)
@@ -245,6 +268,14 @@ class TestParserPrinter:
             p = rand_poly(rng)
             blob = json.dumps(poly_to_tree(p), sort_keys=True)
             assert tree_to_poly(json.loads(blob)) == p
+
+    @settings(max_examples=80, deadline=None)
+    @given(p=polynomials)
+    def test_round_trips_of_drawn_polynomials(self, p):
+        assert parse_expr(poly_str(p, style="tau")) == p
+        assert parse_expr(poly_str(p, style="xp")) == p
+        assert tree_to_poly(poly_to_tree(p)) == p
+        assert tree_to_poly(json.loads(json.dumps(poly_to_tree(p)))) == p
 
     def test_zero_prints_and_parses(self):
         assert poly_str(DiffPoly.zero()) == "0"
@@ -449,6 +480,14 @@ class TestNoether:
     def test_not_a_symmetry(self):
         with pytest.raises(NotASymmetry):
             noether(boson_circle_lagrangian(), [jet(1, 0, 0) ** 2])
+
+    def test_failed_certificate_is_an_invariant_error(self, monkeypatch):
+        # only a broken wave rewrite can leave a residual after an exact peel
+        monkeypatch.setattr(jetcalc, "wave_reduce_poly", lambda p: DiffPoly.const(1))
+        with pytest.raises(InvariantError, match="on-shell certificate failed") as info:
+            noether(boson_circle_lagrangian(), gen_tau(1))
+        assert type(info.value) is InvariantError
+        assert info.value.exit_code == 3
 
     def test_wrong_signature_metric_rejected(self):
         density = (jet(1, 1, 0) ** 2 - jet(1, 0, 1) ** 2).scale(I / S.coerce(2))
