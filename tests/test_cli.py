@@ -225,6 +225,14 @@ class TestBracket:
         assert rc == 0
         assert json.loads(out)["bracket"] == "3/2*i"
 
+    def test_rational_sign_scales_bytes(self, capsys):
+        rc, out, err = invoke(
+            ["bracket", "heis+:3", "heis+:-3", "--sign-convention=-2/3"],
+            capsys,
+        )
+        assert (rc, out, err) == (
+            0, '{\n  "bracket": "-i",\n  "is_zero": false\n}\n', "")
+
     def test_expressions_from_stdin(self, capsys):
         rc, out, _ = invoke(["bracket"], capsys, stdin="heis+:3\nheis+:-3\n")
         assert rc == 0
@@ -262,6 +270,16 @@ class TestJacobi:
         assert json.loads(out) == {
             "residual": "3*i*e(3)*x4", "is_zero": False,
         }
+
+    def test_sign_scales_twisted_residual(self, tmp_path, capsys):
+        tw = tmp_path / "twist.json"
+        tw.write_text(json.dumps({"1,2,3": "x4"}), encoding="utf-8")
+        rc, out, err = invoke(
+            ["jacobi", "--twist", str(tw), "e(1)*p1", "e(1)*p2", "e(1)*p3",
+             "--sign-convention", "2", "--format", "text"],
+            capsys,
+        )
+        assert (rc, out, err) == (0, "[-6*i*e(3)*x4]\n", "")
 
     def test_constant_twist_closes(self, tmp_path, capsys):
         tw = tmp_path / "twist.json"
@@ -699,6 +717,55 @@ class TestErrorBytes:
             None, 1,
             "error: {cdo_n_bool.json}: CDO class size n must be an integer, "
             "got True\n"),
+        # invocation checks, refused before any input is read
+        "format-unknown": (
+            ["bracket", "x1", "p1", "--format", "yaml"], None, 1,
+            "error: --format must be one of json, csv, text\n"),
+        "cutoff-negative": (
+            ["spectrum", "--radius-unit", "1", "--cutoff", "-1"], None, 1,
+            "error: --cutoff must be a nonnegative integer\n"),
+        "level-negative": (
+            ["states", "--radius-unit", "1", "--level", "-1"], None, 1,
+            "error: --level must be a nonnegative integer\n"),
+        "order-negative": (
+            ["character", "--radius-unit", "1", "--order", "-1"], None, 1,
+            "error: --order must be a nonnegative integer\n"),
+        "cutoff-bool": (
+            ["spectrum", "--radius-unit", "1", "--cutoff", "True"], None, 1,
+            "error: argument --cutoff: invalid int value: 'True'\n"),
+        "kind-unknown": (
+            ["fm", "--kind", "bogus"], None, 1,
+            "error: --kind must be cdo, tdo or linear\n"),
+        "lagrangian-unknown": (
+            ["noether", "--lagrangian", "sphere"], None, 1,
+            "error: --lagrangian must be circle or torus\n"),
+        "sign-zero": (
+            ["bracket", "--sign-convention", "0", "x1", "p1"], None, 1,
+            "error: --sign-convention must be nonzero\n"),
+        "sign-not-rational": (
+            ["bracket", "--sign-convention", "two", "x1", "p1"], None, 1,
+            "error: --sign-convention: not a Gaussian rational literal: "
+            "'two'\n"),
+        "jacobi-sign-zero": (
+            ["jacobi", "--sign-convention", "0", "p1", "p2", "p3"], None, 1,
+            "error: --sign-convention must be nonzero\n"),
+        "csv-bracket": (
+            ["bracket", "x1", "p1", "--format", "csv"], None, 1,
+            "error: csv output is not available for 'bracket'\n"),
+        "csv-tdual": (
+            ["tdual", "--radius-unit", "1", "--format", "csv"], None, 1,
+            "error: csv output is not available for 'tdual'\n"),
+        "kind-before-csv": (
+            ["fm", "--kind", "bogus", "--format", "csv"], None, 1,
+            "error: --kind must be cdo, tdo or linear\n"),
+        "format-before-cutoff": (
+            ["spectrum", "--format", "yaml", "--cutoff", "-1"], None, 1,
+            "error: --format must be one of json, csv, text\n"),
+        "subcommand-unknown": (
+            ["transmogrify"], None, 1,
+            "error: argument subcommand: invalid choice: 'transmogrify' "
+            "(choose from 'fm', 'noether', 'bracket', 'jacobi', 'spectrum', "
+            "'states', 'locality', 'chiral', 'tdual', 'character')\n"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
