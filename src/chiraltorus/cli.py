@@ -18,7 +18,6 @@ import io
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
 from functools import cache
 
 from fractions import Fraction
@@ -43,6 +42,7 @@ from .jetcalc import (
     torus_lagrangian,
 )
 from .coisson import (
+    FAMILIES,
     BracketTable,
     as_density,
     fourier_bracket,
@@ -70,68 +70,6 @@ FORMATS = ("json", "csv", "text")
 
 # csv is a flat-table format; only the tabular reports support it
 CSV_SUBCOMMANDS = ("spectrum", "states", "locality", "chiral")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: one subcommand plus its inputs and knobs."""
-
-    subcommand: str
-    model: str | None = None
-    mu: str | None = None
-    input: str | None = None
-    twist: str | None = None
-    out: str | None = None
-    kind: str = "cdo"
-    lagrangian: str = "circle"
-    metric: str | None = None
-    bfield: str | None = None
-    generator: str = "dt"
-    exprs: tuple = ()
-    l: str | None = None
-    lstar: str | None = None
-    radius_unit: str | None = None
-    cutoff: int = 0
-    level: int = 0
-    order: int = 0
-    format: str = "json"
-    sign: str = "-1"
-
-    def __post_init__(self):
-        if self.subcommand not in RUNNERS:
-            raise CliError(f"unknown subcommand {self.subcommand!r}")
-        if self.format not in FORMATS:
-            raise CliError(f"--format must be one of {', '.join(FORMATS)}")
-        for name in ("cutoff", "level", "order"):
-            val = getattr(self, name)
-            if not isinstance(val, int) or isinstance(val, bool) or val < 0:
-                raise CliError(f"--{name} must be a nonnegative integer")
-        if self.kind not in ("cdo", "tdo", "linear"):
-            raise CliError("--kind must be cdo, tdo or linear")
-        if self.lagrangian not in ("circle", "torus"):
-            raise CliError("--lagrangian must be circle or torus")
-        try:
-            scale = ExactScalar.from_string(self.sign)
-        except ValueError as exc:
-            raise CliError(f"--sign-convention: {exc}") from None
-        if scale.is_zero():
-            raise CliError("--sign-convention must be nonzero")
-        object.__setattr__(self, "exprs", tuple(self.exprs))
-        if self.format == "csv" and self.subcommand not in CSV_SUBCOMMANDS:
-            raise CliError(
-                f"csv output is not available for {self.subcommand!r}"
-            )
-
-    @staticmethod
-    def from_dict(data) -> "RunConfig":
-        known = {f.name for f in fields(RunConfig)}
-        extra = sorted(set(data) - known)
-        if extra:
-            raise CliError(f"unknown configuration keys: {', '.join(extra)}")
-        return RunConfig(**data)
-
-    def bracket_scale(self):
-        return ExactScalar.from_string(self.sign)
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +114,7 @@ def _take(data, key, where):
     return data[key]
 
 
-def _expressions(cfg: RunConfig, count: int):
+def _expressions(cfg: argparse.Namespace, count: int):
     """Positional expressions, with "-" (or none at all) read from stdin
     one per nonempty line."""
     exprs = list(cfg.exprs)
@@ -202,8 +140,7 @@ def _density(text: str):
     """An expression in the x/p grammar, or a named mode family such as
     vir+:2 or hamiltonian."""
     head, sep, tail = text.partition(":")
-    if head in ("heis+", "heis-", "vir+", "vir-",
-                "hamiltonian", "momentum", "winding"):
+    if head in FAMILIES:
         mode = 0
         if sep:
             try:
@@ -226,7 +163,7 @@ def _coords(text: str, what: str):
     return [_rational(piece.strip(), what) for piece in text.split(",")]
 
 
-def _model_from(cfg: RunConfig):
+def _model_from(cfg: argparse.Namespace):
     if cfg.radius_unit is not None:
         return one_dim_model(_rational(cfg.radius_unit, "radius-unit"))
     if cfg.model is None:
@@ -271,7 +208,7 @@ def dump_text(lines) -> str:
 # subcommand runners; each returns the full output string
 # ----------------------------------------------------------------------
 
-def run_fm(cfg: RunConfig) -> str:
+def run_fm(cfg: argparse.Namespace) -> str:
     if cfg.mu is None:
         raise CliError("fm requires --mu")
     mu_data = _load_json(cfg.mu)
@@ -320,7 +257,7 @@ def _build_generator(name: str, n: int):
     )
 
 
-def run_noether(cfg: RunConfig) -> str:
+def run_noether(cfg: argparse.Namespace) -> str:
     if cfg.lagrangian == "circle":
         L = boson_circle_lagrangian()
         n = 1
@@ -352,9 +289,9 @@ def run_noether(cfg: RunConfig) -> str:
     })
 
 
-def run_bracket(cfg: RunConfig) -> str:
+def run_bracket(cfg: argparse.Namespace) -> str:
     a_text, b_text = _expressions(cfg, 2)
-    table = BracketTable(scale=cfg.bracket_scale())
+    table = BracketTable(scale=cfg.scale)
     result = fourier_bracket(_density(a_text), _density(b_text), table)
     rep = poly_str(result.rep, style="xp")
     if cfg.format == "text":
@@ -383,11 +320,11 @@ def _twist_table(path: str):
     return twist
 
 
-def run_jacobi(cfg: RunConfig) -> str:
+def run_jacobi(cfg: argparse.Namespace) -> str:
     twist = _twist_table(cfg.twist) if cfg.twist is not None else None
     a_text, b_text, c_text = _expressions(cfg, 3)
     with _source("--twist"):
-        table = BracketTable(scale=cfg.bracket_scale(), twist=twist)
+        table = BracketTable(scale=cfg.scale, twist=twist)
     residual = jacobi_residual(
         table, _density(a_text), _density(b_text), _density(c_text)
     )
@@ -405,7 +342,7 @@ def _label(s) -> str:
     return f"l={s.l_coords} l*={s.lstar_coords}"
 
 
-def run_spectrum(cfg: RunConfig) -> str:
+def run_spectrum(cfg: argparse.Namespace) -> str:
     model = _model_from(cfg)
     p_plus, p_minus = model.tables.p_plus, model.tables.p_minus
     points = [(s, p_plus.apply(s.coords), p_minus.apply(s.coords))
@@ -425,7 +362,7 @@ def run_spectrum(cfg: RunConfig) -> str:
         for s, p_plus, p_minus in points]})
 
 
-def run_states(cfg: RunConfig) -> str:
+def run_states(cfg: argparse.Namespace) -> str:
     model = _model_from(cfg)
     sectors = enumerate_sectors(model, cfg.cutoff)
     counts = colored_partition_counts(model.n, cfg.level)
@@ -444,7 +381,7 @@ def run_states(cfg: RunConfig) -> str:
     })
 
 
-def run_locality(cfg: RunConfig) -> str:
+def run_locality(cfg: argparse.Namespace) -> str:
     model = _model_from(cfg)
     if cfg.format == "json":
         return dump_json(ko_locality(model, cfg.cutoff))
@@ -471,7 +408,7 @@ def run_locality(cfg: RunConfig) -> str:
     ])
 
 
-def run_tdual(cfg: RunConfig) -> str:
+def run_tdual(cfg: argparse.Namespace) -> str:
     model = _model_from(cfg)
     dual = t_dual(model)
     out = dual.to_json()
@@ -480,7 +417,7 @@ def run_tdual(cfg: RunConfig) -> str:
     return dump_json(out)
 
 
-def run_chiral(cfg: RunConfig) -> str:
+def run_chiral(cfg: argparse.Namespace) -> str:
     model = _model_from(cfg)
     found = chiral_sectors(model, cfg.cutoff)
     if cfg.format == "csv":
@@ -497,7 +434,7 @@ def run_chiral(cfg: RunConfig) -> str:
         for s in found]})
 
 
-def run_character(cfg: RunConfig) -> str:
+def run_character(cfg: argparse.Namespace) -> str:
     model = _model_from(cfg)
     if cfg.l is not None or cfg.lstar is not None:
         zero = [0] * model.n
@@ -542,10 +479,10 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(sub, *, model=False, cutoff=False, level=False,
                 order=False, sign=False):
     sub.add_argument("--format", default="json")
-    sub.add_argument("--out", default=None)
+    sub.add_argument("--out")
     if model:
-        sub.add_argument("--model", default=None)
-        sub.add_argument("--radius-unit", default=None, dest="radius_unit")
+        sub.add_argument("--model")
+        sub.add_argument("--radius-unit")
     if cutoff:
         sub.add_argument("--cutoff", type=int, default=0)
     if level:
@@ -558,78 +495,83 @@ def _add_common(sub, *, model=False, cutoff=False, level=False,
 
 @cache
 def build_parser() -> _Parser:
+    """The command line's one schema: every flag and its default."""
     parser = _Parser(prog="chiraltorus", add_help=True)
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     fm = subs.add_parser("fm", help="Fourier-Mukai transform on classes")
     fm.add_argument("--kind", default="cdo")
-    fm.add_argument("--mu", default=None)
-    fm.add_argument("--input", default=None)
+    fm.add_argument("--mu")
+    fm.add_argument("--input")
     _add_common(fm)
 
     no = subs.add_parser("noether", help="Noether current of a symmetry")
     no.add_argument("--lagrangian", default="circle")
-    no.add_argument("--metric", default=None)
-    no.add_argument("--bfield", default=None)
+    no.add_argument("--metric")
+    no.add_argument("--bfield")
     no.add_argument("--generator", default="dt")
     _add_common(no)
 
     br = subs.add_parser("bracket", help="bracket of two Fourier classes")
-    br.add_argument("exprs", nargs="*", default=[])
+    br.add_argument("exprs", nargs="*")
     _add_common(br, sign=True)
 
     ja = subs.add_parser("jacobi", help="cyclic Jacobi residual")
-    ja.add_argument("exprs", nargs="*", default=[])
-    ja.add_argument("--twist", default=None)
+    ja.add_argument("exprs", nargs="*")
+    ja.add_argument("--twist")
     _add_common(ja, sign=True)
 
-    for name, want_level in (
-        ("spectrum", False),
-        ("states", True),
-        ("locality", False),
-        ("chiral", False),
-    ):
+    for name in ("spectrum", "states", "locality", "chiral"):
         sub = subs.add_parser(name)
-        _add_common(sub, model=True, cutoff=True, level=want_level)
+        _add_common(sub, model=True, cutoff=True, level=name == "states")
 
     td = subs.add_parser("tdual", help="dual torus model")
     _add_common(td, model=True)
 
     ch = subs.add_parser("character", help="graded character or partition function")
-    ch.add_argument("--l", default=None, dest="l")
-    ch.add_argument("--lstar", default=None, dest="lstar")
+    ch.add_argument("--l")
+    ch.add_argument("--lstar")
     _add_common(ch, model=True, cutoff=True, order=True)
 
     return parser
 
 
-def config_from_args(argv) -> RunConfig:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    # flags a subcommand does not define are simply absent, and
-    # None-valued optionals fall back to the RunConfig defaults
-    data = {k: v for k, v in vars(ns).items() if v is not None}
-    if "exprs" in data:
-        data["exprs"] = tuple(data["exprs"])
-    return RunConfig.from_dict(data)
+def _check(args: argparse.Namespace) -> None:
+    """Refuse a parsed invocation before any runner reads input; parses
+    --sign-convention into args.scale."""
+    if args.format not in FORMATS:
+        raise CliError(f"--format must be one of {', '.join(FORMATS)}")
+    for name in ("cutoff", "level", "order"):
+        if getattr(args, name, 0) < 0:
+            raise CliError(f"--{name} must be a nonnegative integer")
+    if getattr(args, "kind", "cdo") not in ("cdo", "tdo", "linear"):
+        raise CliError("--kind must be cdo, tdo or linear")
+    if getattr(args, "lagrangian", "circle") not in ("circle", "torus"):
+        raise CliError("--lagrangian must be circle or torus")
+    if hasattr(args, "sign"):
+        try:
+            args.scale = ExactScalar.from_string(args.sign)
+        except ValueError as exc:
+            raise CliError(f"--sign-convention: {exc}") from None
+        if args.scale.is_zero():
+            raise CliError("--sign-convention must be nonzero")
+    if args.format == "csv" and args.subcommand not in CSV_SUBCOMMANDS:
+        raise CliError(f"csv output is not available for {args.subcommand!r}")
 
 
 def main(argv=None) -> int:
     try:
-        cfg = config_from_args(
-            list(sys.argv[1:]) if argv is None else list(argv)
-        )
-        output = RUNNERS[cfg.subcommand](cfg)
-        if cfg.out is None:
+        args = build_parser().parse_args(argv)
+        _check(args)
+        output = RUNNERS[args.subcommand](args)
+        if args.out is None:
             sys.stdout.write(output)
         else:
             try:
-                with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+                with open(args.out, "w", encoding="utf-8", newline="") as fh:
                     fh.write(output)
             except OSError as exc:
-                raise CliError(
-                    f"{cfg.out}: {exc.strerror or exc}"
-                ) from None
+                raise CliError(f"{args.out}: {exc.strerror or exc}") from None
     except (ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return getattr(exc, "exit_code", 1)

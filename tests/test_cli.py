@@ -14,7 +14,7 @@ import pytest
 
 import chiraltorus
 from chiraltorus import chiral_fm, cli, coisson, exactlin, fockq, jetcalc
-from chiraltorus.cli import RunConfig, CliError, dump_json, main
+from chiraltorus.cli import CliError, dump_json, main
 from chiraltorus.fockq import load_model, one_dim_model, partition_function
 from chiraltorus.jetcalc import parse_expr
 
@@ -40,37 +40,67 @@ def golden(name: str) -> str:
 
 
 class TestRunConfig:
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(CliError):
-            RunConfig.from_dict({"subcommand": "bracket", "colour": "red"})
+    """The invocation checks main runs before any runner: each is refused
+    with exit 1 and its message, with nothing on stdout."""
 
-    def test_bad_format(self):
-        with pytest.raises(CliError):
-            RunConfig(subcommand="bracket", format="yaml")
+    def refused(self, args, capsys):
+        rc, out, err = invoke(args, capsys)
+        assert (rc, out) == (1, "")
+        return err
 
-    def test_negative_counts(self):
-        for field in ("cutoff", "level", "order"):
-            with pytest.raises(CliError):
-                RunConfig(subcommand="spectrum", **{field: -1})
+    def test_bad_format(self, capsys):
+        err = self.refused(["bracket", "x1", "p1", "--format", "yaml"], capsys)
+        assert err == "error: --format must be one of json, csv, text\n"
 
-    def test_bool_is_not_a_count(self):
-        with pytest.raises(CliError):
-            RunConfig(subcommand="spectrum", cutoff=True)
+    def test_negative_counts(self, capsys):
+        for sub, flag in (("spectrum", "cutoff"), ("states", "level"),
+                          ("character", "order")):
+            err = self.refused(
+                [sub, "--radius-unit", "1", f"--{flag}", "-1"], capsys)
+            assert err == f"error: --{flag} must be a nonnegative integer\n"
 
-    def test_sign_must_be_nonzero_rational(self):
-        with pytest.raises(CliError):
-            RunConfig(subcommand="bracket", sign="0")
-        with pytest.raises(CliError):
-            RunConfig(subcommand="bracket", sign="two")
+    def test_bool_is_not_a_count(self, capsys):
+        err = self.refused(
+            ["spectrum", "--radius-unit", "1", "--cutoff", "True"], capsys)
+        assert "--cutoff" in err
 
-    def test_csv_only_for_tables(self):
-        with pytest.raises(CliError):
-            RunConfig(subcommand="bracket", format="csv")
-        RunConfig(subcommand="spectrum", format="csv")
+    def test_sign_must_be_nonzero_rational(self, capsys):
+        for sub, exprs in (("bracket", ["x1", "p1"]),
+                           ("jacobi", ["p1", "p2", "p3"])):
+            err = self.refused(
+                [sub, "--sign-convention", "0", *exprs], capsys)
+            assert err == "error: --sign-convention must be nonzero\n"
+            err = self.refused(
+                [sub, "--sign-convention", "two", *exprs], capsys)
+            assert err.startswith("error: --sign-convention: ")
 
-    def test_unknown_subcommand(self):
-        with pytest.raises(CliError):
-            RunConfig(subcommand="frobnicate")
+    def test_csv_only_for_tables(self, capsys):
+        for sub, args in (("bracket", ["x1", "p1"]),
+                          ("tdual", ["--radius-unit", "1"])):
+            err = self.refused([sub, *args, "--format", "csv"], capsys)
+            assert err == f"error: csv output is not available for {sub!r}\n"
+        rc, _, _ = invoke(
+            ["spectrum", "--radius-unit", "1", "--format", "csv"], capsys)
+        assert rc == 0
+
+    def test_checks_run_in_order(self, capsys):
+        # format, counts, kind, lagrangian, sign, then csv
+        err = self.refused(["fm", "--kind", "bogus", "--format", "csv"], capsys)
+        assert err == "error: --kind must be cdo, tdo or linear\n"
+        err = self.refused(
+            ["spectrum", "--format", "yaml", "--cutoff", "-1"], capsys)
+        assert err == "error: --format must be one of json, csv, text\n"
+
+    def test_checks_precede_input(self, capsys):
+        # a missing model file is never opened once a check fails
+        err = self.refused(
+            ["spectrum", "--model", "absent.json", "--cutoff", "-1"], capsys)
+        assert err == "error: --cutoff must be a nonnegative integer\n"
+
+    def test_unknown_subcommand(self, capsys):
+        err = self.refused(["frobnicate"], capsys)
+        assert err.startswith(
+            "error: argument subcommand: invalid choice: 'frobnicate'")
 
 
 class TestNoether:
