@@ -94,21 +94,6 @@ class LocalDensity(Frozen):
     def __init__(self, poly):
         self._set(poly=as_density(poly))
 
-    def __add__(self, other):
-        return LocalDensity(self.poly + as_density(other))
-
-    def __sub__(self, other):
-        return LocalDensity(self.poly - as_density(other))
-
-    def __neg__(self):
-        return LocalDensity(-self.poly)
-
-    def scale(self, c):
-        return LocalDensity(self.poly.scale(c))
-
-    def __mul__(self, other):
-        return LocalDensity(self.poly * as_density(other))
-
     def __eq__(self, other):
         if isinstance(other, LocalDensity):
             return self.poly == other.poly

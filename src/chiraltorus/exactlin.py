@@ -707,7 +707,10 @@ class AltTensor(CoeffTable):
         super().__init__(coeffs)
 
     def _entry(self, key, val):
-        key = tuple(int(i) for i in key)
+        key = tuple(key)
+        for i in key:
+            if type(i) is not int:
+                raise ChiraltorusError(f"tensor index must be an integer, got {i!r}")
         if len(key) != self.degree:
             raise DimensionMismatch(f"key {key} has wrong length for degree {self.degree}")
         if any(not (1 <= i <= self.dim) for i in key):

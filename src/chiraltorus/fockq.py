@@ -168,6 +168,9 @@ class LatticeModel(Frozen):
         if g.rows != n or g.cols != n or B.rows != n or B.cols != n \
                 or L.rows != n or L.cols != n:
             raise DimensionMismatch("model matrices must be n x n")
+        if type(unit_exponent) is not int:
+            raise ChiraltorusError(
+                f"unit exponent must be an integer, got {unit_exponent!r}")
         if unit_exponent not in (-1, 0, 1):
             raise ChiraltorusError("unit exponent must be -1, 0, or 1")
         _check_positive_definite(g)
@@ -184,6 +187,9 @@ class LatticeModel(Frozen):
                 # absorb the inverted unit; canonical form keeps exponent +1.
                 L = L.scale(S(1 / u_square))
                 unit_exponent = 1
+            if not unit_exponent:
+                # with no unit in the basis, u^2 reaches no observable
+                u_square = None
         self._set(
             n=n,
             g=g,
@@ -856,31 +862,19 @@ class TwoSidedFock(Frozen):
         return self.plus.dim * self.minus.dim
 
     def _lift(self, op: SparseOp, side: str) -> SparseOp:
+        # basis (a, b) -> a * dim_minus + b: a "+" operator moves a with
+        # stride dim_minus, a "-" operator moves b with stride 1
         dm = self.minus.dim
-        table = {}
-        if side == "+":
-            for col, column in op.table.items():
-                for other in range(dm):
-                    table[col * dm + other] = {
-                        r * dm + other: v for r, v in column.items()
-                    }
-        else:
-            for base in range(self.plus.dim):
-                for col, column in op.table.items():
-                    table[base * dm + col] = {
-                        base * dm + r: v for r, v in column.items()
-                    }
-        return SparseOp._trusted(self.dim, table)
+        stride, offsets = (dm, range(dm)) if side == "+" else (1, range(0, self.dim, dm))
+        return SparseOp._trusted(self.dim, {
+            col * stride + o: {r * stride + o: v for r, v in column.items()}
+            for col, column in op.table.items() for o in offsets})
 
     def alpha(self, i: int, m: int, side: str = "+") -> SparseOp:
-        if side == "+":
-            return self._lift(self.plus.alpha(i, m), "+")
-        return self._lift(self.minus.alpha(i, m), "-")
+        return self._lift((self.plus if side == "+" else self.minus).alpha(i, m), side)
 
     def virasoro(self, k: int, side: str = "+") -> SparseOp:
-        if side == "+":
-            return self._lift(self.plus.virasoro(k), "+")
-        return self._lift(self.minus.virasoro(k), "-")
+        return self._lift((self.plus if side == "+" else self.minus).virasoro(k), side)
 
 
 # ----------------------------------------------------------------------

@@ -83,20 +83,6 @@ class TestRunConfig:
             ["spectrum", "--radius-unit", "1", "--format", "csv"], capsys)
         assert rc == 0
 
-    def test_checks_run_in_order(self, capsys):
-        # format, counts, kind, lagrangian, sign, then csv
-        err = self.refused(["fm", "--kind", "bogus", "--format", "csv"], capsys)
-        assert err == "error: --kind must be cdo, tdo or linear\n"
-        err = self.refused(
-            ["spectrum", "--format", "yaml", "--cutoff", "-1"], capsys)
-        assert err == "error: --format must be one of json, csv, text\n"
-
-    def test_checks_precede_input(self, capsys):
-        # a missing model file is never opened once a check fails
-        err = self.refused(
-            ["spectrum", "--model", "absent.json", "--cutoff", "-1"], capsys)
-        assert err == "error: --cutoff must be a nonnegative integer\n"
-
     def test_unknown_subcommand(self, capsys):
         err = self.refused(["frobnicate"], capsys)
         assert err.startswith(
@@ -630,6 +616,18 @@ class TestErrorBytes:
         "cdo_n_bool.json": {
             "n": True, "lambda": {"degree": 3, "dim": 1, "entries": []},
             "nu": {"degree": 2, "dim": 1, "valdim": 1, "entries": []}},
+        "unit_float.json": {"n": 1, "g": [["1"]], "B": [["0"]], "L": [["1"]],
+                            "unit_exponent": 1.0},
+        "unit_bool.json": {"n": 1, "g": [["1"]], "B": [["0"]], "L": [["1"]],
+                           "unit_exponent": True},
+        "idx_float.json": {
+            "n": 2, "lambda": {"degree": 3, "dim": 2, "entries": []},
+            "nu": {"degree": 2, "dim": 2, "valdim": 2,
+                   "entries": [{"idx": [1.5, 2], "val": ["1", "0"]}]}},
+        "idx_bool.json": {
+            "n": 2, "lambda": {"degree": 3, "dim": 2, "entries": []},
+            "nu": {"degree": 2, "dim": 2, "valdim": 2,
+                   "entries": [{"idx": [True, 2], "val": ["1", "0"]}]}},
         "cdo_bare_value.json": {
             "n": 2, "lambda": {"degree": 3, "dim": 2, "entries": []},
             "nu": {"degree": 2, "dim": 2, "valdim": 2,
@@ -747,6 +745,25 @@ class TestErrorBytes:
             None, 1,
             "error: {cdo_n_bool.json}: CDO class size n must be an integer, "
             "got True\n"),
+        "model-unit-exponent-float": (
+            ["states", "--model", "{unit_float.json}", "--cutoff", "1",
+             "--format", "text"], None, 1,
+            "error: {unit_float.json}: unit exponent must be an integer, got "
+            "1.0\n"),
+        "model-unit-exponent-bool": (
+            ["tdual", "--model", "{unit_bool.json}"], None, 1,
+            "error: {unit_bool.json}: unit exponent must be an integer, got "
+            "True\n"),
+        "tensor-index-float": (
+            ["fm", "--mu", "{mu_id.json}", "--input", "{idx_float.json}"],
+            None, 1,
+            "error: {idx_float.json}: tensor index must be an integer, got "
+            "1.5\n"),
+        "tensor-index-bool": (
+            ["fm", "--mu", "{mu_id.json}", "--input", "{idx_bool.json}"],
+            None, 1,
+            "error: {idx_bool.json}: tensor index must be an integer, got "
+            "True\n"),
         # invocation checks, refused before any input is read
         "format-unknown": (
             ["bracket", "x1", "p1", "--format", "yaml"], None, 1,
@@ -791,6 +808,9 @@ class TestErrorBytes:
         "format-before-cutoff": (
             ["spectrum", "--format", "yaml", "--cutoff", "-1"], None, 1,
             "error: --format must be one of json, csv, text\n"),
+        "cutoff-before-model-file": (
+            ["spectrum", "--model", "absent.json", "--cutoff", "-1"], None, 1,
+            "error: --cutoff must be a nonnegative integer\n"),
         "subcommand-unknown": (
             ["transmogrify"], None, 1,
             "error: argument subcommand: invalid choice: 'transmogrify' "
