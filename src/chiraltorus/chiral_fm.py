@@ -20,7 +20,6 @@ from .exactlin import (
     RationalMatrix,
     SingularMatrix,
     _pullback_by_inverse,
-    invert,
 )
 
 
@@ -141,7 +140,7 @@ class NondegClass:
 
     def mu_inverse(self) -> RationalMatrix:
         """mu^{-1}: the carried matrix of an inverse class, else computed."""
-        return invert(self.mu) if self._inv is None else self._inv
+        return self.mu.inverse() if self._inv is None else self._inv
 
     def inverse_class(self) -> "NondegClass":
         return NondegClass(self.mu_inverse(), self.mu)
@@ -159,22 +158,19 @@ def vertex_algebroid_pairing(lam: AltTensor, x: int, y: int):
     directions; skew in (x, y) because lambda is alternating."""
     if lam.degree != 3:
         raise DimensionMismatch("pairing requires a 3-tensor")
-    n = lam.dim
-    if not (1 <= x <= n and 1 <= y <= n):
-        raise DimensionMismatch("basis index out of range")
-    return tuple(lam.evaluate((x, y, z)) for z in range(1, n + 1))
+    return tuple(lam.evaluate((x, y, z)) for z in range(1, lam.dim + 1))
 
 
 def fm_linear(a: RationalMatrix) -> RationalMatrix:
     """Transform on period matrices: A |-> -A^{-1}."""
-    return -invert(a)
+    return -a.inverse()
 
 
 def fm_linear_differential(a: RationalMatrix, b: RationalMatrix):
     """Differential of fm_linear at a in direction b: (-a^{-1}, a^{-1} b a^{-1})."""
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise DimensionMismatch("direction must have the same shape as the base point")
-    inv = invert(a)
+    inv = a.inverse()
     return (-inv, inv * b * inv)
 
 

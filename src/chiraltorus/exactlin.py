@@ -501,11 +501,6 @@ class RationalMatrix(Frozen):
         return RationalMatrix(data)
 
 
-def invert(m: RationalMatrix) -> RationalMatrix:
-    """Exact inverse of a square matrix; SingularMatrix when det = 0."""
-    return m.inverse()
-
-
 def add_into(table, key, value):
     """Accumulate value into table[key], keeping the table zero-pruned:
     a key whose sum is zero is removed.  Values need + and is_zero()."""
@@ -706,7 +701,8 @@ class AltTensor(CoeffTable):
         self._set(degree=degree, dim=dim, valdim=valdim)
         super().__init__(coeffs)
 
-    def _entry(self, key, val):
+    def _index(self, key) -> tuple:
+        """key as a tuple of degree int indices in 1..dim, or an error."""
         key = tuple(key)
         for i in key:
             if type(i) is not int:
@@ -715,6 +711,10 @@ class AltTensor(CoeffTable):
             raise DimensionMismatch(f"key {key} has wrong length for degree {self.degree}")
         if any(not (1 <= i <= self.dim) for i in key):
             raise DimensionMismatch(f"key {key} out of range for dim {self.dim}")
+        return key
+
+    def _entry(self, key, val):
+        key = self._index(key)
         if any(a >= b for a, b in zip(key, key[1:])):
             raise DimensionMismatch(f"key {key} is not strictly increasing")
         return key, _as_value(val, self.valdim)
@@ -726,10 +726,7 @@ class AltTensor(CoeffTable):
 
     def evaluate(self, idx):
         """Value on an arbitrary index tuple, by antisymmetrization."""
-        idx = tuple(int(i) for i in idx)
-        if len(idx) != self.degree:
-            raise DimensionMismatch("wrong number of arguments")
-        sign, key = signed_sort(idx)
+        sign, key = signed_sort(self._index(idx))
         val = self.coeffs.get(key)  # key is None for a repeated index
         if val is None:
             return self._zero_value()
@@ -792,14 +789,22 @@ class AltTensor(CoeffTable):
 
 def compositions(total: int, parts: int):
     """All tuples of parts nonnegative integers summing to total, in
-    lexicographic order; one empty tuple for total = parts = 0."""
+    lexicographic order; one empty tuple for total = parts = 0.  Stars
+    and bars: parts - 1 bars in total + parts - 1 slots, each part the
+    stars before, between or after them; bar positions in lexicographic
+    order give the parts in lexicographic order."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    slots = total + parts - 1
+    for bars in combinations(range(slots), parts - 1):
+        out = []
+        prev = -1
+        for bar in bars + (slots,):
+            out.append(bar - prev - 1)
+            prev = bar
+        yield tuple(out)
 
 
 def alt_pullback(k: int, mu: RationalMatrix, t: AltTensor) -> AltTensor:

@@ -824,14 +824,6 @@ class FockTruncation(Frozen):
         return self._operator(terms, k)
 
 
-def build_fock(model: LatticeModel, weight, N: int) -> FockTruncation:
-    return FockTruncation(model, weight, N)
-
-
-def virasoro_mode(fock: FockTruncation, k: int) -> SparseOp:
-    return fock.virasoro(k)
-
-
 def central_charge(model: LatticeModel, N: int = 3) -> ExactScalar:
     """Measure c on the vacuum module: ([L_2, L_-2] - 4 L_0) acts there
     by c/2."""

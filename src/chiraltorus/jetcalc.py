@@ -15,7 +15,6 @@ current with an on-shell certificate.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from typing import NamedTuple
 
 from .exactlin import (
@@ -211,16 +210,6 @@ class DiffPoly(CoeffTable):
         return poly_str(self)
 
 
-_DIRECTIONS = {"t": "t", "tau": "t", "τ": "t", "s": "s", "sigma": "s", "σ": "s"}
-
-
-def total_derivative(direction: str, poly: DiffPoly) -> DiffPoly:
-    """D_tau or D_sigma as a free function; accepts 't'/'tau' and 's'/'sigma'."""
-    if direction not in _DIRECTIONS:
-        raise ChiraltorusError(f"unknown direction {direction!r}")
-    return poly.D(_DIRECTIONS[direction])
-
-
 def substitute_jets(poly: DiffPoly, mapping) -> DiffPoly:
     """Replace whole field slots: for (i, a) in mapping, every jet
     (i, a, b) becomes D_sigma^b applied to mapping[(i, a)].
@@ -323,33 +312,6 @@ def poly_str(poly: DiffPoly, style: str = "tau") -> str:
         else:
             bits.append(("- " if neg else "+ ") + body)
     return " ".join(bits)
-
-
-def poly_to_tree(poly: DiffPoly):
-    """JSON expression tree: canonical sum of monomials."""
-    terms = []
-    for mono in sorted(poly.coeffs):
-        terms.append(
-            {
-                "coeff": poly.coeffs[mono].to_json(),
-                "trig": mono.mode,
-                "symbols": [[n, o] for (n, o) in mono.syms],
-                "jets": [[i, a, b] for (i, a, b) in mono.jets],
-            }
-        )
-    return {"terms": terms}
-
-
-def tree_to_poly(data) -> DiffPoly:
-    out = {}
-    for t in data["terms"]:
-        mono = Monomial(
-            t.get("trig", 0),
-            tuple(sorted((n, o) for n, o in t.get("symbols", []))),
-            tuple(sorted((i, a, b) for i, a, b in t.get("jets", []))),
-        )
-        out[mono] = S.from_string(t["coeff"])
-    return DiffPoly(out)
 
 
 # the largest exponent the expression grammar accepts after "^"; larger
@@ -526,21 +488,17 @@ def dzb_jet(i: int) -> DiffPoly:
 # variational bicomplex
 # ----------------------------------------------------------------------
 
-_H_ORDER = {(): 0, ("t",): 1, ("s",): 1, ("t", "s"): 2}
+# the admissible horizontal factors, each in the canonical order (t, s)
+_H_KEYS = ((), ("t",), ("s",), ("t", "s"))
 
 
 def _insert_h(c, hkeys):
-    """Wedge dc onto the left of the horizontal factor; canonical order (t, s)."""
-    if c in hkeys:
+    """Wedge dc onto the left of the horizontal factor: (sign, factor)
+    sorted to the order (t, s), or (0, None) when dc is already there."""
+    sign, ranks = signed_sort("ts".index(h) for h in (c,) + hkeys)
+    if sign == 0:
         return 0, None
-    if hkeys == ():
-        return 1, (c,)
-    if hkeys == ("t",):
-        # ds ^ dt = -dt ^ ds
-        return -1, ("t", "s")
-    if hkeys == ("s",):
-        return 1, ("t", "s")
-    return 0, None
+    return sign, tuple("ts"[r] for r in ranks)
 
 
 class VariationalForm(CoeffTable):
@@ -561,16 +519,12 @@ class VariationalForm(CoeffTable):
         vkeys, hkeys = key
         vkeys = tuple(tuple(k) for k in vkeys)
         hkeys = tuple(hkeys)
-        if hkeys not in _H_ORDER:
+        if hkeys not in _H_KEYS:
             raise ChiraltorusError(f"bad horizontal factor {hkeys!r}")
         sign, canon = signed_sort(vkeys)
         if sign == 0:
             return None
         return (canon, hkeys), (poly if sign == 1 else -poly)
-
-    @staticmethod
-    def zero() -> "VariationalForm":
-        return VariationalForm()
 
     def component(self, vkeys, hkeys) -> DiffPoly:
         vkeys = tuple(tuple(k) for k in vkeys)
@@ -719,27 +673,27 @@ def variational_one_form(L: Lagrangian) -> VariationalForm:
     return VariationalForm(items)
 
 
-def enumerate_monomials(content, weight, forbid_bare=False):
+def enumerate_monomials(content, weight):
     """All monomials of the given content and total weight.
 
     Weight = sum of jet orders (a+b) plus symbol orders; content fixes
     the trig mode, the multiset of field indices, and the symbol names.
+    Each composition of the weight into 2f + s parts, read as
+    (a_1..a_f, b_1..b_f, symbol orders), gives one monomial; repeated
+    fields give some monomial more than once, and the set keeps one.
     """
     mode, fields, names = content
-    out = set()
-    for comp in compositions(weight, len(fields) + len(names)):
-        jet_orders = comp[: len(fields)]
-        sym_orders = comp[len(fields):]
-        if forbid_bare and any(o == 0 for o in jet_orders):
-            continue
-        syms = tuple(sorted(zip(names, sym_orders)))
-        for split in product(*[range(o + 1) for o in jet_orders]):
-            jets = tuple(
-                sorted((fields[k], split[k], jet_orders[k] - split[k])
-                       for k in range(len(fields)))
-            )
-            out.add(Monomial(mode, syms, jets))
-    return sorted(out)
+    f = len(fields)
+    return sorted({
+        Monomial(mode, tuple(sorted(zip(names, comp[2 * f:]))),
+                 tuple(sorted(zip(fields, comp[:f], comp[f:2 * f]))))
+        for comp in compositions(weight, 2 * f + len(names))
+    })
+
+
+def _bare(mono: Monomial) -> bool:
+    """True when some jet of the monomial is an undifferentiated x."""
+    return any(a + b == 0 for (_, a, b) in mono.jets)
 
 
 def _solve_in_span(columns, target: DiffPoly):
@@ -765,52 +719,36 @@ def _solve_total_derivative(q: DiffPoly):
 
     Candidates live in the same content class as q with weight one
     lower (weight equal as well when a nonzero trig mode lets D_sigma
-    act without raising the weight).  A first pass excludes bare-x
-    factors, which removes the gauge freedom for the
+    act without raising the weight).  The candidates without bare-x
+    factors are tried first, which removes the gauge freedom for the
     translation-invariant densities this solver is used on; the full
-    candidate set is the fallback.
+    candidate list is the fallback.
     """
-    if q.is_zero():
-        return DiffPoly.zero(), DiffPoly.zero()
     blocks = {}
     for mono, coeff in q.coeffs.items():
         blocks.setdefault(monomial_content(mono), {})[mono] = coeff
-    P = DiffPoly.zero()
-    Q = DiffPoly.zero()
+    P = DiffPoly()
+    Q = DiffPoly()
     for content in sorted(blocks):
         target = DiffPoly(blocks[content])
-        weights = sorted({monomial_weight(m) for m in target.coeffs})
-        solved = None
-        for forbid_bare in (True, False):
-            cands = []
-            seen = set()
-            for w in weights:
-                wants = [w - 1] if content[0] == 0 else [w - 1, w]
-                for cw in wants:
-                    if cw < 0:
-                        continue
-                    for mono in enumerate_monomials(content, cw, forbid_bare):
-                        if mono not in seen:
-                            seen.add(mono)
-                            cands.append(mono)
-            if not cands:
-                continue
-            cand_polys = [DiffPoly({m: ONE}) for m in cands]
-            columns = [cp.D("t") for cp in cand_polys]
-            columns += [cp.D("s").scale(S(-1)) for cp in cand_polys]
+        shifts = (1,) if content[0] == 0 else (1, 0)
+        weights = sorted({monomial_weight(m) - d for m in target.coeffs for d in shifts})
+        cands = [m for cw in weights if cw >= 0 for m in enumerate_monomials(content, cw)]
+        for pool in ([m for m in cands if not _bare(m)], cands):
+            polys = [DiffPoly({m: ONE}) for m in pool]
+            columns = [cp.D("t") for cp in polys] + [cp.D("s").scale(S(-1)) for cp in polys]
             sol = _solve_in_span(columns, target)
             if sol is not None:
-                for k, cp in enumerate(cand_polys):
-                    if not sol[k].is_zero():
-                        Q = Q + cp.scale(sol[k])
-                    if not sol[len(cands) + k].is_zero():
-                        P = P + cp.scale(sol[len(cands) + k])
-                solved = True
                 break
-        if not solved:
+        else:
             raise NotASymmetry(
                 f"no total-derivative representation in content block {content}"
             )
+        for k, cp in enumerate(polys):
+            if not sol[k].is_zero():
+                Q = Q + cp.scale(sol[k])
+            if not sol[len(polys) + k].is_zero():
+                P = P + cp.scale(sol[len(polys) + k])
     return P, Q
 
 

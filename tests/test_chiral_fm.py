@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from chiraltorus.exactlin import (
     AltTensor,
+    ChiraltorusError,
     DimensionMismatch,
     ExactScalar,
     RationalMatrix,
     SingularMatrix,
-    invert,
 )
 from chiraltorus.chiral_fm import (
     CdoIsoClass,
@@ -182,6 +182,16 @@ class TestVertexAlgebroidPairing:
         lam = AltTensor(3, 3, {(1, 2, 3): 1})
         assert vertex_algebroid_pairing(lam, 1, 1) == (ZERO, ZERO, ZERO)
 
+    @pytest.mark.parametrize("x, y, err", [
+        (1.5, 2, ChiraltorusError), (True, 2, ChiraltorusError),
+        (0, 2, DimensionMismatch), (1, 4, DimensionMismatch),
+    ])
+    def test_bad_basis_index_refused(self, x, y, err):
+        lam = AltTensor(3, 3, {(1, 2, 3): 1})
+        with pytest.raises(err) as info:
+            vertex_algebroid_pairing(lam, x, y)
+        assert type(info.value) is err
+
     def test_skew(self):
         rng = random.Random(34)
         lam = rand_tensor(rng, 3, 4)
@@ -274,7 +284,7 @@ class TestFmTdo:
             mu = NondegClass(rand_invertible(rng, n))
             x = TdoIsoClass(mu.mu, AltTensor(2, n, {}))
             out = fm_tdo(mu, x)
-            assert out.c == invert(mu.mu)
+            assert out.c == mu.mu.inverse()
             # the negated transform realizes c |-> -c^{-1} here
             assert out.c.scale(-1) == fm_linear(mu.mu)
 
@@ -344,8 +354,8 @@ def fm_cases(draw):
 
 def both_ways(mu):
     """(class, matrix) along mu and along its inverse class; the matrix
-    of the inverse class is built by an explicit invert."""
-    return [(mu, mu.mu), (mu.inverse_class(), invert(mu.mu))]
+    of the inverse class is built by an explicit inverse."""
+    return [(mu, mu.mu), (mu.inverse_class(), mu.mu.inverse())]
 
 
 class TestTransformsAgainstReference:
@@ -354,7 +364,7 @@ class TestTransformsAgainstReference:
     def test_fm_cdo(self, case):
         mu, x, _, _ = case
         for along, m in both_ways(mu):
-            inv = invert(m)
+            inv = m.inverse()
             want = CdoIsoClass(x.n, ref_alt_pullback(3, m, x.lam),
                                ref_alt_pullback(2, m, x.nu).map_values(inv.apply))
             assert fm_cdo(along, x) == want
@@ -364,7 +374,7 @@ class TestTransformsAgainstReference:
     def test_fm_tdo(self, case):
         mu, _, x, _ = case
         for along, m in both_ways(mu):
-            inv = invert(m)
+            inv = m.inverse()
             want = TdoIsoClass(inv * x.c * inv, ref_alt_pullback(2, m, x.omega))
             assert fm_tdo(along, x) == want
 
@@ -381,7 +391,7 @@ class TestInverseClass:
     @given(m=st.integers(1, 5).flatmap(nondeg_matrices))
     def test_equals_class_of_explicit_inverse(self, m):
         got = NondegClass(m).inverse_class()
-        want = NondegClass(invert(m))
+        want = NondegClass(m.inverse())
         assert got == want
         assert hash(got) == hash(want)
         assert repr(got) == repr(want)

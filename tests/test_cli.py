@@ -936,6 +936,32 @@ class TestParserReuse:
         assert again == fresh
 
 
+class TestNegativeFlagValues:
+    """argparse takes a flag value that starts with "-" for an option
+    unless it is a plain negative number, so such a value needs the
+    --flag=value form."""
+
+    MODEL = str(GOLDEN / "lattice_model_n2.json")
+    CHARACTER = (
+        '{\n  "kind": "character",\n  "l": [\n    "-1",\n    "0"\n  ],\n'
+        '  "lstar": [\n    "0",\n    "0"\n  ],\n  "order": 0,\n'
+        '  "series": {\n    "-2/3": "1"\n  }\n}\n')
+    BRACKET = '{\n  "bracket": "-i",\n  "is_zero": false\n}\n'
+
+    def test_separate_value_is_refused(self, capsys):
+        assert invoke(["character", "--model", self.MODEL, "--l", "-1,0"], capsys) == (
+            1, "", "error: argument --l: expected one argument\n")
+        assert invoke(["bracket", "heis+:3", "heis+:-3", "--sign-convention", "-2/3"],
+                      capsys) == (
+            1, "", "error: argument --sign-convention: expected one argument\n")
+
+    def test_equals_form_is_accepted(self, capsys):
+        assert invoke(["character", "--model", self.MODEL, "--l=-1,0"], capsys) == (
+            0, self.CHARACTER, "")
+        assert invoke(["bracket", "heis+:3", "heis+:-3", "--sign-convention=-2/3"],
+                      capsys) == (0, self.BRACKET, "")
+
+
 class TestArgHandling:
     def test_unknown_flag_exit1(self, capsys):
         rc, _, err = invoke(["noether", "--frobnicate"], capsys)

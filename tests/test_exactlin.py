@@ -17,6 +17,7 @@ from chiraltorus.coisson import (
 )
 from chiraltorus.exactlin import (
     AltTensor,
+    ChiraltorusError,
     CoeffTable,
     DimensionMismatch,
     ExactScalar,
@@ -24,7 +25,7 @@ from chiraltorus.exactlin import (
     RationalMatrix,
     SingularMatrix,
     alt_pullback,
-    invert,
+    compositions,
     signed_sort,
 )
 from chiraltorus.fockq import (
@@ -313,29 +314,29 @@ class TestExactScalarAgainstReference:
 class TestRationalMatrix:
     def test_identity_inverts_to_itself(self):
         m = RationalMatrix.identity(3)
-        assert invert(m) == m
+        assert m.inverse() == m
 
     def test_one_by_one_reciprocal(self):
         m = RationalMatrix([[2]])
-        assert invert(m) == RationalMatrix([[Fraction(1, 2)]])
+        assert m.inverse() == RationalMatrix([[Fraction(1, 2)]])
 
     def test_random_inverse_multiplies_back(self):
         rng = random.Random(11)
         for _ in range(20):
             m = rand_invertible(rng, 4)
-            assert m * invert(m) == RationalMatrix.identity(4)
-            assert invert(m) * m == RationalMatrix.identity(4)
+            assert m * m.inverse() == RationalMatrix.identity(4)
+            assert m.inverse() * m == RationalMatrix.identity(4)
 
     def test_invert_is_an_involution(self):
         rng = random.Random(12)
         for _ in range(10):
             m = rand_invertible(rng, 3)
-            assert invert(invert(m)) == m
+            assert m.inverse().inverse() == m
 
     def test_singular_matrix_raises(self):
         m = RationalMatrix([[1, 2], [2, 4]])
         with pytest.raises(SingularMatrix):
-            invert(m)
+            m.inverse()
 
     def test_det_multiplicative(self):
         rng = random.Random(13)
@@ -433,6 +434,26 @@ class TestSignedSort:
         assert signed_sort((3, 1, 3)) == (0, None)
 
 
+def _ref_compositions(total, parts):
+    """The recursive enumeration: each first part, then the rest."""
+    if parts == 0:
+        return [()] if total == 0 else []
+    return [(first,) + rest for first in range(total + 1)
+            for rest in _ref_compositions(total - first, parts - 1)]
+
+
+class TestCompositions:
+    @settings(max_examples=100, deadline=None)
+    @given(total=st.integers(0, 6), parts=st.integers(0, 6))
+    def test_matches_the_recursive_enumeration(self, total, parts):
+        assert list(compositions(total, parts)) == _ref_compositions(total, parts)
+
+    def test_small_cases(self):
+        assert list(compositions(0, 0)) == [()]
+        assert list(compositions(2, 0)) == []
+        assert list(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
+
+
 class TestAltTensor:
     def test_repeated_index_evaluates_to_zero(self):
         t = AltTensor(2, 3, {(1, 2): 5})
@@ -464,6 +485,19 @@ class TestAltTensor:
         with pytest.raises(DimensionMismatch):
             AltTensor(2, 3, {(1, 4): 1})
 
+    @pytest.mark.parametrize("idx, err, msg", [
+        ((1.9, 2), ChiraltorusError, "tensor index must be an integer, got 1.9"),
+        ((True, 2), ChiraltorusError, "tensor index must be an integer, got True"),
+        ((0, 7), DimensionMismatch, r"key \(0, 7\) out of range for dim 2"),
+        ((1, 2, 1), DimensionMismatch, r"key \(1, 2, 1\) has wrong length for degree 2"),
+    ])
+    def test_evaluate_checks_indices_as_the_constructor_does(self, idx, err, msg):
+        t = AltTensor(2, 2, {(1, 2): 1})
+        for call in (t.evaluate, lambda key: AltTensor(2, 2, {key: 1})):
+            with pytest.raises(err, match=f"^{msg}$") as info:
+                call(idx)
+            assert type(info.value) is err
+
     def test_identity_pullback_is_identity(self):
         rng = random.Random(21)
         t = rand_tensor(rng, 2, 3)
@@ -484,7 +518,7 @@ class TestAltTensor:
                 t = rand_tensor(rng, k, n)
                 mu = rand_invertible(rng, n)
                 out = alt_pullback(k, mu, t)
-                inv = invert(mu)
+                inv = mu.inverse()
                 from itertools import combinations
 
                 for idx in combinations(range(1, n + 1), k):

@@ -32,7 +32,6 @@ from chiraltorus.fockq import (
     SparseOp,
     TwoSidedFock,
     UnitScalar,
-    build_fock,
     build_model,
     central_charge,
     character,
@@ -46,7 +45,6 @@ from chiraltorus.fockq import (
     spectrum_point,
     t_dual,
     vertex_exponents,
-    virasoro_mode,
 )
 
 S = ExactScalar
@@ -307,8 +305,8 @@ class TestSector:
         # the operator on a one-dimensional truncation.
         m = build_model(2, G_OFFDIAG, ZERO2, RationalMatrix.identity(2))
         weight = (S(1), S("-3/2"))
-        fock = build_fock(m, weight, 0)
-        l0 = virasoro_mode(fock, 0)
+        fock = FockTruncation(m, weight, 0)
+        l0 = fock.virasoro(0)
         vac = fock.index[((), ())]
         measured = l0.column(vac).get(vac, S(0))
         quad = S(0)
@@ -321,8 +319,8 @@ class TestSector:
         m = build_model(2, G_OFFDIAG, B_STANDARD, RationalMatrix.identity(2))
         for s in enumerate_sectors(m, 1)[:12]:
             weight = tuple(a.as_exact() for a in s.a_plus)
-            fock = build_fock(m, weight, 0)
-            l0 = virasoro_mode(fock, 0)
+            fock = FockTruncation(m, weight, 0)
+            l0 = fock.virasoro(0)
             vac = fock.index[((), ())]
             assert s.h.as_exact() == l0.column(vac).get(vac, S(0))
 
@@ -409,20 +407,20 @@ class TestFock:
 
     def test_zero_cutoff_is_one_dimensional(self):
         m = build_model(1, [["1"]], [["0"]], [["1"]])
-        assert build_fock(m, [0], 0).dim == 1
+        assert FockTruncation(m, [0], 0).dim == 1
 
     def test_level_dimensions(self):
         m = build_model(1, [["1"]], [["0"]], [["1"]])
-        fock = build_fock(m, [0], 3)
+        fock = FockTruncation(m, [0], 3)
         assert fock.level_dimensions() == [1, 1, 2, 3]
         m2 = build_model(2, G_OFFDIAG, ZERO2, RationalMatrix.identity(2))
-        fock2 = build_fock(m2, [0, 0], 3)
+        fock2 = FockTruncation(m2, [0, 0], 3)
         assert fock2.level_dimensions() == colored_partition_counts(2, 3)
 
     def test_zero_mode_eigenvalue(self):
         m = build_model(2, G_OFFDIAG, ZERO2, RationalMatrix.identity(2))
         weight = (S("1/2"), S(-2))
-        fock = build_fock(m, weight, 2)
+        fock = FockTruncation(m, weight, 2)
         for i in (1, 2):
             op = fock.alpha(i, 0)
             expected = zero_mode_oracle(m.g_inv, weight, i)
@@ -430,7 +428,7 @@ class TestFock:
 
     def test_creation_appends_parts(self):
         m = build_model(1, [["1"]], [["0"]], [["1"]])
-        fock = build_fock(m, [0], 3)
+        fock = FockTruncation(m, [0], 3)
         vac = fock.index[((),)]
         col = fock.alpha(1, -2).column(vac)
         assert col == {fock.index[((2,),)]: S(1)}
@@ -439,7 +437,7 @@ class TestFock:
 
     def test_heisenberg_relations_guarded(self):
         m = build_model(2, G_OFFDIAG, ZERO2, RationalMatrix.identity(2))
-        fock = build_fock(m, [S("1/3"), S(0)], 4)
+        fock = FockTruncation(m, [S("1/3"), S(0)], 4)
         for mm in range(-2, 3):
             for nn in range(-2, 3):
                 guard = fock.vectors_up_to_level(4 - abs(mm) - abs(nn))
@@ -455,20 +453,20 @@ class TestFock:
 
     def test_cutoff_errors(self):
         m = build_model(1, [["1"]], [["0"]], [["1"]])
-        fock = build_fock(m, [0], 2)
+        fock = FockTruncation(m, [0], 2)
         with pytest.raises(CutoffExceeded):
             fock.alpha(1, 3)
         with pytest.raises(CutoffExceeded):
-            virasoro_mode(fock, -3)
+            fock.virasoro(-3)
 
 
 class TestVirasoro:
     def test_commutes_with_modes_as_required(self):
         # The normalization is pinned by [L_k, alpha_m] = -m alpha_{k+m}.
         m = build_model(1, [["2"]], [["0"]], [["1"]])
-        fock = build_fock(m, [S("1/2")], 4)
+        fock = FockTruncation(m, [S("1/2")], 4)
         for k in (-2, -1, 0, 1, 2):
-            lk = virasoro_mode(fock, k)
+            lk = fock.virasoro(k)
             for mm in (-2, -1, 1, 2):
                 if abs(k + mm) > 4:
                     continue
@@ -479,18 +477,18 @@ class TestVirasoro:
 
     def test_sl2_bracket(self):
         m = build_model(1, [["1"]], [["0"]], [["1"]])
-        fock = build_fock(m, [S("2/3")], 3)
-        comm = virasoro_mode(fock, 1).commutator(virasoro_mode(fock, -1))
-        expected = virasoro_mode(fock, 0).scale(S(2))
+        fock = FockTruncation(m, [S("2/3")], 3)
+        comm = fock.virasoro(1).commutator(fock.virasoro(-1))
+        expected = fock.virasoro(0).scale(S(2))
         guard = fock.vectors_up_to_level(1)
         assert comm.agrees_on(expected, guard)
 
     def test_witt_part_without_central_term(self):
         m = build_model(1, [["1"]], [["0"]], [["1"]])
-        fock = build_fock(m, [S(1)], 5)
+        fock = FockTruncation(m, [S(1)], 5)
         for (j, k) in ((2, -1), (1, 1), (-1, -2), (2, 1)):
-            comm = virasoro_mode(fock, j).commutator(virasoro_mode(fock, k))
-            expected = virasoro_mode(fock, j + k).scale(S(j - k))
+            comm = fock.virasoro(j).commutator(fock.virasoro(k))
+            expected = fock.virasoro(j + k).scale(S(j - k))
             guard = fock.vectors_up_to_level(5 - abs(j) - abs(k) - 1)
             assert comm.agrees_on(expected, guard)
 
@@ -512,16 +510,16 @@ class TestVirasoro:
 
     def test_vacuum_bracket_matches_contraction(self):
         m = build_model(2, G_OFFDIAG, ZERO2, RationalMatrix.identity(2))
-        fock = build_fock(m, [0, 0], 3)
-        op = virasoro_mode(fock, 2).commutator(virasoro_mode(fock, -2)) \
-            - virasoro_mode(fock, 0).scale(S(4))
+        fock = FockTruncation(m, [0, 0], 3)
+        op = fock.virasoro(2).commutator(fock.virasoro(-2)) \
+            - fock.virasoro(0).scale(S(4))
         vac = fock.index[((), ())]
         assert op.column(vac) == {vac: vacuum_bracket_oracle(m.g)}
 
     def test_chiral_families_commute(self):
         m = build_model(2, G_OFFDIAG, ZERO2, RationalMatrix.identity(2))
-        plus = build_fock(m, [S(1), S(0)], 2)
-        minus = build_fock(m, [S(0), S("1/2")], 2)
+        plus = FockTruncation(m, [S(1), S(0)], 2)
+        minus = FockTruncation(m, [S(0), S("1/2")], 2)
         two = TwoSidedFock(plus, minus)
         zero = SparseOp.zero(two.dim)
         for i in (1, 2):
