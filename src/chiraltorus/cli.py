@@ -22,7 +22,7 @@ from functools import cache
 
 from fractions import Fraction
 
-from .exactlin import ChiraltorusError, ExactScalar, RationalMatrix
+from .exactlin import ChiraltorusError, ExactScalar, RationalMatrix, exact_fraction
 from .chiral_fm import (
     CdoIsoClass,
     NondegClass,
@@ -63,9 +63,6 @@ from .fockq import (
 )
 
 
-# parse or validation failure: the exit-1 class of the package's errors
-CliError = ChiraltorusError
-
 FORMATS = ("json", "csv", "text")
 
 # csv is a flat-table format; only the tabular reports support it
@@ -81,7 +78,7 @@ def _read_text(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror or exc}") from None
+        raise ChiraltorusError(f"{path}: {exc.strerror or exc}") from None
 
 
 def _load_json(path: str | None):
@@ -93,7 +90,7 @@ def _load_json(path: str | None):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+        raise ChiraltorusError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
 
 
 @contextmanager
@@ -105,12 +102,12 @@ def _source(prefix: str):
     except (KeyError, TypeError, ValueError) as exc:
         if getattr(exc, "exit_code", 1) != 1:
             raise
-        raise CliError(f"{prefix}: {exc}") from None
+        raise ChiraltorusError(f"{prefix}: {exc}") from None
 
 
 def _take(data, key, where):
     if not isinstance(data, dict) or key not in data:
-        raise CliError(f"{where}: missing field {key!r}")
+        raise ChiraltorusError(f"{where}: missing field {key!r}")
     return data[key]
 
 
@@ -128,9 +125,9 @@ def _expressions(cfg: argparse.Namespace, count: int):
             try:
                 exprs = [next(it) if e == "-" else e for e in exprs]
             except StopIteration:
-                raise CliError("stdin: not enough expression lines") from None
+                raise ChiraltorusError("stdin: not enough expression lines") from None
     if len(exprs) != count:
-        raise CliError(
+        raise ChiraltorusError(
             f"expected {count} expression(s), got {len(exprs)}"
         )
     return exprs
@@ -146,7 +143,7 @@ def _density(text: str):
             try:
                 mode = int(tail)
             except ValueError:
-                raise CliError(f"{text!r}: mode must be an integer") from None
+                raise ChiraltorusError(f"{text!r}: mode must be an integer") from None
         return generator_density(head, mode)
     with _source(f"expression {text!r}"):
         return as_density(text)
@@ -154,9 +151,9 @@ def _density(text: str):
 
 def _rational(text: str, flag: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise CliError(f"--{flag}: {text!r} is not a rational") from None
+        return exact_fraction(text, flag)
+    except ChiraltorusError:
+        raise ChiraltorusError(f"--{flag}: {text!r} is not a rational") from None
 
 
 def _coords(text: str, what: str):
@@ -167,7 +164,7 @@ def _model_from(cfg: argparse.Namespace):
     if cfg.radius_unit is not None:
         return one_dim_model(_rational(cfg.radius_unit, "radius-unit"))
     if cfg.model is None:
-        raise CliError("a model is required: pass --model or --radius-unit")
+        raise ChiraltorusError("a model is required: pass --model or --radius-unit")
     data = _load_json(cfg.model)
     with _source(cfg.model):
         return load_model(data)
@@ -177,9 +174,9 @@ def _matrix_arg(text: str, flag: str):
     try:
         rows = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliError(f"--{flag}: {exc.msg}") from None
+        raise ChiraltorusError(f"--{flag}: {exc.msg}") from None
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise CliError(f"--{flag}: expected a list of rows")
+        raise ChiraltorusError(f"--{flag}: expected a list of rows")
     return rows
 
 
@@ -210,7 +207,7 @@ def dump_text(lines) -> str:
 
 def run_fm(cfg: argparse.Namespace) -> str:
     if cfg.mu is None:
-        raise CliError("fm requires --mu")
+        raise ChiraltorusError("fm requires --mu")
     mu_data = _load_json(cfg.mu)
     if isinstance(mu_data, dict):
         mu_rows = _take(mu_data, "mu", cfg.mu)
@@ -250,8 +247,8 @@ def _build_generator(name: str, n: int):
             j = 0
         if 1 <= j <= n:
             return gen_translation(n, j)
-        raise CliError(f"--generator: index in {name!r} out of range 1..{n}")
-    raise CliError(
+        raise ChiraltorusError(f"--generator: index in {name!r} out of range 1..{n}")
+    raise ChiraltorusError(
         f"--generator: unknown generator {name!r} "
         "(dt, ds, x<j>, conformal, anticonformal)"
     )
@@ -263,7 +260,7 @@ def run_noether(cfg: argparse.Namespace) -> str:
         n = 1
     else:
         if cfg.metric is None:
-            raise CliError("--lagrangian torus requires --metric")
+            raise ChiraltorusError("--lagrangian torus requires --metric")
         g_rows = _matrix_arg(cfg.metric, "metric")
         b_rows = None
         if cfg.bfield is not None:
@@ -302,20 +299,20 @@ def run_bracket(cfg: argparse.Namespace) -> str:
 def _twist_table(path: str):
     data = _load_json(path)
     if not isinstance(data, dict):
-        raise CliError(f"{path}: twist table must be an object")
+        raise ChiraltorusError(f"{path}: twist table must be an object")
     twist = {}
     for key, val in data.items():
         parts = [p.strip() for p in key.split(",")]
         try:
             trip = tuple(int(p) for p in parts)
         except ValueError:
-            raise CliError(
+            raise ChiraltorusError(
                 f"{path}: twist key {key!r} is not an index triple"
             ) from None
         if len(trip) != 3:
-            raise CliError(f"{path}: twist key {key!r} is not a triple")
+            raise ChiraltorusError(f"{path}: twist key {key!r} is not a triple")
         if not isinstance(val, str):
-            raise CliError(f"{path}: twist value for {key!r} must be a string")
+            raise ChiraltorusError(f"{path}: twist value for {key!r} must be a string")
         twist[trip] = val
     return twist
 
@@ -470,10 +467,10 @@ RUNNERS = {
 # ----------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad flags; route through CliError
+    # argparse exits with status 2 on bad flags; route through ChiraltorusError
     # so that parse failures uniformly report status 1
     def error(self, message):
-        raise CliError(message)
+        raise ChiraltorusError(message)
 
 
 def _add_common(sub, *, model=False, cutoff=False, level=False,
@@ -540,23 +537,23 @@ def _check(args: argparse.Namespace) -> None:
     """Refuse a parsed invocation before any runner reads input; parses
     --sign-convention into args.scale."""
     if args.format not in FORMATS:
-        raise CliError(f"--format must be one of {', '.join(FORMATS)}")
+        raise ChiraltorusError(f"--format must be one of {', '.join(FORMATS)}")
     for name in ("cutoff", "level", "order"):
         if getattr(args, name, 0) < 0:
-            raise CliError(f"--{name} must be a nonnegative integer")
+            raise ChiraltorusError(f"--{name} must be a nonnegative integer")
     if getattr(args, "kind", "cdo") not in ("cdo", "tdo", "linear"):
-        raise CliError("--kind must be cdo, tdo or linear")
+        raise ChiraltorusError("--kind must be cdo, tdo or linear")
     if getattr(args, "lagrangian", "circle") not in ("circle", "torus"):
-        raise CliError("--lagrangian must be circle or torus")
+        raise ChiraltorusError("--lagrangian must be circle or torus")
     if hasattr(args, "sign"):
         try:
             args.scale = ExactScalar.from_string(args.sign)
         except ValueError as exc:
-            raise CliError(f"--sign-convention: {exc}") from None
+            raise ChiraltorusError(f"--sign-convention: {exc}") from None
         if args.scale.is_zero():
-            raise CliError("--sign-convention must be nonzero")
+            raise ChiraltorusError("--sign-convention must be nonzero")
     if args.format == "csv" and args.subcommand not in CSV_SUBCOMMANDS:
-        raise CliError(f"csv output is not available for {args.subcommand!r}")
+        raise ChiraltorusError(f"csv output is not available for {args.subcommand!r}")
 
 
 def main(argv=None) -> int:
@@ -571,7 +568,7 @@ def main(argv=None) -> int:
                 with open(args.out, "w", encoding="utf-8", newline="") as fh:
                     fh.write(output)
             except OSError as exc:
-                raise CliError(f"{args.out}: {exc.strerror or exc}") from None
+                raise ChiraltorusError(f"{args.out}: {exc.strerror or exc}") from None
     except (ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return getattr(exc, "exit_code", 1)

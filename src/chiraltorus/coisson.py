@@ -29,13 +29,14 @@ from .exactlin import (
     HALF,
     IMAG,
     ONE,
-    ZERO,
     ChiraltorusError,
     CoeffTable,
+    DimensionMismatch,
     Frozen,
     PreconditionError,
     RationalMatrix,
     S,
+    _torus_matrices,
     add_into,
     compositions,
     echelon,
@@ -46,8 +47,11 @@ from .jetcalc import (
     DiffPoly,
     Monomial,
     SYMBOL_KINDS,
+    _jet_rows,
     dz_jet,
     dzb_jet,
+    gen_sigma,
+    gen_tau,
     parse_expr,
     poly_str,
     substitute_jets,
@@ -400,18 +404,12 @@ def b_shift(density, alpha_rows) -> DiffPoly:
     antisymmetric constant matrix: an automorphism of the untwisted
     bracket."""
     poly = as_density(density)
-    alpha = [[S.coerce(x) for x in row] for row in alpha_rows]
-    n = len(alpha)
-    if any(len(row) != n for row in alpha):
+    alpha = RationalMatrix(alpha_rows)
+    if alpha.rows != alpha.cols:
         raise ChiraltorusError("shift matrix must be square")
-    mapping = {}
-    for j in range(1, n + 1):
-        rep = DiffPoly.jet(j, 1, 0)
-        for i in range(1, n + 1):
-            if not alpha[j - 1][i - 1].is_zero():
-                rep = rep + DiffPoly.jet(i, 0, 1).scale(alpha[j - 1][i - 1])
-        mapping[(j, 1)] = rep
-    return substitute_jets(poly, mapping)
+    shift = _jet_rows(alpha.entries, gen_sigma(alpha.rows))
+    return substitute_jets(poly, {
+        (j, 1): p + s for j, (p, s) in enumerate(zip(gen_tau(alpha.rows), shift), 1)})
 
 
 # ----------------------------------------------------------------------
@@ -421,30 +419,18 @@ def b_shift(density, alpha_rows) -> DiffPoly:
 def from_tau_jets(poly: DiffPoly, g_rows=None, b_rows=None) -> DiffPoly:
     """Rewrite a time-zero density from tau-jets to momenta: substitutes
     d_tau x^j = -i g^{jk} (p_k - b_kl d_sigma x^l) per the Legendre map
-    p = i g(d_tau x) + B(d_sigma x)."""
-    fields = poly.field_indices()
-    n = max(fields, default=1)
-    if g_rows is None:
-        g_rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    ginv = RationalMatrix(g_rows).inverse()
-    n = ginv.rows
-    if b_rows is None:
-        b = [[ZERO] * n for _ in range(n)]
-    else:
-        b = [[S.coerce(x) for x in row] for row in b_rows]
-    mapping = {}
-    for j in range(1, n + 1):
-        rep = DiffPoly.zero()
-        for k in range(1, n + 1):
-            gk = ginv[(j - 1, k - 1)]
-            if gk.is_zero():
-                continue
-            rep = rep + DiffPoly.jet(k, 1, 0).scale(-IMAG * gk)
-            for l in range(1, n + 1):
-                if not b[k - 1][l - 1].is_zero():
-                    rep = rep + DiffPoly.jet(l, 0, 1).scale(IMAG * gk * b[k - 1][l - 1])
-        mapping[(j, 1)] = rep
-    return substitute_jets(poly, mapping)
+    p = i g(d_tau x) + B(d_sigma x); g is the identity when None, of
+    the size of the highest field index."""
+    top = max(poly.field_indices(), default=1)
+    g, b = _torus_matrices(RationalMatrix.identity(top) if g_rows is None else g_rows,
+                           b_rows)
+    n = g.rows
+    if top > n:
+        raise DimensionMismatch(f"field index {top} exceeds the metric size {n}")
+    p, xprime = gen_tau(n), gen_sigma(n)
+    velocity = _jet_rows(g.inverse().scale(-IMAG).entries,
+                         [pk - bk for pk, bk in zip(p, _jet_rows(b.entries, xprime))])
+    return as_density(substitute_jets(poly, {(j, 1): v for j, v in enumerate(velocity, 1)}))
 
 
 def dz_density(i: int = 1, g_rows=None, b_rows=None) -> DiffPoly:

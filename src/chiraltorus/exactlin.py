@@ -45,6 +45,14 @@ class DimensionMismatch(PreconditionError):
     """Raised when shapes of matrices/tensors do not line up."""
 
 
+class NotPositiveDefinite(PreconditionError):
+    """Metric fails symmetry or a leading principal minor test."""
+
+
+class NotAntisymmetric(PreconditionError):
+    """B-field is not antisymmetric."""
+
+
 class Frozen:
     """Base of the package's immutable types: attributes are set once,
     while the instance is built, and never reassigned."""
@@ -314,13 +322,17 @@ HALF = ExactScalar(Fraction(1, 2))
 
 def exact_fraction(x, what: str) -> Fraction:
     """x as a Fraction, refusing floats, complex numbers and bools as
-    ExactScalar does; what names x in the error message."""
+    ExactScalar does and reading a string as a real literal of its
+    grammar; what names x in the error messages."""
     if isinstance(x, _INEXACT):
         raise TypeError(f"{what} must be an exact rational, got {x!r}")
     try:
-        return Fraction(x)
-    except ZeroDivisionError:
-        raise ChiraltorusError(f"{what}: zero denominator in {x!r}") from None
+        value = ExactScalar.coerce(x)
+    except ChiraltorusError as exc:
+        raise ChiraltorusError(f"{what}: {exc}") from None
+    if not value.is_rational():
+        raise ChiraltorusError(f"{what} must be real, got {x!r}")
+    return value.re
 
 
 def signed_sort(keys) -> tuple:
@@ -348,6 +360,8 @@ class RationalMatrix(Frozen):
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
+        if isinstance(entries, RationalMatrix):
+            entries = entries.entries
         rows = tuple(tuple(ExactScalar.coerce(x) for x in row) for row in entries)
         if not rows or not rows[0]:
             raise DimensionMismatch("matrix must have at least one row and column")
@@ -499,6 +513,21 @@ class RationalMatrix(Frozen):
     @staticmethod
     def from_json(data) -> "RationalMatrix":
         return RationalMatrix(data)
+
+
+def _torus_matrices(g, B=None) -> tuple:
+    """The metric and B-field of a torus as n x n RationalMatrix, B zero
+    when None: the one check that g is symmetric and B antisymmetric."""
+    g = RationalMatrix(g)
+    n = g.rows
+    B = RationalMatrix.zeros(n, n) if B is None else RationalMatrix(B)
+    if g.cols != n or (B.rows, B.cols) != (n, n):
+        raise DimensionMismatch("model matrices must be n x n")
+    if g.transpose() != g:
+        raise NotPositiveDefinite("metric must be symmetric")
+    if B.transpose() != -B:
+        raise NotAntisymmetric("B must equal -B^T")
+    return g, B
 
 
 def add_into(table, key, value):

@@ -35,10 +35,13 @@ from .exactlin import (
     ExactScalar,
     Frozen,
     InvariantError,
+    NotAntisymmetric,
+    NotPositiveDefinite,
     PreconditionError,
     RationalMatrix,
     S,
     _reduced,
+    _torus_matrices,
     add_into,
     compositions,
     exact_fraction,
@@ -46,14 +49,6 @@ from .exactlin import (
 
 
 MINUS_HALF = -HALF
-
-
-class NotPositiveDefinite(PreconditionError):
-    """Metric fails symmetry or a leading principal minor test."""
-
-
-class NotAntisymmetric(PreconditionError):
-    """B-field is not antisymmetric."""
 
 
 class SingularLattice(PreconditionError):
@@ -142,12 +137,8 @@ class UnitScalar(CoeffTable):
 
 def _check_positive_definite(g: RationalMatrix):
     n = g.rows
-    for i in range(n):
-        for j in range(n):
-            if g[(i, j)] != g[(j, i)]:
-                raise NotPositiveDefinite("metric must be symmetric")
-            if not g[(i, j)].is_rational():
-                raise NotPositiveDefinite("metric must be real")
+    if not all(x.is_rational() for row in g.entries for x in row):
+        raise NotPositiveDefinite("metric must be real")
     for k in range(1, n + 1):
         minor = RationalMatrix([[g[(i, j)] for j in range(k)] for i in range(k)])
         d = minor.det()
@@ -162,11 +153,9 @@ class LatticeModel(Frozen):
                  "unit_exponent", "u_square", "__dict__")
 
     def __init__(self, n, g, B, Lbasis, unit_exponent=0, u_square=None):
-        g = g if isinstance(g, RationalMatrix) else RationalMatrix(g)
-        B = B if isinstance(B, RationalMatrix) else RationalMatrix(B)
-        L = Lbasis if isinstance(Lbasis, RationalMatrix) else RationalMatrix(Lbasis)
-        if g.rows != n or g.cols != n or B.rows != n or B.cols != n \
-                or L.rows != n or L.cols != n:
+        g, B = _torus_matrices(g, B)
+        L = RationalMatrix(Lbasis)
+        if g.rows != n or L.rows != n or L.cols != n:
             raise DimensionMismatch("model matrices must be n x n")
         if type(unit_exponent) is not int:
             raise ChiraltorusError(
@@ -174,8 +163,6 @@ class LatticeModel(Frozen):
         if unit_exponent not in (-1, 0, 1):
             raise ChiraltorusError("unit exponent must be -1, 0, or 1")
         _check_positive_definite(g)
-        if B.transpose() != B.scale(S(-1)):
-            raise NotAntisymmetric("B must equal -B^T")
         if L.det().is_zero():
             raise SingularLattice("lattice generators are dependent")
         if u_square is not None:
@@ -286,10 +273,7 @@ def load_model(data) -> LatticeModel:
     if not isinstance(n, int) or isinstance(n, bool):
         raise ChiraltorusError(f"model size n must be an integer, got {n!r}")
     return LatticeModel(
-        n,
-        [[S.coerce(x) for x in row] for row in data["g"]],
-        [[S.coerce(x) for x in row] for row in data["B"]],
-        [[S.coerce(x) for x in row] for row in data["L"]],
+        n, data["g"], data["B"], data["L"],
         unit_exponent=data.get("unit_exponent", 0),
         u_square=data.get("u_square"),
     )
@@ -549,10 +533,7 @@ def ko_locality(model: LatticeModel, cutoff: int):
 def t_dual(model: LatticeModel) -> LatticeModel:
     """The dual torus: same metric, lattice g^{-1}(L*), so the roles of
     g(L) and L* swap.  Defined only at B = 0."""
-    if not all(
-        model.B[(i, j)].is_zero()
-        for i in range(model.n) for j in range(model.n)
-    ):
+    if model.B != RationalMatrix.zeros(model.n, model.n):
         raise BFieldUnsupported("duality requires B = 0")
     new_basis = model.g_inv * model.LstarBasis
     return LatticeModel(model.n, model.g, model.B, new_basis,

@@ -14,6 +14,7 @@ current with an on-shell certificate.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -29,6 +30,7 @@ from .exactlin import (
     PreconditionError,
     RationalMatrix,
     S,
+    _torus_matrices,
     add_into,
     compositions,
     echelon,
@@ -93,6 +95,11 @@ def monomial_content(m: Monomial):
             tuple(sorted(n for (n, _) in m.syms)))
 
 
+# the largest exponent a DiffPoly power takes, "^" of the expression
+# grammar included; a larger one is refused before any multiplication
+MAX_EXPONENT = 64
+
+
 class DiffPoly(CoeffTable):
     """An exact polynomial in jet variables and coefficient symbols:
     a table {Monomial: ExactScalar}."""
@@ -152,6 +159,8 @@ class DiffPoly(CoeffTable):
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ChiraltorusError("polynomial powers must be nonnegative integers")
+        if n > MAX_EXPONENT:
+            raise ChiraltorusError(f"exponent {n} is above the limit {MAX_EXPONENT}")
         out = DiffPoly.const(1)
         for _ in range(n):
             out = out * self
@@ -314,38 +323,23 @@ def poly_str(poly: DiffPoly, style: str = "tau") -> str:
     return " ".join(bits)
 
 
-# the largest exponent the expression grammar accepts after "^"; larger
-# literals are refused before any multiplication starts
-MAX_EXPONENT = 64
+# the expression grammar is ASCII: any other character is refused
+_TOKEN_RE = re.compile(
+    r"(?P<num>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()./])"
+    r"|[ \t\n]+|(?P<bad>.)", re.DOTALL)
+# jets x<i> and momenta p<i>, then the coefficient symbols with one p per
+# derivative
+_ATOM_RE = re.compile(r"([xp])([0-9]+)|(phi|psi|f|g)(p*)")
 
 
 def _tokenize(text: str):
     toks = []
-    k = 0
-    while k < len(text):
-        ch = text[k]
-        if ch in " \t\n":
-            k += 1
-            continue
-        if ch.isdigit():
-            j = k
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(("num", text[k:j]))
-            k = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = k
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("name", text[k:j]))
-            k = j
-            continue
-        if ch in "+-*^()./":
-            toks.append((ch, ch))
-            k += 1
-            continue
-        raise ChiraltorusError(f"unexpected character {ch!r} in expression")
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ChiraltorusError(f"unexpected character {m[0]!r} in expression")
+        if kind is not None:
+            toks.append((m[0] if kind == "op" else kind, m[0]))
     toks.append(("end", ""))
     return toks
 
@@ -398,10 +392,7 @@ class _Parser:
         base = self.primary()
         if self.peek()[0] == "^":
             self.next()
-            n = int(self.expect("num")[1])
-            if n > MAX_EXPONENT:
-                raise ChiraltorusError(f"exponent {n} is above the limit {MAX_EXPONENT}")
-            base = base ** n
+            base = base ** int(self.expect("num")[1])
         return base
 
     def rational(self, first):
@@ -445,16 +436,12 @@ class _Parser:
                 raise ChiraltorusError("derivative prefix must be applied to a jet variable")
             target = self.name_atom(inner)
             return _apply_prefix(name, target)
-        if name.startswith("x") and name[1:].isdigit():
-            return DiffPoly.jet(int(name[1:]), 0, 0)
-        if name.startswith("p") and name[1:].isdigit():
-            return DiffPoly.jet(int(name[1:]), 1, 0)
-        for base in ("phi", "psi", "f", "g"):
-            if name.startswith(base):
-                rest = name[len(base):]
-                if rest == "" or set(rest) == {"p"}:
-                    return DiffPoly.symbol(base, len(rest))
-        raise ChiraltorusError(f"unknown name {name!r} in expression")
+        m = _ATOM_RE.fullmatch(name)
+        if m is None:
+            raise ChiraltorusError(f"unknown name {name!r} in expression")
+        if m[1]:
+            return DiffPoly.jet(int(m[2]), int(m[1] == "p"), 0)
+        return DiffPoly.symbol(m[3], len(m[4]))
 
 
 def _apply_prefix(prefix, target: DiffPoly) -> DiffPoly:
@@ -512,8 +499,6 @@ class VariationalForm(CoeffTable):
     """
 
     __slots__ = ()
-
-    parts = property(lambda self: self.coeffs, doc="Read-only alias of coeffs.")
 
     def _entry(self, key, poly):
         vkeys, hkeys = key
@@ -857,6 +842,13 @@ def boson_circle_lagrangian() -> Lagrangian:
     return Lagrangian((ut * ut + us * us).scale(IMAG * HALF), n=1)
 
 
+def _jet_rows(rows, jets) -> list:
+    """The rows applied to a vector of jet polynomials: sum_k c_k jets[k]
+    for each row c, its entries scalars or polynomials, zeros skipped."""
+    return [sum((c * v for c, v in zip(row, jets) if not c.is_zero()), DiffPoly.zero())
+            for row in rows]
+
+
 def torus_lagrangian(g_rows, b_rows=None) -> Lagrangian:
     """l = (i/2) g(u_tau, u_tau) + (i/2) g(u_sigma, u_sigma) - B(u_tau, u_sigma).
 
@@ -865,30 +857,13 @@ def torus_lagrangian(g_rows, b_rows=None) -> Lagrangian:
     matching the displayed variational 1-form; B then drops out of the
     Euler-Lagrange system.
     """
-    g = [[S.coerce(x) for x in row] for row in g_rows]
-    n = len(g)
-    if any(len(row) != n for row in g):
-        raise ChiraltorusError("metric must be square")
-    if any(g[i][j] != g[j][i] for i in range(n) for j in range(n)):
-        raise ChiraltorusError("metric must be symmetric")
-    if b_rows is None:
-        b = [[ZERO] * n for _ in range(n)]
-    else:
-        b = [[S.coerce(x) for x in row] for row in b_rows]
-        if len(b) != n or any(len(row) != n for row in b):
-            raise ChiraltorusError("B-field shape must match the metric")
-        if any(b[i][j] != -b[j][i] for i in range(n) for j in range(n)):
-            raise ChiraltorusError("B-field must be antisymmetric")
-    density = DiffPoly.zero()
-    for i in range(n):
-        for j in range(n):
-            if not g[i][j].is_zero():
-                gij = IMAG * HALF * g[i][j]
-                density = density + DiffPoly.jet(i + 1, 1, 0) * DiffPoly.jet(j + 1, 1, 0) * gij
-                density = density + DiffPoly.jet(i + 1, 0, 1) * DiffPoly.jet(j + 1, 0, 1) * gij
-            if not b[i][j].is_zero():
-                density = density - DiffPoly.jet(i + 1, 1, 0) * DiffPoly.jet(j + 1, 0, 1) * b[i][j]
-    return Lagrangian(density, n=n)
+    g, b = _torus_matrices(g_rows, b_rows)
+    ut, us = gen_tau(g.rows), gen_sigma(g.rows)
+    # a one-row application pairs two vectors: g(u, u) over both
+    # directions, then B(u_tau, u_sigma)
+    (kinetic,) = _jet_rows([_jet_rows(g.entries, ut) + _jet_rows(g.entries, us)], ut + us)
+    (twist,) = _jet_rows([_jet_rows(b.entries, us)], ut)
+    return Lagrangian(kinetic.scale(IMAG * HALF) - twist, n=g.rows)
 
 
 def gen_tau(n: int):

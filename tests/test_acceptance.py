@@ -165,7 +165,7 @@ def test_c03_noether_golden_suite():
     gamma = variational_one_form(lag)
     assert gamma.component(((1, 0, 0),), ("s",)) == P("i*dt.x1")
     assert gamma.component(((1, 0, 0),), ("t",)) == P("-i*ds.x1")
-    assert len(gamma.parts) == 2
+    assert len(gamma.coeffs) == 2
 
     # energy current of tau-translation
     H = noether(lag, gen_tau(1))
@@ -174,7 +174,7 @@ def test_c03_noether_golden_suite():
 
     # as an x/p density this is the displayed energy density
     on_shell = restrict_to_sol0(H, lag)
-    sigma_part = on_shell.parts[((), ("s",))]
+    sigma_part = on_shell.coeffs[((), ("s",))]
     assert from_tau_jets(sigma_part) == generator_density("hamiltonian").poly
 
     # sigma-translation current

@@ -14,7 +14,7 @@ import pytest
 
 import chiraltorus
 from chiraltorus import chiral_fm, cli, coisson, exactlin, fockq, jetcalc
-from chiraltorus.cli import CliError, dump_json, main
+from chiraltorus.cli import dump_json, main
 from chiraltorus.fockq import load_model, one_dim_model, partition_function
 from chiraltorus.jetcalc import parse_expr
 
@@ -130,12 +130,12 @@ class TestNoether:
         rc, _, err = invoke(["noether", "--lagrangian", "torus"], capsys)
         assert rc == 1 and "--metric" in err
 
-    def test_asymmetric_metric_exit1(self, capsys):
-        rc, _, err = invoke(
+    def test_asymmetric_metric_exit2(self, capsys):
+        rc, out, err = invoke(
             ["noether", "--lagrangian", "torus", "--metric", "[[1,1],[0,1]]"],
             capsys,
         )
-        assert rc == 1
+        assert (rc, out, err) == (2, "", "error: metric must be symmetric\n")
 
 
 class TestFm:
@@ -601,6 +601,11 @@ class TestErrorBytes:
         "g_zero.json": {"n": 1, "g": [["1/0"]], "B": [["0"]], "L": [["1"]]},
         "mu_zero.json": [["1/0"]],
         "radius_zero.json": {"radius_unit": "1/0"},
+        "g_asym.json": {"n": 2, "g": [["1", "1"], ["0", "1"]],
+                        "B": [["0", "0"], ["0", "0"]],
+                        "L": [["1", "0"], ["0", "1"]]},
+        "u_decimal.json": {"n": 1, "g": [["1"]], "B": [["0"]], "L": [["1"]],
+                           "unit_exponent": 1, "u_square": "0.5"},
         "n_str.json": {"n": "2", "g": [["1"]], "B": [["0"]], "L": [["1"]]},
         "n_float.json": {"n": 1.5, "g": [["1"]], "B": [["0"]], "L": [["1"]]},
         "n_bool.json": {"n": True, "g": [["1"]], "B": [["0"]], "L": [["1"]]},
@@ -666,7 +671,17 @@ class TestErrorBytes:
             "error: matrix has zero determinant\n"),
         "metric-asymmetric": (
             ["noether", "--lagrangian", "torus", "--metric", "[[1,2],[3,4]]"],
-            None, 1, "error: --metric/--bfield: metric must be symmetric\n"),
+            None, 2, "error: metric must be symmetric\n"),
+        "metric-asymmetric-model": (
+            ["spectrum", "--model", "{g_asym.json}"], None, 2,
+            "error: metric must be symmetric\n"),
+        "metric-not-square": (
+            ["noether", "--lagrangian", "torus", "--metric", "[[1,0]]"],
+            None, 2, "error: model matrices must be n x n\n"),
+        "bfield-not-antisymmetric": (
+            ["noether", "--lagrangian", "torus", "--metric", "[[1,0],[0,1]]",
+             "--bfield", "[[0,1],[1,0]]"], None, 2,
+            "error: B must equal -B^T\n"),
         "metric-literal": (
             ["noether", "--lagrangian", "torus", "--metric", '[["x"]]'],
             None, 1,
@@ -686,6 +701,16 @@ class TestErrorBytes:
             ["spectrum", "--model", "{radius_zero.json}"], None, 1,
             "error: {radius_zero.json}: radius_unit: zero denominator in "
             "'1/0'\n"),
+        "radius-unit-decimal": (
+            ["tdual", "--radius-unit", "0.5"], None, 1,
+            "error: --radius-unit: '0.5' is not a rational\n"),
+        "l-exponent-notation": (
+            ["character", "--radius-unit", "1", "--l", "1e-1"], None, 1,
+            "error: --l: '1e-1' is not a rational\n"),
+        "u-square-decimal": (
+            ["spectrum", "--model", "{u_decimal.json}"], None, 1,
+            "error: {u_decimal.json}: u_square: not a Gaussian rational "
+            "literal: '0.5'\n"),
         "mu-zero-division": (
             ["fm", "--mu", "{mu_zero.json}", "--input", "{mu_id.json}"], None,
             1, "error: {mu_zero.json}: zero denominator in '1/0'\n"),
@@ -720,6 +745,14 @@ class TestErrorBytes:
             ["bracket", "x1^99999999999999999999", "p1"], None, 1,
             "error: expression 'x1^99999999999999999999': exponent "
             "99999999999999999999 is above the limit 64\n"),
+        "exponent-superscript": (
+            ["bracket", "x1^\u00b2", "p1"], None, 1,
+            "error: expression 'x1^\u00b2': unexpected character '\u00b2' in "
+            "expression\n"),
+        "name-arabic-digit": (
+            ["bracket", "x\u0661*p1", "p1"], None, 1,
+            "error: expression 'x\u0661*p1': unexpected character '\u0661' "
+            "in expression\n"),
         "tensor-dim-string": (
             ["fm", "--mu", "{mu_id.json}", "--input", "{cdo_dim_str.json}"],
             None, 1,
@@ -874,7 +907,6 @@ class TestExitCodes:
             assert issubclass(cls, ValueError), name
             assert issubclass(cls, exactlin.ChiraltorusError), name
             assert cls.exit_code == self.WANT[name], name
-        assert CliError is exactlin.ChiraltorusError
         for name in ("ChiraltorusError", "PreconditionError", "InvariantError"):
             assert getattr(chiraltorus, name) is getattr(exactlin, name)
             assert name in chiraltorus.__all__

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiraltorus import coisson
+from chiraltorus.exactlin import DimensionMismatch, NotAntisymmetric
 from chiraltorus.exactlin import ExactScalar as S
 from chiraltorus.jetcalc import (
     DiffPoly,
@@ -424,8 +425,22 @@ class TestModeFamilies:
         lag = boson_circle_lagrangian()
         current = noether(lag, gen_tau(1))
         on_shell = restrict_to_sol0(current, lag)
-        sigma_part = on_shell.parts[((), ("s",))]
+        sigma_part = on_shell.coeffs[((), ("s",))]
         assert from_tau_jets(sigma_part) == generator_density("hamiltonian").poly
+
+    @pytest.mark.parametrize("call, exc", [
+        # a B-field larger than the metric, a ragged one, a symmetric one
+        (lambda: dz_density(1, [[1]], [[0, 5], [-5, 0]]), DimensionMismatch),
+        (lambda: dz_density(1, [[1, 0], [0, 1]], [[0, 1]]), DimensionMismatch),
+        (lambda: dz_density(1, [[1, 0], [0, 1]], [[0, 1], [1, 0]]), NotAntisymmetric),
+        # a field index above the metric size, and a tau-order 2 jet
+        (lambda: from_tau_jets(P("dt.x3 + dt.x1"), [[2]]), DimensionMismatch),
+        (lambda: from_tau_jets(P("dt.dt.x1")), NotADensity),
+    ])
+    def test_from_tau_jets_refuses(self, call, exc):
+        with pytest.raises(exc) as info:
+            call()
+        assert info.value.exit_code == 2
 
     def test_unknown_family(self):
         with pytest.raises(UnknownFamily):

@@ -595,7 +595,7 @@ FROZEN_CASES = {
     "AltTensor": (lambda: AltTensor(2, 2, {(1, 2): 1}), "coeffs"),
     "DiffPoly": (lambda: parse_expr("x1*p1"), "terms"),
     "VariationalForm": (
-        lambda: VariationalForm({((), ("t", "s")): parse_expr("x1")}), "parts"),
+        lambda: VariationalForm({((), ("t", "s")): parse_expr("x1")}), "coeffs"),
     "LocalDensity": (lambda: LocalDensity("p1"), "poly"),
     "FourierClass": (lambda: FourierClass("p1"), "rep"),
     "DeltaExpansion": (lambda: DeltaExpansion({0: parse_expr("p1")}), "coeffs"),

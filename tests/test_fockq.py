@@ -13,8 +13,10 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chiraltorus.exactlin import ExactScalar, RationalMatrix
+from chiraltorus.exactlin import ChiraltorusError, ExactScalar, RationalMatrix
 from chiraltorus.fockq import (
     BFieldUnsupported,
     BiSeries,
@@ -46,6 +48,7 @@ from chiraltorus.fockq import (
     t_dual,
     vertex_exponents,
 )
+from chiraltorus.jetcalc import torus_lagrangian
 
 S = ExactScalar
 
@@ -194,6 +197,17 @@ class TestModelBuild:
         with pytest.raises(NotPositiveDefinite):
             build_model(1, [["-1"]], [["0"]], [["1"]])
 
+    @settings(max_examples=40, deadline=None)
+    @given(entries=st.lists(st.fractions(-3, 3, max_denominator=3), min_size=4,
+                            max_size=4).filter(lambda e: e[1] != e[2]))
+    def test_asymmetric_metric_refused_alike(self, entries):
+        g = [entries[:2], entries[2:]]
+        with pytest.raises(ChiraltorusError) as lattice:
+            build_model(2, g, ZERO2, RationalMatrix.identity(2))
+        with pytest.raises(ChiraltorusError) as lagrangian:
+            torus_lagrangian(g)
+        assert type(lattice.value) is type(lagrangian.value) is NotPositiveDefinite
+
     def test_b_field_validation(self):
         with pytest.raises(NotAntisymmetric):
             build_model(2, RationalMatrix.identity(2),
@@ -245,6 +259,20 @@ class TestModelBuild:
         with pytest.raises(TypeError):
             load_model(dict(one_dim_model().to_json(), g=[[bad]]))
         assert load_model({"radius_unit": "1/10"}).u_square == Fraction(1, 100)
+
+    @pytest.mark.parametrize("build", [
+        lambda: one_dim_model("abc"),
+        lambda: one_dim_model("0.5"),
+        lambda: load_model({"radius_unit": "1e-1"}),
+        lambda: LatticeModel(1, [[1]], [[0]], [[1]], unit_exponent=1, u_square="x"),
+        lambda: LatticeModel(1, [[1]], [[0]], [[1]], unit_exponent=1, u_square="0.5"),
+        lambda: LatticeModel(1, [[1]], [[0]], [[1]], unit_exponent=1, u_square="1+1 i"),
+    ])
+    def test_number_strings_take_the_entry_grammar(self, build):
+        # as model entries do: p/q literals only, and a usage error (exit 1)
+        with pytest.raises(ChiraltorusError) as info:
+            build()
+        assert info.value.exit_code == 1
 
 
 # ----------------------------------------------------------------------

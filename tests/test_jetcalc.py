@@ -7,6 +7,7 @@ once and frozen here as parseable strings.
 
 import operator
 import random
+import re
 from functools import reduce
 
 import pytest
@@ -47,6 +48,7 @@ from chiraltorus.jetcalc import (
 )
 
 import peel_oracle as oracle
+import scanner_oracle
 from test_exactlin import rand_scalar
 
 S = ExactScalar
@@ -238,7 +240,32 @@ class TestParserPrinter:
         assert parse_expr(f"x1^{MAX_EXPONENT}") == jet(1, 0, 0) ** MAX_EXPONENT
         for big in (MAX_EXPONENT + 1, 10 ** 20):
             with pytest.raises(ChiraltorusError, match=f"^exponent {big} is above"):
+                jet(1, 0, 0) ** big
+            with pytest.raises(ChiraltorusError, match=f"^exponent {big} is above"):
                 parse_expr(f"(x1 + p1)^{big}")
+
+    @pytest.mark.parametrize("text", ["x1^\u00b2", "x\u0661*p1", "\u00e9", "x1 +\u00a02"])
+    def test_non_ascii_is_refused(self, text):
+        # str.isdigit takes the superscript and the Arabic-Indic digit
+        with pytest.raises(ChiraltorusError, match="^unexpected character"):
+            parse_expr(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(st.sampled_from(
+        list("0123456789xpfgiedtsz_AZ+-*^()./ \t\n#\r")
+        + ["\u00b2", "\u0661", "\u00e9", "\u03b1"]), max_size=16))
+    def test_scanner_matches_oracle(self, text):
+        if not text.isascii():
+            with pytest.raises(ChiraltorusError):
+                jetcalc._tokenize(text)
+            return
+        try:
+            want = scanner_oracle.tokenize(text)
+        except ChiraltorusError as exc:
+            with pytest.raises(ChiraltorusError, match=f"^{re.escape(str(exc))}$"):
+                jetcalc._tokenize(text)
+            return
+        assert jetcalc._tokenize(text) == want
 
     def test_round_trip_random(self):
         rng = random.Random(12)
@@ -293,7 +320,7 @@ class TestVariationalOneForm:
         gamma = variational_one_form(boson_circle_lagrangian())
         assert gamma.component(((1, 0, 0),), ("s",)) == parse_expr("i*dt.x1")
         assert gamma.component(((1, 0, 0),), ("t",)) == parse_expr("-i*ds.x1")
-        assert len(gamma.parts) == 2
+        assert len(gamma.coeffs) == 2
 
     def test_torus_with_b_field(self):
         # dsigma row: i g(u_tau)_j - (b u_sigma)_j; dtau row is minus the
@@ -374,7 +401,7 @@ class TestProlong:
         alpha = VariationalForm({((), ("t",)): -w, ((), ("s",)): w.scale(I)})
         d_alpha = alpha.horizontal_differential()
         assert d_alpha.component((), ("t", "s")) == q
-        assert len(d_alpha.parts) == 1
+        assert len(d_alpha.coeffs) == 1
 
     def test_prolong_through_delta_slots(self):
         # generator x^2 on delta x: the slot picks up the linearization 2x delta x
@@ -404,7 +431,7 @@ class TestNoether:
         H = noether(boson_circle_lagrangian(), gen_tau(1))
         assert H.component((), ("s",)) == parse_expr("-1/2*i*(dt.x1^2 - ds.x1^2)")
         assert H.component((), ("t",)) == parse_expr("i*dt.x1*ds.x1")
-        assert len(H.parts) == 2
+        assert len(H.coeffs) == 2
 
     def test_momentum_circle(self):
         H = noether(boson_circle_lagrangian(), gen_translation(1, 1))
