@@ -28,7 +28,6 @@ from math import comb
 from .exactlin import (
     HALF,
     IMAG,
-    ONE,
     ChiraltorusError,
     CoeffTable,
     DimensionMismatch,
@@ -38,16 +37,16 @@ from .exactlin import (
     S,
     _torus_matrices,
     add_into,
-    compositions,
-    echelon,
     reduce_row,
     signed_sort,
 )
 from .jetcalc import (
     DiffPoly,
-    Monomial,
     SYMBOL_KINDS,
+    _blocks,
+    _image_basis,
     _jet_rows,
+    block_weight,
     dz_jet,
     dzb_jet,
     gen_sigma,
@@ -114,62 +113,17 @@ class LocalDensity(Frozen):
     __repr__ = __str__
 
 
-# ----------------------------------------------------------------------
-# grading of the sigma-jet ring: the tau-order is a generator label,
-# so only the sigma-order and symbol orders count as weight
-# ----------------------------------------------------------------------
-
-def xp_weight(mono: Monomial) -> int:
-    return sum(b for (_, _, b) in mono.jets) + sum(o for (_, o) in mono.syms)
-
-
-def xp_content(mono: Monomial):
-    return (
-        mono.mode,
-        tuple(sorted((i, a) for (i, a, _) in mono.jets)),
-        tuple(sorted(n for (n, _) in mono.syms)),
-    )
-
-
-def xp_enumerate(content, weight):
-    """All sigma-jet monomials of the given content and weight."""
-    mode, slots, names = content
-    out = set()
-    for comp in compositions(weight, len(slots) + len(names)):
-        jets = tuple(
-            sorted((i, a, comp[k]) for k, (i, a) in enumerate(slots))
-        )
-        syms = tuple(sorted(zip(names, comp[len(slots):])))
-        out.add(Monomial(mode, syms, jets))
-    return sorted(out)
-
-
-def _order_key(mono: Monomial):
-    return (xp_weight(mono), mono)
-
-
-def _reduced_image_basis(content, max_weight):
-    """Echelon basis of { D_sigma(monomial) } for the content block,
-    pivoting on the leading monomial in the graded order.  Leading terms
-    of D_sigma images always sit one weight up, so reduction of a target
-    never escalates its weight: the normal form is window-stable."""
-    images = (DiffPoly({mono: ONE}).D("s").coeffs
-              for w in range(max_weight + 1) for mono in xp_enumerate(content, w))
-    return echelon(images, lambda row: max(row, key=_order_key))
-
-
 def normal_form(density) -> DiffPoly:
     """Canonical representative modulo im(D_sigma) on the sigma-jet ring:
-    in each content block, the remainder with no pivot monomial."""
+    in each content block, the remainder with no pivot monomial.  The
+    tau-order is a generator label there, so only sigma- and symbol
+    orders count as weight."""
     poly = as_density(density)
-    blocks = {}
-    for mono, coeff in poly.coeffs.items():
-        blocks.setdefault(xp_content(mono), {})[mono] = coeff
     out = {}
-    for content in sorted(blocks):
-        target = blocks[content]
-        top = max(xp_weight(m) for m in target)
-        out.update(reduce_row(target, _reduced_image_basis(content, top)))
+    for content, target in _blocks(poly, "s"):
+        top = max(block_weight(m, "s") for m in target)
+        _, basis = _image_basis(content, tuple(range(top + 1)), "s", True)
+        out.update(reduce_row(target, basis))
     return poly._like(out)
 
 
@@ -406,7 +360,10 @@ def b_shift(density, alpha_rows) -> DiffPoly:
     poly = as_density(density)
     alpha = RationalMatrix(alpha_rows)
     if alpha.rows != alpha.cols:
-        raise ChiraltorusError("shift matrix must be square")
+        raise DimensionMismatch("shift matrix must be square")
+    top = max((i for mono in poly.coeffs for (i, a, _) in mono.jets if a), default=0)
+    if top > alpha.rows:
+        raise DimensionMismatch(f"momentum index {top} exceeds the shift matrix size {alpha.rows}")
     shift = _jet_rows(alpha.entries, gen_sigma(alpha.rows))
     return substitute_jets(poly, {
         (j, 1): p + s for j, (p, s) in enumerate(zip(gen_tau(alpha.rows), shift), 1)})

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .exactlin import (
@@ -26,6 +27,7 @@ from .exactlin import (
     ChiraltorusError,
     CoeffTable,
     ExactScalar,
+    Frozen,
     InvariantError,
     PreconditionError,
     RationalMatrix,
@@ -82,17 +84,6 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
         tuple(sorted(m1.syms + m2.syms)),
         tuple(sorted(m1.jets + m2.jets)),
     )
-
-
-def monomial_weight(m: Monomial) -> int:
-    return sum(a + b for (_, a, b) in m.jets) + sum(o for (_, o) in m.syms)
-
-
-def monomial_content(m: Monomial):
-    """The data preserved by total derivatives: trig mode, field index
-    multiset, symbol name multiset."""
-    return (m.mode, tuple(sorted(i for (i, _, _) in m.jets)),
-            tuple(sorted(n for (n, _) in m.syms)))
 
 
 # the largest exponent a DiffPoly power takes, "^" of the expression
@@ -327,9 +318,9 @@ def poly_str(poly: DiffPoly, style: str = "tau") -> str:
 _TOKEN_RE = re.compile(
     r"(?P<num>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()./])"
     r"|[ \t\n]+|(?P<bad>.)", re.DOTALL)
-# jets x<i> and momenta p<i>, then the coefficient symbols with one p per
-# derivative
-_ATOM_RE = re.compile(r"([xp])([0-9]+)|(phi|psi|f|g)(p*)")
+# jets x<i> and momenta p<i> with field indices from 1, then the
+# coefficient symbols with one p per derivative
+_ATOM_RE = re.compile(r"([xp])([1-9][0-9]*)|(phi|psi|f|g)(p*)")
 
 
 def _tokenize(text: str):
@@ -619,20 +610,53 @@ def contract(generator, form: VariationalForm) -> VariationalForm:
 # Lagrangians, Euler-Lagrange, Noether
 # ----------------------------------------------------------------------
 
-class Lagrangian:
-    """A first-order Lagrangian density; the form is density * dtau^dsigma."""
+class Lagrangian(Frozen):
+    """A first-order Lagrangian density in the fields 1..n; the form is
+    density * dtau^dsigma.  Immutable, so its one-form and wave-model
+    check are computed once (in the instance dict: no __slots__)."""
 
     def __init__(self, density: DiffPoly, n: int | None = None):
         if density.max_jet_order() > 1:
             raise NotFirstOrder("Lagrangian density must be first order in jets")
         fields = density.field_indices()
-        self.n = n if n is not None else (fields[-1] if fields else 1)
-        if fields and fields[-1] > self.n:
+        if fields and fields[0] < 1:
+            raise ChiraltorusError(f"field index {fields[0]} is below 1")
+        if n is None:
+            n = fields[-1] if fields else 1
+        elif isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ChiraltorusError(f"number of fields must be a positive int, got {n!r}")
+        if fields and fields[-1] > n:
             raise ChiraltorusError("field index exceeds declared number of fields")
-        self.density = density
+        self._set(n=n, density=density)
 
     def form(self) -> VariationalForm:
         return VariationalForm({((), ("t", "s")): self.density})
+
+    @cached_property
+    def gamma(self) -> VariationalForm:
+        """The variational one-form, as variational_one_form gives it."""
+        return variational_one_form(self)
+
+    @cached_property
+    def _wave_fault(self) -> str | None:
+        """None when E_i = sum_j M_ij (d_tau^2 + d_sigma^2) x^j with one
+        invertible constant M, the one case where the on-shell rewrite is
+        valid; otherwise why not."""
+        n = self.n
+        blocks = {(2, 0): [[ZERO] * n for _ in range(n)], (0, 2): [[ZERO] * n for _ in range(n)]}
+        for row, e in enumerate(euler_lagrange(self)):
+            for mono, coeff in e.coeffs.items():
+                if mono.mode != 0 or mono.syms or len(mono.jets) != 1:
+                    return "Euler-Lagrange system is not constant-coefficient linear"
+                (j, a, b) = mono.jets[0]
+                if (a, b) not in blocks:
+                    return "Euler-Lagrange system is not the flat wave system"
+                blocks[(a, b)][row][j - 1] = coeff
+        if blocks[(2, 0)] != blocks[(0, 2)]:
+            return "d_tau^2 and d_sigma^2 blocks differ"
+        if RationalMatrix(blocks[(2, 0)]).det().is_zero():
+            return "wave operator coefficient matrix is singular"
+        return None
 
 
 def euler_lagrange(L: Lagrangian):
@@ -658,22 +682,46 @@ def variational_one_form(L: Lagrangian) -> VariationalForm:
     return VariationalForm(items)
 
 
-def enumerate_monomials(content, weight):
-    """All monomials of the given content and total weight.
+# ----------------------------------------------------------------------
+# the quotient of a content block by the images of total derivatives:
+# normal_form reduces modulo im D_sigma on the sigma-jet ring (dirs "s"),
+# the Noether peel solves q = D_tau Q - D_sigma P (dirs "ts")
+# ----------------------------------------------------------------------
 
-    Weight = sum of jet orders (a+b) plus symbol orders; content fixes
-    the trig mode, the multiset of field indices, and the symbol names.
-    Each composition of the weight into 2f + s parts, read as
-    (a_1..a_f, b_1..b_f, symbol orders), gives one monomial; repeated
-    fields give some monomial more than once, and the set keeps one.
+def block_content(mono: Monomial, dirs: str):
+    """The data the total derivatives along dirs ("s" or "ts") preserve:
+    the trig mode, each jet with its orders along dirs cleared, and the
+    symbol names."""
+    clear_tau = "t" in dirs
+    jets = sorted((i, 0 if clear_tau else a, 0) for (i, a, _) in mono.jets)
+    return mono.mode, tuple(jets), tuple(n for (n, _) in mono.syms)
+
+
+def block_weight(mono: Monomial, dirs: str) -> int:
+    """The jet orders along dirs plus the symbol orders."""
+    tau = "t" in dirs
+    return (sum(b + (a if tau else 0) for (_, a, b) in mono.jets)
+            + sum(o for (_, o) in mono.syms))
+
+
+def enumerate_monomials(content, weight, dirs):
+    """All monomials of the block_content and block_weight given.
+
+    Each composition of the weight into len(dirs)*f + s parts, read as
+    (tau orders if "t" is in dirs, sigma orders, symbol orders) over the
+    f jets and s symbols of the content, gives one monomial; repeated
+    jets give some monomial more than once, and the set keeps one.
     """
-    mode, fields, names = content
-    f = len(fields)
-    return sorted({
-        Monomial(mode, tuple(sorted(zip(names, comp[2 * f:]))),
-                 tuple(sorted(zip(fields, comp[:f], comp[f:2 * f]))))
-        for comp in compositions(weight, 2 * f + len(names))
-    })
+    mode, jets, names = content
+    f = len(jets)
+    t = f if "t" in dirs else 0
+    out = set()
+    for comp in compositions(weight, t + f + len(names)):
+        taus = comp[:t] or (0,) * f
+        out.add(Monomial(
+            mode, tuple(sorted(zip(names, comp[t + f:]))),
+            tuple(sorted((i, a + da, b) for (i, a, _), da, b in zip(jets, taus, comp[t:])))))
+    return sorted(out)
 
 
 def _bare(mono: Monomial) -> bool:
@@ -681,60 +729,71 @@ def _bare(mono: Monomial) -> bool:
     return any(a + b == 0 for (_, a, b) in mono.jets)
 
 
-def _solve_in_span(columns, target: DiffPoly):
-    """Exact coefficients c with sum c_k columns[k] = target, or None.
+def _blocks(poly: DiffPoly, dirs: str):
+    """[(content, {mono: coeff})] of poly by block_content, sorted."""
+    blocks = {}
+    for mono, coeff in poly.coeffs.items():
+        blocks.setdefault(block_content(mono, dirs), {})[mono] = coeff
+    return sorted(blocks.items())
 
-    Column k becomes a row tagged with the int key k beside its Monomial
-    keys.  A column in the span of the ones before it gets no pivot, so
-    its coefficient, a free variable, is 0.  What reducing the target
-    leaves is minus the solution on the tags, and untagged only when the
-    target is outside the span.
+
+# bounded: normal forms of random densities meet many blocks, each basis
+# holding up to hundreds of monomials
+@lru_cache(maxsize=256)
+def _image_basis(content, weights, dirs, bare):
+    """(candidates, echelon basis of their total-derivative images),
+    shared between calls: no caller may mutate them.
+
+    The candidates are the block's monomials at the weights, bare-x ones
+    only when bare is true.  Row j * len(candidates) + k is D_{dirs[j]}
+    of candidate k, tagged with that int when dirs has two directions,
+    so that reducing a target in the span leaves minus its solution on
+    the tags.  A row pivots on its leading monomial in the graded order
+    (block_weight, monomial), so reducing a target never raises its
+    weight.
     """
-    rows = [{**col.coeffs, k: ONE} for k, col in enumerate(columns)]
-    basis = echelon(rows, lambda row: min(
-        (key for key in row if type(key) is not int), default=None))
-    rest = reduce_row(target.coeffs, basis)
-    if any(type(key) is not int for key in rest):
-        return None
-    return [-rest[k] if k in rest else ZERO for k in range(len(columns))]
+    cands = tuple(m for w in weights for m in enumerate_monomials(content, w, dirs)
+                  if bare or not _bare(m))
+    tagged = len(dirs) > 1
+    rows = []
+    for j, d in enumerate(dirs):
+        for k, m in enumerate(cands):
+            row = DiffPoly({m: ONE}).D(d).coeffs
+            rows.append({**row, j * len(cands) + k: ONE} if tagged else row)
+    return cands, echelon(rows, lambda row: max(
+        (key for key in row if type(key) is not int),
+        key=lambda m: (block_weight(m, dirs), m), default=None))
 
 
 def _solve_total_derivative(q: DiffPoly):
     """Find (P, Q) with q = D_tau Q - D_sigma P by graded peeling.
 
-    Candidates live in the same content class as q with weight one
+    Candidates live in the same content block as q with weight one
     lower (weight equal as well when a nonzero trig mode lets D_sigma
     act without raising the weight).  The candidates without bare-x
     factors are tried first, which removes the gauge freedom for the
     translation-invariant densities this solver is used on; the full
-    candidate list is the fallback.
+    candidate list is the fallback.  The tags of what reduction leaves
+    are minus the coefficients of D_tau Q and D_sigma P.
     """
-    blocks = {}
-    for mono, coeff in q.coeffs.items():
-        blocks.setdefault(monomial_content(mono), {})[mono] = coeff
-    P = DiffPoly()
-    Q = DiffPoly()
-    for content in sorted(blocks):
-        target = DiffPoly(blocks[content])
+    P, Q = {}, {}
+    for content, target in _blocks(q, "ts"):
         shifts = (1,) if content[0] == 0 else (1, 0)
-        weights = sorted({monomial_weight(m) - d for m in target.coeffs for d in shifts})
-        cands = [m for cw in weights if cw >= 0 for m in enumerate_monomials(content, cw)]
-        for pool in ([m for m in cands if not _bare(m)], cands):
-            polys = [DiffPoly({m: ONE}) for m in pool]
-            columns = [cp.D("t") for cp in polys] + [cp.D("s").scale(S(-1)) for cp in polys]
-            sol = _solve_in_span(columns, target)
-            if sol is not None:
+        weights = tuple(sorted({w for m in target for d in shifts
+                                if (w := block_weight(m, "ts") - d) >= 0}))
+        for bare in (False, True):
+            cands, basis = _image_basis(content, weights, "ts", bare)
+            rest = reduce_row(target, basis)
+            if all(type(key) is int for key in rest):
                 break
         else:
             raise NotASymmetry(
                 f"no total-derivative representation in content block {content}"
             )
-        for k, cp in enumerate(polys):
-            if not sol[k].is_zero():
-                Q = Q + cp.scale(sol[k])
-            if not sol[len(polys) + k].is_zero():
-                P = P + cp.scale(sol[len(polys) + k])
-    return P, Q
+        n = len(cands)
+        Q.update((m, -rest[k]) for k, m in enumerate(cands) if k in rest)
+        P.update((m, rest[n + k]) for k, m in enumerate(cands) if n + k in rest)
+    return DiffPoly(P), DiffPoly(Q)
 
 
 def _wave_jets(jets):
@@ -760,30 +819,6 @@ def wave_reduce_poly(poly: DiffPoly) -> DiffPoly:
     return poly._like(out)
 
 
-def _validate_wave_model(L: Lagrangian):
-    """The on-shell rewrite is valid only when E_i = sum_j M_ij
-    (d_tau^2 + d_sigma^2) x^j with one invertible constant M."""
-    els = euler_lagrange(L)
-    n = L.n
-    m_tt = [[ZERO] * n for _ in range(n)]
-    m_ss = [[ZERO] * n for _ in range(n)]
-    for row, e in enumerate(els):
-        for mono, coeff in e.coeffs.items():
-            if mono.mode != 0 or mono.syms or len(mono.jets) != 1:
-                raise NonLinearEL("Euler-Lagrange system is not constant-coefficient linear")
-            (j, a, b) = mono.jets[0]
-            if (a, b) == (2, 0):
-                m_tt[row][j - 1] = coeff
-            elif (a, b) == (0, 2):
-                m_ss[row][j - 1] = coeff
-            else:
-                raise NonLinearEL("Euler-Lagrange system is not the flat wave system")
-    if m_tt != m_ss:
-        raise NonLinearEL("d_tau^2 and d_sigma^2 blocks differ")
-    if RationalMatrix(m_tt).det().is_zero():
-        raise NonLinearEL("wave operator coefficient matrix is singular")
-
-
 def noether(L: Lagrangian, generator) -> VariationalForm:
     """Noether current of a symmetry: alpha - iota_{x-hat} gamma.
 
@@ -801,8 +836,9 @@ def noether(L: Lagrangian, generator) -> VariationalForm:
     if not (check - q).is_zero():
         raise InvariantError("internal: peel produced an incorrect representation")
     alpha = VariationalForm({((), ("t",)): P, ((), ("s",)): Q})
-    current = alpha - contract(field, variational_one_form(L))
-    _validate_wave_model(L)
+    current = alpha - contract(field, L.gamma)
+    if L._wave_fault:
+        raise NonLinearEL(L._wave_fault)
     d_current = current.horizontal_differential()
     residual = wave_reduce_poly(d_current.component((), ("t", "s")))
     if not residual.is_zero():
@@ -817,8 +853,8 @@ def restrict_to_sol0(expr, L: Lagrangian | None = None):
     When a Lagrangian is supplied, its Euler-Lagrange system is checked
     to actually be the flat wave system (NonLinearEL otherwise).
     """
-    if L is not None:
-        _validate_wave_model(L)
+    if L is not None and L._wave_fault:
+        raise NonLinearEL(L._wave_fault)
     if isinstance(expr, DiffPoly):
         return wave_reduce_poly(expr)
     items = []

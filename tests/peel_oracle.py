@@ -6,21 +6,46 @@ and then splits each jet order into (a, b); with forbid_bare it skips
 every distribution that leaves a jet of order zero.  solve_total_derivative
 enumerates the candidates of each content block twice, first without
 bare-x factors and then with them, deduplicating across weights with a
-seen set.  The library enumerates each block once, from one composition
-per monomial, and filters the bare candidates out of that one list.
+seen set, and solves each system from scratch with _solve_in_span, which
+pivots on the least monomial.  The library enumerates each block once,
+from one composition per monomial, caches the echelon basis of each
+candidate pool and pivots on the leading monomial in the graded order.
+
+A content here is (mode, field index multiset, symbol names), and the
+weight of a monomial is the sum of its jet and symbol orders.
 """
 
 from itertools import product
 
-from chiraltorus.exactlin import ONE, S, compositions
-from chiraltorus.jetcalc import (
-    DiffPoly,
-    Monomial,
-    NotASymmetry,
-    _solve_in_span,
-    monomial_content,
-    monomial_weight,
-)
+from chiraltorus.exactlin import ONE, ZERO, S, compositions, echelon, reduce_row
+from chiraltorus.jetcalc import DiffPoly, Monomial, NotASymmetry
+
+
+def monomial_weight(m: Monomial) -> int:
+    return sum(a + b for (_, a, b) in m.jets) + sum(o for (_, o) in m.syms)
+
+
+def monomial_content(m: Monomial):
+    return (m.mode, tuple(sorted(i for (i, _, _) in m.jets)),
+            tuple(sorted(n for (n, _) in m.syms)))
+
+
+def _solve_in_span(columns, target: DiffPoly):
+    """Exact coefficients c with sum c_k columns[k] = target, or None.
+
+    Column k becomes a row tagged with the int key k beside its Monomial
+    keys.  A column in the span of the ones before it gets no pivot, so
+    its coefficient, a free variable, is 0.  What reducing the target
+    leaves is minus the solution on the tags, and untagged only when the
+    target is outside the span.
+    """
+    rows = [{**col.coeffs, k: ONE} for k, col in enumerate(columns)]
+    basis = echelon(rows, lambda row: min(
+        (key for key in row if type(key) is not int), default=None))
+    rest = reduce_row(target.coeffs, basis)
+    if any(type(key) is not int for key in rest):
+        return None
+    return [-rest[k] if k in rest else ZERO for k in range(len(columns))]
 
 
 def enumerate_monomials(content, weight, forbid_bare=False):

@@ -749,6 +749,9 @@ class TestErrorBytes:
             ["bracket", "x1^\u00b2", "p1"], None, 1,
             "error: expression 'x1^\u00b2': unexpected character '\u00b2' in "
             "expression\n"),
+        "field-index-zero": (
+            ["bracket", "p0", "x0"], None, 1,
+            "error: expression 'p0': unknown name 'p0' in expression\n"),
         "name-arabic-digit": (
             ["bracket", "x\u0661*p1", "p1"], None, 1,
             "error: expression 'x\u0661*p1': unexpected character '\u0661' "

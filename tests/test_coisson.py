@@ -663,3 +663,16 @@ class TestBShift:
             b_shift(P("p1"), sym), b_shift(P("p2"), sym), TABLE
         )
         assert not E.is_zero()
+
+    def test_momentum_above_the_matrix_is_refused(self):
+        # p3 has no row to shift it by; x3 is not shifted and passes
+        with pytest.raises(DimensionMismatch,
+                           match="^momentum index 3 exceeds the shift matrix size 2$") as info:
+            b_shift(P("p3 + p1"), self.ALPHA)
+        assert info.value.exit_code == 2
+        assert b_shift(P("x3*p1"), self.ALPHA) == P("x3*p1 + 1/2*x3*ds.x2")
+
+    def test_non_square_matrix_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="^shift matrix must be square$") as info:
+            b_shift(P("p1"), [[0, 1]])
+        assert info.value.exit_code == 2

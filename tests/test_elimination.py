@@ -1,12 +1,13 @@
 """The one echelon eliminator against the dense routines it replaced.
 
-det, inverse, _solve_in_span, normal_form and alt_pullback all run on
-exactlin.echelon / reduce_row.  The reference oracles below are the
-dense implementations each of them used before: a dense determinant, a
-Gauss-Jordan inverse, a Gauss-Jordan span solver, an incrementally
-fully reduced image basis with repeated leading-term reduction, and a
-pullback that takes a fresh determinant for every minor.  Every result
-is unique, so both sides must agree exactly.
+det, inverse, normal_form, alt_pullback and the span solver of the
+peel oracle all run on exactlin.echelon / reduce_row.  The reference
+oracles below are the dense implementations each of them used before: a
+dense determinant, a Gauss-Jordan inverse, a Gauss-Jordan span solver,
+an incrementally fully reduced image basis with repeated leading-term
+reduction over the sigma-jet ring's own enumerator, and a pullback that
+takes a fresh determinant for every minor.  Every result is unique, so
+both sides must agree exactly.
 """
 
 from itertools import combinations
@@ -15,13 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chiraltorus.coisson import (
-    _order_key,
-    normal_form,
-    xp_content,
-    xp_enumerate,
-    xp_weight,
-)
+from chiraltorus.coisson import normal_form
 from chiraltorus.exactlin import (
     ONE,
     ZERO,
@@ -30,13 +25,46 @@ from chiraltorus.exactlin import (
     RationalMatrix,
     SingularMatrix,
     alt_pullback,
+    compositions,
 )
-from chiraltorus.jetcalc import DiffPoly, Monomial, _solve_in_span
+from chiraltorus.jetcalc import DiffPoly, Monomial, _image_basis, enumerate_monomials
+
+from peel_oracle import _solve_in_span
 
 
 # ----------------------------------------------------------------------
 # reference oracles
 # ----------------------------------------------------------------------
+
+# the sigma-jet ring's grading: a content is (mode, sorted (field, tau
+# order) slots, symbol names), and only sigma- and symbol orders weigh
+
+def xp_weight(mono: Monomial) -> int:
+    return sum(b for (_, _, b) in mono.jets) + sum(o for (_, o) in mono.syms)
+
+
+def xp_content(mono: Monomial):
+    return (
+        mono.mode,
+        tuple(sorted((i, a) for (i, a, _) in mono.jets)),
+        tuple(sorted(n for (n, _) in mono.syms)),
+    )
+
+
+def xp_enumerate(content, weight):
+    mode, slots, names = content
+    out = set()
+    for comp in compositions(weight, len(slots) + len(names)):
+        jets = tuple(
+            sorted((i, a, comp[k]) for k, (i, a) in enumerate(slots))
+        )
+        syms = tuple(sorted(zip(names, comp[len(slots):])))
+        out.add(Monomial(mode, syms, jets))
+    return sorted(out)
+
+
+def _order_key(mono: Monomial):
+    return (xp_weight(mono), mono)
 
 def ref_det(m: RationalMatrix) -> ExactScalar:
     n = m.rows
@@ -323,6 +351,31 @@ class TestNormalForm:
         nf = normal_form(density)
         assert nf == ref_normal_form(density)
         assert normal_form(nf) == nf
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=densities(), b=densities())
+    def test_cold_and_warm_cache_agree(self, a, b):
+        # b cold, then b after a has filled the cache, then b on its own
+        # entries: a basis shared between calls must come back unchanged
+        _image_basis.cache_clear()
+        cold = normal_form(b)
+        _image_basis.cache_clear()
+        normal_form(a)
+        warm = normal_form(b)
+        hits = _image_basis.cache_info().hits
+        assert normal_form(b) == warm == cold == ref_normal_form(b)
+        assert b.is_zero() or _image_basis.cache_info().hits > hits
+
+    @settings(max_examples=100, deadline=None)
+    @given(mode=st.integers(-2, 2),
+           slots=st.lists(st.tuples(st.integers(1, 2), st.integers(0, 1)),
+                          max_size=3).map(sorted),
+           names=st.lists(st.sampled_from(["phi", "psi"]), max_size=2).map(sorted),
+           weight=st.integers(0, 4))
+    def test_enumerator_matches_sigma_ring_enumerator(self, mode, slots, names, weight):
+        content = (mode, tuple(slots), tuple(names))
+        block = (mode, tuple((i, a, 0) for (i, a) in slots), tuple(names))
+        assert enumerate_monomials(block, weight, "s") == xp_enumerate(content, weight)
 
 
 class TestAltPullback:

@@ -37,7 +37,13 @@ from chiraltorus.fockq import (
     UnitScalar,
     one_dim_model,
 )
-from chiraltorus.jetcalc import DiffPoly, Monomial, VariationalForm, parse_expr
+from chiraltorus.jetcalc import (
+    DiffPoly,
+    Monomial,
+    VariationalForm,
+    boson_circle_lagrangian,
+    parse_expr,
+)
 
 
 def rand_scalar(rng, den=6):
@@ -596,6 +602,7 @@ FROZEN_CASES = {
     "DiffPoly": (lambda: parse_expr("x1*p1"), "terms"),
     "VariationalForm": (
         lambda: VariationalForm({((), ("t", "s")): parse_expr("x1")}), "coeffs"),
+    "Lagrangian": (lambda: boson_circle_lagrangian(), "density"),
     "LocalDensity": (lambda: LocalDensity("p1"), "poly"),
     "FourierClass": (lambda: FourierClass("p1"), "rep"),
     "DeltaExpansion": (lambda: DeltaExpansion({0: parse_expr("p1")}), "coeffs"),

@@ -244,6 +244,12 @@ class TestParserPrinter:
             with pytest.raises(ChiraltorusError, match=f"^exponent {big} is above"):
                 parse_expr(f"(x1 + p1)^{big}")
 
+    @pytest.mark.parametrize("text", ["x0", "p0", "x01", "dt.x0", "ds.p00"])
+    def test_field_index_starts_at_one(self, text):
+        name = text.split(".")[-1]
+        with pytest.raises(ChiraltorusError, match=f"^unknown name '{name}' in expression$"):
+            parse_expr(text)
+
     @pytest.mark.parametrize("text", ["x1^\u00b2", "x\u0661*p1", "\u00e9", "x1 +\u00a02"])
     def test_non_ascii_is_refused(self, text):
         # str.isdigit takes the superscript and the Arabic-Indic digit
@@ -313,6 +319,30 @@ class TestEulerLagrange:
     def test_not_first_order(self):
         with pytest.raises(NotFirstOrder):
             Lagrangian(jet(1, 2, 0))
+
+    def test_field_index_below_one_is_refused(self):
+        with pytest.raises(ChiraltorusError, match="^field index 0 is below 1$") as info:
+            Lagrangian(jet(0, 1, 0) * jet(0, 1, 0))
+        assert info.value.exit_code == 1
+
+    @pytest.mark.parametrize("n", [1.5, True, "2", 0, -1])
+    def test_field_count_must_be_a_positive_int(self, n):
+        with pytest.raises(ChiraltorusError, match="^number of fields must be a positive int") \
+                as info:
+            Lagrangian(jet(1, 1, 0) * jet(1, 1, 0), n=n)
+        assert info.value.exit_code == 1
+
+    def test_lagrangian_only_work_is_cached(self):
+        L = torus_lagrangian([[1, 0], [0, 2]])
+        assert L.gamma is L.gamma
+        assert L.gamma == variational_one_form(L)
+        bad = Lagrangian((jet(1, 1, 0) ** 2 - jet(1, 0, 1) ** 2).scale(I))
+        raised = []
+        for _ in range(2):
+            with pytest.raises(NonLinearEL, match="^d_tau\\^2 and d_sigma\\^2 blocks differ$") as info:
+                restrict_to_sol0(jet(1, 2, 0), bad)
+            raised.append(info.value)
+        assert raised[0] is not raised[1]
 
 
 class TestVariationalOneForm:
@@ -537,21 +567,23 @@ class TestRestrict:
 
 
 class TestEnumerateMonomials:
+    """The peel's blocks: dirs "ts", jets with both orders cleared."""
+
     def test_single_field_weight_one(self):
-        got = enumerate_monomials((0, (1,), ()), 1)
+        got = enumerate_monomials((0, ((1, 0, 0),), ()), 1, "ts")
         assert got == [
             Monomial(0, (), ((1, 0, 1),)),
             Monomial(0, (), ((1, 1, 0),)),
         ]
 
     def test_forbid_bare(self):
-        content = (0, (1, 1), ())
-        full = enumerate_monomials(content, 1)
+        content = (0, ((1, 0, 0), (1, 0, 0)), ())
+        full = enumerate_monomials(content, 1, "ts")
         assert [m for m in full if not jetcalc._bare(m)] == []
         assert any((1, 0, 0) in m.jets for m in full)
 
     def test_symbol_weight_split(self):
-        got = enumerate_monomials((2, (), ("f",)), 1)
+        got = enumerate_monomials((2, (), ("f",)), 1, "ts")
         assert got == [Monomial(2, (("f", 1),), ())]
 
     @settings(max_examples=100, deadline=None)
@@ -560,8 +592,10 @@ class TestEnumerateMonomials:
            names=st.lists(st.sampled_from(["f", "g"]), max_size=2).map(sorted),
            weight=st.integers(0, 4))
     def test_matches_oracle(self, mode, fields, names, weight):
+        block = (mode, tuple((i, 0, 0) for i in fields), tuple(names))
         content = (mode, tuple(fields), tuple(names))
-        assert enumerate_monomials(content, weight) == oracle.enumerate_monomials(content, weight)
+        assert (enumerate_monomials(block, weight, "ts")
+                == oracle.enumerate_monomials(content, weight))
 
 
 # first-order factors: bare, tau- and sigma-differentiated jets, trig
@@ -598,6 +632,17 @@ class TestPeel:
         got = jetcalc._solve_total_derivative(q)
         assert got == want
         assert got[1].D("t") - got[0].D("s") == q
+
+    @settings(max_examples=40, deadline=None)
+    @given(P=first_order_polys, Q=first_order_polys)
+    def test_cold_and_warm_cache_agree(self, P, Q):
+        q = Q.D("t") - P.D("s")
+        jetcalc._image_basis.cache_clear()
+        cold = jetcalc._solve_total_derivative(q)
+        hits = jetcalc._image_basis.cache_info().hits
+        warm = jetcalc._solve_total_derivative(q)
+        assert warm == cold == oracle.solve_total_derivative(q)
+        assert q.is_zero() or jetcalc._image_basis.cache_info().hits > hits
 
     @pytest.mark.parametrize("c, hkeys, want", [
         ("t", (), (1, ("t",))),
