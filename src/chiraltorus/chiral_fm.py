@@ -121,29 +121,36 @@ class TdoIsoClass:
 class NondegClass:
     """A nondegenerate element mu of Hom(g, g-hat); indexes the transform.
 
-    A class made by inverse_class carries the mu it came from as its
-    inverse; that reference is not part of the value.
+    mu^{-1} is computed once, when the class is built, and doubles as
+    the nondegeneracy check; a class made by inverse_class is handed the
+    mu it came from instead.  The stored inverse is not part of the
+    value, and not an argument of the constructor.
     """
 
     mu: RationalMatrix
-    _inv: RationalMatrix | None = field(default=None, compare=False, repr=False)
+    _inv: RationalMatrix = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.mu.rows != self.mu.cols:
             raise DimensionMismatch("mu must be square")
-        if self.mu.det().is_zero():
-            raise SingularMatrix("mu must be nondegenerate")
+        try:
+            object.__setattr__(self, "_inv", self.mu.inverse())
+        except SingularMatrix:
+            raise SingularMatrix("mu must be nondegenerate") from None
 
     @property
     def n(self) -> int:
         return self.mu.rows
 
     def mu_inverse(self) -> RationalMatrix:
-        """mu^{-1}: the carried matrix of an inverse class, else computed."""
-        return self.mu.inverse() if self._inv is None else self._inv
+        """mu^{-1}, as stored when the class was built."""
+        return self._inv
 
     def inverse_class(self) -> "NondegClass":
-        return NondegClass(self.mu_inverse(), self.mu)
+        out = object.__new__(NondegClass)
+        object.__setattr__(out, "mu", self._inv)
+        object.__setattr__(out, "_inv", self.mu)
+        return out
 
     def to_json(self):
         return {"mu": self.mu.to_json()}
@@ -184,8 +191,8 @@ def fm_cdo(mu: NondegClass, x: CdoIsoClass) -> CdoIsoClass:
     if mu.n != x.n:
         raise DimensionMismatch("mu and class dimensions differ")
     inv = mu.mu_inverse()
-    nu_out = _pullback_by_inverse(2, inv, x.nu).map_values(inv.apply)
-    return CdoIsoClass(x.n, _pullback_by_inverse(3, inv, x.lam), nu_out)
+    return CdoIsoClass(x.n, _pullback_by_inverse(3, inv, x.lam),
+                       _pullback_by_inverse(2, inv, x.nu, on_values=True))
 
 
 def fm_cdo_morphism(mu: NondegClass, m: CdoMorphism) -> CdoMorphism:

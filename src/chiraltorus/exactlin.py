@@ -6,15 +6,21 @@ Every module downstream runs on these types.  Scalars are elements
 (a + b*i)/d of Q(i), stored as three ints over one shared denominator in
 the canonical form d > 0, gcd(a, b, d) = 1, so equality of any two
 computed quantities is decidable and all tests are equality tests.
+
+Scalar arithmetic normalises each result with one gcd.  The dense
+kernels (matrix products, det, inverse and the pullback of alternating
+tensors) instead write their inputs as Gaussian integers over one
+common denominator, work in plain ints, and normalise each output
+entry once.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm
 from itertools import combinations
-from operator import itemgetter
+from operator import itemgetter, mul
 
 
 class ChiraltorusError(ValueError):
@@ -313,6 +319,72 @@ def _reduced(a: int, b: int, d: int) -> ExactScalar:
     return _triple(a, b, d)
 
 
+def _over_common(xs) -> tuple:
+    """The integer view (re, im, D) of a sequence of scalars: x_k =
+    (re[k] + im[k]*i)/D for every k, D the lcm of their denominators."""
+    D = lcm(*[x.d for x in xs])
+    re = [x.a if x.d == D else x.a * (D // x.d) for x in xs]
+    im = [x.b if x.d == D else x.b * (D // x.d) for x in xs]
+    return re, im, D
+
+
+def _dot(x, y) -> ExactScalar:
+    """sum_k x_k y_k of two integer views of equal length, summed in ints
+    and normalised once."""
+    xr, xi, dx = x
+    yr, yi, dy = y
+    return _reduced(sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)),
+                    sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)), dx * dy)
+
+
+def _integer_rows(m) -> tuple:
+    """The integer view (re rows, im rows, D) of a RationalMatrix: all
+    its entries over the one common denominator D."""
+    n = m.cols
+    re, im, D = _over_common([x for row in m.entries for x in row])
+    return ([re[i:i + n] for i in range(0, len(re), n)],
+            [im[i:i + n] for i in range(0, len(im), n)], D)
+
+
+def _bareiss(re, im, jordan=True):
+    """Fraction-free elimination (Bareiss) of the Gaussian-integer matrix
+    [M | R] with rows re[i] + im[i]*i, M square.
+
+    Column k pivots on the first unused row r that is nonzero there;
+    every other row (with jordan), or every unused one (without),
+    becomes (p * row - f * row_r) / q, p the pivot, f the row's entry in
+    column k and q the previous pivot (1 at first).  The division is
+    exact in Z[i], because every entry is a minor of the row-permuted
+    [M | R], and each row drops column k.  The last pivot q is
+    sign(order) det M, and with jordan row order[k] is left as q times
+    row k of M^{-1} R.  Returns (order, rows, q): order[k] the row that
+    pivoted on column k, rows what is left of each row; or None when a
+    column has no pivot, det M = 0.
+    """
+    rows = list(zip(re, im))
+    order = []
+    qr, qi = 1, 0
+    for _ in range(len(rows)):
+        r = next((r for r, (a, b) in enumerate(rows) if r not in order and (a[0] or b[0])),
+                 None)
+        if r is None:
+            return None
+        order.append(r)
+        ar, ai = rows[r]
+        pr, pi = ar[0], ai[0]
+        ar, ai = rows[r] = ar[1:], ai[1:]
+        norm = qr * qr + qi * qi
+        for i, (br, bi) in enumerate(rows):
+            if i not in order or (jordan and i != r):
+                fr, fi = br[0], bi[0]
+                xs = [(pr * x - pi * y - fr * u + fi * v, pr * y + pi * x - fr * v - fi * u)
+                      for x, y, u, v in zip(br[1:], bi[1:], ar, ai)]
+                rows[i] = ([(x * qr + y * qi) // norm for x, y in xs],
+                           [(y * qr - x * qi) // norm for x, y in xs])
+        qr, qi = pr, pi
+    return order, rows, (qr, qi)
+
+
 S = ExactScalar
 ZERO = ExactScalar(0)
 ONE = ExactScalar(1)
@@ -423,18 +495,9 @@ class RationalMatrix(Frozen):
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return RationalMatrix(
-            [
-                [
-                    sum(
-                        (self.entries[i][k] * other.entries[k][j] for k in range(self.cols)),
-                        ZERO,
-                    )
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ]
-        )
+        cols = [_over_common(col) for col in zip(*other.entries)]
+        return _matrix(tuple(_dot(row, col) for col in cols)
+                       for row in map(_over_common, self.entries))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, ExactScalar)):
@@ -451,53 +514,42 @@ class RationalMatrix(Frozen):
         v = [ExactScalar.coerce(x) for x in vec]
         if len(v) != self.cols:
             raise DimensionMismatch("vector length does not match column count")
-        return tuple(
-            sum((self.entries[i][k] * v[k] for k in range(self.cols)), ZERO)
-            for i in range(self.rows)
-        )
-
-    def _sparse_rows(self) -> list:
-        return [{j: x for j, x in enumerate(row) if not x.is_zero()}
-                for row in self.entries]
+        v = _over_common(v)
+        return tuple(_dot(_over_common(row), v) for row in self.entries)
 
     def det(self) -> ExactScalar:
-        """The sign of the pivot permutation times the product of the
-        pivot values met on the way to echelon form; 0 when a row
-        reduces to zero."""
+        """The last pivot of _bareiss on D*A, signed by the pivot order,
+        over D^n; 0 when a column has no pivot."""
         if self.rows != self.cols:
             raise DimensionMismatch("determinant of a non-square matrix")
-        leads = []
-
-        def lowest(row):
-            col = min(row)
-            leads.append(row[col])
-            return col
-
-        basis = echelon(self._sparse_rows(), lowest)
-        if len(basis) < self.rows:
+        re, im, D = _integer_rows(self)
+        done = _bareiss(re, im, jordan=False)
+        if done is None:
             return ZERO
-        return prod(leads, start=ExactScalar(signed_sort(basis)[0]))
+        order, _, (qr, qi) = done
+        sign = signed_sort(order)[0]
+        return _reduced(sign * qr, sign * qi, D ** self.rows)
 
     def inverse(self) -> "RationalMatrix":
         """Exact inverse; raises SingularMatrix if det = 0.
 
-        The echelon basis of [A | I], pivoting in A only, spans the rows
-        (x A | x); reducing (e_j | 0) against it leaves (0 | -x) with
-        x A = e_j, so row j of the inverse is minus that I part."""
+        Gauss-Jordan by _bareiss on [D*A | D*I] leaves the row that
+        pivots on column k as q X_k, one q for every row, with X_k row k
+        of the inverse; each entry is normalised once."""
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
-        rows = self._sparse_rows()
-        for i, row in enumerate(rows):
-            row[n + i] = ONE
-        basis = echelon(rows, lambda row: col if (col := min(row)) < n else None)
-        if len(basis) < n:
+        re, im, D = _integer_rows(self)
+        done = _bareiss([row + [D if j == i else 0 for j in range(n)]
+                         for i, row in enumerate(re)],
+                        [row + [0] * n for row in im])
+        if done is None:
             raise SingularMatrix("matrix has zero determinant")
-        out = []
-        for j in range(n):
-            rest = reduce_row({j: ONE}, basis)
-            out.append([-rest[n + i] if n + i in rest else ZERO for i in range(n)])
-        return RationalMatrix(out)
+        order, rows, (qr, qi) = done
+        norm = qr * qr + qi * qi
+        # x/q = x conj(q) / |q|^2
+        return _matrix(tuple(_reduced(x * qr + y * qi, y * qr - x * qi, norm)
+                             for x, y in zip(*rows[r])) for r in order)
 
     def __str__(self):
         body = "; ".join(
@@ -513,6 +565,15 @@ class RationalMatrix(Frozen):
     @staticmethod
     def from_json(data) -> "RationalMatrix":
         return RationalMatrix(data)
+
+
+def _matrix(rows) -> RationalMatrix:
+    """A RationalMatrix around rows of ExactScalars that are already
+    rectangular and nonempty, without the constructor's coercion."""
+    out = _new(RationalMatrix)
+    entries = tuple(rows)
+    out._set(rows=len(entries), cols=len(entries[0]), entries=entries)
+    return out
 
 
 def _torus_matrices(g, B=None) -> tuple:
@@ -783,15 +844,6 @@ class AltTensor(CoeffTable):
             raise DimensionMismatch("tensor addition shape mismatch")
         return super().__add__(other)
 
-    def map_values(self, fn) -> "AltTensor":
-        """Apply fn to each value column (used to post-compose with a map)."""
-        return AltTensor(
-            self.degree,
-            self.dim,
-            {k: fn(v) for k, v in self.coeffs.items()},
-            self.valdim,
-        )
-
     def _term(self, key, val):
         body = ", ".join(map(str, val)) if isinstance(val, tuple) else val
         return f"({body}) " + "".join(f"e{i}*" for i in key)
@@ -853,38 +905,75 @@ def alt_pullback(k: int, mu: RationalMatrix, t: AltTensor) -> AltTensor:
     return _pullback_by_inverse(k, mu.inverse(), t)
 
 
-def _pullback_by_inverse(k: int, inv: RationalMatrix, t: AltTensor) -> AltTensor:
-    """alt_pullback given inv = mu^{-1}, for a k-tensor t of matching dim.
+def _pullback_by_inverse(k: int, inv: RationalMatrix, t: AltTensor,
+                         on_values: bool = False) -> AltTensor:
+    """alt_pullback given inv = mu^{-1}, for a k-tensor t of matching dim;
+    with on_values, each value column is also sent through inv.
 
+    inv is read as M/D and the values of t as integers over T, both
+    Gaussian integers over a common denominator, so the coefficient on
+    I is sum_J t_J M_{J,I} / (T D^k), M_{J,I} the (J, I) minor of M.
+    The sums run in ints and each output entry is normalised once.
     Only the keys J of t are walked.  The 2x2 minors of a row pair are
     tabulated once over every column pair: for k = 2 they are the (J, I)
     minors, and for k = 3 each minor is the Laplace expansion along J's
     first row over the table of its last two rows, shared by every I and
     by every J that ends in the same pair.
     """
-    rows = inv.entries
-    cols = range(1, inv.rows + 1)
+    n = inv.rows
+    mr, mi, D = _integer_rows(inv)
+    width = t.valdim or 1
+    values = t.coeffs.values()
+    vr, vi, T = _over_common(
+        [x for v in values for x in v] if t.valdim else list(values))
+    pairs = list(combinations(range(n), 2))
+    triples = list(combinations(range(n), 3))
     tables = {}
-    out = {}
-    for key, val in t.coeffs.items():
+    acc = {}
+    for pos, key in enumerate(t.coeffs):
         pair = key[-2:]
         m2 = tables.get(pair)
         if m2 is None:
-            ra, rb = rows[pair[0] - 1], rows[pair[1] - 1]
+            ar, ai, br, bi = mr[pair[0] - 1], mi[pair[0] - 1], mr[pair[1] - 1], mi[pair[1] - 1]
             m2 = tables[pair] = {
-                (a, b): ra[a - 1] * rb[b - 1] - ra[b - 1] * rb[a - 1]
-                for a, b in combinations(cols, 2)
+                (a, b): (ar[a] * br[b] - ai[a] * bi[b] - ar[b] * br[a] + ai[b] * bi[a],
+                         ar[a] * bi[b] + ai[a] * br[b] - ar[b] * bi[a] - ai[b] * br[a])
+                for a, b in pairs
             }
         if k == 2:
             minors = m2.items()
         else:
-            top = rows[key[0] - 1]
-            minors = (
-                ((a, b, c), top[a - 1] * m2[b, c] - top[b - 1] * m2[a, c]
-                 + top[c - 1] * m2[a, b])
-                for a, b, c in combinations(cols, 3)
-            )
-        for idx, minor in minors:
-            if not minor.is_zero():
-                add_into(out, idx, val * minor)
+            tr, ti = mr[key[0] - 1], mi[key[0] - 1]
+            minors = []
+            for a, b, c in triples:
+                x1, y1 = m2[b, c]
+                x2, y2 = m2[a, c]
+                x3, y3 = m2[a, b]
+                minors.append(((a, b, c), (
+                    tr[a] * x1 - ti[a] * y1 - tr[b] * x2 + ti[b] * y2 + tr[c] * x3 - ti[c] * y3,
+                    tr[a] * y1 + ti[a] * x1 - tr[b] * y2 - ti[b] * x2 + tr[c] * y3 + ti[c] * x3)))
+        ur = vr[pos * width:(pos + 1) * width]
+        ui = vi[pos * width:(pos + 1) * width]
+        for idx, (x, y) in minors:
+            if not (x or y):
+                continue
+            cur = acc.get(idx)
+            if cur is None:
+                cur = acc[idx] = [0] * width, [0] * width
+            cr, ci = cur
+            for s in range(width):
+                cr[s] += ur[s] * x - ui[s] * y
+                ci[s] += ur[s] * y + ui[s] * x
+    den = T * D ** k
+    out = {}
+    for idx, (cr, ci) in acc.items():
+        if not (any(cr) or any(ci)):
+            continue
+        key = tuple(i + 1 for i in idx)
+        if t.valdim is None:
+            out[key] = _reduced(cr[0], ci[0], den)
+        elif on_values:
+            out[key] = _Column(_dot((r, i, D), (cr, ci, den)) for r, i in zip(mr, mi))
+        else:
+            out[key] = _Column(_reduced(x, y, den) for x, y in zip(cr, ci))
     return t._like(out)

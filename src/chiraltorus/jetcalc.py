@@ -116,6 +116,10 @@ class DiffPoly(CoeffTable):
 
     @staticmethod
     def jet(i: int, a: int, b: int, coeff=1) -> "DiffPoly":
+        if type(i) is not int:
+            raise ChiraltorusError(f"field index must be an integer, got {i!r}")
+        if i < 1:
+            raise ChiraltorusError(f"field index {i} is below 1")
         return DiffPoly({Monomial(0, (), ((i, a, b),)): S.coerce(coeff)})
 
     @staticmethod

@@ -29,7 +29,14 @@ from chiraltorus.chiral_fm import (
     vertex_algebroid_pairing,
 )
 
-from test_elimination import entries, nonzero, ref_alt_pullback
+from test_elimination import (
+    entries,
+    nonzero,
+    ref_alt_pullback,
+    ref_apply,
+    ref_inverse,
+    ref_matmul,
+)
 from test_exactlin import rand_invertible, rand_scalar, rand_tensor
 
 ZERO = ExactScalar(0)
@@ -354,8 +361,8 @@ def fm_cases(draw):
 
 def both_ways(mu):
     """(class, matrix) along mu and along its inverse class; the matrix
-    of the inverse class is built by an explicit inverse."""
-    return [(mu, mu.mu), (mu.inverse_class(), mu.mu.inverse())]
+    of the inverse class is built by the reference inverse."""
+    return [(mu, mu.mu), (mu.inverse_class(), ref_inverse(mu.mu))]
 
 
 class TestTransformsAgainstReference:
@@ -364,9 +371,10 @@ class TestTransformsAgainstReference:
     def test_fm_cdo(self, case):
         mu, x, _, _ = case
         for along, m in both_ways(mu):
-            inv = m.inverse()
-            want = CdoIsoClass(x.n, ref_alt_pullback(3, m, x.lam),
-                               ref_alt_pullback(2, m, x.nu).map_values(inv.apply))
+            inv = ref_inverse(m)
+            nu = ref_alt_pullback(2, m, x.nu)
+            want = CdoIsoClass(x.n, ref_alt_pullback(3, m, x.lam), AltTensor(
+                2, x.n, {key: ref_apply(inv, col) for key, col in nu.coeffs.items()}, x.n))
             assert fm_cdo(along, x) == want
 
     @settings(max_examples=60, deadline=None)
@@ -374,8 +382,9 @@ class TestTransformsAgainstReference:
     def test_fm_tdo(self, case):
         mu, _, x, _ = case
         for along, m in both_ways(mu):
-            inv = m.inverse()
-            want = TdoIsoClass(inv * x.c * inv, ref_alt_pullback(2, m, x.omega))
+            inv = ref_inverse(m)
+            want = TdoIsoClass(ref_matmul(ref_matmul(inv, x.c), inv),
+                               ref_alt_pullback(2, m, x.omega))
             assert fm_tdo(along, x) == want
 
     @settings(max_examples=60, deadline=None)
@@ -396,6 +405,12 @@ class TestInverseClass:
         assert hash(got) == hash(want)
         assert repr(got) == repr(want)
         assert got.to_json() == want.to_json()
+
+    def test_stored_inverse_is_not_a_constructor_argument(self):
+        # an inverse handed in from outside would skip the
+        # nondegeneracy check and mislead every transform
+        with pytest.raises(TypeError):
+            NondegClass(RationalMatrix([[1, 1], [1, 1]]), RationalMatrix.identity(2))
 
     @settings(max_examples=40, deadline=None)
     @given(m=st.integers(1, 5).flatmap(nondeg_matrices))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiraltorus import coisson
-from chiraltorus.exactlin import DimensionMismatch, NotAntisymmetric
+from chiraltorus.exactlin import ChiraltorusError, DimensionMismatch, NotAntisymmetric
 from chiraltorus.exactlin import ExactScalar as S
 from chiraltorus.jetcalc import (
     DiffPoly,
@@ -357,6 +357,17 @@ class TestNormalForm:
 
 
 class TestFourierBracket:
+    @pytest.mark.parametrize("i", [0, -2])
+    def test_field_index_below_one_never_reaches_the_bracket(self, i):
+        # fourier_bracket(x_i', x_i, ...) gave [-1] for i = 0 and -2 while
+        # jets took any index
+        with pytest.raises(ChiraltorusError, match=f"^field index {i} is below 1$"):
+            fourier_bracket(DiffPoly.jet(i, 1, 0), DiffPoly.jet(i, 0, 0), boson_table())
+
+    def test_field_index_below_one_never_reaches_from_tau_jets(self):
+        with pytest.raises(ChiraltorusError, match="^field index 0 is below 1$"):
+            from_tau_jets(DiffPoly.jet(0, 1, 0) + DiffPoly.jet(1, 1, 0), [[1]])
+
     def test_momentum_against_winding_profile(self):
         # {int phi p_1, int psi d_s x^1} = -int phi' psi
         out = fourier_bracket(P("phi*p1"), P("psi*ds.x1"), TABLE)

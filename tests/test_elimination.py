@@ -1,13 +1,15 @@
-"""The one echelon eliminator against the dense routines it replaced.
+"""The exact eliminators and integer kernels against dense references.
 
-det, inverse, normal_form, alt_pullback and the span solver of the
-peel oracle all run on exactlin.echelon / reduce_row.  The reference
-oracles below are the dense implementations each of them used before: a
-dense determinant, a Gauss-Jordan inverse, a Gauss-Jordan span solver,
-an incrementally fully reduced image basis with repeated leading-term
-reduction over the sigma-jet ring's own enumerator, and a pullback that
-takes a fresh determinant for every minor.  Every result is unique, so
-both sides must agree exactly.
+normal_form and the span solver of the peel oracle run on
+exactlin.echelon / reduce_row; det, inverse, matrix products, apply and
+alt_pullback run on Gaussian integers over a common denominator.  The
+reference oracles below share neither: they are dense routines over
+ExactScalar arithmetic, one normalised scalar per step: a dense
+determinant, a Gauss-Jordan inverse, sum-of-products matrix and vector
+products, a Gauss-Jordan span solver, an incrementally fully reduced
+image basis with repeated leading-term reduction over the sigma-jet
+ring's own enumerator, and a pullback that takes a fresh determinant for
+every minor.  Every result is unique, so both sides must agree exactly.
 """
 
 from itertools import combinations
@@ -106,6 +108,16 @@ def ref_inverse(m: RationalMatrix) -> RationalMatrix:
             f = a[r][col]
             a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return RationalMatrix([row[n:] for row in a])
+
+
+def ref_matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    return RationalMatrix([[sum((a[i, k] * b[k, j] for k in range(a.cols)), ZERO)
+                            for j in range(b.cols)] for i in range(a.rows)])
+
+
+def ref_apply(m: RationalMatrix, vec) -> tuple:
+    return tuple(sum((m[i, k] * vec[k] for k in range(m.cols)), ZERO)
+                 for i in range(m.rows))
 
 
 def ref_solve_in_span(columns, target: DiffPoly):
@@ -246,6 +258,14 @@ def square_matrices(draw, max_n=5):
     return RationalMatrix(rows)
 
 
+@st.composite
+def product_pairs(draw, max_n=4):
+    """(A, B) with A p x q and B q x r, shapes drawn independently."""
+    p, q, r = (draw(st.integers(1, max_n)) for _ in range(3))
+    return (RationalMatrix([[draw(entries) for _ in range(q)] for _ in range(p)]),
+            RationalMatrix([[draw(entries) for _ in range(r)] for _ in range(q)]))
+
+
 MONOS = sorted(
     [Monomial(0, (), ((i, a, b),)) for i in (1, 2) for a in (0, 1) for b in range(2)]
     + [Monomial(1, (), ((1, 0, 0), (2, 0, 1))), Monomial(0, (), ())]
@@ -327,7 +347,27 @@ class TestMatrixRoutines:
             return
         got = m.inverse()
         assert got == want
-        assert m * got == RationalMatrix.identity(m.rows)
+        assert ref_matmul(m, got) == RationalMatrix.identity(m.rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=square_matrices())
+    def test_square_product_matches_sum_of_products(self, m):
+        for b in (m, m.transpose()):
+            assert m * b == ref_matmul(m, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ab=product_pairs())
+    def test_rectangular_product_matches_sum_of_products(self, ab):
+        a, b = ab
+        assert a * b == ref_matmul(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ab=product_pairs())
+    def test_apply_matches_sum_of_products(self, ab):
+        a, b = ab
+        for j in range(b.cols):
+            col = [b[i, j] for i in range(b.rows)]
+            assert a.apply(col) == ref_apply(a, col)
 
 
 class TestSpanSolver:

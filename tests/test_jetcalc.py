@@ -172,6 +172,17 @@ class TestRingAndPartials:
     def test_like_terms_merge(self):
         assert jet(1, 0, 0) + jet(1, 0, 0) - jet(1, 0, 0).scale(2) == DiffPoly.zero()
 
+    @pytest.mark.parametrize("i", [0, -2])
+    def test_jet_field_index_below_one_is_refused(self, i):
+        with pytest.raises(ChiraltorusError, match=f"^field index {i} is below 1$") as info:
+            DiffPoly.jet(i, 1, 0)
+        assert info.value.exit_code == 1
+
+    @pytest.mark.parametrize("i", [1.0, True, "1"])
+    def test_jet_field_index_must_be_an_int(self, i):
+        with pytest.raises(ChiraltorusError, match="^field index must be an integer, got "):
+            DiffPoly.jet(i, 1, 0)
+
     def test_product_derivation_consistency(self):
         rng = random.Random(5)
         for _ in range(10):
