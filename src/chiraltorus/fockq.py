@@ -210,16 +210,6 @@ class LatticeModel(Frozen):
         rho = S(self.u_square)
         return UnitScalar((e % 2, c * rho ** (e // 2)) for e, c in x.coeffs.items())
 
-    def lattice_vector(self, coords) -> tuple:
-        """Ambient vector of integer coordinates in Lbasis, carrying u^e."""
-        coords = _as_integer_coords(coords, self.n)
-        return self.tables.l.apply(coords + [0] * self.n)
-
-    def dual_vector(self, coords) -> tuple:
-        """Ambient covector of integer coordinates in LstarBasis, u^{-e}."""
-        coords = _as_integer_coords(coords, self.n)
-        return self.tables.lstar.apply([0] * self.n + coords)
-
     def pairing_matrix(self) -> RationalMatrix:
         """LstarBasis^T Lbasis; unimodular integer for a true dual pair."""
         return self.LstarBasis.transpose() * self.Lbasis
@@ -370,36 +360,44 @@ class SectorTables(Frozen):
     x1^T H_pm x2 and the weights 1/2 x^T H_pm x.
     """
 
-    __slots__ = ("model", "__dict__")
+    __slots__ = ("model", "_raw", "__dict__")
 
     def __init__(self, model: LatticeModel):
-        self._set(model=model)
+        self._set(model=model, _raw={})
 
-    def _weight(self, sign) -> RationalMatrix:
-        """A_pm without its powers of u: [P_pm | -L*]."""
-        m = self.model
-        return _hstack((m.B.transpose() + m.g.scale(sign)) * m.Lbasis, -m.LstarBasis)
+    def _matrices(self, sign) -> tuple:
+        """(A_pm, H_pm) without their powers of u, built once per sign."""
+        if sign not in self._raw:
+            m = self.model
+            a = _hstack((m.B.transpose() + m.g.scale(sign)) * m.Lbasis, -m.LstarBasis)
+            self._raw[sign] = a, a.transpose() * (m.g_inv * a) * MINUS_HALF
+        return self._raw[sign]
 
-    def _exponent(self, sign) -> RationalMatrix:
-        """H_pm without its powers of u."""
-        a = self._weight(sign)
-        return a.transpose() * (self.model.g_inv * a) * MINUS_HALF
+    def certify_locality(self):
+        """Check once per model that H_+ - H_- is the hyperbolic form
+        [[0, I], [I, 0]], whose nonzero blocks carry no power of u, so that
+        every hol - antihol = x1^T (H_+ - H_-) x2 is the integer <l1, l2*> +
+        <l1*, l2>; raise InvariantError if not.  It holds whenever
+        B = -B^T and L* = L^{-T} (Narain's lattice)."""
+        if "certified" not in self._raw:
+            rows = RationalMatrix.identity(2 * self.model.n).entries
+            hyperbolic = RationalMatrix(rows[self.model.n:] + rows[:self.model.n])
+            if self._matrices(1)[1] - self._matrices(-1)[1] != hyperbolic:
+                raise InvariantError("H_+ - H_- is not the hyperbolic form")
+            self._raw["certified"] = True
 
     l = cached_property(lambda t: IntegerForm(t.model, _hstack(
         t.model.Lbasis, RationalMatrix.zeros(t.model.n, t.model.n))))
     lstar = cached_property(lambda t: IntegerForm(t.model, _hstack(
         RationalMatrix.zeros(t.model.n, t.model.n), t.model.LstarBasis)))
-    a_plus = cached_property(lambda t: IntegerForm(t.model, t._weight(1)))
-    a_minus = cached_property(lambda t: IntegerForm(t.model, t._weight(-1)))
+    a_plus = cached_property(lambda t: IntegerForm(t.model, t._matrices(1)[0]))
+    a_minus = cached_property(lambda t: IntegerForm(t.model, t._matrices(-1)[0]))
     p_plus = cached_property(lambda t: IntegerForm(
-        t.model, t.model.g_inv * t._weight(1) * MINUS_HALF))
+        t.model, t.model.g_inv * t._matrices(1)[0] * MINUS_HALF))
     p_minus = cached_property(lambda t: IntegerForm(
-        t.model, t.model.g_inv * t._weight(-1) * MINUS_HALF))
-    h_plus = cached_property(lambda t: IntegerForm(t.model, t._exponent(1)))
-    h_minus = cached_property(lambda t: IntegerForm(t.model, t._exponent(-1)))
-    # H_+ - H_-, so that hol - antihol costs one dot product
-    h_difference = cached_property(lambda t: IntegerForm(
-        t.model, t._exponent(1) - t._exponent(-1)))
+        t.model, t.model.g_inv * t._matrices(-1)[0] * MINUS_HALF))
+    h_plus = cached_property(lambda t: IntegerForm(t.model, t._matrices(1)[1]))
+    h_minus = cached_property(lambda t: IntegerForm(t.model, t._matrices(-1)[1]))
 
 
 # ----------------------------------------------------------------------
@@ -470,11 +468,8 @@ def enumerate_sectors(model: LatticeModel, cutoff: int):
     """All sectors with coordinate sup-norm at most cutoff, in
     lexicographic order."""
     rng = range(-cutoff, cutoff + 1)
-    out = []
-    for lc in iter_product(rng, repeat=model.n):
-        for sc in iter_product(rng, repeat=model.n):
-            out.append(Sector(model, lc, sc))
-    return out
+    return [Sector(model, lc, sc) for lc in iter_product(rng, repeat=model.n)
+            for sc in iter_product(rng, repeat=model.n)]
 
 
 def spectrum_point(model: LatticeModel, l_coords, lstar_coords):
@@ -489,45 +484,46 @@ def spectrum_point(model: LatticeModel, l_coords, lstar_coords):
 def vertex_exponents(s1: Sector, s2: Sector):
     """Branch exponents of the product of two sector vertex operators:
     hol = -1/2 g^{-1}(a1+, a2+), antihol = -1/2 g^{-1}(a1-, a2-).
-    Their difference is <l1*, l2> + <l2*, l1>, an integer."""
+    The model's locality certificate (SectorTables.certify_locality)
+    runs first, so their difference is the integer <l1*, l2> + <l2*, l1>."""
     if s1.model != s2.model:
         raise ModelMismatch("sectors from different models")
     tables = s1.model.tables
+    tables.certify_locality()
     return tuple(h.at(h.times(s1.coords), s2.coords)
                  for h in (tables.h_plus, tables.h_minus))
 
 
 def locality_pairs(model: LatticeModel, cutoff: int):
     """Every ordered pair of sectors within the cutoff with its branch
-    exponents, as (s1, s2, hol, antihol, hol - antihol): one row
-    x1^T H_pm per s1, then one dot product per s2."""
+    exponents, as (s1, s2, hol, antihol, hol - antihol).  The locality
+    certificate runs first, so the difference is the int pairing
+    <l1, l2*> + <l1*, l2>; hol and antihol are one dot product each."""
     tables = model.tables
-    h_plus, h_minus, h_diff = tables.h_plus, tables.h_minus, tables.h_difference
+    tables.certify_locality()
+    h_plus, h_minus = tables.h_plus, tables.h_minus
     sectors = enumerate_sectors(model, cutoff)
     for s1 in sectors:
         x = s1.coords
-        r_plus, r_minus, r_diff = h_plus.times(x), h_minus.times(x), h_diff.times(x)
+        r_plus, r_minus = h_plus.times(x), h_minus.times(x)
+        swapped = s1.lstar_coords + s1.l_coords
         for s2 in sectors:
             y = s2.coords
             yield (s1, s2, h_plus.at(r_plus, y), h_minus.at(r_minus, y),
-                   h_diff.at(r_diff, y).as_exact())
+                   sum(map(mul, swapped, y)))
 
 
 def ko_locality(model: LatticeModel, cutoff: int):
-    """Exponent table over all sector pairs within the cutoff, checking
-    that hol - antihol is an integer (single-valued correlator branch)."""
-    rows = []
-    all_integral = True
-    for s1, s2, hol, antihol, diff in locality_pairs(model, cutoff):
-        integral = diff.is_integer()
-        all_integral = all_integral and integral
-        rows.append({
-            "l1": list(s1.l_coords), "lstar1": list(s1.lstar_coords),
-            "l2": list(s2.l_coords), "lstar2": list(s2.lstar_coords),
-            "hol": str(hol), "antihol": str(antihol),
-            "difference": str(diff), "integral": integral,
-        })
-    return {"cutoff": cutoff, "all_integral": all_integral, "pairs": rows}
+    """Exponent table over all sector pairs within the cutoff; every
+    hol - antihol is integral (a single-valued correlator branch) by the
+    locality certificate that locality_pairs runs first."""
+    rows = [{
+        "l1": list(s1.l_coords), "lstar1": list(s1.lstar_coords),
+        "l2": list(s2.l_coords), "lstar2": list(s2.lstar_coords),
+        "hol": str(hol), "antihol": str(antihol),
+        "difference": str(diff), "integral": True,
+    } for s1, s2, hol, antihol, diff in locality_pairs(model, cutoff)]
+    return {"cutoff": cutoff, "all_integral": True, "pairs": rows}
 
 
 def t_dual(model: LatticeModel) -> LatticeModel:
@@ -834,7 +830,10 @@ class TwoSidedFock(Frozen):
     def dim(self):
         return self.plus.dim * self.minus.dim
 
-    def _lift(self, op: SparseOp, side: str) -> SparseOp:
+    def _lift(self, side: str, op_of) -> SparseOp:
+        if side not in ("+", "-"):
+            raise ChiraltorusError(f"side must be '+' or '-', got {side!r}")
+        op = op_of(self.plus if side == "+" else self.minus)
         # basis (a, b) -> a * dim_minus + b: a "+" operator moves a with
         # stride dim_minus, a "-" operator moves b with stride 1
         dm = self.minus.dim
@@ -844,10 +843,10 @@ class TwoSidedFock(Frozen):
             for col, column in op.table.items() for o in offsets})
 
     def alpha(self, i: int, m: int, side: str = "+") -> SparseOp:
-        return self._lift((self.plus if side == "+" else self.minus).alpha(i, m), side)
+        return self._lift(side, lambda fock: fock.alpha(i, m))
 
     def virasoro(self, k: int, side: str = "+") -> SparseOp:
-        return self._lift((self.plus if side == "+" else self.minus).virasoro(k), side)
+        return self._lift(side, lambda fock: fock.virasoro(k))
 
 
 # ----------------------------------------------------------------------
@@ -905,14 +904,19 @@ class QSeries(CoeffTable):
     to_json = _power_json
 
 
-def character(model: LatticeModel, sector: Sector, order: int) -> QSeries:
-    """q^h times the oscillator tower prod (1-q^k)^{-n}, level-truncated."""
-    h = sector.h.as_exact()
+def _q_exponent(weight: UnitScalar) -> Fraction:
+    """A sector weight as a q-exponent: refused if formal or complex."""
+    h = weight.as_exact()
     if h.im != 0:
         raise FormalUnitValue("complex weight has no character exponent")
+    return h.re
+
+
+def character(model: LatticeModel, sector: Sector, order: int) -> QSeries:
+    """q^h times the oscillator tower prod (1-q^k)^{-n}, level-truncated."""
+    h = _q_exponent(sector.h)
     counts = colored_partition_counts(model.n, order)
-    return QSeries({h.re + k: counts[k] for k in range(order + 1)},
-                   h.re + order)
+    return QSeries({h + k: counts[k] for k in range(order + 1)}, h + order)
 
 
 class BiSeries(CoeffTable):
@@ -942,8 +946,7 @@ def partition_function(model: LatticeModel, cutoff: int, order: int,
     for s in enumerate_sectors(model, cutoff):
         if sector_filter is not None and not sector_filter(s):
             continue
-        h = s.h.as_exact().re
-        hbar = s.hbar.as_exact().re
+        h, hbar = _q_exponent(s.h), _q_exponent(s.hbar)
         for k in range(order + 1):
             for kb in range(order + 1):
                 terms.append(((h + k, hbar + kb), counts[k] * counts[kb]))

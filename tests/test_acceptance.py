@@ -477,8 +477,9 @@ def test_c07_spectrum_displays_and_sector_weights():
         B = model.B
         for s in enumerate_sectors(model, 2):
             p_plus, p_minus = spectrum_point(model, s.l_coords, s.lstar_coords)
-            l_vec = [x.as_exact() for x in model.lattice_vector(s.l_coords)]
-            ls_vec = [x.as_exact() for x in model.dual_vector(s.lstar_coords)]
+            # no unit: the ambient vectors are the bases times the coordinates
+            l_vec = list(model.Lbasis.apply(s.l_coords))
+            ls_vec = list(model.LstarBasis.apply(s.lstar_coords))
             diff = [(pm.as_exact() - pp.as_exact()) for pp, pm in zip(p_plus, p_minus)]
             assert diff == l_vec, s
             tot = [(pp.as_exact() + pm.as_exact()) for pp, pm in zip(p_plus, p_minus)]
@@ -491,8 +492,8 @@ def test_c07_spectrum_displays_and_sector_weights():
     # and equal to the measured vacuum energy of the sector's Fock module
     g_inv = RationalMatrix([["1", "0"], ["0", "1"]]).inverse()
     for s in enumerate_sectors(mB, 1):
-        l_vec = [x.as_exact() for x in mB.lattice_vector(s.l_coords)]
-        ls_vec = [x.as_exact() for x in mB.dual_vector(s.lstar_coords)]
+        l_vec = list(mB.Lbasis.apply(s.l_coords))
+        ls_vec = list(mB.LstarBasis.apply(s.lstar_coords))
         b_l = [sum((mB.B[(c, r)] * l_vec[c] for c in range(2)), ZERO) for r in range(2)]
         a_plus = [-lsv + blv + lv for lsv, blv, lv in zip(ls_vec, b_l, l_vec)]
         h_raw = sum(

@@ -633,6 +633,8 @@ class TestErrorBytes:
             "n": 2, "lambda": {"degree": 3, "dim": 2, "entries": []},
             "nu": {"degree": 2, "dim": 2, "valdim": 2,
                    "entries": [{"idx": [True, 2], "val": ["1", "0"]}]}},
+        "complex_weight.json": {"n": 1, "g": [["1"]], "B": [["0"]],
+                                "L": [["1+1 i"]]},
         "cdo_bare_value.json": {
             "n": 2, "lambda": {"degree": 3, "dim": 2, "entries": []},
             "nu": {"degree": 2, "dim": 2, "valdim": 2,
@@ -652,6 +654,15 @@ class TestErrorBytes:
         "model-precondition": (
             ["spectrum", "--model", "{neg_g.json}"], None, 2,
             "error: leading minor 1 is not positive\n"),
+        # sector (1, 0) of this model has h = -1/2 i: neither a one-sector
+        # character nor the partition function has an exponent for it
+        "character-complex-weight": (
+            ["character", "--model", "{complex_weight.json}", "--l", "1"],
+            None, 2, "error: complex weight has no character exponent\n"),
+        "partition-complex-weight": (
+            ["character", "--model", "{complex_weight.json}", "--cutoff", "1",
+             "--format", "text"],
+            None, 2, "error: complex weight has no character exponent\n"),
         "mu-usage": (
             ["fm", "--mu", "{mu_bad.json}", "--input", "{mu_id.json}"], None, 1,
             "error: {mu_bad.json}: not a Gaussian rational literal: 'x'\n"),

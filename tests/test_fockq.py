@@ -559,6 +559,15 @@ class TestVirasoro:
                         assert a.commutator(b) == zero
         assert two.virasoro(1, "+").commutator(two.virasoro(-1, "-")) == zero
 
+    def test_unknown_side_refused(self):
+        m = one_dim_model(1)
+        two = TwoSidedFock(FockTruncation(m, [1], 1), FockTruncation(m, [0], 1))
+        for side in ("x", "", "+-", None):
+            with pytest.raises(ChiraltorusError, match="side must be"):
+                two.alpha(1, -1, side)
+            with pytest.raises(ChiraltorusError, match="side must be"):
+                two.virasoro(0, side)
+
 
 # ----------------------------------------------------------------------
 # vertex exponents and locality
@@ -745,6 +754,20 @@ class TestCharacters:
         s = Sector(m, [1], [0])
         with pytest.raises(FormalUnitValue):
             character(m, s, 2)
+
+    def test_complex_weight_has_no_partition_function(self):
+        # L = 1 + i: sector (1, 0) has h = -1/2 i, which character refuses
+        m = build_model(1, [["1"]], [["0"]], [["1+1 i"]])
+        s = Sector(m, [1], [0])
+        assert s.h.as_exact() == S(0, Fraction(-1, 2))
+        with pytest.raises(FormalUnitValue, match="complex weight"):
+            character(m, s, 1)
+        with pytest.raises(FormalUnitValue, match="complex weight"):
+            partition_function(m, 1, 1)
+        # a filter that keeps only the real vacuum weight passes
+        vacuum = m.sector([0], [0])
+        assert partition_function(m, 1, 0, sector_filter=vacuum.__eq__) == \
+            BiSeries({(0, 0): 1})
 
     def test_vacuum_partition_function(self):
         m = build_model(1, [["1"]], [["0"]], [["1"]])

@@ -12,13 +12,14 @@ a formal unit, so only these tests pin the u-power split and the fold.
 """
 
 from fractions import Fraction
+from itertools import islice
 from itertools import product as iter_product
 
 import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from chiraltorus.exactlin import ExactScalar, RationalMatrix
+from chiraltorus.exactlin import ExactScalar, InvariantError, RationalMatrix
 from chiraltorus.fockq import (
     FockTruncation,
     LatticeModel,
@@ -160,11 +161,11 @@ def metrics(draw, n):
 
 
 @st.composite
-def models(draw, max_n=3):
+def models(draw, max_n=3, b_field=True):
     n = draw(st.integers(1, max_n))
     g = draw(metrics(n))
     b = [[Fraction(0)] * n for _ in range(n)]
-    if draw(st.booleans()):
+    if b_field and draw(st.booleans()):
         for i in range(n):
             for j in range(i + 1, n):
                 b[i][j] = draw(small)
@@ -220,13 +221,6 @@ class TestSectorViews:
             "h": want.h.to_json(), "hbar": want.hbar.to_json(),
         }
 
-    @settings(max_examples=100, deadline=None)
-    @given(model_and_coords())
-    def test_lattice_and_dual_vectors(self, case):
-        model, [(lc, sc)] = case
-        same(model.lattice_vector(lc), ref_lattice_vector(model, lc))
-        same(model.dual_vector(sc), ref_dual_vector(model, sc))
-
     @settings(max_examples=150, deadline=None)
     @given(model_and_coords())
     def test_spectrum_point(self, case):
@@ -272,6 +266,33 @@ class TestLocalityAndChiral:
                 (row["hol"], row["antihol"], row["difference"])
             assert hol - antihol == UnitScalar.coerce(diff)
 
+    @settings(max_examples=100, deadline=None)
+    @given(models())
+    def test_certificate_and_streamed_difference(self, model):
+        tables = model.tables
+        n2 = 2 * model.n
+        hyperbolic = RationalMatrix([[int(abs(i - j) == model.n) for j in range(n2)]
+                                     for i in range(n2)])
+        assert tables._matrices(1)[1] - tables._matrices(-1)[1] == hyperbolic
+        # the first 800 pairs of the cutoff-1 box: all 81 for n = 1
+        for s1, s2, hol, antihol, diff in islice(locality_pairs(model, 1), 800):
+            assert type(diff) is int
+            assert hol - antihol == UnitScalar.coerce(diff)
+
+    def test_corrupted_exponent_form_is_an_invariant_error(self):
+        model = CHIRAL_MODELS["n2_b_basis"]()
+        tables = model.tables
+        a_minus, h_minus = tables._matrices(-1)
+        tables._raw[-1] = a_minus, h_minus.scale(2)
+        with pytest.raises(InvariantError, match="hyperbolic form"):
+            ko_locality(model, 0)
+        with pytest.raises(InvariantError):
+            next(locality_pairs(model, 1))
+        s = model.sector([1, 0], [0, 1])
+        with pytest.raises(InvariantError):
+            vertex_exponents(s, s)
+        assert InvariantError.exit_code == 3
+
     @settings(max_examples=40, deadline=None)
     @given(models())
     def test_chiral_sectors_random(self, model):
@@ -297,6 +318,32 @@ class TestLocalityAndChiral:
             assert len(chiral_sectors(make(), 2)) > 1
 
 
+class TestTDuality:
+    """At B = 0, sector (l, l*) of a model and sector (-l*, -l) of its
+    dual have equal a_+, opposite a_-, and so equal h and hbar."""
+
+    @staticmethod
+    def _check_dual_sectors(model, cutoff):
+        dual = t_dual(model)
+        rng = range(-cutoff, cutoff + 1)
+        for lc in iter_product(rng, repeat=model.n):
+            for sc in iter_product(rng, repeat=model.n):
+                s = model.sector(lc, sc)
+                d = dual.sector([-x for x in sc], [-x for x in lc])
+                assert d.a_plus == s.a_plus, (lc, sc)
+                assert d.a_minus == tuple(-a for a in s.a_minus), (lc, sc)
+                assert (d.h, d.hbar) == (s.h, s.hbar), (lc, sc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(models(b_field=False))
+    def test_random_bases(self, model):
+        self._check_dual_sectors(model, 1)
+
+    @pytest.mark.parametrize("radius", [None, Fraction(1, 2), 1, 2, Fraction(3, 7)])
+    def test_circles(self, radius):
+        self._check_dual_sectors(one_dim_model(radius), 3)
+
+
 class TestLaziness:
     def test_validation_and_duality_build_no_table(self):
         m = one_dim_model(Fraction(1, 2))
@@ -308,3 +355,12 @@ class TestLaziness:
         m = one_dim_model(1)
         m.sector([1], [1]).h
         assert set(m.tables.__dict__) == {"h_plus"}
+
+    def test_weight_and_exponent_matrices_built_once_per_sign(self):
+        tables = CHIRAL_MODELS["n2_b_basis"]().tables
+        first = tables._matrices(1)
+        tables.a_plus, tables.p_plus, tables.h_plus
+        assert tables._matrices(1) is first
+        assert set(tables._raw) == {1}
+        tables.certify_locality()
+        assert set(tables._raw) == {1, -1, "certified"}
