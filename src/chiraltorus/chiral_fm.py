@@ -11,35 +11,32 @@ shadow of the transform on period matrices is A |-> -A^{-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .exactlin import (
     AltTensor,
     ChiraltorusError,
     DimensionMismatch,
+    Frozen,
     RationalMatrix,
     SingularMatrix,
     _pullback_by_inverse,
 )
 
 
-@dataclass(frozen=True)
-class CdoIsoClass:
+class CdoIsoClass(Frozen):
     """A point of the moduli of CDO classes: (lambda, nu).
 
     lambda is an alternating 3-tensor on g; nu is an alternating
     2-tensor on g valued in the dual space g-hat (same dimension n).
     """
 
-    n: int
-    lam: AltTensor
-    nu: AltTensor
+    __slots__ = _fields = ("n", "lam", "nu")
 
-    def __post_init__(self):
-        if self.lam.degree != 3 or self.lam.dim != self.n or self.lam.valdim is not None:
+    def __init__(self, n: int, lam: AltTensor, nu: AltTensor):
+        if lam.degree != 3 or lam.dim != n or lam.valdim is not None:
             raise DimensionMismatch("lambda must be a scalar 3-tensor on g")
-        if self.nu.degree != 2 or self.nu.dim != self.n or self.nu.valdim != self.n:
+        if nu.degree != 2 or nu.dim != n or nu.valdim != n:
             raise DimensionMismatch("nu must be a 2-tensor on g valued in dim n")
+        self._set(n=n, lam=lam, nu=nu)
 
     @staticmethod
     def zero(n: int) -> "CdoIsoClass":
@@ -60,19 +57,19 @@ class CdoIsoClass:
         )
 
 
-@dataclass(frozen=True)
-class CdoMorphism:
+class CdoMorphism(Frozen):
     """An (auto)morphism of a CDO class: an element h of (Lambda^2 g)*.
 
     Composition is addition of h; every object of the groupoid has the
     same automorphism group.
     """
 
-    h: AltTensor
+    __slots__ = _fields = ("h",)
 
-    def __post_init__(self):
-        if self.h.degree != 2 or self.h.valdim is not None:
+    def __init__(self, h: AltTensor):
+        if h.degree != 2 or h.valdim is not None:
             raise DimensionMismatch("morphism data must be a scalar 2-tensor")
+        self._set(h=h)
 
     def compose(self, other: "CdoMorphism") -> "CdoMorphism":
         return CdoMorphism(self.h + other.h)
@@ -89,18 +86,17 @@ class CdoMorphism:
         return CdoMorphism(AltTensor.from_json(data["h"]))
 
 
-@dataclass(frozen=True)
-class TdoIsoClass:
+class TdoIsoClass(Frozen):
     """A class of twisted differential operators: (c, omega)."""
 
-    c: RationalMatrix
-    omega: AltTensor
+    __slots__ = _fields = ("c", "omega")
 
-    def __post_init__(self):
-        if self.c.rows != self.c.cols:
+    def __init__(self, c: RationalMatrix, omega: AltTensor):
+        if c.rows != c.cols:
             raise DimensionMismatch("c must be square")
-        if self.omega.degree != 2 or self.omega.dim != self.c.rows or self.omega.valdim is not None:
+        if omega.degree != 2 or omega.dim != c.rows or omega.valdim is not None:
             raise DimensionMismatch("omega must be a scalar 2-tensor of matching dim")
+        self._set(c=c, omega=omega)
 
     @staticmethod
     def zero(n: int) -> "TdoIsoClass":
@@ -117,8 +113,7 @@ class TdoIsoClass:
         )
 
 
-@dataclass(frozen=True)
-class NondegClass:
+class NondegClass(Frozen):
     """A nondegenerate element mu of Hom(g, g-hat); indexes the transform.
 
     mu^{-1} is computed once, when the class is built, and doubles as
@@ -127,16 +122,17 @@ class NondegClass:
     value, and not an argument of the constructor.
     """
 
-    mu: RationalMatrix
-    _inv: RationalMatrix = field(init=False, compare=False, repr=False)
+    __slots__ = ("mu", "_inv")
+    _fields = ("mu",)
 
-    def __post_init__(self):
-        if self.mu.rows != self.mu.cols:
+    def __init__(self, mu: RationalMatrix):
+        if mu.rows != mu.cols:
             raise DimensionMismatch("mu must be square")
         try:
-            object.__setattr__(self, "_inv", self.mu.inverse())
+            inv = mu.inverse()
         except SingularMatrix:
             raise SingularMatrix("mu must be nondegenerate") from None
+        self._set(mu=mu, _inv=inv)
 
     @property
     def n(self) -> int:
@@ -148,8 +144,7 @@ class NondegClass:
 
     def inverse_class(self) -> "NondegClass":
         out = object.__new__(NondegClass)
-        object.__setattr__(out, "mu", self._inv)
-        object.__setattr__(out, "_inv", self.mu)
+        out._set(mu=self._inv, _inv=self.mu)
         return out
 
     def to_json(self):

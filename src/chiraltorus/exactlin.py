@@ -61,9 +61,14 @@ class NotAntisymmetric(PreconditionError):
 
 class Frozen:
     """Base of the package's immutable types: attributes are set once,
-    while the instance is built, and never reassigned."""
+    while the instance is built, and never reassigned.
+
+    A subclass that names the attributes making up its value in _fields
+    compares and hashes by them and prints as Name(f1=..., f2=...);
+    without _fields an instance is equal only to itself."""
 
     __slots__ = ()
+    _fields = None
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -72,12 +77,32 @@ class Frozen:
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
+    def _value(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if self._fields is None or type(other) is not type(self):
+            return object.__eq__(self, other)
+        return self._value() == other._value()
+
+    def __hash__(self):
+        if self._fields is None:
+            return object.__hash__(self)
+        return hash(self._value())
+
+    def __repr__(self):
+        if self._fields is None:
+            return object.__repr__(self)
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
 
 _RAT = r"-?\d+(?:/\d+)?"
+# re.ASCII: \d and \s would also match non-Latin digits and spaces
 _SCALAR_RE = _re.compile(
-    rf"^\s*({_RAT})\s*(?:([+-])\s*({_RAT})\s*\*?\s*i\s*)?$"
+    rf"^\s*({_RAT})\s*(?:([+-])\s*({_RAT})\s*\*?\s*i\s*)?$", _re.ASCII
 )
-_PURE_IM_RE = _re.compile(rf"^\s*(-?)\s*({_RAT})?\s*\*?\s*i\s*$")
+_PURE_IM_RE = _re.compile(rf"^\s*(-?)\s*({_RAT})?\s*\*?\s*i\s*$", _re.ASCII)
 
 
 _INEXACT = (float, complex, bool)
@@ -430,6 +455,7 @@ class RationalMatrix(Frozen):
     """A rows x cols matrix over ExactScalar, immutable after construction."""
 
     __slots__ = ("rows", "cols", "entries")
+    _fields = ("entries",)
 
     def __init__(self, entries):
         if isinstance(entries, RationalMatrix):
@@ -456,15 +482,9 @@ class RationalMatrix(Frozen):
         i, j = ij
         return self.entries[i][j]
 
-    def __eq__(self, other):
+    def __add__(self, other):
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition shape mismatch")
         return RationalMatrix(
@@ -475,6 +495,8 @@ class RationalMatrix(Frozen):
         )
 
     def __sub__(self, other):
+        if not isinstance(other, RationalMatrix):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self):
@@ -779,6 +801,7 @@ class AltTensor(CoeffTable):
     """
 
     __slots__ = ("degree", "dim", "valdim")
+    _fields = ("degree", "dim", "valdim", "coeffs")
 
     def __init__(self, degree: int, dim: int, coeffs=None, valdim=None):
         for name, val in (("degree", degree), ("dim", dim), ("valdim", valdim)):
@@ -827,19 +850,12 @@ class AltTensor(CoeffTable):
             return ZERO
         return _Column(ZERO for _ in range(self.valdim))
 
-    def __eq__(self, other):
-        if not isinstance(other, AltTensor):
-            return NotImplemented
-        return (
-            self.degree == other.degree
-            and self.dim == other.dim
-            and self.valdim == other.valdim
-            and self.coeffs == other.coeffs
-        )
-
+    __eq__ = Frozen.__eq__
     __hash__ = CoeffTable.__hash__
 
     def __add__(self, other):
+        if not isinstance(other, AltTensor):
+            return NotImplemented
         if (self.degree, self.dim, self.valdim) != (other.degree, other.dim, other.valdim):
             raise DimensionMismatch("tensor addition shape mismatch")
         return super().__add__(other)

@@ -151,6 +151,7 @@ class LatticeModel(Frozen):
 
     __slots__ = ("n", "g", "B", "Lbasis", "LstarBasis", "g_inv",
                  "unit_exponent", "u_square", "__dict__")
+    _fields = ("n", "g", "B", "Lbasis", "unit_exponent", "u_square")
 
     def __init__(self, n, g, B, Lbasis, unit_exponent=0, u_square=None):
         g, B = _torus_matrices(g, B)
@@ -190,18 +191,6 @@ class LatticeModel(Frozen):
 
     # the SectorTables, built on first use
     tables = cached_property(lambda m: SectorTables(m))
-
-    def __eq__(self, other):
-        if not isinstance(other, LatticeModel):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.g == other.g
-            and self.B == other.B
-            and self.Lbasis == other.Lbasis
-            and self.unit_exponent == other.unit_exponent
-            and self.u_square == other.u_square
-        )
 
     def canon(self, x: UnitScalar) -> UnitScalar:
         """Fold u^2 to its declared rational value, if any."""
@@ -416,6 +405,7 @@ class Sector(Frozen):
     """
 
     __slots__ = ("model", "l_coords", "lstar_coords", "coords", "__dict__")
+    _fields = ("model", "l_coords", "lstar_coords")
 
     l = cached_property(lambda s: s.model.tables.l.apply(s.coords))
     lstar = cached_property(lambda s: s.model.tables.lstar.apply(s.coords))
@@ -439,11 +429,6 @@ class Sector(Frozen):
 
     def key(self):
         return (self.l_coords, self.lstar_coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sector):
-            return NotImplemented
-        return self.model == other.model and self.key() == other.key()
 
     def __hash__(self):
         return hash(self.key())
@@ -567,10 +552,13 @@ class SparseOp(Frozen):
     """A sparse exact operator on an indexed basis: column -> row -> coeff."""
 
     __slots__ = ("table", "dim")
+    _fields = ("dim", "table")
 
     def __init__(self, dim, table=None):
         clean = {}
         for col, column in (table or {}).items():
+            if col not in range(dim) or any(r not in range(dim) for r in column):
+                raise DimensionMismatch(f"operator column {col} has an index outside range({dim})")
             entries = {r: c for r, c in column.items() if not c.is_zero()}
             if entries:
                 clean[col] = entries
@@ -597,6 +585,8 @@ class SparseOp(Frozen):
         return dict(self.table.get(col, {}))
 
     def __add__(self, other):
+        if other.dim != self.dim:
+            raise DimensionMismatch(f"operator dimensions differ: {self.dim} and {other.dim}")
         # columns are never mutated once built, so untouched ones are shared
         out = dict(self.table)
         for c, col in other.table.items():
@@ -624,6 +614,8 @@ class SparseOp(Frozen):
 
     def __matmul__(self, other):
         """self after other."""
+        if other.dim != self.dim:
+            raise DimensionMismatch(f"operator dimensions differ: {self.dim} and {other.dim}")
         out = {}
         for col, column in other.table.items():
             acc = {}
@@ -636,11 +628,6 @@ class SparseOp(Frozen):
 
     def commutator(self, other):
         return (self @ other) - (other @ self)
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseOp):
-            return NotImplemented
-        return self.dim == other.dim and self.table == other.table
 
     def __hash__(self):
         return hash((self.dim, tuple(sorted(

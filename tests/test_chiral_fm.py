@@ -419,3 +419,15 @@ class TestInverseClass:
         back = mu.inverse_class().inverse_class()
         assert back == mu
         assert repr(back) == repr(mu)
+
+
+class TestClassValues:
+    def test_printed_forms(self):
+        assert repr(NondegClass(RationalMatrix.identity(2))) == "NondegClass(mu=[1, 0; 0, 1])"
+        assert repr(CdoMorphism.identity(2)) == "CdoMorphism(h=0)"
+        assert repr(CdoIsoClass.zero(2)) == "CdoIsoClass(n=2, lam=0, nu=0)"
+        assert repr(TdoIsoClass.zero(1)) == "TdoIsoClass(c=[0], omega=0)"
+
+    def test_equality_needs_the_same_type(self):
+        assert CdoMorphism.identity(2) != AltTensor(2, 2)
+        assert NondegClass(RationalMatrix.identity(2)) != RationalMatrix.identity(2)

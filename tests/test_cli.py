@@ -715,6 +715,9 @@ class TestErrorBytes:
         "radius-unit-decimal": (
             ["tdual", "--radius-unit", "0.5"], None, 1,
             "error: --radius-unit: '0.5' is not a rational\n"),
+        "radius-unit-arabic-indic": (
+            ["tdual", "--radius-unit", "\u0663/\u0662"], None, 1,
+            "error: --radius-unit: '\u0663/\u0662' is not a rational\n"),
         "l-exponent-notation": (
             ["character", "--radius-unit", "1", "--l", "1e-1"], None, 1,
             "error: --l: '1e-1' is not a rational\n"),

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chiraltorus.chiral_fm import CdoIsoClass, CdoMorphism, NondegClass, TdoIsoClass
 from chiraltorus.coisson import (
     BracketTable,
     DeltaExpansion,
@@ -97,6 +98,11 @@ class TestExactScalar:
         assert ExactScalar.from_string("i") == ExactScalar(0, 1)
         assert ExactScalar.from_string("-i") == ExactScalar(0, -1)
         assert ExactScalar.from_string("2/3 i") == ExactScalar(0, Fraction(2, 3))
+
+    @pytest.mark.parametrize("text", ["٣/٤", "1+٢ i", "٣", "1/٢", "\u20031", "1\u00a0+2 i"])
+    def test_only_ascii_digits_and_spaces_parse(self, text):
+        with pytest.raises(ChiraltorusError, match="not a Gaussian rational literal"):
+            ExactScalar.from_string(text)
 
     def test_unknown_operands_reach_reflected_methods(self):
         two = ExactScalar(2)
@@ -359,6 +365,14 @@ class TestRationalMatrix:
         with pytest.raises(DimensionMismatch):
             a.det()
 
+    @pytest.mark.parametrize("op", [operator.add, operator.sub])
+    @pytest.mark.parametrize("make", [lambda: RationalMatrix.identity(2),
+                                      lambda: AltTensor(2, 2)])
+    def test_foreign_operands_are_a_type_error(self, op, make):
+        for other in (1, "1", None):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op(make(), other)
+
     def test_json_round_trip(self):
         m = RationalMatrix([["1/2+3/4 i", "0"], ["-2", "i"]])
         assert RationalMatrix.from_json(m.to_json()) == m
@@ -617,6 +631,10 @@ FROZEN_CASES = {
     "TwoSidedFock": (lambda: TwoSidedFock(_fock(), _fock()), "plus"),
     "QSeries": (lambda: QSeries({0: 1}, 2), "cap"),
     "BiSeries": (lambda: BiSeries({(0, 0): 1}), "coeffs"),
+    "NondegClass": (lambda: NondegClass(RationalMatrix.identity(2)), "mu"),
+    "CdoIsoClass": (lambda: CdoIsoClass.zero(2), "lam"),
+    "TdoIsoClass": (lambda: TdoIsoClass.zero(2), "c"),
+    "CdoMorphism": (lambda: CdoMorphism.identity(2), "h"),
 }
 
 
@@ -629,6 +647,13 @@ def _frozen_classes(base=Frozen):
 def test_every_frozen_class_has_an_immutability_case():
     names = {cls.__name__ for cls in _frozen_classes()} - {"CoeffTable"}
     assert names == set(FROZEN_CASES)
+
+
+def test_a_type_without_fields_compares_by_identity():
+    fock = _fock()
+    assert fock == fock and fock != _fock()
+    assert hash(fock) == object.__hash__(fock)
+    assert repr(fock).startswith("<chiraltorus.fockq.FockTruncation object at ")
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN_CASES))

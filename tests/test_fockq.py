@@ -8,6 +8,7 @@ pairings.
 """
 
 import json
+import operator
 from collections import Counter
 from fractions import Fraction
 from itertools import product as iter_product
@@ -16,7 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiraltorus.exactlin import ChiraltorusError, ExactScalar, RationalMatrix
+from chiraltorus.exactlin import (
+    ChiraltorusError,
+    DimensionMismatch,
+    ExactScalar,
+    RationalMatrix,
+)
 from chiraltorus.fockq import (
     BFieldUnsupported,
     BiSeries,
@@ -486,6 +492,21 @@ class TestFock:
             fock.alpha(1, 3)
         with pytest.raises(CutoffExceeded):
             fock.virasoro(-3)
+
+    def test_operators_of_different_dimensions_do_not_combine(self):
+        small = FockTruncation(one_dim_model(), [0], 1).alpha(1, -1)
+        large = FockTruncation(one_dim_model(), [0], 3).alpha(1, -1)
+        assert small.dim != large.dim
+        for op in (operator.add, operator.sub, operator.matmul, SparseOp.commutator):
+            with pytest.raises(DimensionMismatch, match="dimensions differ"):
+                op(small, large)
+            with pytest.raises(DimensionMismatch, match="dimensions differ"):
+                op(large, small)
+
+    @pytest.mark.parametrize("table", [{5: {0: 1}}, {0: {7: 1}}, {-1: {0: 1}}, {0: {2: 1}}])
+    def test_indices_outside_the_basis_are_refused(self, table):
+        with pytest.raises(DimensionMismatch, match="outside range"):
+            SparseOp(2, {c: {r: S(v) for r, v in col.items()} for c, col in table.items()})
 
 
 class TestVirasoro:

@@ -344,6 +344,14 @@ class TestTDuality:
         self._check_dual_sectors(one_dim_model(radius), 3)
 
 
+@settings(deadline=None)
+@given(models())
+def test_json_round_trip_is_an_equal_model_with_the_same_hash(model):
+    back = load_model(model.to_json())
+    assert back == model
+    assert hash(back) == hash(model)
+
+
 class TestLaziness:
     def test_validation_and_duality_build_no_table(self):
         m = one_dim_model(Fraction(1, 2))
