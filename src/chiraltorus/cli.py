@@ -91,6 +91,8 @@ def _load_json(path: str | None):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ChiraltorusError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ChiraltorusError(f"{source}: nesting is too deep") from None
 
 
 @contextmanager
@@ -157,7 +159,7 @@ def _rational(text: str, flag: str) -> Fraction:
 
 
 def _coords(text: str, what: str):
-    return [_rational(piece.strip(), what) for piece in text.split(",")]
+    return [_rational(piece, what) for piece in text.split(",")]
 
 
 def _model_from(cfg: argparse.Namespace):
@@ -175,6 +177,8 @@ def _matrix_arg(text: str, flag: str):
         rows = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ChiraltorusError(f"--{flag}: {exc.msg}") from None
+    except RecursionError:
+        raise ChiraltorusError(f"--{flag}: nesting is too deep") from None
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ChiraltorusError(f"--{flag}: expected a list of rows")
     return rows

@@ -92,20 +92,10 @@ def as_density(obj) -> DiffPoly:
 class LocalDensity(Frozen):
     """A density u(x, p, d_sigma x, ...) dsigma on the circle."""
 
-    __slots__ = ("poly",)
+    __slots__ = _fields = ("poly",)
 
     def __init__(self, poly):
         self._set(poly=as_density(poly))
-
-    def __eq__(self, other):
-        if isinstance(other, LocalDensity):
-            return self.poly == other.poly
-        if isinstance(other, DiffPoly):
-            return self.poly == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.poly)
 
     def __str__(self):
         return poly_str(self.poly, style="xp")
@@ -131,7 +121,7 @@ class FourierClass(Frozen):
     """The class of a density modulo total sigma-derivatives: the Fourier
     component functional integral(density dsigma)."""
 
-    __slots__ = ("rep",)
+    __slots__ = _fields = ("rep",)
 
     def __init__(self, density):
         self._set(rep=normal_form(density))
@@ -154,16 +144,6 @@ class FourierClass(Frozen):
 
     def scale(self, c):
         return FourierClass(self.rep.scale(c))
-
-    def __eq__(self, other):
-        if isinstance(other, FourierClass):
-            return self.rep == other.rep
-        if isinstance(other, (DiffPoly, LocalDensity, str)):
-            return self.rep == normal_form(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.rep)
 
     def __str__(self):
         return "[" + poly_str(self.rep, style="xp") + "]"

@@ -321,7 +321,7 @@ def _ratio(x) -> tuple:
     if isinstance(x, int):
         return x, 1
     if not isinstance(x, Fraction):
-        x = Fraction(x)
+        x = exact_fraction(x, "ExactScalar part")
     return x.numerator, x.denominator
 
 
@@ -418,9 +418,14 @@ HALF = ExactScalar(Fraction(1, 2))
 
 
 def exact_fraction(x, what: str) -> Fraction:
-    """x as a Fraction, refusing floats, complex numbers and bools as
-    ExactScalar does and reading a string as a real literal of its
+    """x as a Fraction: an int or a Fraction as it is, anything else by
+    the one literal rule, which refuses floats, complex numbers and bools
+    as ExactScalar does and reads a string as a real literal of its
     grammar; what names x in the error messages."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return Fraction(x)
     if isinstance(x, _INEXACT):
         raise TypeError(f"{what} must be an exact rational, got {x!r}")
     try:

@@ -585,6 +585,8 @@ class SparseOp(Frozen):
         return dict(self.table.get(col, {}))
 
     def __add__(self, other):
+        if not isinstance(other, SparseOp):
+            return NotImplemented
         if other.dim != self.dim:
             raise DimensionMismatch(f"operator dimensions differ: {self.dim} and {other.dim}")
         # columns are never mutated once built, so untouched ones are shared
@@ -600,6 +602,8 @@ class SparseOp(Frozen):
         return SparseOp._trusted(self.dim, out)
 
     def __sub__(self, other):
+        if not isinstance(other, SparseOp):
+            return NotImplemented
         return self + other.scale(S(-1))
 
     def scale(self, c):
@@ -614,6 +618,8 @@ class SparseOp(Frozen):
 
     def __matmul__(self, other):
         """self after other."""
+        if not isinstance(other, SparseOp):
+            return NotImplemented
         if other.dim != self.dim:
             raise DimensionMismatch(f"operator dimensions differ: {self.dim} and {other.dim}")
         out = {}
@@ -857,11 +863,11 @@ class QSeries(CoeffTable):
     __slots__ = ("cap",)
 
     def __init__(self, coeffs, cap):
-        self._set(cap=Fraction(cap))
+        self._set(cap=exact_fraction(cap, "series cap"))
         super().__init__(coeffs)
 
     def _entry(self, e, c):
-        e = Fraction(e)
+        e = exact_fraction(e, "series exponent")
         return (e, S.coerce(c)) if e <= self.cap else None
 
     def _like(self, table):
@@ -913,7 +919,8 @@ class BiSeries(CoeffTable):
     __slots__ = ()
 
     def _entry(self, key, c):
-        return (Fraction(key[0]), Fraction(key[1])), S.coerce(c)
+        return ((exact_fraction(key[0], "series exponent"),
+                 exact_fraction(key[1], "series exponent")), S.coerce(c))
 
     def _term(self, key, c):
         head = "q^{}*qb^{}".format(*key)

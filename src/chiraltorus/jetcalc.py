@@ -453,7 +453,10 @@ def parse_expr(text: str) -> DiffPoly:
     """Parse the expression grammar: jets x1, dt.x1, ds.ds.x1, momenta
     p1, symbols f/fp/g/gp/phi/psi, trig e(m), i, rationals, + - * ^,
     and the light-cone sugar dz.x1 / dzb.x1."""
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise ChiraltorusError("nesting is too deep") from None
 
 
 def dz_jet(i: int) -> DiffPoly:

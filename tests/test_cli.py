@@ -9,6 +9,7 @@ import io
 import json
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -19,6 +20,9 @@ from chiraltorus.fockq import load_model, one_dim_model, partition_function
 from chiraltorus.jetcalc import parse_expr
 
 GOLDEN = Path(__file__).parent / "golden"
+# inputs nested deeper than the interpreter's recursion limit
+DEEP_EXPR = "(" * 300 + "x1" + ")" * 300
+DEEP_JSON = "[" * 2000 + "]" * 2000
 
 
 def invoke(args, capsys, stdin=None):
@@ -122,6 +126,18 @@ class TestNoether:
             "-ds.x1 - 2*i*dt.x2"
         )
 
+    def test_anticonformal_circle_text(self, capsys):
+        rc, out, err = invoke(
+            ["noether", "--generator", "anticonformal", "--format", "text"], capsys)
+        assert (rc, out, err) == (0, (
+            "current dt: -1/4*g*ds.x1^2 + 1/2*i*g*ds.x1*dt.x1 + 1/4*g*dt.x1^2\n"
+            "current ds: 1/4*i*g*ds.x1^2 + 1/2*g*ds.x1*dt.x1 - 1/4*i*g*dt.x1^2\n"
+            "charge integrand: 1/4*i*g*ds.x1^2 + 1/2*g*ds.x1*dt.x1 "
+            "- 1/4*i*g*dt.x1^2\n"), "")
+        # the conformal charge with f -> g and d_z -> d_zbar
+        charge = out.splitlines()[2].removeprefix("charge integrand: ")
+        assert parse_expr(charge) == parse_expr("-i*g*dzb.x1^2")
+
     def test_unknown_generator_exit1(self, capsys):
         rc, _, err = invoke(["noether", "--generator", "bogus"], capsys)
         assert rc == 1 and "generator" in err
@@ -158,6 +174,13 @@ class TestFm:
         rc, out, _ = invoke(["fm", "--mu", mu, "--input", cls], capsys)
         assert rc == 0
         assert json.loads(out) == self.CLS
+
+    def test_text_format(self, tmp_path, capsys):
+        mu = self._write(tmp_path, "mu.json", self.MU_ID)
+        cls = self._write(tmp_path, "cls.json", self.CLS)
+        rc, out, err = invoke(
+            ["fm", "--mu", mu, "--input", cls, "--format", "text"], capsys)
+        assert (rc, out, err) == (0, json.dumps(self.CLS, sort_keys=True) + "\n", "")
 
     def test_stdin_input_same_bytes(self, tmp_path, capsys):
         mu = self._write(tmp_path, "mu.json", self.MU_ID)
@@ -253,6 +276,12 @@ class TestBracket:
         rc, out, _ = invoke(["bracket"], capsys, stdin="heis+:3\nheis+:-3\n")
         assert rc == 0
         assert json.loads(out)["bracket"] == "-3/2*i"
+
+    def test_dash_takes_the_next_stdin_line(self, capsys):
+        rc, out, err = invoke(["bracket", "heis+:3", "-"], capsys,
+                              stdin="\n heis+:-3 \n")
+        assert (rc, out, err) == (
+            0, '{\n  "bracket": "-3/2*i",\n  "is_zero": false\n}\n', "")
 
     def test_grammar_error_exit1(self, capsys):
         rc, _, err = invoke(["bracket", "x1 +", "p1"], capsys)
@@ -428,6 +457,13 @@ class TestTdual:
         rc2, out, _ = invoke(["tdual", "--model", str(dual)], capsys)
         assert (rc1, rc2) == (0, 0)
         assert out == dump_json(one_dim_model("1/2").to_json())
+
+    def test_text_format(self, capsys):
+        rc, out, err = invoke(
+            ["tdual", "--radius-unit", "3/2", "--format", "text"], capsys)
+        assert (rc, out, err) == (0, (
+            '{"B": [["0"]], "L": [["4/9"]], "g": [["1"]], "n": 1, '
+            '"u_square": "9/4", "unit_exponent": 1}\n'), "")
 
     def test_dual_model_reparses(self, tmp_path, capsys):
         rc, out, _ = invoke(["tdual", "--radius-unit", "1/2"], capsys)
@@ -639,6 +675,13 @@ class TestErrorBytes:
             "n": 2, "lambda": {"degree": 3, "dim": 2, "entries": []},
             "nu": {"degree": 2, "dim": 2, "valdim": 2,
                    "entries": [{"idx": [1, 2], "val": "1"}]}},
+        "mu_unnamed.json": {"nu": [["1"]]},
+        "twist_list.json": [["1,2,3", "1"]],
+        "twist_key.json": {"1,x,3": "1"},
+        "twist_pair.json": {"1,2": "1"},
+        "twist_number.json": {"1,2,3": 1},
+        # a str is written as it is: json.dumps cannot nest this deep
+        "deep.json": DEEP_JSON,
     }
     # (args, stdin, exit code, stderr); {name} is a file from FILES
     CASES = {
@@ -861,6 +904,58 @@ class TestErrorBytes:
         "cutoff-before-model-file": (
             ["spectrum", "--model", "absent.json", "--cutoff", "-1"], None, 1,
             "error: --cutoff must be a nonnegative integer\n"),
+        "expression-too-deep": (
+            ["bracket", "-", "p1"], DEEP_EXPR + "\n", 1,
+            f"error: expression {DEEP_EXPR!r}: nesting is too deep\n"),
+        "model-too-deep": (
+            ["spectrum", "--model", "{deep.json}"], None, 1,
+            "error: {deep.json}: nesting is too deep\n"),
+        "stdin-too-deep": (
+            ["fm", "--mu", "{mu_id.json}"], DEEP_JSON, 1,
+            "error: stdin: nesting is too deep\n"),
+        "metric-too-deep": (
+            ["noether", "--lagrangian", "torus", "--metric", DEEP_JSON], None,
+            1, "error: --metric: nesting is too deep\n"),
+        "l-non-ascii-space": (
+            ["character", "--radius-unit", "1", "--l", "\u00a01"], None, 1,
+            "error: --l: '\\xa01' is not a rational\n"),
+        "generator-index-out-of-range": (
+            ["noether", "--generator", "x9"], None, 1,
+            "error: --generator: index in 'x9' out of range 1..1\n"),
+        "metric-bad-json": (
+            ["noether", "--lagrangian", "torus", "--metric", "[[1,0],[0,1]"],
+            None, 1, "error: --metric: Expecting ',' delimiter\n"),
+        "twist-not-object": (
+            ["jacobi", "--twist", "{twist_list.json}", "p1", "p2", "p3"], None,
+            1, "error: {twist_list.json}: twist table must be an object\n"),
+        "twist-key-not-integers": (
+            ["jacobi", "--twist", "{twist_key.json}", "p1", "p2", "p3"], None,
+            1, "error: {twist_key.json}: twist key '1,x,3' is not an index "
+            "triple\n"),
+        "twist-key-not-triple": (
+            ["jacobi", "--twist", "{twist_pair.json}", "p1", "p2", "p3"], None,
+            1, "error: {twist_pair.json}: twist key '1,2' is not a triple\n"),
+        "twist-value-not-string": (
+            ["jacobi", "--twist", "{twist_number.json}", "p1", "p2", "p3"],
+            None, 1, "error: {twist_number.json}: twist value for '1,2,3' "
+            "must be a string\n"),
+        "stdin-too-few-lines": (
+            ["bracket", "-", "-"], "x1\n", 1,
+            "error: stdin: not enough expression lines\n"),
+        "stdin-dash-and-too-many": (
+            ["bracket", "x1", "-", "p1"], "x1\n", 1,
+            "error: expected 2 expression(s), got 3\n"),
+        "stdin-wrong-count": (
+            ["bracket"], "x1\n\np1\nx2\n", 1,
+            "error: expected 2 expression(s), got 3\n"),
+        "family-mode-not-integer": (
+            ["bracket", "vir+:x", "p1"], None, 1,
+            "error: 'vir+:x': mode must be an integer\n"),
+        "fm-without-mu": (
+            ["fm"], None, 1, "error: fm requires --mu\n"),
+        "mu-missing-field": (
+            ["fm", "--mu", "{mu_unnamed.json}"], None, 1,
+            "error: {mu_unnamed.json}: missing field 'mu'\n"),
         "subcommand-unknown": (
             ["transmogrify"], None, 1,
             "error: argument subcommand: invalid choice: 'transmogrify' "
@@ -872,7 +967,8 @@ class TestErrorBytes:
     def test_error_bytes(self, case, tmp_path, capsys):
         args, stdin, want_rc, want_err = self.CASES[case]
         for name, obj in self.FILES.items():
-            (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
+            text = obj if isinstance(obj, str) else json.dumps(obj)
+            (tmp_path / name).write_text(text, encoding="utf-8")
 
         def fill(text):
             for name in self.FILES:
@@ -927,6 +1023,16 @@ class TestExitCodes:
         for name in ("ChiraltorusError", "PreconditionError", "InvariantError"):
             assert getattr(chiraltorus, name) is getattr(exactlin, name)
             assert name in chiraltorus.__all__
+
+    def test_star_import_binds_exactly_all(self):
+        names = {}
+        exec("from chiraltorus import *", names)
+        del names["__builtins__"]
+        assert sorted(names) == sorted(set(chiraltorus.__all__))
+        assert len(chiraltorus.__all__) == len(names)
+        for name, obj in names.items():
+            assert not isinstance(obj, ModuleType), name
+            assert obj.__module__.startswith("chiraltorus."), name
 
     def test_library_raises_no_bare_value_error(self):
         src = Path(chiraltorus.__file__).parent

@@ -132,6 +132,21 @@ class TestExactScalar:
         with pytest.raises(TypeError):
             ExactScalar.coerce(bad)
 
+    @pytest.mark.parametrize("text", ["0.1", "1e3", "1_000", "\u0663/\u0664", " 1/2\u00a0"])
+    def test_string_parts_follow_the_literal_grammar(self, text):
+        with pytest.raises(ChiraltorusError, match="not a Gaussian rational literal"):
+            ExactScalar(text)
+        with pytest.raises(ChiraltorusError, match="not a Gaussian rational literal"):
+            ExactScalar(1, text)
+        with pytest.raises(ChiraltorusError):
+            ExactScalar.coerce(text)
+
+    def test_string_parts_are_read_as_literals(self):
+        assert ExactScalar("3/4") == ExactScalar(Fraction(3, 4))
+        assert ExactScalar(" -2 ", "1/3") == ExactScalar(-2, Fraction(1, 3))
+        with pytest.raises(ChiraltorusError, match="must be real"):
+            ExactScalar("1+2 i")
+
     @pytest.mark.parametrize("view", ["re", "im"])
     def test_parts_are_read_only(self, view):
         x = ExactScalar(Fraction(1, 3), 2)

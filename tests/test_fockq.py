@@ -503,6 +503,15 @@ class TestFock:
             with pytest.raises(DimensionMismatch, match="dimensions differ"):
                 op(large, small)
 
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.matmul])
+    def test_foreign_operands_are_a_type_error(self, op):
+        one = SparseOp.identity(2)
+        for other in (1, S(1), RationalMatrix.identity(2)):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op(one, other)
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op(other, one)
+
     @pytest.mark.parametrize("table", [{5: {0: 1}}, {0: {7: 1}}, {-1: {0: 1}}, {0: {2: 1}}])
     def test_indices_outside_the_basis_are_refused(self, table):
         with pytest.raises(DimensionMismatch, match="outside range"):
@@ -757,6 +766,26 @@ class TestCharacters:
         b = QSeries({0: 1, 1: 1, 2: 1, 3: 1}, 3)
         c = QSeries({0: 1, 1: -1}, 3)
         assert (a * b) * c == a * (b * c)
+
+    def test_exponents_follow_the_literal_rule(self):
+        assert QSeries({"1/2": 1, 1: 2}, "3/2") == QSeries({Fraction(1, 2): 1, 1: 2}, Fraction(3, 2))
+        assert BiSeries({("1/2", -1): 1}) == BiSeries({(Fraction(1, 2), -1): 1})
+        for bad in (0.1, True):
+            with pytest.raises(TypeError, match="must be an exact rational"):
+                QSeries({bad: 1}, 1)
+            with pytest.raises(TypeError, match="must be an exact rational"):
+                QSeries({0: 1}, bad)
+            with pytest.raises(TypeError, match="must be an exact rational"):
+                BiSeries({(0, bad): 1})
+        for bad in ("0.1", "1e-1", "1_0", "\u0663"):
+            with pytest.raises(ChiraltorusError, match="not a Gaussian rational literal"):
+                QSeries({bad: 1}, 1)
+            with pytest.raises(ChiraltorusError, match="not a Gaussian rational literal"):
+                QSeries({0: 1}, bad)
+            with pytest.raises(ChiraltorusError, match="not a Gaussian rational literal"):
+                BiSeries({(bad, 0): 1})
+        with pytest.raises(ChiraltorusError, match="must be real"):
+            BiSeries({("1 i", 0): 1})
 
     def test_vacuum_character(self):
         m = build_model(1, [["1"]], [["0"]], [["1"]])

@@ -255,6 +255,15 @@ class TestParserPrinter:
             with pytest.raises(ChiraltorusError, match=f"^exponent {big} is above"):
                 parse_expr(f"(x1 + p1)^{big}")
 
+    @pytest.mark.parametrize("text", [
+        "(" * 300 + "x1" + ")" * 300, "-" * 1000 + "x1", "dt." * 1000 + "x1",
+        "ds." * 1000 + "p1", "(-" * 500 + "x1" + ")" * 500],
+        ids=["parens", "signs", "dt", "ds", "signed-parens"])
+    def test_deep_nesting_is_a_usage_error(self, text):
+        with pytest.raises(ChiraltorusError, match="^nesting is too deep$") as info:
+            parse_expr(text)
+        assert info.value.exit_code == 1
+
     @pytest.mark.parametrize("text", ["x0", "p0", "x01", "dt.x0", "ds.p00"])
     def test_field_index_starts_at_one(self, text):
         name = text.split(".")[-1]
@@ -568,6 +577,17 @@ class TestRestrict:
         w = VariationalForm({(((1, 2, 0),), ("s",)): const(5)})
         got = restrict_to_sol0(w)
         assert got == VariationalForm({(((1, 0, 2),), ("s",)): const(-5)})
+
+    @pytest.mark.parametrize("density, n, why", [
+        ("x1*dt.x1^2", 1, "Euler-Lagrange system is not constant-coefficient linear"),
+        ("dt.x1*ds.x1", 1, "Euler-Lagrange system is not the flat wave system"),
+        # field 2 has no kinetic term
+        ("dt.x1^2 + ds.x1^2", 2, "wave operator coefficient matrix is singular"),
+    ])
+    def test_each_wave_fault_is_named(self, density, n, why):
+        L = Lagrangian(parse_expr(density), n=n)
+        with pytest.raises(NonLinearEL, match=f"^{why}$"):
+            restrict_to_sol0(DiffPoly.zero(), L)
 
     def test_model_validation(self):
         wave = boson_circle_lagrangian()
