@@ -75,7 +75,6 @@ from .coisson import (
     normal_form,
 )
 from .fockq import (
-    BFieldUnsupported,
     BiSeries,
     CutoffExceeded,
     FockTruncation,

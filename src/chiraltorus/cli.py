@@ -115,19 +115,17 @@ def _take(data, key, where):
 
 def _expressions(cfg: argparse.Namespace, count: int):
     """Positional expressions, with "-" (or none at all) read from stdin
-    one per nonempty line."""
+    one per nonempty line; every stdin line left unread counts toward
+    the total."""
     exprs = list(cfg.exprs)
     if not exprs or "-" in exprs:
         lines = [ln.strip() for ln in sys.stdin.read().splitlines()]
-        lines = [ln for ln in lines if ln]
-        if not exprs:
-            exprs = lines
-        else:
-            it = iter(lines)
-            try:
-                exprs = [next(it) if e == "-" else e for e in exprs]
-            except StopIteration:
-                raise ChiraltorusError("stdin: not enough expression lines") from None
+        it = iter([ln for ln in lines if ln])
+        try:
+            exprs = [next(it) if e == "-" else e for e in exprs]
+        except StopIteration:
+            raise ChiraltorusError("stdin: not enough expression lines") from None
+        exprs += it
     if len(exprs) != count:
         raise ChiraltorusError(
             f"expected {count} expression(s), got {len(exprs)}"

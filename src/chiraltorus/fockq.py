@@ -67,10 +67,6 @@ class ModelMismatch(PreconditionError):
     """Sectors belong to different models."""
 
 
-class BFieldUnsupported(PreconditionError):
-    """T-duality is only defined at B = 0."""
-
-
 class FormalUnitValue(PreconditionError):
     """A numeric value was requested of a formal unit expression."""
 
@@ -512,12 +508,11 @@ def ko_locality(model: LatticeModel, cutoff: int):
 
 
 def t_dual(model: LatticeModel) -> LatticeModel:
-    """The dual torus: same metric, lattice g^{-1}(L*), so the roles of
-    g(L) and L* swap.  Defined only at B = 0."""
-    if model.B != RationalMatrix.zeros(model.n, model.n):
-        raise BFieldUnsupported("duality requires B = 0")
-    new_basis = model.g_inv * model.LstarBasis
-    return LatticeModel(model.n, model.g, model.B, new_basis,
+    """The dual torus: E = L^T (g + B) L goes to E^{-1}.  The metric is
+    kept, B' = -B, and the lattice is (g - B)^{-1} L* = L E^{-T}, whose
+    dual is (g + B) L; at B = 0 that is g^{-1}(L*), and g(L) and L* swap."""
+    new_basis = (model.g - model.B).inverse() * model.LstarBasis
+    return LatticeModel(model.n, model.g, -model.B, new_basis,
                         unit_exponent=-model.unit_exponent,
                         u_square=model.u_square)
 
@@ -879,10 +874,14 @@ class QSeries(CoeffTable):
         return min(self.coeffs, default=None)
 
     def __add__(self, other):
+        if not isinstance(other, QSeries):
+            return NotImplemented
         return QSeries(chain(self.coeffs.items(), other.coeffs.items()),
                        min(self.cap, other.cap))
 
     def __mul__(self, other):
+        if not isinstance(other, QSeries):
+            return NotImplemented
         lead_s = self.leading()
         lead_o = other.leading()
         if lead_s is None or lead_o is None:
@@ -919,8 +918,9 @@ class BiSeries(CoeffTable):
     __slots__ = ()
 
     def _entry(self, key, c):
-        return ((exact_fraction(key[0], "series exponent"),
-                 exact_fraction(key[1], "series exponent")), S.coerce(c))
+        if type(key) is not tuple or len(key) != 2:
+            raise DimensionMismatch(f"series key {key!r} is not a pair of exponents")
+        return tuple(exact_fraction(e, "series exponent") for e in key), S.coerce(c)
 
     def _term(self, key, c):
         head = "q^{}*qb^{}".format(*key)

@@ -16,7 +16,7 @@ import pytest
 import chiraltorus
 from chiraltorus import chiral_fm, cli, coisson, exactlin, fockq, jetcalc
 from chiraltorus.cli import dump_json, main
-from chiraltorus.fockq import load_model, one_dim_model, partition_function
+from chiraltorus.fockq import load_model, one_dim_model, partition_function, t_dual
 from chiraltorus.jetcalc import parse_expr
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -478,10 +478,15 @@ class TestTdual:
         assert "radius_unit must be an exact rational, got 0.1" in err
         assert "Traceback" not in err
 
-    def test_b_field_exit2(self, tmp_path, capsys):
+    def test_b_field_dual_exit0_and_involution(self, tmp_path, capsys):
         path = write_model(tmp_path)
-        rc, _, err = invoke(["tdual", "--model", path], capsys)
-        assert rc == 2 and "B = 0" in err
+        model = load_model(MODEL_B)
+        rc, out, err = invoke(["tdual", "--model", path], capsys)
+        assert (rc, out, err) == (0, dump_json(t_dual(model).to_json()), "")
+        dual = tmp_path / "dual.json"
+        dual.write_text(out, encoding="utf-8")
+        rc, out, _ = invoke(["tdual", "--model", str(dual)], capsys)
+        assert rc == 0 and load_model(json.loads(out)) == model
 
 
 class TestChiralCharacter:
@@ -945,6 +950,9 @@ class TestErrorBytes:
         "stdin-dash-and-too-many": (
             ["bracket", "x1", "-", "p1"], "x1\n", 1,
             "error: expected 2 expression(s), got 3\n"),
+        "stdin-surplus-after-dash": (
+            ["bracket", "heis+:3", "-"], "heis+:-3\nx1\n", 1,
+            "error: expected 2 expression(s), got 3\n"),
         "stdin-wrong-count": (
             ["bracket"], "x1\n\np1\nx2\n", 1,
             "error: expected 2 expression(s), got 3\n"),
@@ -1002,7 +1010,6 @@ class TestExitCodes:
         "NotInLattice": 2,
         "CutoffExceeded": 2,
         "ModelMismatch": 2,
-        "BFieldUnsupported": 2,
         "FormalUnitValue": 2,
     }
     MODULES = (exactlin, chiral_fm, jetcalc, coisson, fockq)

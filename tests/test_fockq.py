@@ -24,7 +24,6 @@ from chiraltorus.exactlin import (
     RationalMatrix,
 )
 from chiraltorus.fockq import (
-    BFieldUnsupported,
     BiSeries,
     CutoffExceeded,
     FockTruncation,
@@ -657,11 +656,12 @@ class TestVertexKO:
 # ----------------------------------------------------------------------
 
 class TestTDuality:
-    def test_b_field_unsupported(self):
+    def test_b_field_is_negated_and_the_dual_is_an_involution(self):
         m = build_model(2, RationalMatrix.identity(2), B_STANDARD,
                         RationalMatrix.identity(2))
-        with pytest.raises(BFieldUnsupported):
-            t_dual(m)
+        d = t_dual(m)
+        assert (d.g, d.B) == (m.g, -m.B)
+        assert t_dual(d) == m
 
     def test_circle_dual_swaps_lattices(self):
         m = one_dim_model()
@@ -786,6 +786,20 @@ class TestCharacters:
                 BiSeries({(bad, 0): 1})
         with pytest.raises(ChiraltorusError, match="must be real"):
             BiSeries({("1 i", 0): 1})
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_foreign_operands_are_a_type_error(self, op):
+        series = QSeries({0: 1}, 1)
+        for other in (1, S(1), BiSeries({(0, 0): 1})):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op(series, other)
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op(other, series)
+
+    @pytest.mark.parametrize("key", [(1, 2, 3), (1,), 5, "12"])
+    def test_bi_series_key_must_be_a_pair(self, key):
+        with pytest.raises(DimensionMismatch, match="not a pair of exponents"):
+            BiSeries({key: 1})
 
     def test_vacuum_character(self):
         m = build_model(1, [["1"]], [["0"]], [["1"]])

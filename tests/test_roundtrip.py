@@ -36,10 +36,6 @@ def tensors(draw):
     return draw(sparse_tensors(k, n, draw(st.none() | st.integers(1, 3))))
 
 
-def has_no_b_field(model) -> bool:
-    return all(x.is_zero() for row in model.B.entries for x in row)
-
-
 class TestJsonRoundTrips:
     @settings(max_examples=200, deadline=None)
     @given(x=gaussians)
@@ -74,7 +70,7 @@ class TestJsonRoundTrips:
 
 class TestTDuality:
     @settings(max_examples=60, deadline=None)
-    @given(model=models().filter(has_no_b_field))
+    @given(model=models())
     def test_involution(self, model):
         dual = t_dual(model)
         assert t_dual(dual) == model

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
+from chiraltorus.chiral_fm import fm_linear
 from chiraltorus.exactlin import ExactScalar, InvariantError, RationalMatrix
 from chiraltorus.fockq import (
     FockTruncation,
@@ -161,11 +162,11 @@ def metrics(draw, n):
 
 
 @st.composite
-def models(draw, max_n=3, b_field=True):
+def models(draw, max_n=3):
     n = draw(st.integers(1, max_n))
     g = draw(metrics(n))
     b = [[Fraction(0)] * n for _ in range(n)]
-    if b_field and draw(st.booleans()):
+    if draw(st.booleans()):
         for i in range(n):
             for j in range(i + 1, n):
                 b[i][j] = draw(small)
@@ -318,24 +319,37 @@ class TestLocalityAndChiral:
             assert len(chiral_sectors(make(), 2)) > 1
 
 
+def background(model) -> RationalMatrix:
+    """E = L^T (g + B) L with a declared u^2 folded in (the unit exponent
+    is then 1, so E carries u^2); a formal u^(2e) goes to u^(-2e) on
+    the dual, as under E -> E^{-1}, so it is left out."""
+    L = model.Lbasis
+    return (L.transpose() * (model.g + model.B) * L).scale(S(model.u_square or 1))
+
+
 class TestTDuality:
-    """At B = 0, sector (l, l*) of a model and sector (-l*, -l) of its
-    dual have equal a_+, opposite a_-, and so equal h and hbar."""
+    """The dual background L'^T (g + B') L' is E^{-1} = -fm_linear(E) for
+    E = L^T (g + B) L, and sector (l, l*) of a model and sector
+    (-l*, -l) of its dual have a_+' = (g + B)(g - B)^{-1} a_+ (a_+ itself
+    at B = 0) and a_-' = -a_-, and so equal h and hbar."""
 
     @staticmethod
     def _check_dual_sectors(model, cutoff):
         dual = t_dual(model)
+        assert background(dual) == -fm_linear(background(model))
+        g, B = model.g, model.B
+        turn = (g + B) * (g - B).inverse()
         rng = range(-cutoff, cutoff + 1)
         for lc in iter_product(rng, repeat=model.n):
             for sc in iter_product(rng, repeat=model.n):
                 s = model.sector(lc, sc)
                 d = dual.sector([-x for x in sc], [-x for x in lc])
-                assert d.a_plus == s.a_plus, (lc, sc)
+                assert d.a_plus == ref_mat_uvec(turn, s.a_plus), (lc, sc)
                 assert d.a_minus == tuple(-a for a in s.a_minus), (lc, sc)
                 assert (d.h, d.hbar) == (s.h, s.hbar), (lc, sc)
 
     @settings(max_examples=60, deadline=None)
-    @given(models(b_field=False))
+    @given(models())
     def test_random_bases(self, model):
         self._check_dual_sectors(model, 1)
 
