@@ -19,11 +19,12 @@ with Virasoro operators normalized by the commutation constraint
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from itertools import product as iter_product
 from math import lcm
 from operator import add, mul
+from types import MappingProxyType
 
 from .exactlin import (
     HALF,
@@ -40,6 +41,7 @@ from .exactlin import (
     PreconditionError,
     RationalMatrix,
     S,
+    _over_common,
     _reduced,
     _torus_matrices,
     add_into,
@@ -543,6 +545,13 @@ def _partitions_upto(total):
     return [list(parts_of(k, k)) for k in range(total + 1)]
 
 
+def _integer(x, what: str) -> int:
+    """x itself when it is an int; a bool, a float or any other type is refused."""
+    if type(x) is not int:
+        raise ChiraltorusError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 class SparseOp(Frozen):
     """A sparse exact operator on an indexed basis: column -> row -> coeff."""
 
@@ -550,11 +559,16 @@ class SparseOp(Frozen):
     _fields = ("dim", "table")
 
     def __init__(self, dim, table=None):
+        if _integer(dim, "operator dimension") < 0:
+            raise ChiraltorusError(f"operator dimension {dim} is negative")
         clean = {}
         for col, column in (table or {}).items():
-            if col not in range(dim) or any(r not in range(dim) for r in column):
-                raise DimensionMismatch(f"operator column {col} has an index outside range({dim})")
-            entries = {r: c for r, c in column.items() if not c.is_zero()}
+            for key in (col, *column):
+                if _integer(key, "operator index") not in range(dim):
+                    raise DimensionMismatch(
+                        f"operator column {col} has an index outside range({dim})")
+            entries = {r: c for r, c in ((r, S.coerce(c)) for r, c in column.items())
+                       if not c.is_zero()}
             if entries:
                 clean[col] = entries
         self._set(dim=dim, table=clean)
@@ -639,19 +653,42 @@ class SparseOp(Frozen):
         return all(self.column(c) == other.column(c) for c in cols)
 
 
-def _append_part(vec, i, part):
-    """The partition state vec with one more part `part` in colour i."""
-    return vec[:i] + (tuple(sorted(vec[i] + (part,), reverse=True)),) + vec[i + 1:]
+def _edited(vec, edits):
+    """(the partition state vec after the edits (i, m) in order, the
+    product of the multiplicities of the parts they removed), or (None, 0)
+    when a removal finds no part: m < 0 appends part -m to colour i, and
+    m > 0 removes one part m from it."""
+    mult = 1
+    for i, m in edits:
+        parts = vec[i]
+        if m < 0:
+            parts = tuple(sorted(parts + (-m,), reverse=True))
+        else:
+            count = parts.count(m)
+            if not count:
+                return None, 0
+            mult *= count
+            k = parts.index(m)
+            parts = parts[:k] + parts[k + 1:]
+        vec = vec[:i] + (parts,) + vec[i + 1:]
+    return vec, mult
 
 
-def _remove_part(vec, i, part):
-    """(vec with one part `part` taken from colour i, the multiplicity of
-    that part in vec), or (None, 0) when colour i has no such part."""
-    parts = vec[i]
-    if part not in parts:
-        return None, 0
-    k = parts.index(part)
-    return vec[:i] + (parts[:k] + parts[k + 1:],) + vec[i + 1:], parts.count(part)
+@lru_cache(maxsize=32)
+def _fock_basis(n: int, N: int) -> tuple:
+    """(basis, index, levels) of the n-coloured partitions up to level N,
+    level by level and sorted within a level.  Every truncation of one
+    (n, N) shares them, so all three are immutable: index is a read-only
+    view of {vector: position}."""
+    per_level = _partitions_upto(N)
+    basis, levels = [], []
+    for total in range(N + 1):
+        level_vectors = [tuple(combo) for split in compositions(total, n)
+                         for combo in iter_product(*[per_level[k] for k in split])]
+        basis.extend(sorted(level_vectors))
+        levels.extend([total] * len(level_vectors))
+    return (tuple(basis), MappingProxyType({v: k for k, v in enumerate(basis)}),
+            tuple(levels))
 
 
 class FockTruncation(Frozen):
@@ -667,24 +704,15 @@ class FockTruncation(Frozen):
                  "zero_modes", "_alpha_cache")
 
     def __init__(self, model: LatticeModel, weight, N: int):
-        if N < 0:
+        if _integer(N, "cutoff") < 0:
             raise ChiraltorusError("cutoff must be nonnegative")
         weight = tuple(S.coerce(w) for w in weight)
         if len(weight) != model.n:
             raise DimensionMismatch("weight covector has wrong length")
-        per_level = _partitions_upto(N)
-        basis, levels = [], []
-        for total in range(N + 1):
-            level_vectors = []
-            for split in compositions(total, model.n):
-                for combo in iter_product(*[per_level[k] for k in split]):
-                    level_vectors.append(tuple(combo))
-            basis.extend(sorted(level_vectors))
-            levels.extend([total] * len(level_vectors))
+        basis, index, levels = _fock_basis(model.n, N)
         zero_modes = tuple(MINUS_HALF * x for x in model.g_inv.apply(weight))
-        self._set(model=model, weight=weight, N=N, basis=tuple(basis),
-                  index={v: k for k, v in enumerate(basis)},
-                  levels=tuple(levels), zero_modes=zero_modes, _alpha_cache={})
+        self._set(model=model, weight=weight, N=N, basis=basis, index=index,
+                  levels=levels, zero_modes=zero_modes, _alpha_cache={})
 
     @property
     def dim(self):
@@ -698,37 +726,59 @@ class FockTruncation(Frozen):
 
     def _operator(self, terms, k) -> SparseOp:
         """The operator sum c * edits over terms (c, edits) that each lower
-        the level by k.  The edits (i, m) act in order on a column's
-        partition state: m < 0 appends part -m to colour i, m > 0 removes
-        a part m and multiplies c by its multiplicity.  A column whose
-        image would lie above level N is left out."""
-        terms = [(c, edits) for c, edits in terms if not c.is_zero()]
-        table = {}
+        the level by k, edits acting in order on a column's partition state
+        as in _edited.  A column whose image would lie above level N is
+        left out.
+
+        Equal words are merged first, a pair of creations or of
+        annihilations sorted since they commute.  Each column then applies
+        a first edit once for all the words that start with it, and skips
+        them together when it lacks the part to remove.  Coefficients are
+        integers over one common denominator, so every row is summed in
+        ints, and each distinct sum is normalised once."""
+        words = {}
+        for c, edits in terms:
+            if len(edits) == 2 and (edits[0][1] < 0) == (edits[1][1] < 0):
+                edits = tuple(sorted(edits))
+            words[edits] = words.get(edits, ZERO) + c
+        words = {edits: c for edits, c in words.items() if not c.is_zero()}
+        re, im, den = _over_common(list(words.values()))
+        groups = {}
+        for edits, a, b in zip(words, re, im):
+            first = edits[:1]
+            # (i, m) when the first edit removes part m from colour i;
+            # (0, 0) marks a group that every column applies
+            i, m = first[0] if first and first[0][1] > 0 else (0, 0)
+            groups.setdefault((i, m, first), []).append((edits[1:], a, b))
+        index, top, scalars, table = self.index, self.N + k, {}, {}
         for col, vec in enumerate(self.basis):
-            if self.levels[col] - k > self.N:
-                continue
-            out = {}
-            for c, edits in terms:
-                new, mult = vec, 1
-                for i, m in edits:
-                    if m < 0:
-                        new = _append_part(new, i, -m)
-                    else:
-                        new, count = _remove_part(new, i, m)
-                        if not count:
-                            break
-                        mult *= count
-                else:
-                    add_into(out, self.index[new], c * mult if mult > 1 else c)
+            if self.levels[col] > top:
+                break
+            acc, out = {}, {}
+            for (i, m, first), rest in groups.items():
+                if m and m not in vec[i]:
+                    continue
+                head, mult = _edited(vec, first)
+                for edits, a, b in rest:
+                    new, count = _edited(head, edits) if edits else (head, 1)
+                    if count:
+                        row, count = index[new], count * mult
+                        x, y = acc.get(row, (0, 0))
+                        acc[row] = x + a * count, y + b * count
+            for row, xy in acc.items():
+                if xy != (0, 0):
+                    if xy not in scalars:
+                        scalars[xy] = _reduced(*xy, den)
+                    out[row] = scalars[xy]
             if out:
                 table[col] = out
         return SparseOp._trusted(self.dim, table)
 
     def alpha(self, i: int, m: int) -> SparseOp:
         """Mode operator alpha^i_m, 1-based color, |m| <= N."""
-        if not 1 <= i <= self.model.n:
+        if not 1 <= _integer(i, "colour") <= self.model.n:
             raise DimensionMismatch(f"no color {i}")
-        if abs(m) > self.N:
+        if abs(_integer(m, "mode")) > self.N:
             raise CutoffExceeded(f"mode {m} outside cutoff {self.N}")
         key = (i, m)
         if key not in self._alpha_cache:
@@ -762,7 +812,7 @@ class FockTruncation(Frozen):
         The mixed term carries no metric: g_ij g^{jb} = delta_i^b exactly.
         Every term lowers the level by k, so the level-N cut of the
         truncated product is a cut on the final level alone."""
-        if abs(k) > self.N:
+        if abs(_integer(k, "mode")) > self.N:
             raise CutoffExceeded(f"mode {k} outside cutoff {self.N}")
         g, ginv = self.model.g, self.model.g_inv
         w, lam, colours = self.weight, self.zero_modes, range(self.model.n)

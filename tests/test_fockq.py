@@ -446,9 +446,32 @@ class TestFock:
         m = build_model(1, [["1"]], [["0"]], [["1"]])
         fock = FockTruncation(m, [0], 3)
         assert fock.level_dimensions() == [1, 1, 2, 3]
-        m2 = build_model(2, G_OFFDIAG, ZERO2, RationalMatrix.identity(2))
-        fock2 = FockTruncation(m2, [0, 0], 3)
-        assert fock2.level_dimensions() == colored_partition_counts(2, 3)
+        for n in (1, 2, 3):
+            model = build_model(n, RationalMatrix.identity(n), [[0] * n] * n,
+                                RationalMatrix.identity(n))
+            for N in range(6):
+                fock = FockTruncation(model, [0] * n, N)
+                assert fock.level_dimensions() == colored_partition_counts(n, N)
+
+    def test_truncations_of_one_size_share_the_basis(self):
+        m1 = build_model(2, G_OFFDIAG, ZERO2, RationalMatrix.identity(2))
+        m2 = build_model(2, RationalMatrix.identity(2), B_STANDARD, [[1, 1], [0, 1]])
+        a = FockTruncation(m1, [0, 0], 3)
+        b = FockTruncation(m2, [S(1), S("1/2")], 3)
+        assert a.basis is b.basis and a.index is b.index and a.levels is b.levels
+        assert FockTruncation(m1, [0, 0], 2).basis != a.basis
+
+    def test_shared_basis_is_read_only(self):
+        fock = FockTruncation(one_dim_model(), [0], 2)
+        other = FockTruncation(one_dim_model(1), [1], 2)
+        with pytest.raises(TypeError):
+            fock.index[((3,),)] = 0
+        with pytest.raises(TypeError):
+            del fock.index[((),)]
+        with pytest.raises(AttributeError):
+            fock.index.clear()
+        assert type(fock.basis) is tuple and type(fock.levels) is tuple
+        assert dict(other.index) == {((),): 0, ((1,),): 1, ((1, 1),): 2, ((2,),): 3}
 
     def test_zero_mode_eigenvalue(self):
         m = build_model(2, G_OFFDIAG, ZERO2, RationalMatrix.identity(2))
@@ -492,6 +515,25 @@ class TestFock:
         with pytest.raises(CutoffExceeded):
             fock.virasoro(-3)
 
+    # each bad argument is refused before any work, as DiffPoly.jet
+    # refuses a bad field index
+    @pytest.mark.parametrize("build", [
+        lambda m: FockTruncation(m, [0], True),
+        lambda m: FockTruncation(m, [0], 2.0),
+        lambda m: FockTruncation(m, [0], 2).alpha(True, 1),
+        lambda m: FockTruncation(m, [0], 2).alpha(1, 1.0),
+        lambda m: FockTruncation(m, [0], 2).alpha(1, False),
+        lambda m: FockTruncation(m, [0], 2).virasoro(2.0),
+        lambda m: FockTruncation(m, [0], 2).virasoro(True),
+        lambda m: TwoSidedFock(FockTruncation(m, [0], 1),
+                               FockTruncation(m, [0], 1)).alpha(1.0, 1),
+        lambda m: central_charge(m, N=3.0),
+    ], ids=["N-bool", "N-float", "colour-bool", "mode-float", "mode-bool",
+            "virasoro-float", "virasoro-bool", "two-sided-colour-float", "central-N-float"])
+    def test_bad_argument_types_are_refused(self, build):
+        with pytest.raises(ChiraltorusError, match="must be an integer"):
+            build(one_dim_model(1))
+
     def test_operators_of_different_dimensions_do_not_combine(self):
         small = FockTruncation(one_dim_model(), [0], 1).alpha(1, -1)
         large = FockTruncation(one_dim_model(), [0], 3).alpha(1, -1)
@@ -510,6 +552,20 @@ class TestFock:
                 op(one, other)
             with pytest.raises(TypeError, match="unsupported operand"):
                 op(other, one)
+
+    def test_constructor_coerces_entries(self):
+        op = SparseOp(2, {0: {0: 1, 1: "1/2"}, 1: {1: Fraction(0)}})
+        assert op.table == {0: {0: S(1), 1: S("1/2")}}
+        assert op == SparseOp._trusted(2, {0: {0: S(1), 1: S("1/2")}})
+        assert SparseOp(0).dim == 0
+
+    @pytest.mark.parametrize("dim, table", [
+        (-1, None), (2.5, None), (True, None), (2.0, {}),
+        (2, {True: {0: 1}}), (2, {0: {True: 1}}), (2, {0: {1.0: 1}}), (2, {"0": {0: 1}}),
+    ])
+    def test_bad_dimension_or_index_type_is_refused(self, dim, table):
+        with pytest.raises(ChiraltorusError, match="operator (dimension|index)"):
+            SparseOp(dim, table)
 
     @pytest.mark.parametrize("table", [{5: {0: 1}}, {0: {7: 1}}, {-1: {0: 1}}, {0: {2: 1}}])
     def test_indices_outside_the_basis_are_refused(self, table):
