@@ -54,7 +54,6 @@ from .fockq import (
     chiral_sectors,
     colored_partition_counts,
     enumerate_sectors,
-    ko_locality,
     load_model,
     locality_pairs,
     one_dim_model,
@@ -380,20 +379,35 @@ def run_states(cfg: argparse.Namespace) -> str:
     })
 
 
+# one row template per format over the cells l1, lstar1, l2, lstar2 (a
+# sector's coordinates joined by the format's separator), hol, antihol and
+# the difference, ASCII that neither csv.writer nor json.dumps escapes; the
+# json row is a ko_locality pair under json.dumps(sort_keys=True, indent=2)
+_LOCALITY_JSON = (
+    '    {{\n      "antihol": "{5}",\n      "difference": "{6}",\n      "hol": "{4}",\n'
+    '      "integral": true,\n      "l1": [\n        {0}\n      ],\n'
+    '      "l2": [\n        {2}\n      ],\n      "lstar1": [\n        {1}\n      ],\n'
+    '      "lstar2": [\n        {3}\n      ]\n    }}')
+_LOCALITY_CSV = "{0},{1},{2},{3},{4},{5},{6},yes\n"
+
+
+def _locality_rows(model, cutoff, sep, row):
+    """The row template filled for every locality pair, each sector's cells joined once."""
+    cells = {s.coords: (_join(s.l_coords, sep), _join(s.lstar_coords, sep))
+             for s in enumerate_sectors(model, cutoff)}
+    return [row.format(*cells[s1.coords], *cells[s2.coords], hol, antihol, diff)
+            for s1, s2, hol, antihol, diff in locality_pairs(model, cutoff)]
+
+
 def run_locality(cfg: argparse.Namespace) -> str:
     model = _model_from(cfg)
     if cfg.format == "json":
-        return dump_json(ko_locality(model, cfg.cutoff))
+        rows = _locality_rows(model, cfg.cutoff, ",\n        ", _LOCALITY_JSON)
+        return ('{\n  "all_integral": true,\n  "cutoff": %d,\n  "pairs": [\n%s\n  ]\n}\n'
+                % (cfg.cutoff, ",\n".join(rows)))
     if cfg.format == "csv":
-        pairs = locality_pairs(model, cfg.cutoff)
-        return dump_csv([
-            "l1", "lstar1", "l2", "lstar2",
-            "hol", "antihol", "difference", "integral",
-        ], (
-            [_join(s1.l_coords, " "), _join(s1.lstar_coords, " "),
-             _join(s2.l_coords, " "), _join(s2.lstar_coords, " "),
-             str(hol), str(antihol), str(diff), "yes"]
-            for s1, s2, hol, antihol, diff in pairs))
+        rows = _locality_rows(model, cfg.cutoff, " ", _LOCALITY_CSV)
+        return "l1,lstar1,l2,lstar2,hol,antihol,difference,integral\n" + "".join(rows)
     # the certificate decides every pair of the (2c+1)^{2n}-sector box
     model.tables.certify_locality()
     return dump_text([

@@ -297,7 +297,8 @@ class ExactScalar(Frozen):
 
     def __str__(self):
         if not self.b:
-            return str(self.re)
+            # canonical, so a/d is already in lowest terms
+            return f"{self.a}/{self.d}" if self.d != 1 else str(self.a)
         sign = "+" if self.b > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)} i"
 

@@ -73,6 +73,20 @@ class FormalUnitValue(PreconditionError):
     """A numeric value was requested of a formal unit expression."""
 
 
+def _integer(x, what: str) -> int:
+    """x itself when it is an int; a bool, a float or any other type is refused."""
+    if type(x) is not int:
+        raise ChiraltorusError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _natural(x, what: str) -> int:
+    """x itself when it is an int and not negative; anything else is refused."""
+    if _integer(x, what) < 0:
+        raise ChiraltorusError(f"{what} must be nonnegative, got {x}")
+    return x
+
+
 # ----------------------------------------------------------------------
 # the formal scale unit
 # ----------------------------------------------------------------------
@@ -450,7 +464,7 @@ class Sector(Frozen):
 def enumerate_sectors(model: LatticeModel, cutoff: int):
     """All sectors with coordinate sup-norm at most cutoff, in
     lexicographic order."""
-    rng = range(-cutoff, cutoff + 1)
+    rng = range(-_natural(cutoff, "cutoff"), cutoff + 1)
     return [Sector(model, lc, sc) for lc in iter_product(rng, repeat=model.n)
             for sc in iter_product(rng, repeat=model.n)]
 
@@ -545,13 +559,6 @@ def _partitions_upto(total):
     return [list(parts_of(k, k)) for k in range(total + 1)]
 
 
-def _integer(x, what: str) -> int:
-    """x itself when it is an int; a bool, a float or any other type is refused."""
-    if type(x) is not int:
-        raise ChiraltorusError(f"{what} must be an integer, got {x!r}")
-    return x
-
-
 class SparseOp(Frozen):
     """A sparse exact operator on an indexed basis: column -> row -> coeff."""
 
@@ -559,8 +566,7 @@ class SparseOp(Frozen):
     _fields = ("dim", "table")
 
     def __init__(self, dim, table=None):
-        if _integer(dim, "operator dimension") < 0:
-            raise ChiraltorusError(f"operator dimension {dim} is negative")
+        _natural(dim, "operator dimension")
         clean = {}
         for col, column in (table or {}).items():
             for key in (col, *column):
@@ -704,8 +710,7 @@ class FockTruncation(Frozen):
                  "zero_modes", "_alpha_cache")
 
     def __init__(self, model: LatticeModel, weight, N: int):
-        if _integer(N, "cutoff") < 0:
-            raise ChiraltorusError("cutoff must be nonnegative")
+        _natural(N, "cutoff")
         weight = tuple(S.coerce(w) for w in weight)
         if len(weight) != model.n:
             raise DimensionMismatch("weight covector has wrong length")
@@ -722,6 +727,7 @@ class FockTruncation(Frozen):
         return [self.levels.count(k) for k in range(self.N + 1)]
 
     def vectors_up_to_level(self, k):
+        k = _integer(k, "level")
         return [i for i, level in enumerate(self.levels) if level <= k]
 
     def _operator(self, terms, k) -> SparseOp:
@@ -893,7 +899,7 @@ class TwoSidedFock(Frozen):
 
 def colored_partition_counts(n: int, order: int):
     """Coefficients of prod_k (1 - q^k)^{-n} up to q^order."""
-    counts = [1] + [0] * order
+    counts = [1] + [0] * _natural(order, "order")
     for _ in range(n):
         for k in range(1, order + 1):
             for j in range(k, order + 1):
@@ -946,17 +952,17 @@ class QSeries(CoeffTable):
     to_json = _power_json
 
 
-def _q_exponent(weight: UnitScalar) -> Fraction:
-    """A sector weight as a q-exponent: refused if formal or complex."""
+def _q_exponent(weight: UnitScalar) -> ExactScalar:
+    """A sector weight as a real q-exponent: refused if formal or complex."""
     h = weight.as_exact()
-    if h.im != 0:
+    if h.b:
         raise FormalUnitValue("complex weight has no character exponent")
-    return h.re
+    return h
 
 
 def character(model: LatticeModel, sector: Sector, order: int) -> QSeries:
     """q^h times the oscillator tower prod (1-q^k)^{-n}, level-truncated."""
-    h = _q_exponent(sector.h)
+    h = _q_exponent(sector.h).re
     counts = colored_partition_counts(model.n, order)
     return QSeries({h + k: counts[k] for k in range(order + 1)}, h + order)
 
@@ -982,16 +988,20 @@ class BiSeries(CoeffTable):
 
 def partition_function(model: LatticeModel, cutoff: int, order: int,
                        sector_filter=None) -> BiSeries:
-    """Sum of q^{h+k} qbar^{hbar+kbar} with colored-partition
-    multiplicities, over enumerated sectors and oscillator levels up to
-    order."""
+    """Sum of q^{h+k} qbar^{hbar+kbar} with colored-partition multiplicities,
+    over enumerated sectors and oscillator levels up to order, summed as
+    ints at exponent numerators over D, the lcm of the weight denominators."""
     counts = colored_partition_counts(model.n, order)
-    terms = []
-    for s in enumerate_sectors(model, cutoff):
-        if sector_filter is not None and not sector_filter(s):
-            continue
-        h, hbar = _q_exponent(s.h), _q_exponent(s.hbar)
+    weights = [(_q_exponent(s.h), _q_exponent(s.hbar))
+               for s in enumerate_sectors(model, cutoff)
+               if sector_filter is None or sector_filter(s)]
+    D = lcm(*(w.d for pair in weights for w in pair))
+    sums = {}
+    for h, hbar in weights:
+        e, eb = h.a * (D // h.d), hbar.a * (D // hbar.d)
         for k in range(order + 1):
             for kb in range(order + 1):
-                terms.append(((h + k, hbar + kb), counts[k] * counts[kb]))
-    return BiSeries(terms)
+                key = (e + k * D, eb + kb * D)
+                sums[key] = sums.get(key, 0) + counts[k] * counts[kb]
+    return BiSeries()._like({(Fraction(e, D), Fraction(eb, D)): S(c)
+                             for (e, eb), c in sums.items()})

@@ -528,10 +528,35 @@ class TestFock:
         lambda m: TwoSidedFock(FockTruncation(m, [0], 1),
                                FockTruncation(m, [0], 1)).alpha(1.0, 1),
         lambda m: central_charge(m, N=3.0),
+        lambda m: FockTruncation(m, [0], 2).vectors_up_to_level(True),
+        lambda m: FockTruncation(m, [0], 2).vectors_up_to_level(1.5),
+        lambda m: FockTruncation(m, [0], 2).vectors_up_to_level("2"),
+        lambda m: partition_function(m, True, 1),
+        lambda m: partition_function(m, 1, True),
+        lambda m: partition_function(m, 1.5, 1),
+        lambda m: partition_function(m, 1, "2"),
+        lambda m: ko_locality(m, True),
+        lambda m: character(m, m.sector([0], [0]), True),
     ], ids=["N-bool", "N-float", "colour-bool", "mode-float", "mode-bool",
-            "virasoro-float", "virasoro-bool", "two-sided-colour-float", "central-N-float"])
+            "virasoro-float", "virasoro-bool", "two-sided-colour-float", "central-N-float",
+            "level-bool", "level-float", "level-str", "partition-cutoff-bool",
+            "partition-order-bool", "partition-cutoff-float", "partition-order-str",
+            "locality-cutoff-bool", "character-order-bool"])
     def test_bad_argument_types_are_refused(self, build):
         with pytest.raises(ChiraltorusError, match="must be an integer"):
+            build(one_dim_model(1))
+
+    # a negative box or order was an empty box (a zero series, no pair)
+    @pytest.mark.parametrize("build,what", [
+        (lambda m: partition_function(m, 1, -1), "order"),
+        (lambda m: partition_function(m, -1, 2), "cutoff"),
+        (lambda m: ko_locality(m, -1), "cutoff"),
+        (lambda m: enumerate_sectors(m, -2), "cutoff"),
+        (lambda m: colored_partition_counts(1, -1), "order"),
+    ], ids=["partition-order", "partition-cutoff", "locality-cutoff", "sectors-cutoff",
+            "counts-order"])
+    def test_negative_box_and_order_are_refused(self, build, what):
+        with pytest.raises(ChiraltorusError, match=f"^{what} must be nonnegative, got -"):
             build(one_dim_model(1))
 
     def test_operators_of_different_dimensions_do_not_combine(self):

@@ -11,6 +11,9 @@ unit exponents -1, 0, 1 and u^2 formal or rational: the CLI never uses
 a formal unit, so only these tests pin the u-power split and the fold.
 """
 
+import contextlib
+import io
+import json
 from fractions import Fraction
 from itertools import islice
 from itertools import product as iter_product
@@ -19,10 +22,13 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
+import partition_oracle
 from chiraltorus.chiral_fm import fm_linear
+from chiraltorus.cli import dump_csv, main
 from chiraltorus.exactlin import ExactScalar, InvariantError, RationalMatrix
 from chiraltorus.fockq import (
     FockTruncation,
+    FormalUnitValue,
     LatticeModel,
     UnitScalar,
     chiral_sectors,
@@ -30,6 +36,7 @@ from chiraltorus.fockq import (
     load_model,
     locality_pairs,
     one_dim_model,
+    partition_function,
     spectrum_point,
     t_dual,
     vertex_exponents,
@@ -267,6 +274,28 @@ class TestLocalityAndChiral:
                 (row["hol"], row["antihol"], row["difference"])
             assert hol - antihol == UnitScalar.coerce(diff)
 
+    # the CLI renders each row from a template, the library view through
+    # json.dumps and csv.writer; both must give the same bytes.  A failure
+    # is reported as found, without shrinking, as above
+    @settings(max_examples=16, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(models(max_n=2), st.integers(0, 1))
+    def test_cli_rows_equal_the_library_view(self, tmp_path_factory, model, cutoff):
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        path.write_text(json.dumps(model.to_json()), encoding="utf-8")
+        out = {}
+        for fmt in ("json", "csv"):
+            with contextlib.redirect_stdout(io.StringIO()) as buf:
+                assert main(["locality", "--model", str(path), "--cutoff", str(cutoff),
+                             "--format", fmt]) == 0
+            out[fmt] = buf.getvalue()
+        report = ko_locality(model, cutoff)
+        assert out["json"] == json.dumps(report, sort_keys=True, indent=2) + "\n"
+        assert out["csv"] == dump_csv(
+            ["l1", "lstar1", "l2", "lstar2", "hol", "antihol", "difference", "integral"],
+            ([*(" ".join(map(str, r[k])) for k in ("l1", "lstar1", "l2", "lstar2")),
+              r["hol"], r["antihol"], r["difference"], "yes"] for r in report["pairs"]))
+
     @settings(max_examples=100, deadline=None)
     @given(models())
     def test_certificate_and_streamed_difference(self, model):
@@ -356,6 +385,26 @@ class TestTDuality:
     @pytest.mark.parametrize("radius", [None, Fraction(1, 2), 1, 2, Fraction(3, 7)])
     def test_circles(self, radius):
         self._check_dual_sectors(one_dim_model(radius), 3)
+
+
+def _outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except FormalUnitValue as exc:
+        return type(exc), str(exc)
+
+
+# a formal unit or a complex weight is refused by both paths alike
+@settings(max_examples=60, deadline=None)
+@given(models(max_n=2), st.integers(0, 1), st.integers(0, 2), st.booleans())
+def test_partition_function_equals_the_term_by_term_series(model, cutoff, order, even):
+    keep = (lambda s: sum(s.coords) % 2 == 0) if even else None
+    got = _outcome(partition_function, model, cutoff, order, sector_filter=keep)
+    want = _outcome(partition_oracle.partition_function, model, cutoff, order,
+                    sector_filter=keep)
+    assert got == want
+    if not isinstance(want, tuple):
+        assert (str(got), got.to_json()) == (str(want), want.to_json())
 
 
 @settings(deadline=None)
