@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from .exactlin import (
     AltTensor,
-    ChiraltorusError,
     DimensionMismatch,
     Frozen,
     RationalMatrix,
     SingularMatrix,
+    _integer,
     _pullback_by_inverse,
 )
 
@@ -32,6 +32,7 @@ class CdoIsoClass(Frozen):
     __slots__ = _fields = ("n", "lam", "nu")
 
     def __init__(self, n: int, lam: AltTensor, nu: AltTensor):
+        _integer(n, "CDO class size n")
         if lam.degree != 3 or lam.dim != n or lam.valdim is not None:
             raise DimensionMismatch("lambda must be a scalar 3-tensor on g")
         if nu.degree != 2 or nu.dim != n or nu.valdim != n:
@@ -47,11 +48,8 @@ class CdoIsoClass(Frozen):
 
     @staticmethod
     def from_json(data) -> "CdoIsoClass":
-        n = data["n"]
-        if type(n) is not int:
-            raise ChiraltorusError(f"CDO class size n must be an integer, got {n!r}")
         return CdoIsoClass(
-            n,
+            data["n"],
             AltTensor.from_json(data["lambda"]),
             AltTensor.from_json(data["nu"]),
         )

@@ -35,6 +35,7 @@ from .exactlin import (
     PreconditionError,
     RationalMatrix,
     S,
+    _integer,
     _torus_matrices,
     add_into,
     reduce_row,
@@ -194,7 +195,7 @@ class BracketTable(Frozen):
         scale = S.coerce(scale)
         table = {}
         for key, val in (twist or {}).items():
-            i, j, k = key
+            i, j, k = (_integer(x, "twist index") for x in key)
             if not (0 < i < j < k):
                 raise ChiraltorusError("twist keys must be strictly increasing triples")
             poly = parse_expr(val) if isinstance(val, str) else val

@@ -242,7 +242,7 @@ class ExactScalar(Frozen):
         return _triple(-self.a, -self.b, self.d)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
+        if type(n) is not int:
             raise TypeError("exponent must be an integer")
         if n < 0:
             return (ONE / self) ** (-n)
@@ -436,6 +436,21 @@ def exact_fraction(x, what: str) -> Fraction:
     if not value.is_rational():
         raise ChiraltorusError(f"{what} must be real, got {x!r}")
     return value.re
+
+
+def _integer(x, what: str) -> int:
+    """x itself when it is an int: the one integer rule, which refuses a
+    bool, a float and every other type; what names x in the error."""
+    if type(x) is not int:
+        raise ChiraltorusError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _natural(x, what: str) -> int:
+    """x itself when it is an int and not negative; anything else is refused."""
+    if _integer(x, what) < 0:
+        raise ChiraltorusError(f"{what} must be nonnegative, got {x}")
+    return x
 
 
 def signed_sort(keys) -> tuple:
@@ -676,10 +691,10 @@ class CoeffTable(Frozen):
     package: canonical keys, no stored zero, so two equal elements have
     equal tables and equal hashes.  Subclasses adjust it through small
     hooks: _entry canonicalises one (key, value) pair of the public
-    constructor, _operand turns the right-hand side of +, - and == into
-    a table of the same type, _like rebuilds extra shape fields, and
-    _term(key, value) prints one entry of the " + "-joined text form,
-    whose order _terms sets.
+    constructor, _operand turns the other operand of +, - and ==, on
+    either side, into a table of the same type, _like rebuilds extra
+    shape fields, and _term(key, value) prints one entry of the
+    " + "-joined text form, whose order _terms sets.
     """
 
     __slots__ = ("coeffs",)
@@ -718,11 +733,16 @@ class CoeffTable(Frozen):
             add_into(out, key, value)
         return self._like(out)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
 
     def __neg__(self):
         return self._like({k: -v for k, v in self.coeffs.items()})
@@ -810,9 +830,10 @@ class AltTensor(CoeffTable):
     _fields = ("degree", "dim", "valdim", "coeffs")
 
     def __init__(self, degree: int, dim: int, coeffs=None, valdim=None):
-        for name, val in (("degree", degree), ("dim", dim), ("valdim", valdim)):
-            if type(val) is not int and (val is not None or name != "valdim"):
-                raise ChiraltorusError(f"tensor {name} must be an integer, got {val!r}")
+        _integer(degree, "tensor degree")
+        _integer(dim, "tensor dim")
+        if valdim is not None:
+            _integer(valdim, "tensor valdim")
         if degree not in (2, 3):
             raise DimensionMismatch("tensor degree must be 2 or 3")
         if dim < 1:
@@ -822,10 +843,7 @@ class AltTensor(CoeffTable):
 
     def _index(self, key) -> tuple:
         """key as a tuple of degree int indices in 1..dim, or an error."""
-        key = tuple(key)
-        for i in key:
-            if type(i) is not int:
-                raise ChiraltorusError(f"tensor index must be an integer, got {i!r}")
+        key = tuple(_integer(i, "tensor index") for i in key)
         if len(key) != self.degree:
             raise DimensionMismatch(f"key {key} has wrong length for degree {self.degree}")
         if any(not (1 <= i <= self.dim) for i in key):

@@ -41,6 +41,8 @@ from .exactlin import (
     PreconditionError,
     RationalMatrix,
     S,
+    _integer,
+    _natural,
     _over_common,
     _reduced,
     _torus_matrices,
@@ -71,20 +73,6 @@ class ModelMismatch(PreconditionError):
 
 class FormalUnitValue(PreconditionError):
     """A numeric value was requested of a formal unit expression."""
-
-
-def _integer(x, what: str) -> int:
-    """x itself when it is an int; a bool, a float or any other type is refused."""
-    if type(x) is not int:
-        raise ChiraltorusError(f"{what} must be an integer, got {x!r}")
-    return x
-
-
-def _natural(x, what: str) -> int:
-    """x itself when it is an int and not negative; anything else is refused."""
-    if _integer(x, what) < 0:
-        raise ChiraltorusError(f"{what} must be nonnegative, got {x}")
-    return x
 
 
 # ----------------------------------------------------------------------
@@ -120,14 +108,15 @@ class UnitScalar(CoeffTable):
         return UnitScalar({power: S.coerce(coeff)})
 
     def _operand(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
+        if isinstance(other, (UnitScalar, int, Fraction, ExactScalar)):
             return UnitScalar.coerce(other)
-        return super()._operand(other)
-
-    __radd__ = CoeffTable.__add__
+        return NotImplemented
 
     def __mul__(self, other):
-        return self._convolve(UnitScalar.coerce(other), add)
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._convolve(other, add)
 
     __rmul__ = __mul__
 
@@ -166,14 +155,12 @@ class LatticeModel(Frozen):
     _fields = ("n", "g", "B", "Lbasis", "unit_exponent", "u_square")
 
     def __init__(self, n, g, B, Lbasis, unit_exponent=0, u_square=None):
+        _integer(n, "model size n")
         g, B = _torus_matrices(g, B)
         L = RationalMatrix(Lbasis)
         if g.rows != n or L.rows != n or L.cols != n:
             raise DimensionMismatch("model matrices must be n x n")
-        if type(unit_exponent) is not int:
-            raise ChiraltorusError(
-                f"unit exponent must be an integer, got {unit_exponent!r}")
-        if unit_exponent not in (-1, 0, 1):
+        if _integer(unit_exponent, "unit exponent") not in (-1, 0, 1):
             raise ChiraltorusError("unit exponent must be -1, 0, or 1")
         _check_positive_definite(g)
         if L.det().is_zero():
@@ -260,11 +247,8 @@ def load_model(data) -> LatticeModel:
     {"radius_unit": "p/q"} shorthand."""
     if "radius_unit" in data:
         return one_dim_model(data["radius_unit"])
-    n = data["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ChiraltorusError(f"model size n must be an integer, got {n!r}")
     return LatticeModel(
-        n, data["g"], data["B"], data["L"],
+        data["n"], data["g"], data["B"], data["L"],
         unit_exponent=data.get("unit_exponent", 0),
         u_square=data.get("u_square"),
     )
@@ -900,7 +884,7 @@ class TwoSidedFock(Frozen):
 def colored_partition_counts(n: int, order: int):
     """Coefficients of prod_k (1 - q^k)^{-n} up to q^order."""
     counts = [1] + [0] * _natural(order, "order")
-    for _ in range(n):
+    for _ in range(_natural(n, "n")):
         for k in range(1, order + 1):
             for j in range(k, order + 1):
                 counts[j] += counts[j - k]

@@ -32,6 +32,8 @@ from .exactlin import (
     PreconditionError,
     RationalMatrix,
     S,
+    _integer,
+    _natural,
     _torus_matrices,
     add_into,
     compositions,
@@ -116,28 +118,22 @@ class DiffPoly(CoeffTable):
 
     @staticmethod
     def jet(i: int, a: int, b: int, coeff=1) -> "DiffPoly":
-        if type(i) is not int:
-            raise ChiraltorusError(f"field index must be an integer, got {i!r}")
-        if i < 1:
+        if _integer(i, "field index") < 1:
             raise ChiraltorusError(f"field index {i} is below 1")
-        return DiffPoly({Monomial(0, (), ((i, a, b),)): S.coerce(coeff)})
+        key = (i, _natural(a, "jet order"), _natural(b, "jet order"))
+        return DiffPoly({Monomial(0, (), (key,)): S.coerce(coeff)})
 
     @staticmethod
     def symbol(name: str, order: int = 0) -> "DiffPoly":
         if name not in SYMBOL_KINDS:
             raise ChiraltorusError(f"unknown symbol {name!r}")
-        return DiffPoly({Monomial(0, ((name, order),), ()): ONE})
+        return DiffPoly({Monomial(0, ((name, _natural(order, "symbol order")),), ()): ONE})
 
     @staticmethod
     def trig(m: int) -> "DiffPoly":
-        return DiffPoly({Monomial(m, (), ()): ONE})
+        return DiffPoly({Monomial(_integer(m, "mode"), (), ()): ONE})
 
     # -- ring operations ---------------------------------------------
-
-    __radd__ = CoeffTable.__add__
-
-    def __rsub__(self, other):
-        return DiffPoly.const(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ExactScalar)):
@@ -152,9 +148,7 @@ class DiffPoly(CoeffTable):
         return NotImplemented
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ChiraltorusError("polynomial powers must be nonnegative integers")
-        if n > MAX_EXPONENT:
+        if _natural(n, "exponent") > MAX_EXPONENT:
             raise ChiraltorusError(f"exponent {n} is above the limit {MAX_EXPONENT}")
         out = DiffPoly.const(1)
         for _ in range(n):
@@ -911,23 +905,24 @@ def torus_lagrangian(g_rows, b_rows=None) -> Lagrangian:
 
 def gen_tau(n: int):
     """The generator of tau-translations: F_i = d_tau x^i."""
-    return [DiffPoly.jet(i, 1, 0) for i in range(1, n + 1)]
+    return [DiffPoly.jet(i, 1, 0) for i in range(1, _natural(n, "number of fields") + 1)]
 
 
 def gen_sigma(n: int):
     """The generator of sigma-translations: F_i = d_sigma x^i."""
-    return [DiffPoly.jet(i, 0, 1) for i in range(1, n + 1)]
+    return [DiffPoly.jet(i, 0, 1) for i in range(1, _natural(n, "number of fields") + 1)]
 
 
 def gen_translation(n: int, j: int):
     """The target translation delta/delta x^j: F_i = delta_ij."""
-    return [DiffPoly.const(1 if i == j else 0) for i in range(1, n + 1)]
+    return [DiffPoly.const(1 if i == j else 0)
+            for i in range(1, _natural(n, "number of fields") + 1)]
 
 
 def gen_conformal(n: int, holomorphic: bool = True, with_symbol: bool = True):
     """The conformal generator f(z) d_z (or g(zbar) d_zbar): F_i = f * d_z x^i."""
     out = []
-    for i in range(1, n + 1):
+    for i in range(1, _natural(n, "number of fields") + 1):
         base = dz_jet(i) if holomorphic else dzb_jet(i)
         if with_symbol:
             base = DiffPoly.symbol("f" if holomorphic else "g") * base

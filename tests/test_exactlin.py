@@ -79,6 +79,9 @@ class TestExactScalar:
         assert i ** 2 == ExactScalar(-1)
         assert i ** -1 == -i
         assert ExactScalar(Fraction(2, 3)) ** -2 == ExactScalar(Fraction(9, 4))
+        for n in (True, 1.0):
+            with pytest.raises(TypeError, match="^exponent must be an integer$"):
+                ExactScalar(2) ** n
 
     def test_string_round_trip(self, seed=7):
         rng = random.Random(seed)
@@ -113,6 +116,7 @@ class TestExactScalar:
         u = UnitScalar.unit(1)
         assert two + u == UnitScalar({0: 2, 1: 1})
         assert two * u == UnitScalar.unit(1, 2)
+        assert two - u == 2 - u == UnitScalar({0: 2, 1: -1})
         assert two * RationalMatrix.identity(2) == RationalMatrix([[2, 0], [0, 2]])
 
     @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,

@@ -17,7 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chiraltorus.chiral_fm import CdoIsoClass
+from chiraltorus.coisson import BracketTable
 from chiraltorus.exactlin import (
+    AltTensor,
     ChiraltorusError,
     DimensionMismatch,
     ExactScalar,
@@ -53,7 +56,7 @@ from chiraltorus.fockq import (
     t_dual,
     vertex_exponents,
 )
-from chiraltorus.jetcalc import torus_lagrangian
+from chiraltorus.jetcalc import DiffPoly, gen_tau, torus_lagrangian
 
 S = ExactScalar
 
@@ -537,11 +540,21 @@ class TestFock:
         lambda m: partition_function(m, 1, "2"),
         lambda m: ko_locality(m, True),
         lambda m: character(m, m.sector([0], [0]), True),
+        lambda m: LatticeModel(True, [[1]], [[0]], [[1]]),
+        lambda m: CdoIsoClass(True, AltTensor(3, 1), AltTensor(2, 1, valdim=1)),
+        lambda m: colored_partition_counts(True, 2),
+        lambda m: colored_partition_counts(1.5, 2),
+        lambda m: DiffPoly.trig(1.5),
+        lambda m: DiffPoly.jet(1, 0, 0) ** True,
+        lambda m: BracketTable(twist={(1.0, 2, 3): "x1"}),
+        lambda m: gen_tau(True),
     ], ids=["N-bool", "N-float", "colour-bool", "mode-float", "mode-bool",
             "virasoro-float", "virasoro-bool", "two-sided-colour-float", "central-N-float",
             "level-bool", "level-float", "level-str", "partition-cutoff-bool",
             "partition-order-bool", "partition-cutoff-float", "partition-order-str",
-            "locality-cutoff-bool", "character-order-bool"])
+            "locality-cutoff-bool", "character-order-bool", "model-n-bool", "cdo-n-bool",
+            "counts-n-bool", "counts-n-float", "trig-mode-float", "power-bool",
+            "twist-index-float", "gen-tau-n-bool"])
     def test_bad_argument_types_are_refused(self, build):
         with pytest.raises(ChiraltorusError, match="must be an integer"):
             build(one_dim_model(1))
@@ -553,8 +566,11 @@ class TestFock:
         (lambda m: ko_locality(m, -1), "cutoff"),
         (lambda m: enumerate_sectors(m, -2), "cutoff"),
         (lambda m: colored_partition_counts(1, -1), "order"),
+        (lambda m: colored_partition_counts(-1, 2), "n"),
+        (lambda m: DiffPoly.jet(1, -1, 0), "jet order"),
+        (lambda m: DiffPoly.symbol("f", -1), "symbol order"),
     ], ids=["partition-order", "partition-cutoff", "locality-cutoff", "sectors-cutoff",
-            "counts-order"])
+            "counts-order", "counts-n", "jet-order", "symbol-order"])
     def test_negative_box_and_order_are_refused(self, build, what):
         with pytest.raises(ChiraltorusError, match=f"^{what} must be nonnegative, got -"):
             build(one_dim_model(1))
@@ -577,6 +593,14 @@ class TestFock:
                 op(one, other)
             with pytest.raises(TypeError, match="unsupported operand"):
                 op(other, one)
+        # UnitScalar takes plain numbers in every operation, and nothing else
+        u = UnitScalar.unit(1)
+        for other in ("1/2", None, DiffPoly.jet(1, 0, 0)):
+            for f in (op, operator.mul):
+                with pytest.raises(TypeError):
+                    f(u, other)
+                with pytest.raises(TypeError):
+                    f(other, u)
 
     def test_constructor_coerces_entries(self):
         op = SparseOp(2, {0: {0: 1, 1: "1/2"}, 1: {1: Fraction(0)}})

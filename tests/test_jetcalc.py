@@ -168,6 +168,8 @@ class TestRingAndPartials:
             jet(1, 0, 0) * other
         with pytest.raises(TypeError):
             other * jet(1, 0, 0)
+        with pytest.raises(TypeError):
+            other - jet(1, 0, 0)
 
     def test_like_terms_merge(self):
         assert jet(1, 0, 0) + jet(1, 0, 0) - jet(1, 0, 0).scale(2) == DiffPoly.zero()
