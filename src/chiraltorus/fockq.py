@@ -107,6 +107,9 @@ class UnitScalar(CoeffTable):
     def unit(power: int = 1, coeff=1) -> "UnitScalar":
         return UnitScalar({power: S.coerce(coeff)})
 
+    def _entry(self, e, c):
+        return _integer(e, "unit power"), S.coerce(c)
+
     def _operand(self, other):
         if isinstance(other, (UnitScalar, int, Fraction, ExactScalar)):
             return UnitScalar.coerce(other)

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
+from itertools import groupby
 from typing import NamedTuple
 
 from .exactlin import (
@@ -117,11 +118,11 @@ class DiffPoly(CoeffTable):
         return DiffPoly({UNIT_MONO: S.coerce(c)})
 
     @staticmethod
-    def jet(i: int, a: int, b: int, coeff=1) -> "DiffPoly":
+    def jet(i: int, a: int, b: int) -> "DiffPoly":
         if _integer(i, "field index") < 1:
             raise ChiraltorusError(f"field index {i} is below 1")
         key = (i, _natural(a, "jet order"), _natural(b, "jet order"))
-        return DiffPoly({Monomial(0, (), (key,)): S.coerce(coeff)})
+        return DiffPoly({Monomial(0, (), (key,)): ONE})
 
     @staticmethod
     def symbol(name: str, order: int = 0) -> "DiffPoly":
@@ -142,10 +143,8 @@ class DiffPoly(CoeffTable):
             return NotImplemented
         return self._convolve(other, _mono_mul)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            return self.scale(other)
-        return NotImplemented
+    # the ring is commutative, and __mul__ already scales by numbers
+    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if _natural(n, "exponent") > MAX_EXPONENT:
@@ -214,26 +213,17 @@ def substitute_jets(poly: DiffPoly, mapping) -> DiffPoly:
 
     Used for changes of generators like p_j -> p_j + alpha_{ji} d_sigma x^i.
     """
-    cache = {}
-
-    def replacement(i, a, b):
-        base = mapping[(i, a)]
-        key = (i, a, b)
-        if key not in cache:
-            cur = base
-            for _ in range(b):
-                cur = cur.D("s")
-            cache[key] = cur
-        return cache[key]
+    @cache
+    def image(i, a, b):
+        if (i, a) not in mapping:
+            return DiffPoly.jet(i, a, b)
+        return image(i, a, b - 1).D("s") if b else mapping[(i, a)]
 
     out = DiffPoly()
     for mono, coeff in poly.coeffs.items():
         acc = DiffPoly({Monomial(mono.mode, mono.syms, ()): coeff})
-        for (i, a, b) in mono.jets:
-            if (i, a) in mapping:
-                acc = acc * replacement(i, a, b)
-            else:
-                acc = acc * DiffPoly.jet(i, a, b)
+        for key in mono.jets:
+            acc = acc * image(*key)
         out = out + acc
     return out
 
@@ -247,16 +237,11 @@ def _coeff_str(c: ExactScalar):
     if c.is_rational():
         return str(c)
     re, im = c.re, c.im
-    if re == 0:
-        if im == 1:
-            return "i"
-        if im == -1:
-            return "-i"
-        return f"{im}*i"
-    sign = "+" if im > 0 else "-"
     mag = abs(im)
     imag = "i" if mag == 1 else f"{mag}*i"
-    return f"({re}{sign}{imag})"
+    if re == 0:
+        return imag if im > 0 else f"-{imag}"
+    return f"({re}{'+' if im > 0 else '-'}{imag})"
 
 
 def _jet_str(i, a, b, style):
@@ -266,23 +251,14 @@ def _jet_str(i, a, b, style):
 
 
 def _mono_str(mono: Monomial, style: str):
-    parts = []
-    if mono.mode != 0:
-        parts.append(f"e({mono.mode})")
-    run = []
-    for name, order in mono.syms:
-        run.append(name + "p" * order)
-    for (i, a, b) in mono.jets:
-        run.append(_jet_str(i, a, b, style))
-    grouped = []
-    k = 0
-    while k < len(run):
-        j = k
-        while j < len(run) and run[j] == run[k]:
-            j += 1
-        grouped.append(run[k] if j - k == 1 else f"{run[k]}^{j - k}")
-        k = j
-    return parts + grouped
+    """The factors of a monomial, equal neighbours grouped as powers."""
+    run = [name + "p" * order for name, order in mono.syms]
+    run += [_jet_str(i, a, b, style) for (i, a, b) in mono.jets]
+    parts = [f"e({mono.mode})"] if mono.mode != 0 else []
+    for factor, equal in groupby(run):
+        k = len(list(equal))
+        parts.append(factor if k == 1 else f"{factor}^{k}")
+    return parts
 
 
 def poly_str(poly: DiffPoly, style: str = "tau") -> str:
@@ -291,24 +267,15 @@ def poly_str(poly: DiffPoly, style: str = "tau") -> str:
         return "0"
     bits = []
     for mono in sorted(poly.coeffs):
-        coeff = poly.coeffs[mono]
         factors = _mono_str(mono, style)
-        neg = False
-        if coeff == S(-1) and factors:
-            body = "*".join(factors)
-            neg = True
-        elif coeff == ONE and factors:
-            body = "*".join(factors)
-        else:
-            cs = _coeff_str(coeff)
-            if cs.startswith("-") and not cs.startswith("(-"):
-                neg = True
-                cs = cs[1:]
-            body = "*".join([cs] + factors)
-        if not bits:
-            bits.append(("-" if neg else "") + body)
-        else:
-            bits.append(("- " if neg else "+ ") + body)
+        # a sign leads the text of a negative rational or imaginary
+        # coefficient; a parenthesised one keeps its own
+        cs = _coeff_str(poly.coeffs[mono])
+        neg = cs.startswith("-")
+        cs = cs.removeprefix("-")
+        body = "*".join(factors if cs == "1" and factors else [cs] + factors)
+        sign = ("- " if neg else "+ ") if bits else ("-" if neg else "")
+        bits.append(sign + body)
     return " ".join(bits)
 
 
@@ -543,35 +510,39 @@ class VariationalForm(CoeffTable):
             yield f"({poly_str(self.coeffs[(vkeys, hkeys)])}) {label}".strip()
 
 
-class EvolutionaryField:
+class EvolutionaryField(Frozen):
     """The prolongation x-hat of a generator (F_1, ..., F_n):
-    x-hat(d^a_tau d^b_sigma x^i) = D_tau^a D_sigma^b F_i."""
+    x-hat(d^a_tau d^b_sigma x^i) = D_tau^a D_sigma^b F_i.
+
+    Total derivatives commute, so each image is one D_tau or D_sigma of
+    a shorter one, kept in _images once computed."""
+
+    __slots__ = ("components", "_images")
+    _fields = ("components",)
 
     def __init__(self, components):
-        self.components = [c if isinstance(c, DiffPoly) else DiffPoly.const(c)
-                           for c in components]
-        self._cache = {}
+        self._set(components=tuple(c if isinstance(c, DiffPoly) else DiffPoly.const(c)
+                                   for c in components), _images={})
 
     def on_jet(self, key) -> DiffPoly:
-        i, a, b = key
-        if i > len(self.components):
-            raise ChiraltorusError(f"no generator component for field {i}")
-        if key not in self._cache:
-            cur = self.components[i - 1]
-            for _ in range(a):
-                cur = cur.D("t")
-            for _ in range(b):
-                cur = cur.D("s")
-            self._cache[key] = cur
-        return self._cache[key]
+        image = self._images.get(key)
+        if image is None:
+            i, a, b = key
+            if not 1 <= i <= len(self.components):
+                raise ChiraltorusError(f"no generator component for field {i}")
+            if a:
+                image = self.on_jet((i, a - 1, b)).D("t")
+            elif b:
+                image = self.on_jet((i, 0, b - 1)).D("s")
+            else:
+                image = self.components[i - 1]
+            self._images[key] = image
+        return image
 
     def apply_poly(self, poly: DiffPoly) -> DiffPoly:
-        out = DiffPoly.zero()
-        for key in poly.jet_support():
-            dpoly = poly.partial(key)
-            if not dpoly.is_zero():
-                out = out + dpoly * self.on_jet(key)
-        return out
+        # a partial along a jet in the support is never zero
+        return sum((poly.partial(key) * self.on_jet(key) for key in poly.jet_support()),
+                   DiffPoly.zero())
 
 
 def prolong(generator, target):
@@ -580,7 +551,7 @@ def prolong(generator, target):
     On a DiffPoly this is the derivation x-hat; on a VariationalForm it
     also pushes through the vertical factors via delta(x-hat u_J).
     """
-    field = generator if isinstance(generator, EvolutionaryField) else EvolutionaryField(generator)
+    field = EvolutionaryField(generator)
     if isinstance(target, DiffPoly):
         return field.apply_poly(target)
     items = []
@@ -597,7 +568,7 @@ def prolong(generator, target):
 
 def contract(generator, form: VariationalForm) -> VariationalForm:
     """Interior product iota_{x-hat}: odd derivation, delta u_J |-> x-hat(u_J)."""
-    field = generator if isinstance(generator, EvolutionaryField) else EvolutionaryField(generator)
+    field = EvolutionaryField(generator)
     items = []
     for (vkeys, hkeys), poly in form.coeffs.items():
         for k, key in enumerate(vkeys):
@@ -830,14 +801,13 @@ def noether(L: Lagrangian, generator) -> VariationalForm:
     sends to zero once the peel is exact, so a failed certificate is a
     library bug and raises InvariantError.
     """
-    field = generator if isinstance(generator, EvolutionaryField) else EvolutionaryField(generator)
-    q = field.apply_poly(L.density)
+    q = EvolutionaryField(generator).apply_poly(L.density)
     P, Q = _solve_total_derivative(q)
     check = Q.D("t") - P.D("s")
     if not (check - q).is_zero():
         raise InvariantError("internal: peel produced an incorrect representation")
     alpha = VariationalForm({((), ("t",)): P, ((), ("s",)): Q})
-    current = alpha - contract(field, L.gamma)
+    current = alpha - contract(generator, L.gamma)
     if L._wave_fault:
         raise NonLinearEL(L._wave_fault)
     d_current = current.horizontal_differential()
@@ -915,8 +885,10 @@ def gen_sigma(n: int):
 
 def gen_translation(n: int, j: int):
     """The target translation delta/delta x^j: F_i = delta_ij."""
-    return [DiffPoly.const(1 if i == j else 0)
-            for i in range(1, _natural(n, "number of fields") + 1)]
+    n = _natural(n, "number of fields")
+    if not 1 <= _integer(j, "field index") <= n:
+        raise ChiraltorusError(f"field index {j} is outside 1..{n}")
+    return [DiffPoly.const(1 if i == j else 0) for i in range(1, n + 1)]
 
 
 def gen_conformal(n: int, holomorphic: bool = True, with_symbol: bool = True):

@@ -40,9 +40,11 @@ from chiraltorus.fockq import (
 )
 from chiraltorus.jetcalc import (
     DiffPoly,
+    EvolutionaryField,
     Monomial,
     VariationalForm,
     boson_circle_lagrangian,
+    gen_tau,
     parse_expr,
 )
 
@@ -639,6 +641,7 @@ FROZEN_CASES = {
     "VariationalForm": (
         lambda: VariationalForm({((), ("t", "s")): parse_expr("x1")}), "coeffs"),
     "Lagrangian": (lambda: boson_circle_lagrangian(), "density"),
+    "EvolutionaryField": (lambda: EvolutionaryField(gen_tau(1)), "components"),
     "LocalDensity": (lambda: LocalDensity("p1"), "poly"),
     "FourierClass": (lambda: FourierClass("p1"), "rep"),
     "DeltaExpansion": (lambda: DeltaExpansion({0: parse_expr("p1")}), "coeffs"),
@@ -753,12 +756,23 @@ PRINTED_FORMS = [
         (((1, 0, 1), (1, 0, 0)), ()): parse_expr("2"),
         ((), ("t", "s")): parse_expr("-dt.x1^2")}),
      "(x1) + (-dt.x1^2) dt^ds + (dt.x1) d[x1]^ds + (-2) d[x1]^d[ds.x1]"),
+    # every coefficient shape poly_str prints: a bare +-1 is dropped
+    # before factors, and a sign is read off the coefficient's own text
+    (lambda: parse_expr("1 - x1 + x2"), "1 - x1 + x2"),
+    (lambda: parse_expr("-1 + 2*x1") - parse_expr("x2^2"), "-1 + 2*x1 - x2^2"),
+    (lambda: parse_expr("-x1 - 2*i*x2"), "-x1 - 2*i*x2"),
+    (lambda: parse_expr("-i + 2*i*x1 - 3/2*i*e(-2)*f*x1^2"),
+     "-3/2*i*e(-2)*f*x1^2 - i + 2*i*x1"),
+    (lambda: parse_expr("2*i + (1/2-i)*x1 + (-1+2*i)*p1"), "2*i + (1/2-i)*x1 + (-1+2*i)*dt.x1"),
+    (lambda: parse_expr("(1/2-i)"), "(1/2-i)"),
 ]
 
 
 @pytest.mark.parametrize("make,text", PRINTED_FORMS, ids=[
     "AltTensor", "AltTensorValued3", "AltTensorValued2", "UnitScalar",
-    "QSeries", "BiSeries", "DeltaExpansion", "VariationalForm"])
+    "QSeries", "BiSeries", "DeltaExpansion", "VariationalForm", "DiffPolyUnits",
+    "DiffPolyNegativeUnit", "DiffPolyLeadingMinus", "DiffPolyImaginary",
+    "DiffPolyGaussian", "DiffPolyGaussianConstant"])
 def test_printed_form(make, text):
     x = make()
     assert str(x) == text

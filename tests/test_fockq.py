@@ -56,7 +56,7 @@ from chiraltorus.fockq import (
     t_dual,
     vertex_exponents,
 )
-from chiraltorus.jetcalc import DiffPoly, gen_tau, torus_lagrangian
+from chiraltorus.jetcalc import DiffPoly, gen_tau, gen_translation, torus_lagrangian
 
 S = ExactScalar
 
@@ -548,16 +548,26 @@ class TestFock:
         lambda m: DiffPoly.jet(1, 0, 0) ** True,
         lambda m: BracketTable(twist={(1.0, 2, 3): "x1"}),
         lambda m: gen_tau(True),
+        lambda m: gen_translation(2, True),
+        lambda m: UnitScalar({1.5: 1}),
+        lambda m: UnitScalar.unit(True),
     ], ids=["N-bool", "N-float", "colour-bool", "mode-float", "mode-bool",
             "virasoro-float", "virasoro-bool", "two-sided-colour-float", "central-N-float",
             "level-bool", "level-float", "level-str", "partition-cutoff-bool",
             "partition-order-bool", "partition-cutoff-float", "partition-order-str",
             "locality-cutoff-bool", "character-order-bool", "model-n-bool", "cdo-n-bool",
             "counts-n-bool", "counts-n-float", "trig-mode-float", "power-bool",
-            "twist-index-float", "gen-tau-n-bool"])
+            "twist-index-float", "gen-tau-n-bool", "translation-index-bool",
+            "unit-power-float", "unit-power-bool"])
     def test_bad_argument_types_are_refused(self, build):
         with pytest.raises(ChiraltorusError, match="must be an integer"):
             build(one_dim_model(1))
+
+    # an index outside the fields was the zero generator
+    @pytest.mark.parametrize("j", [0, 5])
+    def test_translation_index_outside_the_fields_is_refused(self, j):
+        with pytest.raises(ChiraltorusError, match=f"^field index {j} is outside 1..2$"):
+            gen_translation(2, j)
 
     # a negative box or order was an empty box (a zero series, no pair)
     @pytest.mark.parametrize("build,what", [

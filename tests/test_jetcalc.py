@@ -174,10 +174,20 @@ class TestRingAndPartials:
     def test_like_terms_merge(self):
         assert jet(1, 0, 0) + jet(1, 0, 0) - jet(1, 0, 0).scale(2) == DiffPoly.zero()
 
-    @pytest.mark.parametrize("i", [0, -2])
-    def test_jet_field_index_below_one_is_refused(self, i):
-        with pytest.raises(ChiraltorusError, match=f"^field index {i} is below 1$") as info:
-            DiffPoly.jet(i, 1, 0)
+    # a delta factor on field 0 or below must not read the generator from its end
+    @pytest.mark.parametrize("build,message", [
+        (lambda: DiffPoly.jet(0, 1, 0), "field index 0 is below 1"),
+        (lambda: DiffPoly.jet(-2, 1, 0), "field index -2 is below 1"),
+        (lambda: contract(gen_tau(2), VariationalForm({(((0, 0, 0),), ()): const(1)})),
+         "no generator component for field 0"),
+        (lambda: prolong(gen_tau(2), VariationalForm({(((0, 0, 0),), ()): const(1)})),
+         "no generator component for field 0"),
+        (lambda: EvolutionaryField(gen_tau(2)).on_jet((-1, 0, 0)),
+         "no generator component for field -1"),
+    ], ids=["0", "-2", "contract-delta-x0", "prolong-delta-x0", "on-jet-field--1"])
+    def test_jet_field_index_below_one_is_refused(self, build, message):
+        with pytest.raises(ChiraltorusError, match=f"^{message}$") as info:
+            build()
         assert info.value.exit_code == 1
 
     @pytest.mark.parametrize("i", [1.0, True, "1"])
@@ -433,7 +443,46 @@ class TestBicomplex:
             assert lhs.is_zero()
 
 
+def tower_oracle(component, a, b):
+    """D_sigma^b(D_tau^a F), every tau derivative taken first: the
+    reference for the memoised tower, which may take them in any order."""
+    for _ in range(a):
+        component = component.D("t")
+    for _ in range(b):
+        component = component.D("s")
+    return component
+
+
+def substitute_oracle(poly, mapping):
+    """substitute_jets as a per-monomial loop, each replacement derived
+    b times afresh."""
+    out = DiffPoly.zero()
+    for mono, coeff in poly.coeffs.items():
+        acc = DiffPoly({Monomial(mono.mode, mono.syms, ()): coeff})
+        for (i, a, b) in mono.jets:
+            acc = acc * (tower_oracle(mapping[(i, a)], 0, b) if (i, a) in mapping
+                         else jet(i, a, b))
+        out = out + acc
+    return out
+
+
 class TestProlong:
+    # the memoised tower relies on D_tau D_sigma = D_sigma D_tau exactly
+    @settings(max_examples=40, deadline=None)
+    @given(gen=st.lists(polynomials, min_size=1, max_size=3), data=st.data())
+    def test_images_match_the_tau_then_sigma_tower(self, gen, data):
+        field = EvolutionaryField(gen)
+        keys = data.draw(st.lists(st.tuples(
+            st.integers(1, len(gen)), st.integers(0, 3), st.integers(0, 3)), max_size=6))
+        for (i, a, b) in keys:
+            assert field.on_jet((i, a, b)) == tower_oracle(gen[i - 1], a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(poly=polynomials, mapping=st.dictionaries(
+        st.tuples(st.integers(1, 3), st.integers(0, 2)), polynomials, max_size=3))
+    def test_substitute_jets_matches_the_per_monomial_loop(self, poly, mapping):
+        assert substitute_jets(poly, mapping) == substitute_oracle(poly, mapping)
+
     def test_tau_translation_on_square(self):
         got = prolong(gen_tau(1), jet(1, 0, 1) ** 2)
         assert got == jet(1, 0, 1) * jet(1, 1, 1) * 2
