@@ -195,10 +195,14 @@ class BracketTable(Frozen):
         scale = S.coerce(scale)
         table = {}
         for key, val in (twist or {}).items():
+            if not isinstance(key, tuple) or len(key) != 3:
+                raise ChiraltorusError(f"twist key must be three indices, got {key!r}")
             i, j, k = (_integer(x, "twist index") for x in key)
             if not (0 < i < j < k):
                 raise ChiraltorusError("twist keys must be strictly increasing triples")
             poly = parse_expr(val) if isinstance(val, str) else val
+            if not isinstance(poly, DiffPoly):
+                raise ChiraltorusError(f"twist value must be a string or a DiffPoly, got {val!r}")
             for mono in poly.coeffs:
                 if any((a, b) != (0, 0) for (_, a, b) in mono.jets) or mono.syms or mono.mode:
                     raise ChiraltorusError("twist coefficients must be polynomials in bare x")
@@ -249,8 +253,8 @@ def _slot_partials(poly: DiffPoly):
     """{(i, kind): {m: d poly / d u^(m)}} over the jets u^(m) of poly,
     where u^(m) is d_sigma^m x^i for kind 0 and d_sigma^m p_i for kind 1."""
     out = {}
-    for (i, kind, m) in poly.jet_support():
-        out.setdefault((i, kind), {})[m] = poly.partial((i, kind, m))
+    for (i, kind, m), part in poly.partials().items():
+        out.setdefault((i, kind), {})[m] = part
     return out
 
 

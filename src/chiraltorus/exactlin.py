@@ -372,43 +372,43 @@ def _integer_rows(m) -> tuple:
             [im[i:i + n] for i in range(0, len(im), n)], D)
 
 
-def _bareiss(re, im, jordan=True):
-    """Fraction-free elimination (Bareiss) of the Gaussian-integer matrix
-    [M | R] with rows re[i] + im[i]*i, M square.
+def _bareiss(re, im):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of the
+    Gaussian-integer matrix [M | R] with rows re[i] + im[i]*i, M square.
 
     Column k pivots on the first unused row r that is nonzero there;
-    every other row (with jordan), or every unused one (without),
-    becomes (p * row - f * row_r) / q, p the pivot, f the row's entry in
-    column k and q the previous pivot (1 at first).  The division is
-    exact in Z[i], because every entry is a minor of the row-permuted
-    [M | R], and each row drops column k.  The last pivot q is
-    sign(order) det M, and with jordan row order[k] is left as q times
-    row k of M^{-1} R.  Returns (order, rows, q): order[k] the row that
-    pivoted on column k, rows what is left of each row; or None when a
-    column has no pivot, det M = 0.
-    """
+    every other row becomes (p * row - f * row_r) / q, p the pivot, f
+    the row's entry in column k and q the previous pivot (1 at first),
+    and drops column k.  The division is exact in Z[i]: every entry is a
+    minor of the row-permuted [M | R], pivot k the leading minor of size
+    k + 1 of M with its rows taken in order.  Returns (order, rows,
+    pivots): order[k] the row that pivoted on column k and pivots[k] its
+    pivot (re, im), both stopping at the first column without one, where
+    det M = 0; rows what is left of each row.  A full order leaves row
+    order[k] as q times row k of M^{-1} R, q = sign(order) det M the last
+    pivot."""
     rows = list(zip(re, im))
-    order = []
-    qr, qi = 1, 0
+    order, pivots, (qr, qi) = [], [], (1, 0)
     for _ in range(len(rows)):
         r = next((r for r, (a, b) in enumerate(rows) if r not in order and (a[0] or b[0])),
                  None)
         if r is None:
-            return None
+            break
         order.append(r)
         ar, ai = rows[r]
         pr, pi = ar[0], ai[0]
         ar, ai = rows[r] = ar[1:], ai[1:]
         norm = qr * qr + qi * qi
         for i, (br, bi) in enumerate(rows):
-            if i not in order or (jordan and i != r):
+            if i != r:
                 fr, fi = br[0], bi[0]
                 xs = [(pr * x - pi * y - fr * u + fi * v, pr * y + pi * x - fr * v - fi * u)
                       for x, y, u, v in zip(br[1:], bi[1:], ar, ai)]
                 rows[i] = ([(x * qr + y * qi) // norm for x, y in xs],
                            [(y * qr - x * qi) // norm for x, y in xs])
         qr, qi = pr, pi
-    return order, rows, (qr, qi)
+        pivots.append((qr, qi))
+    return order, rows, pivots
 
 
 S = ExactScalar
@@ -542,10 +542,8 @@ class RationalMatrix(Frozen):
         return _matrix(tuple(_dot(row, col) for col in cols)
                        for row in map(_over_common, self.entries))
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            return self.scale(other)
-        return NotImplemented
+    # a matrix on the left is handled by its own __mul__
+    __rmul__ = __mul__
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(
@@ -566,11 +564,11 @@ class RationalMatrix(Frozen):
         if self.rows != self.cols:
             raise DimensionMismatch("determinant of a non-square matrix")
         re, im, D = _integer_rows(self)
-        done = _bareiss(re, im, jordan=False)
-        if done is None:
+        order, _, pivots = _bareiss(re, im)
+        if len(order) < self.rows:
             return ZERO
-        order, _, (qr, qi) = done
         sign = signed_sort(order)[0]
+        qr, qi = pivots[-1]
         return _reduced(sign * qr, sign * qi, D ** self.rows)
 
     def inverse(self) -> "RationalMatrix":
@@ -583,12 +581,12 @@ class RationalMatrix(Frozen):
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
         re, im, D = _integer_rows(self)
-        done = _bareiss([row + [D if j == i else 0 for j in range(n)]
-                         for i, row in enumerate(re)],
-                        [row + [0] * n for row in im])
-        if done is None:
+        order, rows, pivots = _bareiss([row + [D if j == i else 0 for j in range(n)]
+                                        for i, row in enumerate(re)],
+                                       [row + [0] * n for row in im])
+        if len(order) < n:
             raise SingularMatrix("matrix has zero determinant")
-        order, rows, (qr, qi) = done
+        qr, qi = pivots[-1]
         norm = qr * qr + qi * qi
         # x/q = x conj(q) / |q|^2
         return _matrix(tuple(_reduced(x * qr + y * qi, y * qr - x * qi, norm)

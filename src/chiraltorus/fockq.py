@@ -41,7 +41,9 @@ from .exactlin import (
     PreconditionError,
     RationalMatrix,
     S,
+    _bareiss,
     _integer,
+    _integer_rows,
     _natural,
     _over_common,
     _reduced,
@@ -140,14 +142,16 @@ class UnitScalar(CoeffTable):
 # ----------------------------------------------------------------------
 
 def _check_positive_definite(g: RationalMatrix):
-    n = g.rows
+    """Sylvester's criterion from one elimination of D*g: while rows
+    0..k pivot in turn, pivot k is D^(k+1) times the leading minor of
+    size k + 1, and the first k where that fails names the minor."""
     if not all(x.is_rational() for row in g.entries for x in row):
         raise NotPositiveDefinite("metric must be real")
-    for k in range(1, n + 1):
-        minor = RationalMatrix([[g[(i, j)] for j in range(k)] for i in range(k)])
-        d = minor.det()
-        if not d.is_rational() or d.a <= 0:
-            raise NotPositiveDefinite(f"leading minor {k} is not positive")
+    re, im, _ = _integer_rows(g)
+    order, _, pivots = _bareiss(re, im)
+    for k in range(g.rows):
+        if order[k:k + 1] != [k] or pivots[k][0] <= 0:
+            raise NotPositiveDefinite(f"leading minor {k + 1} is not positive")
 
 
 class LatticeModel(Frozen):
@@ -286,9 +290,10 @@ class IntegerForm(Frozen):
 
     Column j carries u^e on the l block and u^-e on the l* block, e the
     model's unit exponent; the rows of a 2n x 2n matrix (a bilinear
-    form) carry the same powers, the rows of an n x 2n one none."""
+    form) carry the same powers, the rows of an n x 2n one none.  Each
+    row's own parts (power, re row, im row) are kept for apply."""
 
-    __slots__ = ("rows", "den", "parts")
+    __slots__ = ("_rows", "den", "parts")
 
     def __init__(self, model, matrix: RationalMatrix):
         e, n, rho = model.unit_exponent, model.n, model.u_square
@@ -311,14 +316,13 @@ class IntegerForm(Frozen):
             re = tuple(tuple(x.a * (den // x.d) for x in row) for row in grid)
             im = tuple(tuple(x.b * (den // x.d) for x in row) for row in grid)
             parts.append((p, re, im if any(map(any, im)) else None))
-        self._set(rows=matrix.rows, den=den, parts=tuple(parts))
+        self._set(den=den, parts=tuple(parts), _rows=tuple(
+            tuple((p, re[i], im and im[i]) for p, re, im in parts)
+            for i in range(matrix.rows)))
 
     def apply(self, x) -> tuple:
         """M x, one UnitScalar per row."""
-        return tuple(
-            _unit_at([(p, re[i], im and im[i]) for p, re, im in self.parts],
-                     x, self.den)
-            for i in range(self.rows))
+        return tuple(_unit_at(row, x, self.den) for row in self._rows)
 
     def times(self, x) -> tuple:
         """x^T M as integer parts, for at()."""
@@ -428,9 +432,6 @@ class Sector(Frozen):
 
     def key(self):
         return (self.l_coords, self.lstar_coords)
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __str__(self):
         return f"sector l={self.l_coords} l*={self.lstar_coords}"
@@ -979,13 +980,12 @@ def partition_function(model: LatticeModel, cutoff: int, order: int,
     over enumerated sectors and oscillator levels up to order, summed as
     ints at exponent numerators over D, the lcm of the weight denominators."""
     counts = colored_partition_counts(model.n, order)
-    weights = [(_q_exponent(s.h), _q_exponent(s.hbar))
-               for s in enumerate_sectors(model, cutoff)
-               if sector_filter is None or sector_filter(s)]
-    D = lcm(*(w.d for pair in weights for w in pair))
+    weights, _, D = _over_common([
+        w for s in enumerate_sectors(model, cutoff)
+        if sector_filter is None or sector_filter(s)
+        for w in (_q_exponent(s.h), _q_exponent(s.hbar))])
     sums = {}
-    for h, hbar in weights:
-        e, eb = h.a * (D // h.d), hbar.a * (D // hbar.d)
+    for e, eb in zip(weights[::2], weights[1::2]):
         for k in range(order + 1):
             for kb in range(order + 1):
                 key = (e + k * D, eb + kb * D)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from itertools import groupby
 from typing import NamedTuple
 
@@ -178,24 +178,22 @@ class DiffPoly(CoeffTable):
                 add_into(out, Monomial(mono.mode, mono.syms, tuple(sorted(jets))), coeff)
         return self._like(out)
 
-    def partial(self, key) -> "DiffPoly":
-        """Partial derivative with respect to the jet variable key=(i,a,b)."""
-        key = tuple(key)
+    def partials(self) -> dict:
+        """{key: d self / d key, never zero} over the jet variables key =
+        (i, a, b) of self, in sorted order, from one pass: taking one
+        factor key out of distinct monomials leaves distinct monomials."""
         out = {}
         for mono, coeff in self.coeffs.items():
-            mult = mono.jets.count(key)
-            if not mult:
-                continue
-            jets = list(mono.jets)
-            jets.remove(key)
-            add_into(out, Monomial(mono.mode, mono.syms, tuple(jets)), coeff * S(mult))
-        return self._like(out)
+            jets = mono.jets
+            for key in set(jets):
+                k = jets.index(key)
+                rest = Monomial(mono.mode, mono.syms, jets[:k] + jets[k + 1:])
+                out.setdefault(key, {})[rest] = coeff * S(jets.count(key))
+        return {key: self._like(out[key]) for key in sorted(out)}
 
-    def jet_support(self):
-        keys = set()
-        for mono in self.coeffs:
-            keys.update(mono.jets)
-        return sorted(keys)
+    def partial(self, key) -> "DiffPoly":
+        """Partial derivative with respect to the jet variable key=(i,a,b)."""
+        return self.partials().get(tuple(key)) or DiffPoly()
 
     def max_jet_order(self) -> int:
         return max((a + b for mono in self.coeffs for (_, a, b) in mono.jets), default=0)
@@ -213,17 +211,15 @@ def substitute_jets(poly: DiffPoly, mapping) -> DiffPoly:
 
     Used for changes of generators like p_j -> p_j + alpha_{ji} d_sigma x^i.
     """
-    @cache
-    def image(i, a, b):
-        if (i, a) not in mapping:
-            return DiffPoly.jet(i, a, b)
-        return image(i, a, b - 1).D("s") if b else mapping[(i, a)]
-
+    towers = {slot: [image] for slot, image in mapping.items()}  # D_sigma^b at b
     out = DiffPoly()
     for mono, coeff in poly.coeffs.items():
         acc = DiffPoly({Monomial(mono.mode, mono.syms, ()): coeff})
-        for key in mono.jets:
-            acc = acc * image(*key)
+        for i, a, b in mono.jets:
+            tower = towers.get((i, a))
+            while tower is not None and len(tower) <= b:
+                tower.append(tower[-1].D("s"))
+            acc = acc * (DiffPoly.jet(i, a, b) if tower is None else tower[b])
         out = out + acc
     return out
 
@@ -461,7 +457,8 @@ class VariationalForm(CoeffTable):
 
     def _entry(self, key, poly):
         vkeys, hkeys = key
-        vkeys = tuple(tuple(k) for k in vkeys)
+        vkeys = tuple((_integer(i, "field index"), _natural(a, "jet order"),
+                       _natural(b, "jet order")) for i, a, b in vkeys)
         hkeys = tuple(hkeys)
         if hkeys not in _H_KEYS:
             raise ChiraltorusError(f"bad horizontal factor {hkeys!r}")
@@ -497,8 +494,8 @@ class VariationalForm(CoeffTable):
         """delta = sum_J delta u_J ^ d/du_J, the new factor wedged leftmost."""
         items = []
         for (vkeys, hkeys), poly in self.coeffs.items():
-            for key in poly.jet_support():
-                items.append((((key,) + vkeys, hkeys), poly.partial(key)))
+            for key, part in poly.partials().items():
+                items.append((((key,) + vkeys, hkeys), part))
         return VariationalForm(items)
 
     def _terms(self):
@@ -514,8 +511,8 @@ class EvolutionaryField(Frozen):
     """The prolongation x-hat of a generator (F_1, ..., F_n):
     x-hat(d^a_tau d^b_sigma x^i) = D_tau^a D_sigma^b F_i.
 
-    Total derivatives commute, so each image is one D_tau or D_sigma of
-    a shorter one, kept in _images once computed."""
+    Total derivatives commute, so each image is climbed to in a loop,
+    by D_sigma from F_i and then by D_tau, each step kept in _images."""
 
     __slots__ = ("components", "_images")
     _fields = ("components",)
@@ -530,18 +527,17 @@ class EvolutionaryField(Frozen):
             i, a, b = key
             if not 1 <= i <= len(self.components):
                 raise ChiraltorusError(f"no generator component for field {i}")
-            if a:
-                image = self.on_jet((i, a - 1, b)).D("t")
-            elif b:
-                image = self.on_jet((i, 0, b - 1)).D("s")
-            else:
-                image = self.components[i - 1]
-            self._images[key] = image
+            image = self.components[i - 1]
+            path = ([((i, 0, s), "s") for s in range(1, b + 1)]
+                    + [((i, t, b), "t") for t in range(1, a + 1)])
+            for step, d in path:
+                if step not in self._images:
+                    self._images[step] = image.D(d)
+                image = self._images[step]
         return image
 
     def apply_poly(self, poly: DiffPoly) -> DiffPoly:
-        # a partial along a jet in the support is never zero
-        return sum((poly.partial(key) * self.on_jet(key) for key in poly.jet_support()),
+        return sum((part * self.on_jet(key) for key, part in poly.partials().items()),
                    DiffPoly.zero())
 
 
@@ -558,11 +554,10 @@ def prolong(generator, target):
     for (vkeys, hkeys), poly in target.coeffs.items():
         items.append(((vkeys, hkeys), field.apply_poly(poly)))
         for k, key in enumerate(vkeys):
-            w = field.on_jet(key)
-            for new_key in w.jet_support():
+            for new_key, part in field.on_jet(key).partials().items():
                 newv = list(vkeys)
                 newv[k] = new_key
-                items.append(((newv, hkeys), poly * w.partial(new_key)))
+                items.append(((newv, hkeys), poly * part))
     return VariationalForm(items)
 
 
@@ -631,26 +626,26 @@ class Lagrangian(Frozen):
         return None
 
 
+def _first_order_partials(L: Lagrangian) -> list:
+    """[(dl/dx^i, dl/d(u_tau^i), dl/d(u_sigma^i)) for i = 1..n], read off
+    one partials() pass."""
+    d = L.density.partials()
+    return [tuple(d.get((i, a, b), DiffPoly.zero()) for a, b in ((0, 0), (1, 0), (0, 1)))
+            for i in range(1, L.n + 1)]
+
+
 def euler_lagrange(L: Lagrangian):
     """E_i = dl/dx^i - D_tau dl/d(u_tau^i) - D_sigma dl/d(u_sigma^i)."""
-    out = []
-    for i in range(1, L.n + 1):
-        e = (
-            L.density.partial((i, 0, 0))
-            - L.density.partial((i, 1, 0)).D("t")
-            - L.density.partial((i, 0, 1)).D("s")
-        )
-        out.append(e)
-    return out
+    return [x - t.D("t") - s.D("s") for x, t, s in _first_order_partials(L)]
 
 
 def variational_one_form(L: Lagrangian) -> VariationalForm:
     """gamma = sum_i dl/d(u_tau^i) delta x^i ^ dsigma
                  - dl/d(u_sigma^i) delta x^i ^ dtau."""
     items = []
-    for i in range(1, L.n + 1):
-        items.append(((((i, 0, 0),), ("s",)), L.density.partial((i, 1, 0))))
-        items.append(((((i, 0, 0),), ("t",)), -L.density.partial((i, 0, 1))))
+    for i, (_, t, s) in enumerate(_first_order_partials(L), 1):
+        items.append(((((i, 0, 0),), ("s",)), t))
+        items.append(((((i, 0, 0),), ("t",)), -s))
     return VariationalForm(items)
 
 

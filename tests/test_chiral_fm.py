@@ -428,6 +428,30 @@ class TestClassValues:
         assert repr(CdoIsoClass.zero(2)) == "CdoIsoClass(n=2, lam=0, nu=0)"
         assert repr(TdoIsoClass.zero(1)) == "TdoIsoClass(c=[0], omega=0)"
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: CdoIsoClass(2, AltTensor(2, 2), AltTensor(2, 2, valdim=2)),
+         "lambda must be a scalar 3-tensor on g"),
+        (lambda: CdoIsoClass(2, AltTensor(3, 2), AltTensor(2, 2)),
+         "nu must be a 2-tensor on g valued in dim n"),
+        (lambda: CdoMorphism(AltTensor(3, 3)), "morphism data must be a scalar 2-tensor"),
+        (lambda: TdoIsoClass(RationalMatrix([[1, 2]]), AltTensor(2, 2)), "c must be square"),
+        (lambda: TdoIsoClass(RationalMatrix.identity(2), AltTensor(2, 3)),
+         "omega must be a scalar 2-tensor of matching dim"),
+        (lambda: NondegClass(RationalMatrix([[1, 2]])), "mu must be square"),
+        (lambda: vertex_algebroid_pairing(AltTensor(2, 3), 1, 2), "pairing requires a 3-tensor"),
+        (lambda: fm_cdo(NondegClass(RationalMatrix.identity(2)), CdoIsoClass.zero(3)),
+         "mu and class dimensions differ"),
+        (lambda: fm_cdo_morphism(NondegClass(RationalMatrix.identity(2)),
+                                 CdoMorphism.identity(3)),
+         "mu and morphism dimensions differ"),
+        (lambda: fm_tdo(NondegClass(RationalMatrix.identity(2)), TdoIsoClass.zero(3)),
+         "mu and class dimensions differ"),
+    ], ids=["cdo-lambda", "cdo-nu", "morphism", "tdo-c", "tdo-omega", "nondeg-mu",
+            "pairing", "fm-cdo", "fm-cdo-morphism", "fm-tdo"])
+    def test_shapes_that_do_not_fit_are_refused(self, build, message):
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            build()
+
     def test_equality_needs_the_same_type(self):
         assert CdoMorphism.identity(2) != AltTensor(2, 2)
         assert NondegClass(RationalMatrix.identity(2)) != RationalMatrix.identity(2)

@@ -4,6 +4,7 @@ and the twisted Jacobi probe."""
 
 import operator
 import random
+import re
 from functools import reduce
 
 import pytest
@@ -158,6 +159,19 @@ class TestBracketTable:
         with pytest.raises(ValueError):
             BracketTable(twist={(1, 2, 3): "p1"})
 
+    @pytest.mark.parametrize("twist,message", [
+        ({(1, 2, 3): 5}, "twist value must be a string or a DiffPoly, got 5"),
+        ({(1, 2, 3): None}, "twist value must be a string or a DiffPoly, got None"),
+        ({(1, 2, 3): ["x4"]}, "twist value must be a string or a DiffPoly, got ['x4']"),
+        ({(1, 2): "x4"}, "twist key must be three indices, got (1, 2)"),
+        ({(1, 2, 3, 4): "x4"}, "twist key must be three indices, got (1, 2, 3, 4)"),
+        ({5: "x4"}, "twist key must be three indices, got 5"),
+    ], ids=["value-int", "value-None", "value-list", "key-2", "key-4", "key-int"])
+    def test_twist_entry_of_the_wrong_type_is_refused(self, twist, message):
+        with pytest.raises(ChiraltorusError, match=f"^{re.escape(message)}$") as info:
+            BracketTable(twist=twist)
+        assert info.value.exit_code == 1
+
 
 # ----------------------------------------------------------------------
 # density brackets
@@ -230,7 +244,7 @@ class TestDensityBracket:
             density_bracket(P("dt.dt.x1"), P("x1"), TABLE)
         with pytest.raises(NotADensity):
             density_bracket(P("f*x1"), P("x1"), TABLE)
-        LocalDensity("phi*p1")  # circle symbols are fine
+        assert str(LocalDensity("phi*p1")) == "phi*p1"  # circle symbols are fine
 
 
 # ----------------------------------------------------------------------
@@ -354,6 +368,10 @@ class TestNormalForm:
         z = a + a.scale(-1)
         assert z.is_zero()
         assert (-a) == a.scale(-1)
+        assert (a - "e(1)*x1").is_zero()
+        # ds.x1*x2 is -x1*ds.x2 modulo total derivatives
+        assert str(a - "2*ds.x1*x2") == "[2*x1*ds.x2 + e(1)*x1]"
+        assert str(FourierClass.zero()) == "[0]"
 
 
 class TestFourierBracket:
@@ -640,6 +658,9 @@ class TestBShift:
         assert b_shift(P("p1"), self.ALPHA) == P("p1 + 1/2*ds.x2")
         assert b_shift(P("ds.p2"), self.ALPHA) == P("ds.p2 - 1/2*ds.ds.x1")
         assert b_shift(P("x1*p1"), self.ALPHA) == P("x1*p1 + 1/2*x1*ds.x2")
+        # a sigma tower climbed in a loop, not one call frame per derivative
+        deep = P("ds." * 900 + "p1")
+        assert b_shift(deep, [[0]]) == deep
 
     def test_antisymmetric_shift_preserves_generator_brackets(self):
         for i in (1, 2):

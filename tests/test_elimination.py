@@ -25,10 +25,14 @@ from chiraltorus.exactlin import (
     AltTensor,
     ExactScalar,
     RationalMatrix,
+    NotPositiveDefinite,
     SingularMatrix,
+    _bareiss,
+    _integer_rows,
     alt_pullback,
     compositions,
 )
+from chiraltorus.fockq import _check_positive_definite
 from chiraltorus.jetcalc import DiffPoly, Monomial, _image_basis, enumerate_monomials
 
 from peel_oracle import _solve_in_span
@@ -108,6 +112,16 @@ def ref_inverse(m: RationalMatrix) -> RationalMatrix:
             f = a[r][col]
             a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return RationalMatrix([row[n:] for row in a])
+
+
+def ref_check_positive_definite(g: RationalMatrix):
+    """Sylvester's criterion with a fresh determinant per leading minor."""
+    if not all(x.is_rational() for row in g.entries for x in row):
+        raise NotPositiveDefinite("metric must be real")
+    for k in range(1, g.rows + 1):
+        d = ref_det(RationalMatrix([[g[(i, j)] for j in range(k)] for i in range(k)]))
+        if not d.is_rational() or d.a <= 0:
+            raise NotPositiveDefinite(f"leading minor {k} is not positive")
 
 
 def ref_matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -259,6 +273,36 @@ def square_matrices(draw, max_n=5):
 
 
 @st.composite
+def singular_at_column(draw, max_n=5):
+    """(k, M): column k of M a combination of columns 0..k-1 (zero for
+    k = 0), so that elimination finds no pivot there at the latest."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(0, n - 1))
+    cols = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    cols[k] = combination(draw, cols[:k]) if k else [ZERO] * n
+    return k, RationalMatrix([list(r) for r in zip(*cols)])
+
+
+@st.composite
+def symmetric_metrics(draw, max_n=4):
+    """L D L^T for L unit lower triangular and D diagonal, whose leading
+    minor of size k is d_1 ... d_k: zero, negative and positive minors
+    at any size; or a symmetric matrix with free entries."""
+    n = draw(st.integers(1, max_n))
+    if draw(st.booleans()):
+        rows = [[ZERO] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                rows[i][j] = rows[j][i] = ExactScalar(draw(small))
+        return RationalMatrix(rows)
+    d = [ExactScalar(draw(st.sampled_from([1, 2, "1/3", 0, -1]))) for _ in range(n)]
+    low = [[ONE if i == j else ExactScalar(draw(small)) if j < i else ZERO
+            for j in range(n)] for i in range(n)]
+    return RationalMatrix([[sum((low[i][m] * d[m] * low[j][m] for m in range(n)), ZERO)
+                            for j in range(n)] for i in range(n)])
+
+
+@st.composite
 def product_pairs(draw, max_n=4):
     """(A, B) with A p x q and B q x r, shapes drawn independently."""
     p, q, r = (draw(st.integers(1, max_n)) for _ in range(3))
@@ -348,6 +392,28 @@ class TestMatrixRoutines:
         got = m.inverse()
         assert got == want
         assert ref_matmul(m, got) == RationalMatrix.identity(m.rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=singular_at_column())
+    def test_singular_at_each_column(self, case):
+        k, m = case
+        re, im, _ = _integer_rows(m)
+        order, _, pivots = _bareiss(re, im)
+        assert len(order) == len(pivots) <= k
+        assert m.det() == ref_det(m) == ZERO
+        with pytest.raises(SingularMatrix, match="^matrix has zero determinant$"):
+            m.inverse()
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=symmetric_metrics())
+    def test_sylvester_from_one_elimination(self, g):
+        try:
+            ref_check_positive_definite(g)
+        except NotPositiveDefinite as want:
+            with pytest.raises(NotPositiveDefinite, match=f"^{want}$"):
+                _check_positive_definite(g)
+            return
+        _check_positive_definite(g)
 
     @settings(max_examples=150, deadline=None)
     @given(m=square_matrices())

@@ -285,6 +285,7 @@ class TestExactScalarAgainstReference:
         assert x.sort_key() == rx.pair()
         assert (x.sort_key() < y.sort_key()) == (rx.pair() < ry.pair())
         assert x.is_zero() == (rx.pair() == (0, 0))
+        assert bool(x) == (rx.pair() != (0, 0))
         assert x.is_rational() == (rx.im == 0)
 
     @settings(max_examples=200, deadline=None)

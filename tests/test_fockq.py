@@ -321,6 +321,9 @@ class TestSector:
         # (l - l*)/2 and -(l + l*)/2 with l = 2u, l* = 3/u
         assert plus == u_poly({1: 1, -1: "-3/2"})
         assert minus == u_poly({1: -1, -1: "-3/2"})
+        assert str(s) == "sector l=(2,) l*=(3,)"
+        # equal sectors hash alike, through Frozen's hash of the value
+        assert s == Sector(m, [2], [3]) and hash(s) == hash(Sector(m, [2], [3]))
 
     def test_formal_weights(self):
         m = one_dim_model()
@@ -881,6 +884,12 @@ class TestCharacters:
         b = QSeries({0: 1, 1: 1, 2: 1, 3: 1}, 3)
         c = QSeries({0: 1, 1: -1}, 3)
         assert (a * b) * c == a * (b * c)
+        # a sum keeps the smaller cap, and so does a product with zero
+        total = a + b
+        assert total == QSeries({"-1/2": 1, 0: 1, "1/2": 2, 1: 1, 2: 1}, 3)
+        assert total.cap == Fraction(5, 2)
+        empty = a * QSeries({}, 3)
+        assert empty.is_zero() and empty.cap == Fraction(5, 2)
 
     def test_exponents_follow_the_literal_rule(self):
         assert QSeries({"1/2": 1, 1: 2}, "3/2") == QSeries({Fraction(1, 2): 1, 1: 2}, Fraction(3, 2))

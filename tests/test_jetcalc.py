@@ -190,6 +190,19 @@ class TestRingAndPartials:
             build()
         assert info.value.exit_code == 1
 
+    # a delta-factor key follows DiffPoly.jet's integer rule; a field
+    # index of 0 or below is left to on_jet
+    @pytest.mark.parametrize("vkey,message", [
+        ((1, -1, 0), "jet order must be nonnegative, got -1"),
+        ((1, 0, -2), "jet order must be nonnegative, got -2"),
+        ((1.5, 0, 0), "field index must be an integer, got 1.5"),
+        ((1, True, 0), "jet order must be an integer, got True"),
+    ], ids=["tau-order--1", "sigma-order--2", "field-1.5", "order-True"])
+    def test_delta_factor_key_is_refused(self, vkey, message):
+        with pytest.raises(ChiraltorusError, match=f"^{re.escape(message)}$") as info:
+            VariationalForm({((vkey,), ()): const(1)})
+        assert info.value.exit_code == 1
+
     @pytest.mark.parametrize("i", [1.0, True, "1"])
     def test_jet_field_index_must_be_an_int(self, i):
         with pytest.raises(ChiraltorusError, match="^field index must be an integer, got "):
@@ -208,6 +221,8 @@ class TestRingAndPartials:
         assert substitute_jets(jet(1, 1, 0) ** 2, mapping) == shift * shift
         assert substitute_jets(jet(1, 1, 3), mapping) == shift.D("s").D("s").D("s")
         assert substitute_jets(jet(2, 1, 0), mapping) == jet(2, 1, 0)
+        # a tower climbed in a loop, not one call frame per derivative
+        assert substitute_jets(jet(1, 1, 900), {(1, 1): jet(2, 0, 0)}) == jet(2, 0, 900)
 
 
 # a Gaussian-rational coefficient times up to four factors: jets
@@ -226,6 +241,44 @@ monomials = st.builds(
     coefficients, st.lists(atoms, max_size=4),
 )
 polynomials = st.lists(monomials, max_size=4).map(lambda ms: sum(ms, DiffPoly.zero()))
+# few jets and up to five factors, so that a jet often repeats in a monomial
+crowded_monomials = st.builds(
+    lambda c, fs: reduce(operator.mul, fs, const(c)),
+    coefficients, st.lists(st.one_of(
+        st.builds(jet, st.integers(1, 2), st.integers(0, 1), st.integers(0, 1)),
+        st.builds(trig, st.integers(-2, 2)),
+        st.builds(sym, st.sampled_from(["f", "phi"]), st.integers(0, 1)),
+    ), max_size=5),
+)
+crowded_polynomials = st.lists(crowded_monomials, max_size=5).map(
+    lambda ms: sum(ms, DiffPoly.zero()))
+
+
+def partial_scan(poly, key):
+    """d poly / d key by one scan of the monomials for that key alone:
+    the reference for the one-pass partials()."""
+    out = DiffPoly.zero()
+    for mono, coeff in poly.coeffs.items():
+        mult = mono.jets.count(key)
+        if mult:
+            jets = list(mono.jets)
+            jets.remove(key)
+            out = out + DiffPoly({Monomial(mono.mode, mono.syms, tuple(jets)): coeff * mult})
+    return out
+
+
+class TestPartials:
+    @settings(max_examples=150, deadline=None)
+    @given(poly=st.one_of(polynomials, crowded_polynomials))
+    def test_one_pass_matches_the_scan_per_key(self, poly):
+        support = sorted({key for mono in poly.coeffs for key in mono.jets})
+        parts = poly.partials()
+        assert list(parts) == support
+        for key, part in parts.items():
+            assert part == partial_scan(poly, key)
+            assert not part.is_zero()
+            assert poly.partial(key) == part
+        assert poly.partial((4, 0, 0)) == DiffPoly.zero()
 
 
 class TestParserPrinter:
@@ -486,6 +539,8 @@ class TestProlong:
     def test_tau_translation_on_square(self):
         got = prolong(gen_tau(1), jet(1, 0, 1) ** 2)
         assert got == jet(1, 0, 1) * jet(1, 1, 1) * 2
+        # a tower climbed in a loop, not one call frame per derivative
+        assert prolong(gen_tau(1), jet(1, 1200, 0)) == jet(1, 1201, 0)
 
     def test_target_translation_kills_bare_free(self):
         L = boson_circle_lagrangian()
