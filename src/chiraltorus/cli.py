@@ -342,9 +342,7 @@ def _label(s) -> str:
 
 def run_spectrum(cfg: argparse.Namespace) -> str:
     model = _model_from(cfg)
-    p_plus, p_minus = model.tables.p_plus, model.tables.p_minus
-    points = [(s, p_plus.apply(s.coords), p_minus.apply(s.coords))
-              for s in enumerate_sectors(model, cfg.cutoff)]
+    points = [(s, s.p_plus, s.p_minus) for s in enumerate_sectors(model, cfg.cutoff)]
     if cfg.format == "csv":
         return dump_csv(["l", "lstar", "p_plus", "p_minus"], (
             [_join(s.l_coords, " "), _join(s.lstar_coords, " "),

@@ -402,20 +402,22 @@ class Sector(Frozen):
     a_plus = -l* + B(l) + g(l) and a_minus = -l* + B(l) - g(l), where
     B(l) is the covector l^T B.  Conformal weights are the measured
     zero-mode eigenvalues h = -1/4 g^{-1}(a, a) of the implemented
-    Virasoro normalization.  The sector holds its integer coordinates;
-    each quantity is read from the model's SectorTables when first asked
-    for.
+    Virasoro normalization.  The sector holds only its integer
+    coordinates; each quantity, the momenta p_pm included, is a view
+    that applies the model's SectorTables to them on every read.
     """
 
-    __slots__ = ("model", "l_coords", "lstar_coords", "coords", "__dict__")
+    __slots__ = ("model", "l_coords", "lstar_coords", "coords")
     _fields = ("model", "l_coords", "lstar_coords")
 
-    l = cached_property(lambda s: s.model.tables.l.apply(s.coords))
-    lstar = cached_property(lambda s: s.model.tables.lstar.apply(s.coords))
-    a_plus = cached_property(lambda s: s.model.tables.a_plus.apply(s.coords))
-    a_minus = cached_property(lambda s: s.model.tables.a_minus.apply(s.coords))
-    h = cached_property(lambda s: s.model.tables.h_plus.half_square(s.coords))
-    hbar = cached_property(lambda s: s.model.tables.h_minus.half_square(s.coords))
+    l = property(lambda s: s.model.tables.l.apply(s.coords))
+    lstar = property(lambda s: s.model.tables.lstar.apply(s.coords))
+    a_plus = property(lambda s: s.model.tables.a_plus.apply(s.coords))
+    a_minus = property(lambda s: s.model.tables.a_minus.apply(s.coords))
+    p_plus = property(lambda s: s.model.tables.p_plus.apply(s.coords))
+    p_minus = property(lambda s: s.model.tables.p_minus.apply(s.coords))
+    h = property(lambda s: s.model.tables.h_plus.half_square(s.coords))
+    hbar = property(lambda s: s.model.tables.h_minus.half_square(s.coords))
 
     def __init__(self, model: LatticeModel, l_coords, lstar_coords):
         l_coords = tuple(_as_integer_coords(l_coords, model.n))
@@ -461,9 +463,8 @@ def spectrum_point(model: LatticeModel, l_coords, lstar_coords):
     """Joint zero-mode spectrum of a sector: the vector pair
     (1/2(g^{-1}(l* - B(l)) - l), 1/2(g^{-1}(l* - B(l)) + l)), equal to
     (-1/2 g^{-1} a_plus, -1/2 g^{-1} a_minus)."""
-    x = Sector(model, l_coords, lstar_coords).coords
-    tables = model.tables
-    return (tables.p_plus.apply(x), tables.p_minus.apply(x))
+    s = Sector(model, l_coords, lstar_coords)
+    return (s.p_plus, s.p_minus)
 
 
 def vertex_exponents(s1: Sector, s2: Sector):

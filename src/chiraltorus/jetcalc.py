@@ -456,7 +456,13 @@ class VariationalForm(CoeffTable):
     __slots__ = ()
 
     def _entry(self, key, poly):
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise ChiraltorusError(
+                f"form key must be a pair (delta factors, horizontal factor), got {key!r}")
         vkeys, hkeys = key
+        for k in vkeys:
+            if not (isinstance(k, tuple) and len(k) == 3):
+                raise ChiraltorusError(f"delta-factor key must be three indices, got {k!r}")
         vkeys = tuple((_integer(i, "field index"), _natural(a, "jet order"),
                        _natural(b, "jet order")) for i, a, b in vkeys)
         hkeys = tuple(hkeys)
@@ -507,38 +513,19 @@ class VariationalForm(CoeffTable):
             yield f"({poly_str(self.coeffs[(vkeys, hkeys)])}) {label}".strip()
 
 
-class EvolutionaryField(Frozen):
-    """The prolongation x-hat of a generator (F_1, ..., F_n):
-    x-hat(d^a_tau d^b_sigma x^i) = D_tau^a D_sigma^b F_i.
-
-    Total derivatives commute, so each image is climbed to in a loop,
-    by D_sigma from F_i and then by D_tau, each step kept in _images."""
-
-    __slots__ = ("components", "_images")
-    _fields = ("components",)
-
-    def __init__(self, components):
-        self._set(components=tuple(c if isinstance(c, DiffPoly) else DiffPoly.const(c)
-                                   for c in components), _images={})
-
-    def on_jet(self, key) -> DiffPoly:
-        image = self._images.get(key)
-        if image is None:
-            i, a, b = key
-            if not 1 <= i <= len(self.components):
-                raise ChiraltorusError(f"no generator component for field {i}")
-            image = self.components[i - 1]
-            path = ([((i, 0, s), "s") for s in range(1, b + 1)]
-                    + [((i, t, b), "t") for t in range(1, a + 1)])
-            for step, d in path:
-                if step not in self._images:
-                    self._images[step] = image.D(d)
-                image = self._images[step]
-        return image
-
-    def apply_poly(self, poly: DiffPoly) -> DiffPoly:
-        return sum((part * self.on_jet(key) for key, part in poly.partials().items()),
-                   DiffPoly.zero())
+def _jet_image(generator, key) -> DiffPoly:
+    """x-hat(d^a_tau d^b_sigma x^i) = D_tau^a D_sigma^b F_i for the
+    generator (F_1, ..., F_n), climbed in a loop: D_sigma b times from
+    F_i, then D_tau a times (total derivatives commute)."""
+    i, a, b = key
+    if not 1 <= i <= len(generator):
+        raise ChiraltorusError(f"no generator component for field {i}")
+    image = generator[i - 1]
+    if not isinstance(image, DiffPoly):
+        image = DiffPoly.const(image)
+    for d in "s" * b + "t" * a:
+        image = image.D(d)
+    return image
 
 
 def prolong(generator, target):
@@ -547,14 +534,17 @@ def prolong(generator, target):
     On a DiffPoly this is the derivation x-hat; on a VariationalForm it
     also pushes through the vertical factors via delta(x-hat u_J).
     """
-    field = EvolutionaryField(generator)
     if isinstance(target, DiffPoly):
-        return field.apply_poly(target)
+        return sum((part * _jet_image(generator, key) for key, part in target.partials().items()),
+                   DiffPoly.zero())
+    if not isinstance(target, VariationalForm):
+        raise TypeError(f"cannot prolong a {type(target).__name__}: "
+                        "expected DiffPoly or VariationalForm")
     items = []
     for (vkeys, hkeys), poly in target.coeffs.items():
-        items.append(((vkeys, hkeys), field.apply_poly(poly)))
+        items.append(((vkeys, hkeys), prolong(generator, poly)))
         for k, key in enumerate(vkeys):
-            for new_key, part in field.on_jet(key).partials().items():
+            for new_key, part in _jet_image(generator, key).partials().items():
                 newv = list(vkeys)
                 newv[k] = new_key
                 items.append(((newv, hkeys), poly * part))
@@ -563,13 +553,14 @@ def prolong(generator, target):
 
 def contract(generator, form: VariationalForm) -> VariationalForm:
     """Interior product iota_{x-hat}: odd derivation, delta u_J |-> x-hat(u_J)."""
-    field = EvolutionaryField(generator)
+    if not isinstance(form, VariationalForm):
+        raise TypeError(f"cannot contract a {type(form).__name__}: expected VariationalForm")
     items = []
     for (vkeys, hkeys), poly in form.coeffs.items():
         for k, key in enumerate(vkeys):
             rest = vkeys[:k] + vkeys[k + 1:]
             sgn = ONE if k % 2 == 0 else S(-1)
-            items.append(((rest, hkeys), (poly * field.on_jet(key)).scale(sgn)))
+            items.append(((rest, hkeys), (poly * _jet_image(generator, key)).scale(sgn)))
     return VariationalForm(items)
 
 
@@ -796,7 +787,7 @@ def noether(L: Lagrangian, generator) -> VariationalForm:
     sends to zero once the peel is exact, so a failed certificate is a
     library bug and raises InvariantError.
     """
-    q = EvolutionaryField(generator).apply_poly(L.density)
+    q = prolong(generator, L.density)
     P, Q = _solve_total_derivative(q)
     check = Q.D("t") - P.D("s")
     if not (check - q).is_zero():

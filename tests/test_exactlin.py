@@ -40,11 +40,9 @@ from chiraltorus.fockq import (
 )
 from chiraltorus.jetcalc import (
     DiffPoly,
-    EvolutionaryField,
     Monomial,
     VariationalForm,
     boson_circle_lagrangian,
-    gen_tau,
     parse_expr,
 )
 
@@ -642,14 +640,13 @@ FROZEN_CASES = {
     "VariationalForm": (
         lambda: VariationalForm({((), ("t", "s")): parse_expr("x1")}), "coeffs"),
     "Lagrangian": (lambda: boson_circle_lagrangian(), "density"),
-    "EvolutionaryField": (lambda: EvolutionaryField(gen_tau(1)), "components"),
     "LocalDensity": (lambda: LocalDensity("p1"), "poly"),
     "FourierClass": (lambda: FourierClass("p1"), "rep"),
     "DeltaExpansion": (lambda: DeltaExpansion({0: parse_expr("p1")}), "coeffs"),
     "BracketTable": (lambda: BracketTable(), "twist"),
     "UnitScalar": (lambda: UnitScalar.unit(1), "coeffs"),
     "LatticeModel": (lambda: one_dim_model(), "g"),
-    "Sector": (lambda: one_dim_model().sector([1], [0]), "h"),
+    "Sector": (lambda: one_dim_model().sector([1], [0]), "coords"),
     "SectorTables": (lambda: one_dim_model().tables, "model"),
     "IntegerForm": (lambda: one_dim_model().tables.a_plus, "parts"),
     "SparseOp": (lambda: SparseOp.identity(2), "table"),

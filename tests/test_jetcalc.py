@@ -19,7 +19,6 @@ from chiraltorus.exactlin import ChiraltorusError, ExactScalar, InvariantError
 from chiraltorus.jetcalc import (
     MAX_EXPONENT,
     DiffPoly,
-    EvolutionaryField,
     Lagrangian,
     Monomial,
     NonLinearEL,
@@ -182,25 +181,30 @@ class TestRingAndPartials:
          "no generator component for field 0"),
         (lambda: prolong(gen_tau(2), VariationalForm({(((0, 0, 0),), ()): const(1)})),
          "no generator component for field 0"),
-        (lambda: EvolutionaryField(gen_tau(2)).on_jet((-1, 0, 0)),
+        (lambda: contract(gen_tau(2), VariationalForm({(((-1, 0, 0),), ()): const(1)})),
          "no generator component for field -1"),
-    ], ids=["0", "-2", "contract-delta-x0", "prolong-delta-x0", "on-jet-field--1"])
+    ], ids=["0", "-2", "contract-delta-x0", "prolong-delta-x0", "contract-delta-x-1"])
     def test_jet_field_index_below_one_is_refused(self, build, message):
         with pytest.raises(ChiraltorusError, match=f"^{message}$") as info:
             build()
         assert info.value.exit_code == 1
 
-    # a delta-factor key follows DiffPoly.jet's integer rule; a field
-    # index of 0 or below is left to on_jet
-    @pytest.mark.parametrize("vkey,message", [
-        ((1, -1, 0), "jet order must be nonnegative, got -1"),
-        ((1, 0, -2), "jet order must be nonnegative, got -2"),
-        ((1.5, 0, 0), "field index must be an integer, got 1.5"),
-        ((1, True, 0), "jet order must be an integer, got True"),
-    ], ids=["tau-order--1", "sigma-order--2", "field-1.5", "order-True"])
-    def test_delta_factor_key_is_refused(self, vkey, message):
+    # a form key is a pair and each delta-factor key three indices
+    # following DiffPoly.jet's integer rule; a field index of 0 or below
+    # is refused when a generator is applied
+    @pytest.mark.parametrize("key,message", [
+        ((((1, -1, 0),), ()), "jet order must be nonnegative, got -1"),
+        ((((1, 0, -2),), ()), "jet order must be nonnegative, got -2"),
+        ((((1.5, 0, 0),), ()), "field index must be an integer, got 1.5"),
+        ((((1, True, 0),), ()), "jet order must be an integer, got True"),
+        ((((1, 0),), ()), "delta-factor key must be three indices, got (1, 0)"),
+        ((((1, 0, 0, 0),), ()), "delta-factor key must be three indices, got (1, 0, 0, 0)"),
+        (5, "form key must be a pair (delta factors, horizontal factor), got 5"),
+    ], ids=["tau-order--1", "sigma-order--2", "field-1.5", "order-True",
+            "two-indices", "four-indices", "not-a-pair"])
+    def test_delta_factor_key_is_refused(self, key, message):
         with pytest.raises(ChiraltorusError, match=f"^{re.escape(message)}$") as info:
-            VariationalForm({((vkey,), ()): const(1)})
+            VariationalForm({key: const(1)})
         assert info.value.exit_code == 1
 
     @pytest.mark.parametrize("i", [1.0, True, "1"])
@@ -498,7 +502,7 @@ class TestBicomplex:
 
 def tower_oracle(component, a, b):
     """D_sigma^b(D_tau^a F), every tau derivative taken first: the
-    reference for the memoised tower, which may take them in any order."""
+    reference for prolong's tower, which takes the sigma ones first."""
     for _ in range(a):
         component = component.D("t")
     for _ in range(b):
@@ -520,15 +524,15 @@ def substitute_oracle(poly, mapping):
 
 
 class TestProlong:
-    # the memoised tower relies on D_tau D_sigma = D_sigma D_tau exactly
+    # prolong climbs D_sigma before D_tau, which relies on
+    # D_tau D_sigma = D_sigma D_tau exactly
     @settings(max_examples=40, deadline=None)
     @given(gen=st.lists(polynomials, min_size=1, max_size=3), data=st.data())
     def test_images_match_the_tau_then_sigma_tower(self, gen, data):
-        field = EvolutionaryField(gen)
         keys = data.draw(st.lists(st.tuples(
             st.integers(1, len(gen)), st.integers(0, 3), st.integers(0, 3)), max_size=6))
         for (i, a, b) in keys:
-            assert field.on_jet((i, a, b)) == tower_oracle(gen[i - 1], a, b)
+            assert prolong(gen, jet(i, a, b)) == tower_oracle(gen[i - 1], a, b)
 
     @settings(max_examples=40, deadline=None)
     @given(poly=polynomials, mapping=st.dictionaries(
@@ -575,11 +579,20 @@ class TestProlong:
     def test_commutes_with_total_derivatives(self):
         rng = random.Random(32)
         gen = [jet(1, 1, 0) * jet(1, 0, 0), sym("f") * dz_jet(2)]
-        field = EvolutionaryField(gen)
         for _ in range(6):
             p = rand_poly(rng)
             for c in ("t", "s"):
-                assert field.apply_poly(p.D(c)) == field.apply_poly(p).D(c)
+                assert prolong(gen, p.D(c)) == prolong(gen, p).D(c)
+
+    @pytest.mark.parametrize("apply,message", [
+        (lambda: prolong(gen_tau(1), "x1"),
+         "cannot prolong a str: expected DiffPoly or VariationalForm"),
+        (lambda: contract(gen_tau(1), jet(1, 0, 0)),
+         "cannot contract a DiffPoly: expected VariationalForm"),
+    ], ids=["prolong-str", "contract-DiffPoly"])
+    def test_target_of_the_wrong_type_is_a_type_error(self, apply, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            apply()
 
 
 class TestNoether:

@@ -237,6 +237,9 @@ class TestSectorViews:
         want = ref_spectrum_point(model, lc, sc)
         for g, w in zip(got, want):
             same(g, w)
+        s = model.sector(lc, sc)
+        same(s.p_plus, got[0])
+        same(s.p_minus, got[1])
 
     @settings(max_examples=150, deadline=None)
     @given(model_and_coords(count=2))
@@ -247,9 +250,11 @@ class TestSectorViews:
         for g, w in zip(got, want):
             same(g, w)
 
-    def test_views_are_computed_once(self):
+    def test_views_hold_no_cache(self):
         s = one_dim_model().sector([1], [2])
-        assert s.h is s.h and s.a_plus is s.a_plus
+        assert not hasattr(s, "__dict__")
+        for name in ("l", "lstar", "a_plus", "a_minus", "p_plus", "p_minus", "h", "hbar"):
+            assert getattr(s, name) == getattr(s, name)
 
 
 class TestLocalityAndChiral:
