@@ -407,7 +407,7 @@ def run_locality(cfg: argparse.Namespace) -> str:
         rows = _locality_rows(model, cfg.cutoff, " ", _LOCALITY_CSV)
         return "l1,lstar1,l2,lstar2,hol,antihol,difference,integral\n" + "".join(rows)
     # the certificate decides every pair of the (2c+1)^{2n}-sector box
-    model.tables.certify_locality()
+    model.certify_locality()
     return dump_text([
         f"cutoff: {cfg.cutoff}",
         f"pairs checked: {(2 * cfg.cutoff + 1) ** (4 * model.n)}",

@@ -108,12 +108,17 @@ def normal_form(density) -> DiffPoly:
     """Canonical representative modulo im(D_sigma) on the sigma-jet ring:
     in each content block, the remainder with no pivot monomial.  The
     tau-order is a generator label there, so only sigma- and symbol
-    orders count as weight."""
+    orders count as weight.  A row D_sigma(m) leads at weight(m) + 1 and
+    D_sigma is injective on the block (above weight 0 with no trig mode),
+    so no row from the target's top weight pivots at or below it; with
+    no trig mode a row is homogeneous, so weight w needs weight w - 1."""
     poly = as_density(density)
     out = {}
     for content, target in _blocks(poly, "s"):
-        top = max(block_weight(m, "s") for m in target)
-        _, basis = _image_basis(content, tuple(range(top + 1)), "s", True)
+        weights = {block_weight(m, "s") for m in target}
+        layers = (range(max(max(weights), 1)) if content[0]
+                  else sorted(w - 1 for w in weights if w))
+        _, basis = _image_basis(content, tuple(layers), "s", True)
         out.update(reduce_row(target, basis))
     return poly._like(out)
 

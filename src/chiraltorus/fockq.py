@@ -9,7 +9,7 @@ at all, the generic case) keeps every computation in exact arithmetic.
 
 Sectors are labeled by (l, l*) in L + L*, with weight covectors
 a_pm = -l* + B(l) +- g(l); every sector quantity is an integer form in
-the coordinates, tabulated once per model (SectorTables).  Fock
+the coordinates, built once per model and kept on the model.  Fock
 truncations realize the mode algebra [alpha^i_m, alpha^j_n] =
 -1/2 g^{ij} m delta_{m,-n} on colored partitions up to a level cutoff,
 with Virasoro operators normalized by the commutation constraint
@@ -155,7 +155,12 @@ def _check_positive_definite(g: RationalMatrix):
 
 
 class LatticeModel(Frozen):
-    """Torus data (n, g, B, L) with the derived dual lattice."""
+    """Torus data (n, g, B, L) with the derived dual lattice, and each
+    sector quantity as an integer form in the coordinates x = (l, l*),
+    built on first use: with P_pm = (B^T +- g) L, the weight covectors
+    are a_pm = A_pm x for A_pm = [P_pm u^e | -L* u^{-e}], the momenta
+    p_pm = M_pm x for M_pm = -1/2 g^{-1} A_pm, and H_pm = A_pm^T M_pm
+    gives the branch exponents x1^T H_pm x2 and weights 1/2 x^T H_pm x."""
 
     __slots__ = ("n", "g", "B", "Lbasis", "LstarBasis", "g_inv",
                  "unit_exponent", "u_square", "__dict__")
@@ -195,8 +200,32 @@ class LatticeModel(Frozen):
             u_square=u_square,
         )
 
-    # the SectorTables, built on first use
-    tables = cached_property(lambda m: SectorTables(m))
+    # (A_pm, M_pm, H_pm) without their powers of u, and the forms built from them
+    plus_matrices = cached_property(lambda m: _weight_matrices(m, 1))
+    minus_matrices = cached_property(lambda m: _weight_matrices(m, -1))
+    l_form = cached_property(lambda m: IntegerForm(m, _hstack(
+        m.Lbasis, RationalMatrix.zeros(m.n, m.n))))
+    lstar_form = cached_property(lambda m: IntegerForm(m, _hstack(
+        RationalMatrix.zeros(m.n, m.n), m.LstarBasis)))
+    a_plus_form = cached_property(lambda m: IntegerForm(m, m.plus_matrices[0]))
+    a_minus_form = cached_property(lambda m: IntegerForm(m, m.minus_matrices[0]))
+    p_plus_form = cached_property(lambda m: IntegerForm(m, m.plus_matrices[1]))
+    p_minus_form = cached_property(lambda m: IntegerForm(m, m.minus_matrices[1]))
+    h_plus_form = cached_property(lambda m: IntegerForm(m, m.plus_matrices[2]))
+    h_minus_form = cached_property(lambda m: IntegerForm(m, m.minus_matrices[2]))
+
+    def certify_locality(self):
+        """Check once per model that H_+ - H_- is the hyperbolic form
+        [[0, I], [I, 0]], whose nonzero blocks carry no power of u, so that
+        every hol - antihol = x1^T (H_+ - H_-) x2 is the integer <l1, l2*> +
+        <l1*, l2>; raise InvariantError if not, and remember only a pass.
+        It holds whenever B = -B^T and L* = L^{-T} (Narain's lattice)."""
+        if "locality_certified" not in self.__dict__:
+            rows = RationalMatrix.identity(2 * self.n).entries
+            hyperbolic = RationalMatrix(rows[self.n:] + rows[:self.n])
+            if self.plus_matrices[2] - self.minus_matrices[2] != hyperbolic:
+                raise InvariantError("H_+ - H_- is not the hyperbolic form")
+            self._set(locality_certified=True)
 
     def canon(self, x: UnitScalar) -> UnitScalar:
         """Fold u^2 to its declared rational value, if any."""
@@ -262,7 +291,7 @@ def load_model(data) -> LatticeModel:
 
 
 # ----------------------------------------------------------------------
-# sector tables
+# integer forms in the sector coordinates
 # ----------------------------------------------------------------------
 
 _UNIT = UnitScalar()
@@ -342,54 +371,11 @@ def _hstack(left: RationalMatrix, right: RationalMatrix) -> RationalMatrix:
     return RationalMatrix([a + b for a, b in zip(left.entries, right.entries)])
 
 
-class SectorTables(Frozen):
-    """Every sector quantity of a model as an integer form in the
-    coordinates x = (l, l*) in Z^{2n}, each form built on first use.
-
-    With P_pm = (B^T +- g) L, the weight covectors are a_pm = A_pm x for
-    A_pm = [P_pm u^e | -L* u^{-e}], the momenta p_pm = -1/2 g^{-1} a_pm,
-    and H_pm = -1/2 A_pm^T g^{-1} A_pm gives the branch exponents
-    x1^T H_pm x2 and the weights 1/2 x^T H_pm x.
-    """
-
-    __slots__ = ("model", "_raw", "__dict__")
-
-    def __init__(self, model: LatticeModel):
-        self._set(model=model, _raw={})
-
-    def _matrices(self, sign) -> tuple:
-        """(A_pm, H_pm) without their powers of u, built once per sign."""
-        if sign not in self._raw:
-            m = self.model
-            a = _hstack((m.B.transpose() + m.g.scale(sign)) * m.Lbasis, -m.LstarBasis)
-            self._raw[sign] = a, a.transpose() * (m.g_inv * a) * MINUS_HALF
-        return self._raw[sign]
-
-    def certify_locality(self):
-        """Check once per model that H_+ - H_- is the hyperbolic form
-        [[0, I], [I, 0]], whose nonzero blocks carry no power of u, so that
-        every hol - antihol = x1^T (H_+ - H_-) x2 is the integer <l1, l2*> +
-        <l1*, l2>; raise InvariantError if not.  It holds whenever
-        B = -B^T and L* = L^{-T} (Narain's lattice)."""
-        if "certified" not in self._raw:
-            rows = RationalMatrix.identity(2 * self.model.n).entries
-            hyperbolic = RationalMatrix(rows[self.model.n:] + rows[:self.model.n])
-            if self._matrices(1)[1] - self._matrices(-1)[1] != hyperbolic:
-                raise InvariantError("H_+ - H_- is not the hyperbolic form")
-            self._raw["certified"] = True
-
-    l = cached_property(lambda t: IntegerForm(t.model, _hstack(
-        t.model.Lbasis, RationalMatrix.zeros(t.model.n, t.model.n))))
-    lstar = cached_property(lambda t: IntegerForm(t.model, _hstack(
-        RationalMatrix.zeros(t.model.n, t.model.n), t.model.LstarBasis)))
-    a_plus = cached_property(lambda t: IntegerForm(t.model, t._matrices(1)[0]))
-    a_minus = cached_property(lambda t: IntegerForm(t.model, t._matrices(-1)[0]))
-    p_plus = cached_property(lambda t: IntegerForm(
-        t.model, t.model.g_inv * t._matrices(1)[0] * MINUS_HALF))
-    p_minus = cached_property(lambda t: IntegerForm(
-        t.model, t.model.g_inv * t._matrices(-1)[0] * MINUS_HALF))
-    h_plus = cached_property(lambda t: IntegerForm(t.model, t._matrices(1)[1]))
-    h_minus = cached_property(lambda t: IntegerForm(t.model, t._matrices(-1)[1]))
+def _weight_matrices(m: LatticeModel, sign) -> tuple:
+    """(A_pm, M_pm, H_pm) for sign = +-1, without their powers of u."""
+    a = _hstack((m.B.transpose() + m.g.scale(sign)) * m.Lbasis, -m.LstarBasis)
+    p = m.g_inv * a * MINUS_HALF
+    return a, p, a.transpose() * p
 
 
 # ----------------------------------------------------------------------
@@ -404,20 +390,20 @@ class Sector(Frozen):
     zero-mode eigenvalues h = -1/4 g^{-1}(a, a) of the implemented
     Virasoro normalization.  The sector holds only its integer
     coordinates; each quantity, the momenta p_pm included, is a view
-    that applies the model's SectorTables to them on every read.
+    that applies the model's integer form of it on every read.
     """
 
     __slots__ = ("model", "l_coords", "lstar_coords", "coords")
     _fields = ("model", "l_coords", "lstar_coords")
 
-    l = property(lambda s: s.model.tables.l.apply(s.coords))
-    lstar = property(lambda s: s.model.tables.lstar.apply(s.coords))
-    a_plus = property(lambda s: s.model.tables.a_plus.apply(s.coords))
-    a_minus = property(lambda s: s.model.tables.a_minus.apply(s.coords))
-    p_plus = property(lambda s: s.model.tables.p_plus.apply(s.coords))
-    p_minus = property(lambda s: s.model.tables.p_minus.apply(s.coords))
-    h = property(lambda s: s.model.tables.h_plus.half_square(s.coords))
-    hbar = property(lambda s: s.model.tables.h_minus.half_square(s.coords))
+    l = property(lambda s: s.model.l_form.apply(s.coords))
+    lstar = property(lambda s: s.model.lstar_form.apply(s.coords))
+    a_plus = property(lambda s: s.model.a_plus_form.apply(s.coords))
+    a_minus = property(lambda s: s.model.a_minus_form.apply(s.coords))
+    p_plus = property(lambda s: s.model.p_plus_form.apply(s.coords))
+    p_minus = property(lambda s: s.model.p_minus_form.apply(s.coords))
+    h = property(lambda s: s.model.h_plus_form.half_square(s.coords))
+    hbar = property(lambda s: s.model.h_minus_form.half_square(s.coords))
 
     def __init__(self, model: LatticeModel, l_coords, lstar_coords):
         l_coords = tuple(_as_integer_coords(l_coords, model.n))
@@ -470,14 +456,14 @@ def spectrum_point(model: LatticeModel, l_coords, lstar_coords):
 def vertex_exponents(s1: Sector, s2: Sector):
     """Branch exponents of the product of two sector vertex operators:
     hol = -1/2 g^{-1}(a1+, a2+), antihol = -1/2 g^{-1}(a1-, a2-).
-    The model's locality certificate (SectorTables.certify_locality)
+    The model's locality certificate (LatticeModel.certify_locality)
     runs first, so their difference is the integer <l1*, l2> + <l2*, l1>."""
-    if s1.model != s2.model:
+    model = s1.model
+    if model != s2.model:
         raise ModelMismatch("sectors from different models")
-    tables = s1.model.tables
-    tables.certify_locality()
+    model.certify_locality()
     return tuple(h.at(h.times(s1.coords), s2.coords)
-                 for h in (tables.h_plus, tables.h_minus))
+                 for h in (model.h_plus_form, model.h_minus_form))
 
 
 def locality_pairs(model: LatticeModel, cutoff: int):
@@ -485,9 +471,8 @@ def locality_pairs(model: LatticeModel, cutoff: int):
     exponents, as (s1, s2, hol, antihol, hol - antihol).  The locality
     certificate runs first, so the difference is the int pairing
     <l1, l2*> + <l1*, l2>; hol and antihol are one dot product each."""
-    tables = model.tables
-    tables.certify_locality()
-    h_plus, h_minus = tables.h_plus, tables.h_minus
+    model.certify_locality()
+    h_plus, h_minus = model.h_plus_form, model.h_minus_form
     sectors = enumerate_sectors(model, cutoff)
     for s1 in sectors:
         x = s1.coords

@@ -89,6 +89,13 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     )
 
 
+def _jet_key(i, a, b) -> tuple:
+    """The key (i, a, b) of dtau^a dsigma^b x^i: ints, field index i >= 1."""
+    if _integer(i, "field index") < 1:
+        raise ChiraltorusError(f"field index {i} is below 1")
+    return i, _natural(a, "jet order"), _natural(b, "jet order")
+
+
 # the largest exponent a DiffPoly power takes, "^" of the expression
 # grammar included; a larger one is refused before any multiplication
 MAX_EXPONENT = 64
@@ -119,10 +126,7 @@ class DiffPoly(CoeffTable):
 
     @staticmethod
     def jet(i: int, a: int, b: int) -> "DiffPoly":
-        if _integer(i, "field index") < 1:
-            raise ChiraltorusError(f"field index {i} is below 1")
-        key = (i, _natural(a, "jet order"), _natural(b, "jet order"))
-        return DiffPoly({Monomial(0, (), (key,)): ONE})
+        return DiffPoly({Monomial(0, (), (_jet_key(i, a, b),)): ONE})
 
     @staticmethod
     def symbol(name: str, order: int = 0) -> "DiffPoly":
@@ -460,12 +464,12 @@ class VariationalForm(CoeffTable):
             raise ChiraltorusError(
                 f"form key must be a pair (delta factors, horizontal factor), got {key!r}")
         vkeys, hkeys = key
+        if not isinstance(vkeys, (tuple, list)):
+            raise ChiraltorusError(f"delta factors must be a tuple of keys, got {vkeys!r}")
         for k in vkeys:
             if not (isinstance(k, tuple) and len(k) == 3):
                 raise ChiraltorusError(f"delta-factor key must be three indices, got {k!r}")
-        vkeys = tuple((_integer(i, "field index"), _natural(a, "jet order"),
-                       _natural(b, "jet order")) for i, a, b in vkeys)
-        hkeys = tuple(hkeys)
+        vkeys = tuple(_jet_key(*k) for k in vkeys)
         if hkeys not in _H_KEYS:
             raise ChiraltorusError(f"bad horizontal factor {hkeys!r}")
         sign, canon = signed_sort(vkeys)
@@ -696,7 +700,8 @@ def _blocks(poly: DiffPoly, dirs: str):
 
 
 # bounded: normal forms of random densities meet many blocks, each basis
-# holding up to hundreds of monomials
+# holding up to hundreds of monomials; each caller asks only for the
+# weights whose rows can pivot on its target's terms
 @lru_cache(maxsize=256)
 def _image_basis(content, weights, dirs, bare):
     """(candidates, echelon basis of their total-derivative images),

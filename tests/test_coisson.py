@@ -14,8 +14,12 @@ from hypothesis import strategies as st
 from chiraltorus import coisson
 from chiraltorus.exactlin import ChiraltorusError, DimensionMismatch, NotAntisymmetric
 from chiraltorus.exactlin import ExactScalar as S
+from chiraltorus.exactlin import reduce_row
 from chiraltorus.jetcalc import (
     DiffPoly,
+    _blocks,
+    _image_basis,
+    block_weight,
     boson_circle_lagrangian,
     gen_tau,
     noether,
@@ -328,6 +332,29 @@ class TestAgainstSlotCalculus:
 # ----------------------------------------------------------------------
 # normal forms and Fourier classes
 # ----------------------------------------------------------------------
+
+def every_layer_normal_form(density) -> DiffPoly:
+    """normal_form with each block's basis built over every weight from 0
+    to the target's top, where normal_form builds only the layers its
+    reduction can pivot on."""
+    poly = coisson.as_density(density)
+    out = {}
+    for content, target in _blocks(poly, "s"):
+        top = max(block_weight(m, "s") for m in target)
+        _, basis = _image_basis(content, tuple(range(top + 1)), "s", True)
+        out.update(reduce_row(target, basis))
+    return poly._like(out)
+
+
+# the densities fourier_bracket normalizes, on every twist, and a density
+# of its own: trig modes, phi/psi and jets of every order the strategy draws
+@pytest.mark.parametrize("name", sorted(ORACLE_TABLES))
+@settings(max_examples=50, deadline=None)
+@given(a=densities(2, 2), b=densities(2, 2), c=densities())
+def test_normal_form_equals_the_every_layer_reduction(name, a, b, c):
+    for density in (coisson._pairing(a, b, ORACLE_TABLES[name]), c):
+        assert normal_form(density) == every_layer_normal_form(density)
+
 
 class TestNormalForm:
     def test_total_derivatives_die(self):

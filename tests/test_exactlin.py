@@ -647,8 +647,7 @@ FROZEN_CASES = {
     "UnitScalar": (lambda: UnitScalar.unit(1), "coeffs"),
     "LatticeModel": (lambda: one_dim_model(), "g"),
     "Sector": (lambda: one_dim_model().sector([1], [0]), "coords"),
-    "SectorTables": (lambda: one_dim_model().tables, "model"),
-    "IntegerForm": (lambda: one_dim_model().tables.a_plus, "parts"),
+    "IntegerForm": (lambda: one_dim_model().a_plus_form, "parts"),
     "SparseOp": (lambda: SparseOp.identity(2), "table"),
     "FockTruncation": (_fock, "basis"),
     "TwoSidedFock": (lambda: TwoSidedFock(_fock(), _fock()), "plus"),

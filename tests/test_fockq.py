@@ -222,9 +222,15 @@ class TestModelBuild:
                         [["0", "1"], ["1", "0"]], RationalMatrix.identity(2))
 
     def test_singular_lattice(self):
-        with pytest.raises(SingularLattice):
+        with pytest.raises(SingularLattice, match="^lattice generators are dependent$"):
             build_model(2, RationalMatrix.identity(2), ZERO2,
                         [["1", "2"], ["2", "4"]])
+
+    # the basis is checked before the unit square
+    @pytest.mark.parametrize("unit_exponent", [1, -1])
+    def test_singular_basis_wins_over_a_zero_unit_square(self, unit_exponent):
+        with pytest.raises(SingularLattice, match="^lattice generators are dependent$"):
+            LatticeModel(1, [[1]], [[0]], [[0]], unit_exponent=unit_exponent, u_square=0)
 
     def test_self_dual_circle_pairing(self):
         m = one_dim_model(1)

@@ -178,20 +178,20 @@ class TestRingAndPartials:
         (lambda: DiffPoly.jet(0, 1, 0), "field index 0 is below 1"),
         (lambda: DiffPoly.jet(-2, 1, 0), "field index -2 is below 1"),
         (lambda: contract(gen_tau(2), VariationalForm({(((0, 0, 0),), ()): const(1)})),
-         "no generator component for field 0"),
+         "field index 0 is below 1"),
         (lambda: prolong(gen_tau(2), VariationalForm({(((0, 0, 0),), ()): const(1)})),
-         "no generator component for field 0"),
+         "field index 0 is below 1"),
         (lambda: contract(gen_tau(2), VariationalForm({(((-1, 0, 0),), ()): const(1)})),
-         "no generator component for field -1"),
+         "field index -1 is below 1"),
     ], ids=["0", "-2", "contract-delta-x0", "prolong-delta-x0", "contract-delta-x-1"])
     def test_jet_field_index_below_one_is_refused(self, build, message):
         with pytest.raises(ChiraltorusError, match=f"^{message}$") as info:
             build()
         assert info.value.exit_code == 1
 
-    # a form key is a pair and each delta-factor key three indices
-    # following DiffPoly.jet's integer rule; a field index of 0 or below
-    # is refused when a generator is applied
+    # a form key is a pair of a sequence of delta factors and one of the
+    # four horizontal factors, and each delta-factor key three indices
+    # under DiffPoly.jet's rule, a field index of 0 or below included
     @pytest.mark.parametrize("key,message", [
         ((((1, -1, 0),), ()), "jet order must be nonnegative, got -1"),
         ((((1, 0, -2),), ()), "jet order must be nonnegative, got -2"),
@@ -200,8 +200,14 @@ class TestRingAndPartials:
         ((((1, 0),), ()), "delta-factor key must be three indices, got (1, 0)"),
         ((((1, 0, 0, 0),), ()), "delta-factor key must be three indices, got (1, 0, 0, 0)"),
         (5, "form key must be a pair (delta factors, horizontal factor), got 5"),
+        ((5, ()), "delta factors must be a tuple of keys, got 5"),
+        (((), 5), "bad horizontal factor 5"),
+        (((), "ts"), "bad horizontal factor 'ts'"),
+        ((((0, 0, 0),), ()), "field index 0 is below 1"),
+        ((((-3, 1, 0),), ("t",)), "field index -3 is below 1"),
     ], ids=["tau-order--1", "sigma-order--2", "field-1.5", "order-True",
-            "two-indices", "four-indices", "not-a-pair"])
+            "two-indices", "four-indices", "not-a-pair", "delta-factors-5",
+            "horizontal-5", "horizontal-str", "field-0", "field--3"])
     def test_delta_factor_key_is_refused(self, key, message):
         with pytest.raises(ChiraltorusError, match=f"^{re.escape(message)}$") as info:
             VariationalForm({key: const(1)})
@@ -593,6 +599,14 @@ class TestProlong:
     def test_target_of_the_wrong_type_is_a_type_error(self, apply, message):
         with pytest.raises(TypeError, match=f"^{message}$"):
             apply()
+
+    # a field index of 0 or below is refused when the form is built, one
+    # past the generator's components when the generator is applied
+    @pytest.mark.parametrize("apply", [contract, prolong])
+    def test_delta_factor_past_the_generator_is_refused(self, apply):
+        form = VariationalForm({(((3, 0, 0),), ()): const(1)})
+        with pytest.raises(ChiraltorusError, match="^no generator component for field 3$"):
+            apply(gen_tau(2), form)
 
 
 class TestNoether:

@@ -23,6 +23,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import partition_oracle
+from chiraltorus import fockq
 from chiraltorus.chiral_fm import fm_linear
 from chiraltorus.cli import dump_csv, main
 from chiraltorus.exactlin import ExactScalar, InvariantError, RationalMatrix
@@ -304,21 +305,24 @@ class TestLocalityAndChiral:
     @settings(max_examples=100, deadline=None)
     @given(models())
     def test_certificate_and_streamed_difference(self, model):
-        tables = model.tables
         n2 = 2 * model.n
         hyperbolic = RationalMatrix([[int(abs(i - j) == model.n) for j in range(n2)]
                                      for i in range(n2)])
-        assert tables._matrices(1)[1] - tables._matrices(-1)[1] == hyperbolic
+        assert model.plus_matrices[2] - model.minus_matrices[2] == hyperbolic
         # the first 800 pairs of the cutoff-1 box: all 81 for n = 1
         for s1, s2, hol, antihol, diff in islice(locality_pairs(model, 1), 800):
             assert type(diff) is int
             assert hol - antihol == UnitScalar.coerce(diff)
 
+    @staticmethod
+    def _corrupted(model):
+        """The model with its cached H_- doubled, as a bad fold would leave it."""
+        a_minus, p_minus, h_minus = model.minus_matrices
+        model.__dict__["minus_matrices"] = a_minus, p_minus, h_minus.scale(2)
+        return model
+
     def test_corrupted_exponent_form_is_an_invariant_error(self):
-        model = CHIRAL_MODELS["n2_b_basis"]()
-        tables = model.tables
-        a_minus, h_minus = tables._matrices(-1)
-        tables._raw[-1] = a_minus, h_minus.scale(2)
+        model = self._corrupted(CHIRAL_MODELS["n2_b_basis"]())
         with pytest.raises(InvariantError, match="hyperbolic form"):
             ko_locality(model, 0)
         with pytest.raises(InvariantError):
@@ -327,6 +331,19 @@ class TestLocalityAndChiral:
         with pytest.raises(InvariantError):
             vertex_exponents(s, s)
         assert InvariantError.exit_code == 3
+
+    def test_a_failed_certificate_is_not_remembered(self):
+        model = self._corrupted(CHIRAL_MODELS["n2_b_basis"]())
+        for _ in range(2):
+            with pytest.raises(InvariantError, match="hyperbolic form"):
+                model.certify_locality()
+            assert "locality_certified" not in model.__dict__
+        # mended, the same model passes, and the pass is remembered
+        del model.__dict__["minus_matrices"]
+        assert ko_locality(model, 0)["all_integral"] is True
+        assert model.__dict__["locality_certified"] is True
+        model.__dict__["minus_matrices"] = None
+        model.certify_locality()
 
     @settings(max_examples=40, deadline=None)
     @given(models())
@@ -425,18 +442,28 @@ class TestLaziness:
         m = one_dim_model(Fraction(1, 2))
         t_dual(m)
         FockTruncation(m, [0], 2)
-        assert "tables" not in m.__dict__
+        assert m.__dict__ == {}
 
     def test_tables_build_one_form_at_a_time(self):
         m = one_dim_model(1)
         m.sector([1], [1]).h
-        assert set(m.tables.__dict__) == {"h_plus"}
+        assert set(m.__dict__) == {"plus_matrices", "h_plus_form"}
 
-    def test_weight_and_exponent_matrices_built_once_per_sign(self):
-        tables = CHIRAL_MODELS["n2_b_basis"]().tables
-        first = tables._matrices(1)
-        tables.a_plus, tables.p_plus, tables.h_plus
-        assert tables._matrices(1) is first
-        assert set(tables._raw) == {1}
-        tables.certify_locality()
-        assert set(tables._raw) == {1, -1, "certified"}
+    def test_weight_and_exponent_matrices_built_once_per_sign(self, monkeypatch):
+        built = []
+        real = fockq._weight_matrices
+        monkeypatch.setattr(fockq, "_weight_matrices",
+                            lambda m, sign: built.append(sign) or real(m, sign))
+        model = CHIRAL_MODELS["n2_b_basis"]()
+        first = model.plus_matrices
+        model.a_plus_form, model.p_plus_form, model.h_plus_form
+        assert model.plus_matrices is first
+        assert built == [1]
+        model.certify_locality()
+        model.certify_locality()
+        s = model.sector([1, 0], [0, 1])
+        s.a_minus, s.p_minus, s.hbar, vertex_exponents(s, s)
+        assert built == [1, -1]
+        assert set(model.__dict__) == {
+            "plus_matrices", "minus_matrices", "locality_certified", "a_plus_form",
+            "p_plus_form", "h_plus_form", "a_minus_form", "p_minus_form", "h_minus_form"}
