@@ -55,7 +55,7 @@ from .fockq import (
     colored_partition_counts,
     enumerate_sectors,
     load_model,
-    locality_pairs,
+    locality_rows,
     one_dim_model,
     partition_function,
     t_dual,
@@ -391,10 +391,9 @@ _LOCALITY_CSV = "{0},{1},{2},{3},{4},{5},{6},yes\n"
 
 def _locality_rows(model, cutoff, sep, row):
     """The row template filled for every locality pair, each sector's cells joined once."""
-    cells = {s.coords: (_join(s.l_coords, sep), _join(s.lstar_coords, sep))
-             for s in enumerate_sectors(model, cutoff)}
-    return [row.format(*cells[s1.coords], *cells[s2.coords], hol, antihol, diff)
-            for s1, s2, hol, antihol, diff in locality_pairs(model, cutoff)]
+    return [row.format(*c1, *c2, hol, antihol, diff)
+            for c1, c2, hol, antihol, diff in locality_rows(
+                model, cutoff, lambda s: (_join(s.l_coords, sep), _join(s.lstar_coords, sep)))]
 
 
 def run_locality(cfg: argparse.Namespace) -> str:

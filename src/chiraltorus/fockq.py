@@ -362,6 +362,12 @@ class IntegerForm(Frozen):
         """x^T M y from row = times(x)."""
         return _unit_at(row, y, self.den)
 
+    def text(self, row, y, seen) -> str:
+        """str(at(row, y)), keyed in seen by its integer sums, one (re, im)
+        per power of u: equal sums print equal text, so each prints once."""
+        key = tuple([(sum(map(mul, re, y)), im and sum(map(mul, im, y))) for _, re, im in row])
+        return seen.get(key) or seen.setdefault(key, str(_unit_at(row, y, self.den)))
+
     def half_square(self, x) -> UnitScalar:
         """1/2 x^T M x."""
         return _unit_at(self.times(x), x, 2 * self.den)
@@ -484,16 +490,32 @@ def locality_pairs(model: LatticeModel, cutoff: int):
                    sum(map(mul, swapped, y)))
 
 
+def locality_rows(model: LatticeModel, cutoff: int, cells):
+    """locality_pairs as reports print them, from one walk of the box:
+    (cells(s1), cells(s2), hol, antihol, diff), hol and antihol as text
+    printed once per distinct value in this call (IntegerForm.text)."""
+    model.certify_locality()
+    box = [(s.coords, s.lstar_coords + s.l_coords, cells(s))
+           for s in enumerate_sectors(model, cutoff)]
+    h_plus, h_minus, plus, minus = model.h_plus_form, model.h_minus_form, {}, {}
+    for x, swapped, c1 in box:
+        r_plus, r_minus = h_plus.times(x), h_minus.times(x)
+        for y, _, c2 in box:
+            yield (c1, c2, h_plus.text(r_plus, y, plus), h_minus.text(r_minus, y, minus),
+                   sum(map(mul, swapped, y)))
+
+
 def ko_locality(model: LatticeModel, cutoff: int):
-    """Exponent table over all sector pairs within the cutoff; every
-    hol - antihol is integral (a single-valued correlator branch) by the
-    locality certificate that locality_pairs runs first."""
+    """Exponent table over all sector pairs within the cutoff, read from
+    locality_rows; every hol - antihol is integral (a single-valued
+    correlator branch) by the locality certificate that runs first."""
     rows = [{
-        "l1": list(s1.l_coords), "lstar1": list(s1.lstar_coords),
-        "l2": list(s2.l_coords), "lstar2": list(s2.lstar_coords),
-        "hol": str(hol), "antihol": str(antihol),
+        "l1": list(l1), "lstar1": list(lstar1),
+        "l2": list(l2), "lstar2": list(lstar2),
+        "hol": hol, "antihol": antihol,
         "difference": str(diff), "integral": True,
-    } for s1, s2, hol, antihol, diff in locality_pairs(model, cutoff)]
+    } for (l1, lstar1), (l2, lstar2), hol, antihol, diff in locality_rows(
+        model, cutoff, Sector.key)]
     return {"cutoff": cutoff, "all_integral": True, "pairs": rows}
 
 
@@ -964,7 +986,9 @@ def partition_function(model: LatticeModel, cutoff: int, order: int,
                        sector_filter=None) -> BiSeries:
     """Sum of q^{h+k} qbar^{hbar+kbar} with colored-partition multiplicities,
     over enumerated sectors and oscillator levels up to order, summed as
-    ints at exponent numerators over D, the lcm of the weight denominators."""
+    ints at exponent numerators over D, the lcm of the weight denominators;
+    built in the order of those int keys, over D > 0 that of the exponent
+    pairs, so each rendering's sort finds its keys already in order."""
     counts = colored_partition_counts(model.n, order)
     weights, _, D = _over_common([
         w for s in enumerate_sectors(model, cutoff)
@@ -977,4 +1001,4 @@ def partition_function(model: LatticeModel, cutoff: int, order: int,
                 key = (e + k * D, eb + kb * D)
                 sums[key] = sums.get(key, 0) + counts[k] * counts[kb]
     return BiSeries()._like({(Fraction(e, D), Fraction(eb, D)): S(c)
-                             for (e, eb), c in sums.items()})
+                             for (e, eb), c in sorted(sums.items())})

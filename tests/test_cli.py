@@ -539,9 +539,14 @@ class TestChiralCharacter:
 
 class TestLatticeGoldens:
     """Byte-exact output of every lattice subcommand on an n = 2 model
-    with B and a non-identity basis, and on the circle with u = 1/2."""
+    with B and a non-identity basis, and on the circle with u = 1/2.
+    Two locality reports pin exponents with every part a printed value
+    can carry: a formal-unit circle (u^-2, u^0 and u^2) and an n = 1
+    model with a Gaussian basis (imaginary parts)."""
 
     MODEL = str(GOLDEN / "lattice_model_n2.json")
+    FORMAL_CIRCLE = str(GOLDEN / "lattice_model_circle_formal.json")
+    GAUSSIAN = str(GOLDEN / "lattice_model_n1_gaussian.json")
     CASES = (
         (["states", "--model", MODEL, "--cutoff", "1", "--level", "2",
           "--format", "json"], "states_n2_cutoff1.json"),
@@ -571,6 +576,10 @@ class TestLatticeGoldens:
           "--order", "4", "--format", "text"], "character_n2_sector.txt"),
         (["character", "--model", MODEL, "--cutoff", "1", "--order", "2",
           "--format", "json"], "partition_n2_cutoff1.json"),
+        (["locality", "--model", FORMAL_CIRCLE, "--cutoff", "2", "--format", "csv"],
+         "locality_circle_formal_cutoff2.csv"),
+        (["locality", "--model", GAUSSIAN, "--cutoff", "2", "--format", "json"],
+         "locality_n1_gaussian_cutoff2.json"),
     )
 
     @pytest.mark.parametrize("args,name", CASES, ids=[c[1] for c in CASES])
