@@ -141,9 +141,7 @@ class NondegClass(Frozen):
         return self._inv
 
     def inverse_class(self) -> "NondegClass":
-        out = object.__new__(NondegClass)
-        out._set(mu=self._inv, _inv=self.mu)
-        return out
+        return NondegClass._trusted(mu=self._inv, _inv=self.mu)
 
     def to_json(self):
         return {"mu": self.mu.to_json()}
@@ -184,15 +182,15 @@ def fm_cdo(mu: NondegClass, x: CdoIsoClass) -> CdoIsoClass:
     if mu.n != x.n:
         raise DimensionMismatch("mu and class dimensions differ")
     inv = mu.mu_inverse()
-    return CdoIsoClass(x.n, _pullback_by_inverse(3, inv, x.lam),
-                       _pullback_by_inverse(2, inv, x.nu, on_values=True))
+    return CdoIsoClass(x.n, _pullback_by_inverse(inv, x.lam),
+                       _pullback_by_inverse(inv, x.nu, on_values=True))
 
 
 def fm_cdo_morphism(mu: NondegClass, m: CdoMorphism) -> CdoMorphism:
     """Transport a morphism: h pulls back along mu^{-1} as a 2-form."""
     if mu.n != m.h.dim:
         raise DimensionMismatch("mu and morphism dimensions differ")
-    return CdoMorphism(_pullback_by_inverse(2, mu.mu_inverse(), m.h))
+    return CdoMorphism(_pullback_by_inverse(mu.mu_inverse(), m.h))
 
 
 def fm_tdo(mu: NondegClass, x: TdoIsoClass) -> TdoIsoClass:
@@ -205,4 +203,4 @@ def fm_tdo(mu: NondegClass, x: TdoIsoClass) -> TdoIsoClass:
     if mu.n != x.c.rows:
         raise DimensionMismatch("mu and class dimensions differ")
     inv = mu.mu_inverse()
-    return TdoIsoClass(inv * x.c * inv, _pullback_by_inverse(2, inv, x.omega))
+    return TdoIsoClass(inv * x.c * inv, _pullback_by_inverse(inv, x.omega))

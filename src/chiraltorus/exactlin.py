@@ -77,6 +77,13 @@ class Frozen:
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _trusted(cls, **fields):
+        """An instance around fields already checked and canonical, without __init__."""
+        out = object.__new__(cls)
+        out._set(**fields)
+        return out
+
     def _value(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
 
@@ -508,12 +515,8 @@ class RationalMatrix(Frozen):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition shape mismatch")
-        return RationalMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
+        return _matrix([x + y for x, y in zip(r, s)]
+                       for r, s in zip(self.entries, other.entries))
 
     def __sub__(self, other):
         if not isinstance(other, RationalMatrix):
@@ -521,13 +524,11 @@ class RationalMatrix(Frozen):
         return self + (-other)
 
     def __neg__(self):
-        return RationalMatrix([[-x for x in row] for row in self.entries])
+        return _matrix([-x for x in row] for row in self.entries)
 
     def scale(self, c) -> "RationalMatrix":
         c = ExactScalar.coerce(c)
-        return RationalMatrix(
-            [[c * x for x in row] for row in self.entries]
-        )
+        return _matrix([c * x for x in row] for row in self.entries)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ExactScalar)):
@@ -539,16 +540,14 @@ class RationalMatrix(Frozen):
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         cols = [_over_common(col) for col in zip(*other.entries)]
-        return _matrix(tuple(_dot(row, col) for col in cols)
+        return _matrix([_dot(row, col) for col in cols]
                        for row in map(_over_common, self.entries))
 
     # a matrix on the left is handled by its own __mul__
     __rmul__ = __mul__
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return _matrix(zip(*self.entries))
 
     def apply(self, vec):
         """Matrix times column vector, vec a sequence of coercibles."""
@@ -589,8 +588,8 @@ class RationalMatrix(Frozen):
         qr, qi = pivots[-1]
         norm = qr * qr + qi * qi
         # x/q = x conj(q) / |q|^2
-        return _matrix(tuple(_reduced(x * qr + y * qi, y * qr - x * qi, norm)
-                             for x, y in zip(*rows[r])) for r in order)
+        return _matrix([_reduced(x * qr + y * qi, y * qr - x * qi, norm)
+                        for x, y in zip(*rows[r])] for r in order)
 
     def __str__(self):
         body = "; ".join(
@@ -609,12 +608,11 @@ class RationalMatrix(Frozen):
 
 
 def _matrix(rows) -> RationalMatrix:
-    """A RationalMatrix around rows of ExactScalars that are already
-    rectangular and nonempty, without the constructor's coercion."""
-    out = _new(RationalMatrix)
-    entries = tuple(rows)
-    out._set(rows=len(entries), cols=len(entries[0]), entries=entries)
-    return out
+    """A RationalMatrix around any iterable of rows of ExactScalars that
+    are already rectangular and nonempty, each row stored as a tuple,
+    without the constructor's coercion."""
+    entries = tuple(map(tuple, rows))
+    return RationalMatrix._trusted(rows=len(entries), cols=len(entries[0]), entries=entries)
 
 
 def _torus_matrices(g, B=None) -> tuple:
@@ -940,13 +938,14 @@ def alt_pullback(k: int, mu: RationalMatrix, t: AltTensor) -> AltTensor:
         raise DimensionMismatch(f"tensor degree {t.degree} does not match k={k}")
     if t.dim != mu.rows:
         raise DimensionMismatch("tensor dim does not match matrix size")
-    return _pullback_by_inverse(k, mu.inverse(), t)
+    return _pullback_by_inverse(mu.inverse(), t)
 
 
-def _pullback_by_inverse(k: int, inv: RationalMatrix, t: AltTensor,
+def _pullback_by_inverse(inv: RationalMatrix, t: AltTensor,
                          on_values: bool = False) -> AltTensor:
-    """alt_pullback given inv = mu^{-1}, for a k-tensor t of matching dim;
-    with on_values, each value column is also sent through inv.
+    """alt_pullback given inv = mu^{-1}, for a tensor t of matching dim
+    and degree k = t.degree; with on_values, each value column is also
+    sent through inv.
 
     inv is read as M/D and the values of t as integers over T, both
     Gaussian integers over a common denominator, so the coefficient on
@@ -958,7 +957,7 @@ def _pullback_by_inverse(k: int, inv: RationalMatrix, t: AltTensor,
     first row over the table of its last two rows, shared by every I and
     by every J that ends in the same pair.
     """
-    n = inv.rows
+    n, k = inv.rows, t.degree
     mr, mi, D = _integer_rows(inv)
     width = t.valdim or 1
     values = t.coeffs.values()

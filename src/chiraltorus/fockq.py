@@ -44,6 +44,7 @@ from .exactlin import (
     _bareiss,
     _integer,
     _integer_rows,
+    _matrix,
     _natural,
     _over_common,
     _reduced,
@@ -222,7 +223,7 @@ class LatticeModel(Frozen):
         It holds whenever B = -B^T and L* = L^{-T} (Narain's lattice)."""
         if "locality_certified" not in self.__dict__:
             rows = RationalMatrix.identity(2 * self.n).entries
-            hyperbolic = RationalMatrix(rows[self.n:] + rows[:self.n])
+            hyperbolic = _matrix(rows[self.n:] + rows[:self.n])
             if self.plus_matrices[2] - self.minus_matrices[2] != hyperbolic:
                 raise InvariantError("H_+ - H_- is not the hyperbolic form")
             self._set(locality_certified=True)
@@ -374,7 +375,7 @@ class IntegerForm(Frozen):
 
 
 def _hstack(left: RationalMatrix, right: RationalMatrix) -> RationalMatrix:
-    return RationalMatrix([a + b for a, b in zip(left.entries, right.entries)])
+    return _matrix(a + b for a, b in zip(left.entries, right.entries))
 
 
 def _weight_matrices(m: LatticeModel, sign) -> tuple:
@@ -576,14 +577,6 @@ class SparseOp(Frozen):
         self._set(dim=dim, table=clean)
 
     @staticmethod
-    def _trusted(dim, table):
-        """An operator around nonempty, zero-pruned columns, taken
-        without copying or re-checking."""
-        out = object.__new__(SparseOp)
-        out._set(dim=dim, table=table)
-        return out
-
-    @staticmethod
     def zero(dim):
         return SparseOp(dim)
 
@@ -610,7 +603,7 @@ class SparseOp(Frozen):
                 out[c] = tgt
             else:
                 out.pop(c, None)
-        return SparseOp._trusted(self.dim, out)
+        return SparseOp._trusted(dim=self.dim, table=out)
 
     def __sub__(self, other):
         if not isinstance(other, SparseOp):
@@ -621,11 +614,9 @@ class SparseOp(Frozen):
         c = S.coerce(c)
         if c.is_zero():
             return SparseOp(self.dim)
-        return SparseOp._trusted(
-            self.dim,
-            {col: {r: c * v for r, v in column.items()}
-             for col, column in self.table.items()},
-        )
+        return SparseOp._trusted(dim=self.dim, table={
+            col: {r: c * v for r, v in column.items()}
+            for col, column in self.table.items()})
 
     def __matmul__(self, other):
         """self after other."""
@@ -641,7 +632,7 @@ class SparseOp(Frozen):
                     add_into(acc, r, v * w)
             if acc:
                 out[col] = acc
-        return SparseOp._trusted(self.dim, out)
+        return SparseOp._trusted(dim=self.dim, table=out)
 
     def commutator(self, other):
         return (self @ other) - (other @ self)
@@ -774,7 +765,7 @@ class FockTruncation(Frozen):
                     out[row] = scalars[xy]
             if out:
                 table[col] = out
-        return SparseOp._trusted(self.dim, table)
+        return SparseOp._trusted(dim=self.dim, table=table)
 
     def alpha(self, i: int, m: int) -> SparseOp:
         """Mode operator alpha^i_m, 1-based color, |m| <= N."""
@@ -878,7 +869,7 @@ class TwoSidedFock(Frozen):
         # stride dim_minus, a "-" operator moves b with stride 1
         dm = self.minus.dim
         stride, offsets = (dm, range(dm)) if side == "+" else (1, range(0, self.dim, dm))
-        return SparseOp._trusted(self.dim, {
+        return SparseOp._trusted(dim=self.dim, table={
             col * stride + o: {r * stride + o: v for r, v in column.items()}
             for col, column in op.table.items() for o in offsets})
 

@@ -699,9 +699,10 @@ def _blocks(poly: DiffPoly, dirs: str):
     return sorted(blocks.items())
 
 
-# bounded: normal forms of random densities meet many blocks, each basis
-# holding up to hundreds of monomials; each caller asks only for the
-# weights whose rows can pivot on its target's terms
+# bounded: a basis holds up to hundreds of monomials, and each caller asks
+# only for the weights that can pivot on its target's terms.  The seed-401
+# mode_algebra list makes 10,106 calls on 546 keys and rebuilds 244 evicted
+# bases; at 1,024 it read 1,822 vs 1,741 items/s, 35.4 vs 34.2 MB peak RSS
 @lru_cache(maxsize=256)
 def _image_basis(content, weights, dirs, bare):
     """(candidates, echelon basis of their total-derivative images),

@@ -400,6 +400,39 @@ class TestRationalMatrix:
         m = RationalMatrix([["1/2+3/4 i", "0"], ["-2", "i"]])
         assert RationalMatrix.from_json(m.to_json()) == m
 
+    @given(data=st.data(), rows=st.integers(1, 4), cols=st.integers(1, 4),
+           inner=st.integers(1, 4), c=gaussians)
+    def test_unchecked_builds_match_the_constructor(self, data, rows, cols, inner, c):
+        # transpose, +, -, scale, * and inverse skip the constructor's
+        # coercion; each must equal, in value and hash, the checked
+        # matrix built from plain nested lists of the reference entries
+        def grid(r, k):
+            return data.draw(st.lists(st.lists(gaussians, min_size=k, max_size=k),
+                                      min_size=r, max_size=r))
+
+        a, b, p = grid(rows, cols), grid(rows, cols), grid(cols, inner)
+        ma, mb, mp = RationalMatrix(a), RationalMatrix(b), RationalMatrix(p)
+        cases = [
+            (ma.transpose(), [[a[i][j] for i in range(rows)] for j in range(cols)]),
+            (ma + mb, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]),
+            (ma - mb, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]),
+            (-ma, [[-x for x in r] for r in a]),
+            (ma.scale(c), [[c * x for x in r] for r in a]),
+            (ma * c, [[c * x for x in r] for r in a]),
+            (ma * mp, [[sum(a[i][t] * p[t][j] for t in range(cols))
+                        for j in range(inner)] for i in range(rows)]),
+        ]
+        if rows == cols and not ma.det().is_zero():
+            inv = ma.inverse()
+            assert ma * inv == RationalMatrix.identity(rows)
+            cases.append((inv, [list(r) for r in inv.entries]))
+        for got, entries in cases:
+            assert all(type(r) is tuple for r in got.entries), "rows must be tuples"
+            assert all(type(x) is ExactScalar for r in got.entries for x in r)
+            want = RationalMatrix(entries)
+            assert got == want and hash(got) == hash(want)
+            assert (got.rows, got.cols) == (want.rows, want.cols)
+
 
 def brute_eval(t, vectors):
     """Independent evaluation of an alternating tensor on explicit vectors.

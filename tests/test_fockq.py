@@ -624,7 +624,7 @@ class TestFock:
     def test_constructor_coerces_entries(self):
         op = SparseOp(2, {0: {0: 1, 1: "1/2"}, 1: {1: Fraction(0)}})
         assert op.table == {0: {0: S(1), 1: S("1/2")}}
-        assert op == SparseOp._trusted(2, {0: {0: S(1), 1: S("1/2")}})
+        assert op == SparseOp._trusted(dim=2, table={0: {0: S(1), 1: S("1/2")}})
         assert SparseOp(0).dim == 0
 
     @pytest.mark.parametrize("dim, table", [
