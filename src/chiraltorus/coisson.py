@@ -23,7 +23,7 @@ normal form until the end.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, lcm
 
 from .exactlin import (
     HALF,
@@ -36,6 +36,9 @@ from .exactlin import (
     RationalMatrix,
     S,
     _integer,
+    _natural,
+    _over_common,
+    _reduced,
     _torus_matrices,
     add_into,
     reduce_row,
@@ -43,10 +46,14 @@ from .exactlin import (
 )
 from .jetcalc import (
     DiffPoly,
+    Monomial,
     SYMBOL_KINDS,
+    _D_RULES,
     _blocks,
     _image_basis,
+    _jet_factors,
     _jet_rows,
+    _mono_mul,
     block_weight,
     dz_jet,
     dzb_jet,
@@ -194,7 +201,7 @@ class BracketTable(Frozen):
     antisymmetry automatic.
     """
 
-    __slots__ = ("scale", "twist")
+    __slots__ = ("scale", "twist", "_momenta", "_den")
 
     def __init__(self, scale=1, twist=None):
         scale = S.coerce(scale)
@@ -213,7 +220,11 @@ class BracketTable(Frozen):
                     raise ChiraltorusError("twist coefficients must be polynomials in bare x")
             if not poly.is_zero():
                 table[(i, j, k)] = poly
-        self._set(scale=scale, twist=table)
+        # every K_AB coefficient is +-scale or +-a twist coefficient, so _den
+        # is their common denominator; _momenta keeps each {p_i, p_j} the
+        # bracket calculus has asked for
+        self._set(scale=scale, twist=table, _momenta={}, _den=lcm(scale.d, *(
+            c.d for poly in table.values() for c in poly.coeffs.values())))
 
     def twist_coefficient(self, i: int, j: int, k: int) -> DiffPoly:
         """h_ijk with full antisymmetry from the increasing-triple table."""
@@ -224,10 +235,15 @@ class BracketTable(Frozen):
         return base if sign > 0 else -base
 
     def momentum_momentum(self, i: int, j: int) -> DiffPoly:
-        """{p_i(sigma), p_j(sigma')} coefficient at sigma'."""
-        ks = {k for triple in self.twist for k in triple}
-        return sum((self.twist_coefficient(i, j, k) * DiffPoly.jet(k, 0, 1) for k in ks),
-                   DiffPoly.zero())
+        """{p_i(sigma), p_j(sigma')} coefficient at sigma', built on the
+        first call for (i, j)."""
+        out = self._momenta.get((i, j))
+        if out is None:
+            ks = {k for triple in self.twist for k in triple}
+            out = self._momenta[i, j] = sum(
+                (self.twist_coefficient(i, j, k) * DiffPoly.jet(k, 0, 1) for k in ks),
+                DiffPoly.zero())
+        return out
 
     def base_bracket(self, slot_a, slot_b) -> DiffPoly:
         """K_AB in {u_A(sigma), u_B(sigma')} = K_AB(sigma') delta(sigma -
@@ -251,7 +267,9 @@ def boson_table(twist=None) -> BracketTable:
 
 
 # ----------------------------------------------------------------------
-# the bracket calculus: one Euler operator under every bracket
+# the bracket calculus: one Euler operator under every bracket, run on
+# integer tables {Monomial: (re, im)} of Gaussian-integer numerators over
+# one denominator per polynomial, and reduced once per output coefficient
 # ----------------------------------------------------------------------
 
 def _slot_partials(poly: DiffPoly):
@@ -263,6 +281,90 @@ def _slot_partials(poly: DiffPoly):
     return out
 
 
+def _integer_view(poly: DiffPoly) -> tuple:
+    """(table, D): poly as numerators (re, im) over D, the lcm of its
+    coefficients' denominators."""
+    re, im, D = _over_common(list(poly.coeffs.values()))
+    return dict(zip(poly.coeffs, zip(re, im))), D
+
+
+def _as_poly(table, D) -> DiffPoly:
+    """The DiffPoly of an integer table over D, one _reduced per coefficient."""
+    return DiffPoly._trusted(coeffs={m: _reduced(x, y, D) for m, (x, y) in table.items()
+                                     if x or y})
+
+
+def _add(table, mono, x, y):
+    """Add x + y*i into table[mono], kept as a mutable [re, im]."""
+    cur = table.get(mono)
+    if cur is None:
+        table[mono] = [x, y]
+    else:
+        cur[0] += x
+        cur[1] += y
+
+
+def _minus_d_sigma(table, out):
+    """Add -D_sigma of an integer table into out: each symbol's rule is
+    read off jetcalc's _D_RULES, a Gaussian integer."""
+    for mono, (x, y) in table.items():
+        mode, syms, jets = mono
+        if mode:
+            _add(out, mono, y * mode, -x * mode)
+        for k, (name, order) in enumerate(syms):
+            f = _D_RULES[SYMBOL_KINDS[name], "s"]
+            moved = tuple(sorted(syms[:k] + ((name, order + 1),) + syms[k + 1:]))
+            _add(out, Monomial(mode, moved, jets), y * f.b - x * f.a, -x * f.b - y * f.a)
+        for k, (i, a, b) in enumerate(jets):
+            moved = tuple(sorted(jets[:k] + ((i, a, b + 1),) + jets[k + 1:]))
+            _add(out, Monomial(mode, syms, moved), -x, -y)
+
+
+def _euler(view, k: int = 0) -> tuple:
+    """({(i, kind): table}, D): the lambda^k coefficient of sum_m (lambda
+    - D_sigma)^m d/d u^(m) of an integer view, slot by slot over its own
+    D, zero entries and slots left out."""
+    table, D = view
+    slots = {}  # {slot: {m: d/d u^(m)}}: distinct monomials leave distinct rests
+    for mono, (x, y) in table.items():
+        for (i, kind, m), count, rest in _jet_factors(mono):
+            slots.setdefault((i, kind), {}).setdefault(m, {})[rest] = [x * count, y * count]
+    out = {}
+    for slot, parts in slots.items():
+        acc = {}
+        for m in range(max(parts), k - 1, -1):  # Horner in -D_sigma
+            c = comb(m, k)
+            step = parts.get(m, {})
+            if c != 1:
+                step = {rest: [x * c, y * c] for rest, (x, y) in step.items()}
+            _minus_d_sigma(acc, step)
+            acc = step
+        acc = {m: v for m, v in acc.items() if v[0] or v[1]}
+        if acc:
+            out[slot] = acc
+    return out, D
+
+
+def _pair(ea, eb, table: BracketTable, out: dict) -> tuple:
+    """(out, Da * Db * L): sum_AB (delta a/delta u_A) K_AB (delta b/delta
+    u_B) added into the integer table out from the Euler operators of a
+    and b, L being the common denominator of the K_AB; a slot pair with
+    K_AB = 0 adds nothing."""
+    (va, da), (vb, db) = ea, eb
+    L = table._den
+    for sa, ta in va.items():
+        for sb, tb in vb.items():
+            for mk, c in table.base_bracket(sa, sb).coeffs.items():
+                s = L // c.d
+                kx, ky = c.a * s, c.b * s
+                for ma, (ax, ay) in ta.items():
+                    m = _mono_mul(ma, mk)
+                    px, py = ax * kx - ay * ky, ax * ky + ay * kx
+                    for mb, (bx, by) in tb.items():
+                        _add(out, _mono_mul(m, mb), px * bx - py * by, px * by + py * bx)
+    return out, da * db * L
+
+
 def variational_derivative(poly, k: int = 0) -> dict:
     """The coefficient of lambda^k in sum_m (lambda - D_sigma)^m d poly /
     d u^(m), slot by slot: {(i, kind): DiffPoly}, zero slots left out.
@@ -270,15 +372,9 @@ def variational_derivative(poly, k: int = 0) -> dict:
     At k = 0 this is the Euler operator delta/delta u = sum_m (-D_sigma)^m
     d/d u^(m), which kills every total sigma-derivative, trig modes and
     circle symbols included."""
-    out = {}
-    for slot, parts in _slot_partials(as_density(poly)).items():
-        acc = DiffPoly.zero()
-        for m in range(max(parts), k - 1, -1):  # Horner in -D_sigma
-            part = parts.get(m, DiffPoly.zero())
-            acc = (part.scale(comb(m, k)) if k else part) - acc.D("s")
-        if not acc.is_zero():
-            out[slot] = acc
-    return out
+    k = _natural(k, "k")
+    slots, D = _euler(_integer_view(as_density(poly)), k)
+    return {slot: _as_poly(table, D) for slot, table in slots.items()}
 
 
 def density_bracket(a, b, table: BracketTable) -> DeltaExpansion:
@@ -311,10 +407,8 @@ def density_bracket(a, b, table: BracketTable) -> DeltaExpansion:
 def _pairing(a, b, table: BracketTable) -> DiffPoly:
     """sum_AB (delta a/delta u_A) K_AB (delta b/delta u_B): a density
     whose class is {integral a, integral b}."""
-    db = variational_derivative(b)
-    return sum((va * table.base_bracket(slot_a, slot_b) * vb
-                for slot_a, va in variational_derivative(a).items()
-                for slot_b, vb in db.items()), DiffPoly.zero())
+    ea, eb = (_euler(_integer_view(as_density(u))) for u in (a, b))
+    return _as_poly(*_pair(ea, eb, table, {}))
 
 
 def fourier_bracket(a, b, table: BracketTable) -> FourierClass:
@@ -334,13 +428,18 @@ def hamiltonian_flow(H, a, table: BracketTable) -> LocalDensity:
 
 def jacobi_residual(table: BracketTable, a, b, c) -> FourierClass:
     """Cyclic sum {{a,b},c} + {{b,c},a} + {{c,a},b} on Fourier classes;
-    zero certifies the Jacobi identity for the sampled triple.  The inner
-    brackets stay raw densities: the outer Euler operator sees only their
-    classes, so one normal form of the sum decides the residual."""
-    def br(u, v):
-        return _pairing(u, v, table)
+    zero certifies the Jacobi identity for the sampled triple.
 
-    return FourierClass(br(br(a, b), c) + br(br(b, c), a) + br(br(c, a), b))
+    The Euler operators of a, b and c are taken once each.  The inner
+    brackets stay unreduced integer tables: the outer Euler operator is
+    linear and sees only their classes.  The three cyclic terms are
+    summed over one denominator, each coefficient is reduced once, and
+    one normal form of the sum decides the residual."""
+    ea, eb, ec = (_euler(_integer_view(as_density(u))) for u in (a, b, c))
+    out = {}
+    for u, v, w in ((ea, eb, ec), (eb, ec, ea), (ec, ea, eb)):
+        _, D = _pair(_euler(_pair(u, v, table, {})), w, table, out)  # D = Da Db Dc L^2
+    return FourierClass(_as_poly(out, D))
 
 
 def b_shift(density, alpha_rows) -> DiffPoly:

@@ -89,6 +89,16 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     )
 
 
+def _jet_factors(mono: Monomial):
+    """(key, count, rest) for each distinct jet key of mono: its power
+    count and mono with one factor key taken out, so that d mono / d key
+    is count * rest."""
+    jets = mono.jets
+    for key in dict.fromkeys(jets):
+        k = jets.index(key)
+        yield key, jets.count(key), Monomial(mono.mode, mono.syms, jets[:k] + jets[k + 1:])
+
+
 def _jet_key(i, a, b) -> tuple:
     """The key (i, a, b) of dtau^a dsigma^b x^i: ints, field index i >= 1."""
     if _integer(i, "field index") < 1:
@@ -188,11 +198,8 @@ class DiffPoly(CoeffTable):
         factor key out of distinct monomials leaves distinct monomials."""
         out = {}
         for mono, coeff in self.coeffs.items():
-            jets = mono.jets
-            for key in set(jets):
-                k = jets.index(key)
-                rest = Monomial(mono.mode, mono.syms, jets[:k] + jets[k + 1:])
-                out.setdefault(key, {})[rest] = coeff * S(jets.count(key))
+            for key, count, rest in _jet_factors(mono):
+                out.setdefault(key, {})[rest] = coeff * S(count)
         return {key: self._like(out[key]) for key in sorted(out)}
 
     def partial(self, key) -> "DiffPoly":

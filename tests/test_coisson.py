@@ -310,6 +310,22 @@ class TestEulerOperator:
         jacobi_residual(ORACLE_TABLES["x1"], P("e(1)*p1"), P("p2*x3"), P("ds.p3"))
         assert len(calls) == 1
 
+    def test_jacobi_takes_each_arguments_euler_operator_once(self, monkeypatch):
+        # three for a, b and c, and one for each of the three inner brackets
+        seen = []
+        real = coisson._euler
+        monkeypatch.setattr(coisson, "_euler",
+                            lambda view: seen.append(coisson._as_poly(*view)) or real(view))
+        args = [P("e(1)*p1"), P("p2*x3"), P("ds.p3")]
+        jacobi_residual(ORACLE_TABLES["x1"], *args)
+        assert len(seen) == 6
+        assert [sum(poly == arg for poly in seen) for arg in args] == [1, 1, 1]
+
+    @pytest.mark.parametrize("k", [True, -1, 1.5, "1"])
+    def test_bad_order_is_refused(self, k):
+        with pytest.raises(ChiraltorusError, match=r"^k must be"):
+            variational_derivative(P("phi*ds.ds.x1"), k)
+
 
 @pytest.mark.parametrize("name", sorted(ORACLE_TABLES))
 class TestAgainstSlotCalculus:
