@@ -165,11 +165,12 @@ def fm_linear(a: RationalMatrix) -> RationalMatrix:
 
 
 def fm_linear_differential(a: RationalMatrix, b: RationalMatrix):
-    """Differential of fm_linear at a in direction b: (-a^{-1}, a^{-1} b a^{-1})."""
+    """Differential of fm_linear at a in direction b, read off F = fm_linear:
+    (F(a), F(a) b F(a)), which is (-a^{-1}, a^{-1} b a^{-1})."""
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise DimensionMismatch("direction must have the same shape as the base point")
-    inv = a.inverse()
-    return (-inv, inv * b * inv)
+    f = fm_linear(a)
+    return (f, f * b * f)
 
 
 def fm_cdo(mu: NondegClass, x: CdoIsoClass) -> CdoIsoClass:

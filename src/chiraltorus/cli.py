@@ -96,20 +96,16 @@ def _load_json(path: str | None):
 
 @contextmanager
 def _source(prefix: str):
-    """Name the input a usage error came from; errors with another exit
-    code pass through unchanged."""
+    """Name the input a usage error came from, a KeyError as the field
+    it misses; errors with another exit code pass through unchanged."""
     try:
         yield
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise ChiraltorusError(f"{prefix}: missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
         if getattr(exc, "exit_code", 1) != 1:
             raise
         raise ChiraltorusError(f"{prefix}: {exc}") from None
-
-
-def _take(data, key, where):
-    if not isinstance(data, dict) or key not in data:
-        raise ChiraltorusError(f"{where}: missing field {key!r}")
-    return data[key]
 
 
 def _expressions(cfg: argparse.Namespace, count: int):
@@ -202,6 +198,20 @@ def dump_text(lines) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _object_report(fmt: str, obj) -> str:
+    """A JSON object: one sorted-key line for text, else indented."""
+    if fmt == "text":
+        return dump_text([json.dumps(obj, sort_keys=True)])
+    return dump_json(obj)
+
+
+def _class_report(fmt: str, key: str, cls) -> str:
+    """A FourierClass: its printed class for text, else {key: rep, is_zero}."""
+    if fmt == "text":
+        return dump_text([str(cls)])
+    return dump_json({key: poly_str(cls.rep, style="xp"), "is_zero": cls.is_zero()})
+
+
 # ----------------------------------------------------------------------
 # subcommand runners; each returns the full output string
 # ----------------------------------------------------------------------
@@ -210,12 +220,9 @@ def run_fm(cfg: argparse.Namespace) -> str:
     if cfg.mu is None:
         raise ChiraltorusError("fm requires --mu")
     mu_data = _load_json(cfg.mu)
-    if isinstance(mu_data, dict):
-        mu_rows = _take(mu_data, "mu", cfg.mu)
-    else:
-        mu_rows = mu_data
     with _source(cfg.mu):
-        mu = NondegClass(RationalMatrix.from_json(mu_rows))
+        rows = mu_data["mu"] if isinstance(mu_data, dict) else mu_data
+        mu = NondegClass(RationalMatrix.from_json(rows))
 
     path = None if cfg.input == "-" else cfg.input
     data = _load_json(path)
@@ -226,10 +233,7 @@ def run_fm(cfg: argparse.Namespace) -> str:
             result = fm_tdo(mu, TdoIsoClass.from_json(data)).to_json()
         else:
             result = fm_linear(RationalMatrix.from_json(data)).to_json()
-
-    if cfg.format == "text":
-        return dump_text([json.dumps(result, sort_keys=True)])
-    return dump_json(result)
+    return _object_report(cfg.format, result)
 
 
 def _build_generator(name: str, n: int):
@@ -290,11 +294,8 @@ def run_noether(cfg: argparse.Namespace) -> str:
 def run_bracket(cfg: argparse.Namespace) -> str:
     a_text, b_text = _expressions(cfg, 2)
     table = BracketTable(scale=cfg.scale)
-    result = fourier_bracket(_density(a_text), _density(b_text), table)
-    rep = poly_str(result.rep, style="xp")
-    if cfg.format == "text":
-        return dump_text([f"[{rep}]"])
-    return dump_json({"bracket": rep, "is_zero": result.is_zero()})
+    return _class_report(cfg.format, "bracket",
+                         fourier_bracket(_density(a_text), _density(b_text), table))
 
 
 def _twist_table(path: str):
@@ -323,13 +324,8 @@ def run_jacobi(cfg: argparse.Namespace) -> str:
     a_text, b_text, c_text = _expressions(cfg, 3)
     with _source("--twist"):
         table = BracketTable(scale=cfg.scale, twist=twist)
-    residual = jacobi_residual(
-        table, _density(a_text), _density(b_text), _density(c_text)
-    )
-    rep = poly_str(residual.rep, style="xp")
-    if cfg.format == "text":
-        return dump_text([f"[{rep}]"])
-    return dump_json({"residual": rep, "is_zero": residual.is_zero()})
+    return _class_report(cfg.format, "residual", jacobi_residual(
+        table, _density(a_text), _density(b_text), _density(c_text)))
 
 
 def _join(values, sep=", ") -> str:
@@ -415,12 +411,7 @@ def run_locality(cfg: argparse.Namespace) -> str:
 
 
 def run_tdual(cfg: argparse.Namespace) -> str:
-    model = _model_from(cfg)
-    dual = t_dual(model)
-    out = dual.to_json()
-    if cfg.format == "text":
-        return dump_text([json.dumps(out, sort_keys=True)])
-    return dump_json(out)
+    return _object_report(cfg.format, t_dual(_model_from(cfg)).to_json())
 
 
 def run_chiral(cfg: argparse.Namespace) -> str:

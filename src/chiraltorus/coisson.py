@@ -272,15 +272,6 @@ def boson_table(twist=None) -> BracketTable:
 # one denominator per polynomial, and reduced once per output coefficient
 # ----------------------------------------------------------------------
 
-def _slot_partials(poly: DiffPoly):
-    """{(i, kind): {m: d poly / d u^(m)}} over the jets u^(m) of poly,
-    where u^(m) is d_sigma^m x^i for kind 0 and d_sigma^m p_i for kind 1."""
-    out = {}
-    for (i, kind, m), part in poly.partials().items():
-        out.setdefault((i, kind), {})[m] = part
-    return out
-
-
 def _integer_view(poly: DiffPoly) -> tuple:
     """(table, D): poly as numerators (re, im) over D, the lcm of its
     coefficients' denominators."""
@@ -385,8 +376,10 @@ def density_bracket(a, b, table: BracketTable) -> DeltaExpansion:
     a = as_density(a)
     top = max((m for mono in a.coeffs for (_, _, m) in mono.jets), default=0)
     va = [variational_derivative(a, k) for k in range(top + 1)]
-    out = {}
-    for slot_b, parts in _slot_partials(as_density(b)).items():
+    out, slots = {}, {}  # slots: {(i, kind): {m: d b / d u^(m)}}, u = x^i or p_i
+    for (i, kind, m), part in as_density(b).partials().items():
+        slots.setdefault((i, kind), {})[m] = part
+    for slot_b, parts in slots.items():
         w = {}  # {a_lambda u_B} as {k: lambda^k coefficient}
         for k, v in enumerate(va):
             for slot_a, vk in v.items():

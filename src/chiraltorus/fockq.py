@@ -475,26 +475,17 @@ def vertex_exponents(s1: Sector, s2: Sector):
 
 def locality_pairs(model: LatticeModel, cutoff: int):
     """Every ordered pair of sectors within the cutoff with its branch
-    exponents, as (s1, s2, hol, antihol, hol - antihol).  The locality
-    certificate runs first, so the difference is the int pairing
-    <l1, l2*> + <l1*, l2>; hol and antihol are one dot product each."""
-    model.certify_locality()
-    h_plus, h_minus = model.h_plus_form, model.h_minus_form
-    sectors = enumerate_sectors(model, cutoff)
-    for s1 in sectors:
-        x = s1.coords
-        r_plus, r_minus = h_plus.times(x), h_minus.times(x)
-        swapped = s1.lstar_coords + s1.l_coords
-        for s2 in sectors:
-            y = s2.coords
-            yield (s1, s2, h_plus.at(r_plus, y), h_minus.at(r_minus, y),
-                   sum(map(mul, swapped, y)))
+    exponents, as (s1, s2, hol, antihol, hol - antihol): locality_rows
+    with the sectors as cells and each exponent read as a UnitScalar.
+    The locality certificate runs first, so the difference is the int
+    pairing <l1, l2*> + <l1*, l2>; hol and antihol are one dot product each."""
+    return locality_rows(model, cutoff, lambda s: s, lambda form, row, y, seen: form.at(row, y))
 
 
-def locality_rows(model: LatticeModel, cutoff: int, cells):
-    """locality_pairs as reports print them, from one walk of the box:
-    (cells(s1), cells(s2), hol, antihol, diff), hol and antihol as text
-    printed once per distinct value in this call (IntegerForm.text)."""
+def locality_rows(model: LatticeModel, cutoff: int, cells, exponent=IntegerForm.text):
+    """Every locality pair from one walk of the box, as (cells(s1), cells(s2),
+    hol, antihol, diff), each exponent read by exponent(form, row, y, seen),
+    by default IntegerForm.text: printed once per distinct value in this call."""
     model.certify_locality()
     box = [(s.coords, s.lstar_coords + s.l_coords, cells(s))
            for s in enumerate_sectors(model, cutoff)]
@@ -502,8 +493,8 @@ def locality_rows(model: LatticeModel, cutoff: int, cells):
     for x, swapped, c1 in box:
         r_plus, r_minus = h_plus.times(x), h_minus.times(x)
         for y, _, c2 in box:
-            yield (c1, c2, h_plus.text(r_plus, y, plus), h_minus.text(r_minus, y, minus),
-                   sum(map(mul, swapped, y)))
+            yield (c1, c2, exponent(h_plus, r_plus, y, plus),
+                   exponent(h_minus, r_minus, y, minus), sum(map(mul, swapped, y)))
 
 
 def ko_locality(model: LatticeModel, cutoff: int):
@@ -949,6 +940,8 @@ def _q_exponent(weight: UnitScalar) -> ExactScalar:
 
 def character(model: LatticeModel, sector: Sector, order: int) -> QSeries:
     """q^h times the oscillator tower prod (1-q^k)^{-n}, level-truncated."""
+    if sector.model != model:
+        raise ModelMismatch("sector from a different model")
     h = _q_exponent(sector.h).re
     counts = colored_partition_counts(model.n, order)
     return QSeries({h + k: counts[k] for k in range(order + 1)}, h + order)

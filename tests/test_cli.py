@@ -645,6 +645,8 @@ class TestErrorBytes:
         "mu_sing.json": {"mu": [["1", "1"], ["1", "1"]]},
         "sing.json": [["1", "1"], ["1", "1"]],
         "no_L.json": {"n": 1, "g": [["1"]], "B": [["0"]]},
+        "no_g.json": {"n": 1, "B": [["0"]], "L": [["1"]]},
+        "tdo_no_omega.json": {"c": [["1", "0"], ["0", "1"]]},
         "neg_g.json": {"n": 1, "g": [["-1"]], "B": [["0"]], "L": [["1"]]},
         "twist_p.json": {"1,2,3": "p1"},
         "twist_zero.json": {"1,2,3": "1/0"},
@@ -707,7 +709,14 @@ class TestErrorBytes:
             "error: densities carry x- and p-jets only (tau-order 0 or 1)\n"),
         "model-usage": (
             ["spectrum", "--model", "{no_L.json}"], None, 1,
-            "error: {no_L.json}: 'L'\n"),
+            "error: {no_L.json}: missing field 'L'\n"),
+        "model-missing-g": (
+            ["tdual", "--model", "{no_g.json}"], None, 1,
+            "error: {no_g.json}: missing field 'g'\n"),
+        "tdo-missing-omega": (
+            ["fm", "--kind", "tdo", "--mu", "{mu_id.json}", "--input",
+             "{tdo_no_omega.json}"], None, 1,
+            "error: {tdo_no_omega.json}: missing field 'omega'\n"),
         "model-precondition": (
             ["spectrum", "--model", "{neg_g.json}"], None, 2,
             "error: leading minor 1 is not positive\n"),
@@ -732,7 +741,7 @@ class TestErrorBytes:
             "quotes\n"),
         "fm-stdin-missing-field": (
             ["fm", "--mu", "{mu_id.json}", "--input", "-"], '{"n": 2}', 1,
-            "error: stdin: 'lambda'\n"),
+            "error: stdin: missing field 'lambda'\n"),
         "fm-precondition": (
             ["fm", "--kind", "linear", "--mu", "{mu_id.json}",
              "--input", "{sing.json}"], None, 2,
@@ -936,6 +945,13 @@ class TestErrorBytes:
         "generator-index-out-of-range": (
             ["noether", "--generator", "x9"], None, 1,
             "error: --generator: index in 'x9' out of range 1..1\n"),
+        "generator-index-not-an-integer": (
+            ["noether", "--generator", "xfoo"], None, 1,
+            "error: --generator: index in 'xfoo' out of range 1..1\n"),
+        # the output path runs through a file, so it cannot be opened
+        "out-not-writable": (
+            ["tdual", "--radius-unit", "3/2", "--out", "{mu_id.json}/dual.json"], None, 1,
+            "error: {mu_id.json}/dual.json: Not a directory\n"),
         "metric-bad-json": (
             ["noether", "--lagrangian", "torus", "--metric", "[[1,0],[0,1]"],
             None, 1, "error: --metric: Expecting ',' delimiter\n"),

@@ -33,6 +33,7 @@ from chiraltorus.coisson import (
     LocalDensity,
     NotADensity,
     UnknownFamily,
+    as_density,
     b_shift,
     boson_table,
     density_bracket,
@@ -249,6 +250,10 @@ class TestDensityBracket:
         with pytest.raises(NotADensity):
             density_bracket(P("f*x1"), P("x1"), TABLE)
         assert str(LocalDensity("phi*p1")) == "phi*p1"  # circle symbols are fine
+        with pytest.raises(NotADensity, match="^cannot interpret 5 as a density$") as info:
+            as_density(5)
+        assert type(info.value) is NotADensity
+        assert info.value.exit_code == 2
 
 
 # ----------------------------------------------------------------------

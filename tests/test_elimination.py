@@ -31,6 +31,7 @@ from chiraltorus.exactlin import (
     _integer_rows,
     alt_pullback,
     compositions,
+    echelon,
 )
 from chiraltorus.fockq import _check_positive_definite
 from chiraltorus.jetcalc import DiffPoly, Monomial, _image_basis, enumerate_monomials
@@ -448,6 +449,12 @@ class TestSpanSolver:
             for c, col in zip(got, columns):
                 combo = combo + col.scale(c)
             assert combo == target
+
+    def test_rows_without_a_pivot_are_dropped(self):
+        # a zero row, and a row whose lead has no admissible column
+        assert echelon([{}], min) == {}
+        assert echelon([{0: ONE}], lambda row: None) == {}
+        assert echelon([{}, {1: ExactScalar(2)}], min) == {1: {1: ONE}}
 
 
 class TestNormalForm:

@@ -2,6 +2,7 @@
 
 import operator
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -106,6 +107,11 @@ class TestExactScalar:
     def test_only_ascii_digits_and_spaces_parse(self, text):
         with pytest.raises(ChiraltorusError, match="not a Gaussian rational literal"):
             ExactScalar.from_string(text)
+
+    def test_a_string_is_never_equal(self):
+        # a literal is parsed only where a value is built, never on comparison
+        assert (ExactScalar(1) == "1") is False
+        assert ExactScalar(1) != "1"
 
     def test_unknown_operands_reach_reflected_methods(self):
         two = ExactScalar(2)
@@ -653,6 +659,28 @@ class TestAltTensor:
             alt_pullback(2, RationalMatrix.identity(4), t)
         with pytest.raises(SingularMatrix):
             alt_pullback(2, RationalMatrix([[1, 2], [2, 4]]).scale(1), AltTensor(2, 2, {(1, 2): 1}))
+
+
+# every matrix or tensor shape that does not fit is a precondition
+# failure (exit 2) that names the shape
+@pytest.mark.parametrize("build,message", [
+    (lambda: RationalMatrix([]), "matrix must have at least one row and column"),
+    (lambda: RationalMatrix([[1, 2], [3]]), "ragged rows"),
+    (lambda: RationalMatrix([[1]]) + RationalMatrix([[1, 2]]), "matrix addition shape mismatch"),
+    (lambda: RationalMatrix([[1, 2]]).apply([1]), "vector length does not match column count"),
+    (lambda: RationalMatrix([[1, 2]]).inverse(), "inverse of a non-square matrix"),
+    (lambda: AltTensor(4, 2), "tensor degree must be 2 or 3"),
+    (lambda: AltTensor(2, 0), "tensor dim must be positive"),
+    (lambda: AltTensor(2, 2, {(1, 2): [1]}, valdim=2), "value column has length 1, expected 2"),
+    (lambda: alt_pullback(2, RationalMatrix([[1, 2]]), AltTensor(2, 2)),
+     "pullback needs a square matrix"),
+], ids=["matrix-empty", "matrix-ragged", "matrix-add", "matrix-apply", "matrix-inverse",
+        "tensor-degree-4", "tensor-dim-0", "tensor-value-column", "pullback-not-square"])
+def test_shapes_that_do_not_fit_are_refused(build, message):
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$") as info:
+        build()
+    assert type(info.value) is DimensionMismatch
+    assert info.value.exit_code == 2
 
 
 # ----------------------------------------------------------------------

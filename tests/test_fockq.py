@@ -12,6 +12,7 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from itertools import product as iter_product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -169,6 +170,38 @@ class TestUnitScalar:
 # ----------------------------------------------------------------------
 # model construction
 # ----------------------------------------------------------------------
+
+def _n2_model():
+    return build_model(2, RationalMatrix.identity(2), ZERO2, RationalMatrix.identity(2))
+
+
+# each argument that does not fit its model is refused, with the exit code
+# of its class: a precondition failure (2), or a usage error (1) for the
+# unit exponent, which only a model file can get wrong
+@pytest.mark.parametrize("build,cls,message,code", [
+    (lambda: LatticeModel(1, [["1 i"]], [[0]], [[1]]), NotPositiveDefinite,
+     "metric must be real", 2),
+    (lambda: LatticeModel(2, [[1]], [[0]], [[1]]), DimensionMismatch,
+     "model matrices must be n x n", 2),
+    (lambda: LatticeModel(1, [[1]], [[0]], [[1]], unit_exponent=2), ChiraltorusError,
+     "unit exponent must be -1, 0, or 1", 1),
+    (lambda: one_dim_model(0), SingularLattice, "scale must be positive", 2),
+    (lambda: one_dim_model(1).sector([1, 0], [0]), DimensionMismatch,
+     "expected 1 coordinates", 2),
+    (lambda: _n2_model().sector([0, 0], [0, 0]).one_dim_labels(), DimensionMismatch,
+     "labels specific to one dimension", 2),
+    (lambda: FockTruncation(_n2_model(), [0], 2), DimensionMismatch,
+     "weight covector has wrong length", 2),
+    (lambda: FockTruncation(_n2_model(), [0, 0], 2).alpha(3, 1), DimensionMismatch,
+     "no color 3", 2),
+], ids=["complex-metric", "metric-not-n-by-n", "unit-exponent-2", "radius-0",
+        "sector-coordinate-count", "one-dim-labels-n2", "fock-weight-length", "alpha-colour-3"])
+def test_arguments_that_do_not_fit_the_model_are_refused(build, cls, message, code):
+    with pytest.raises(cls, match=f"^{message}$") as info:
+        build()
+    assert type(info.value) is cls
+    assert info.value.exit_code == code
+
 
 class TestModelBuild:
     def test_identity_dual_is_identity(self):
@@ -621,6 +654,13 @@ class TestFock:
                 with pytest.raises(TypeError):
                     f(other, u)
 
+    def test_equal_operators_hash_equal(self):
+        # built in another column order, through the coercing constructor
+        op = SparseOp(3, {2: {0: 1}, 0: {1: "1/2", 2: 3}})
+        same = SparseOp._trusted(dim=3, table={0: {2: S(3), 1: S("1/2")}, 2: {0: S(1)}})
+        assert op == same and hash(op) == hash(same)
+        assert len({op, same, SparseOp.zero(3)}) == 2
+
     def test_constructor_coerces_entries(self):
         op = SparseOp(2, {0: {0: 1, 1: "1/2"}, 1: {1: Fraction(0)}})
         assert op.table == {0: {0: S(1), 1: S("1/2")}}
@@ -948,6 +988,16 @@ class TestCharacters:
         s = Sector(m, [1], [0])
         with pytest.raises(FormalUnitValue):
             character(m, s, 2)
+
+    def test_sector_of_another_model_is_refused(self):
+        # the one-boson tower on a two-boson sector was 1 + q + 2q^2
+        m2 = load_model(json.loads(
+            (Path(__file__).parent / "golden" / "lattice_model_n2.json").read_text()))
+        m1 = one_dim_model(Fraction(3, 2))
+        with pytest.raises(ModelMismatch, match="sector from a different model") as err:
+            character(m1, m2.sector([0, 0], [0, 0]), 2)
+        assert err.value.exit_code == 2
+        assert character(m2, m2.sector([0, 0], [0, 0]), 2) == QSeries({0: 1, 1: 2, 2: 5}, 2)
 
     def test_complex_weight_has_no_partition_function(self):
         # L = 1 + i: sector (1, 0) has h = -1/2 i, which character refuses

@@ -416,8 +416,25 @@ class TestEulerLagrange:
             Lagrangian(jet(1, 2, 0))
 
     def test_field_index_below_one_is_refused(self):
+        # DiffPoly.jet refuses field 0 itself, so the density is built from
+        # its monomial to reach the Lagrangian's own check
+        density = DiffPoly({Monomial(0, (), ((0, 1, 0), (0, 1, 0))): 1})
         with pytest.raises(ChiraltorusError, match="^field index 0 is below 1$") as info:
-            Lagrangian(jet(0, 1, 0) * jet(0, 1, 0))
+            Lagrangian(density)
+        assert type(info.value) is ChiraltorusError
+        assert info.value.exit_code == 1
+
+    # a name or a field outside what the calculus knows is a usage error
+    @pytest.mark.parametrize("build,message", [
+        (lambda: DiffPoly.symbol("h"), "unknown symbol 'h'"),
+        (lambda: jet(1, 0, 0).D("x"), "direction must be 't' or 's'"),
+        (lambda: Lagrangian(jet(2, 1, 0) * jet(2, 1, 0), n=1),
+         "field index exceeds declared number of fields"),
+    ], ids=["symbol-h", "direction-x", "field-past-n"])
+    def test_unknown_names_and_fields_are_refused(self, build, message):
+        with pytest.raises(ChiraltorusError, match=f"^{message}$") as info:
+            build()
+        assert type(info.value) is ChiraltorusError
         assert info.value.exit_code == 1
 
     @pytest.mark.parametrize("n", [1.5, True, "2", 0, -1])
@@ -589,6 +606,12 @@ class TestProlong:
             p = rand_poly(rng)
             for c in ("t", "s"):
                 assert prolong(gen, p.D(c)) == prolong(gen, p).D(c)
+
+    def test_scalar_generator_component(self):
+        # a component that is a plain number is the constant DiffPoly
+        assert prolong([1], jet(1, 0, 0)) == DiffPoly.const(1)
+        assert prolong([ExactScalar(2), jet(1, 0, 0)], jet(1, 0, 1) * jet(2, 0, 0)) == \
+            jet(1, 0, 1) * jet(1, 0, 0)
 
     @pytest.mark.parametrize("apply,message", [
         (lambda: prolong(gen_tau(1), "x1"),

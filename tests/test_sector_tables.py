@@ -171,8 +171,8 @@ def metrics(draw, n):
 
 
 @st.composite
-def models(draw, max_n=3):
-    n = draw(st.integers(1, max_n))
+def models(draw, min_n=1, max_n=3):
+    n = draw(st.integers(min_n, max_n))
     g = draw(metrics(n))
     b = [[Fraction(0)] * n for _ in range(n)]
     if draw(st.booleans()):
@@ -260,13 +260,8 @@ class TestSectorViews:
 
 
 class TestLocalityAndChiral:
-    # an n = 2 box of 6561 pairs takes the reference about a second, so
-    # a failure is reported as found, without shrinking
-    @settings(max_examples=15, deadline=None,
-              phases=(Phase.explicit, Phase.reuse, Phase.generate))
-    @given(models(max_n=2), st.integers(1, 2))
-    def test_ko_locality_rows_and_stream(self, model, cutoff):
-        cutoff = cutoff if model.n == 1 else 1
+    @staticmethod
+    def _rows_and_stream(model, cutoff):
         want = ref_ko_rows(model, cutoff)
         report = ko_locality(model, cutoff)
         assert report["pairs"] == want
@@ -280,6 +275,21 @@ class TestLocalityAndChiral:
             assert (str(hol), str(antihol), str(diff)) == \
                 (row["hol"], row["antihol"], row["difference"])
             assert hol - antihol == UnitScalar.coerce(diff)
+
+    # n = 1 and n = 2 are drawn apart, so each run checks a fixed number of
+    # n = 2 models; a failure is reported as found, without shrinking
+    @settings(max_examples=15, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(models(max_n=1), st.integers(1, 2))
+    def test_ko_locality_rows_and_stream(self, model, cutoff):
+        self._rows_and_stream(model, cutoff)
+
+    # an n = 2 box of 6561 pairs takes the reference about a second
+    @settings(max_examples=8, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(models(min_n=2, max_n=2))
+    def test_ko_locality_rows_and_stream_n2(self, model):
+        self._rows_and_stream(model, 1)
 
     # the CLI renders each row from a template, the library view through
     # json.dumps and csv.writer; both must give the same bytes.  A failure
