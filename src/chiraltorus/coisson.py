@@ -37,8 +37,6 @@ from .exactlin import (
     S,
     _integer,
     _natural,
-    _over_common,
-    _reduced,
     _torus_matrices,
     add_into,
     reduce_row,
@@ -46,14 +44,16 @@ from .exactlin import (
 )
 from .jetcalc import (
     DiffPoly,
-    Monomial,
     SYMBOL_KINDS,
-    _D_RULES,
+    _add,
+    _as_poly,
     _blocks,
     _image_basis,
+    _integer_view,
     _jet_factors,
     _jet_rows,
     _mono_mul,
+    _total_d,
     block_weight,
     dz_jet,
     dzb_jet,
@@ -268,48 +268,9 @@ def boson_table(twist=None) -> BracketTable:
 
 # ----------------------------------------------------------------------
 # the bracket calculus: one Euler operator under every bracket, run on
-# integer tables {Monomial: (re, im)} of Gaussian-integer numerators over
-# one denominator per polynomial, and reduced once per output coefficient
+# jetcalc's integer tables over one denominator per polynomial, and
+# reduced once per output coefficient
 # ----------------------------------------------------------------------
-
-def _integer_view(poly: DiffPoly) -> tuple:
-    """(table, D): poly as numerators (re, im) over D, the lcm of its
-    coefficients' denominators."""
-    re, im, D = _over_common(list(poly.coeffs.values()))
-    return dict(zip(poly.coeffs, zip(re, im))), D
-
-
-def _as_poly(table, D) -> DiffPoly:
-    """The DiffPoly of an integer table over D, one _reduced per coefficient."""
-    return DiffPoly._trusted(coeffs={m: _reduced(x, y, D) for m, (x, y) in table.items()
-                                     if x or y})
-
-
-def _add(table, mono, x, y):
-    """Add x + y*i into table[mono], kept as a mutable [re, im]."""
-    cur = table.get(mono)
-    if cur is None:
-        table[mono] = [x, y]
-    else:
-        cur[0] += x
-        cur[1] += y
-
-
-def _minus_d_sigma(table, out):
-    """Add -D_sigma of an integer table into out: each symbol's rule is
-    read off jetcalc's _D_RULES, a Gaussian integer."""
-    for mono, (x, y) in table.items():
-        mode, syms, jets = mono
-        if mode:
-            _add(out, mono, y * mode, -x * mode)
-        for k, (name, order) in enumerate(syms):
-            f = _D_RULES[SYMBOL_KINDS[name], "s"]
-            moved = tuple(sorted(syms[:k] + ((name, order + 1),) + syms[k + 1:]))
-            _add(out, Monomial(mode, moved, jets), y * f.b - x * f.a, -x * f.b - y * f.a)
-        for k, (i, a, b) in enumerate(jets):
-            moved = tuple(sorted(jets[:k] + ((i, a, b + 1),) + jets[k + 1:]))
-            _add(out, Monomial(mode, syms, moved), -x, -y)
-
 
 def _euler(view, k: int = 0) -> tuple:
     """({(i, kind): table}, D): the lambda^k coefficient of sum_m (lambda
@@ -328,7 +289,7 @@ def _euler(view, k: int = 0) -> tuple:
             step = parts.get(m, {})
             if c != 1:
                 step = {rest: [x * c, y * c] for rest, (x, y) in step.items()}
-            _minus_d_sigma(acc, step)
+            _total_d(acc, "s", step, -1)
             acc = step
         acc = {m: v for m, v in acc.items() if v[0] or v[1]}
         if acc:
@@ -364,7 +325,7 @@ def variational_derivative(poly, k: int = 0) -> dict:
     d/d u^(m), which kills every total sigma-derivative, trig modes and
     circle symbols included."""
     k = _natural(k, "k")
-    slots, D = _euler(_integer_view(as_density(poly)), k)
+    slots, D = _euler(_integer_view(as_density(poly).coeffs), k)
     return {slot: _as_poly(table, D) for slot, table in slots.items()}
 
 
@@ -400,7 +361,7 @@ def density_bracket(a, b, table: BracketTable) -> DeltaExpansion:
 def _pairing(a, b, table: BracketTable) -> DiffPoly:
     """sum_AB (delta a/delta u_A) K_AB (delta b/delta u_B): a density
     whose class is {integral a, integral b}."""
-    ea, eb = (_euler(_integer_view(as_density(u))) for u in (a, b))
+    ea, eb = (_euler(_integer_view(as_density(u).coeffs)) for u in (a, b))
     return _as_poly(*_pair(ea, eb, table, {}))
 
 
@@ -428,7 +389,7 @@ def jacobi_residual(table: BracketTable, a, b, c) -> FourierClass:
     linear and sees only their classes.  The three cyclic terms are
     summed over one denominator, each coefficient is reduced once, and
     one normal form of the sum decides the residual."""
-    ea, eb, ec = (_euler(_integer_view(as_density(u))) for u in (a, b, c))
+    ea, eb, ec = (_euler(_integer_view(as_density(u).coeffs)) for u in (a, b, c))
     out = {}
     for u, v, w in ((ea, eb, ec), (eb, ec, ea), (ec, ea, eb)):
         _, D = _pair(_euler(_pair(u, v, table, {})), w, table, out)  # D = Da Db Dc L^2

@@ -18,6 +18,7 @@ import re
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import groupby
+from math import lcm
 from typing import NamedTuple
 
 from .exactlin import (
@@ -35,11 +36,12 @@ from .exactlin import (
     S,
     _integer,
     _natural,
+    _over_common,
+    _reduced,
     _torus_matrices,
     add_into,
     compositions,
     echelon,
-    reduce_row,
     signed_sort,
 )
 
@@ -106,6 +108,73 @@ def _jet_key(i, a, b) -> tuple:
     return i, _natural(a, "jet order"), _natural(b, "jet order")
 
 
+# ----------------------------------------------------------------------
+# integer tables {Monomial: [re, im]}: Gaussian-integer numerators over
+# one denominator, the view that the bracket calculus of coisson and the
+# Noether path compute in, each output coefficient reduced once
+# ----------------------------------------------------------------------
+
+def _integer_views(tables) -> tuple:
+    """([table, ...], D): each coefficient table {key: ExactScalar} as
+    numerators (re, im) over D, the lcm of all their denominators."""
+    re, im, D = _over_common([c for table in tables for c in table.values()])
+    parts = iter(zip(re, im))
+    return [dict(zip(table, parts)) for table in tables], D
+
+
+def _integer_view(coeffs) -> tuple:
+    """(table, D): one coefficient table over the lcm D of its denominators."""
+    (table,), D = _integer_views([coeffs])
+    return table, D
+
+
+def _as_poly(table, D) -> "DiffPoly":
+    """The DiffPoly of an integer table over D, one _reduced per coefficient."""
+    return DiffPoly._trusted(coeffs={m: _reduced(x, y, D) for m, (x, y) in table.items()
+                                     if x or y})
+
+
+def _add(table, mono, x, y):
+    """Add x + y*i into table[mono], kept as a mutable [re, im]."""
+    cur = table.get(mono)
+    if cur is None:
+        table[mono] = [x, y]
+    else:
+        cur[0] += x
+        cur[1] += y
+
+
+def _mul_into(out, ta, tb, c: int = 1):
+    """Add c times the product of two integer tables into out."""
+    for ma, (ax, ay) in ta.items():
+        ax, ay = ax * c, ay * c
+        for mb, (bx, by) in tb.items():
+            _add(out, _mono_mul(ma, mb), ax * bx - ay * by, ax * by + ay * bx)
+
+
+def _total_d(table, direction: str, out, sign: int = 1):
+    """Add sign times the total derivative D_tau (direction 't') or
+    D_sigma ('s') of an integer table into out: a trig factor e(m) gives
+    i*m under D_sigma, a symbol the Gaussian integer of its _D_RULES entry,
+    and a jet its order raised along the direction."""
+    tau = direction == "t"
+    for mono, (x, y) in table.items():
+        if sign != 1:
+            x, y = sign * x, sign * y
+        mode, syms, jets = mono
+        if mode and not tau:
+            _add(out, mono, -y * mode, x * mode)
+        for k, (name, order) in enumerate(syms):
+            f = _D_RULES[SYMBOL_KINDS[name], direction]
+            if f is not None:
+                moved = tuple(sorted(syms[:k] + ((name, order + 1),) + syms[k + 1:]))
+                _add(out, Monomial(mode, moved, jets), x * f.a - y * f.b, x * f.b + y * f.a)
+        for k, (i, a, b) in enumerate(jets):
+            jet = (i, a + 1, b) if tau else (i, a, b + 1)
+            _add(out, Monomial(mode, syms, tuple(sorted(jets[:k] + (jet,) + jets[k + 1:]))),
+                 x, y)
+
+
 # the largest exponent a DiffPoly power takes, "^" of the expression
 # grammar included; a larger one is refused before any multiplication
 MAX_EXPONENT = 64
@@ -118,6 +187,11 @@ class DiffPoly(CoeffTable):
     __slots__ = ()
 
     terms = property(lambda self: self.coeffs, doc="Read-only alias of coeffs.")
+
+    def _entry(self, mono, value):
+        for jet in mono[2]:
+            _jet_key(*jet)
+        return mono, S.coerce(value)
 
     def _operand(self, other):
         if isinstance(other, (int, Fraction, ExactScalar)):
@@ -132,11 +206,11 @@ class DiffPoly(CoeffTable):
 
     @staticmethod
     def const(c) -> "DiffPoly":
-        return DiffPoly({UNIT_MONO: S.coerce(c)})
+        return DiffPoly({UNIT_MONO: c})
 
     @staticmethod
     def jet(i: int, a: int, b: int) -> "DiffPoly":
-        return DiffPoly({Monomial(0, (), (_jet_key(i, a, b),)): ONE})
+        return DiffPoly({Monomial(0, (), ((i, a, b),)): ONE})
 
     @staticmethod
     def symbol(name: str, order: int = 0) -> "DiffPoly":
@@ -524,16 +598,21 @@ class VariationalForm(CoeffTable):
             yield f"({poly_str(self.coeffs[(vkeys, hkeys)])}) {label}".strip()
 
 
+def _component(generator, i) -> DiffPoly:
+    """F_i of the generator (F_1, ..., F_n) as a DiffPoly; a field index
+    outside 1..n is refused."""
+    if not 1 <= i <= len(generator):
+        raise ChiraltorusError(f"no generator component for field {i}")
+    image = generator[i - 1]
+    return image if isinstance(image, DiffPoly) else DiffPoly.const(image)
+
+
 def _jet_image(generator, key) -> DiffPoly:
     """x-hat(d^a_tau d^b_sigma x^i) = D_tau^a D_sigma^b F_i for the
     generator (F_1, ..., F_n), climbed in a loop: D_sigma b times from
     F_i, then D_tau a times (total derivatives commute)."""
     i, a, b = key
-    if not 1 <= i <= len(generator):
-        raise ChiraltorusError(f"no generator component for field {i}")
-    image = generator[i - 1]
-    if not isinstance(image, DiffPoly):
-        image = DiffPoly.const(image)
+    image = _component(generator, i)
     for d in "s" * b + "t" * a:
         image = image.D(d)
     return image
@@ -588,8 +667,6 @@ class Lagrangian(Frozen):
         if density.max_jet_order() > 1:
             raise NotFirstOrder("Lagrangian density must be first order in jets")
         fields = density.field_indices()
-        if fields and fields[0] < 1:
-            raise ChiraltorusError(f"field index {fields[0]} is below 1")
         if n is None:
             n = fields[-1] if fields else 1
         elif isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -605,6 +682,14 @@ class Lagrangian(Frozen):
     def gamma(self) -> VariationalForm:
         """The variational one-form, as variational_one_form gives it."""
         return variational_one_form(self)
+
+    @cached_property
+    def _partial_view(self) -> tuple:
+        """({jet: integer table of dl/d jet}, D): every partial of the
+        density, in sorted order, over one denominator, for noether."""
+        parts = self.density.partials()
+        tables, D = _integer_views([part.coeffs for part in parts.values()])
+        return dict(zip(parts, tables)), D
 
     @cached_property
     def _wave_fault(self) -> str | None:
@@ -698,10 +783,11 @@ def _bare(mono: Monomial) -> bool:
     return any(a + b == 0 for (_, a, b) in mono.jets)
 
 
-def _blocks(poly: DiffPoly, dirs: str):
-    """[(content, {mono: coeff})] of poly by block_content, sorted."""
+def _blocks(poly, dirs: str):
+    """[(content, {mono: coeff})] of a DiffPoly, or of a table {mono:
+    coeff}, by block_content, sorted."""
     blocks = {}
-    for mono, coeff in poly.coeffs.items():
+    for mono, coeff in getattr(poly, "coeffs", poly).items():
         blocks.setdefault(block_content(mono, dirs), {})[mono] = coeff
     return sorted(blocks.items())
 
@@ -709,7 +795,9 @@ def _blocks(poly: DiffPoly, dirs: str):
 # bounded: a basis holds up to hundreds of monomials, and each caller asks
 # only for the weights that can pivot on its target's terms.  The seed-401
 # mode_algebra list makes 10,106 calls on 546 keys and rebuilds 244 evicted
-# bases; at 1,024 it read 1,822 vs 1,741 items/s, 35.4 vs 34.2 MB peak RSS
+# bases; the Noether peel makes 4,480 of the calls, on 18 keys, and its
+# integer rows live in those entries.  At 1,024 the list read 1,822 vs
+# 1,741 items/s, 35.4 vs 34.2 MB peak RSS, before the peel ran in ints
 @lru_cache(maxsize=256)
 def _image_basis(content, weights, dirs, bare):
     """(candidates, echelon basis of their total-derivative images),
@@ -721,7 +809,10 @@ def _image_basis(content, weights, dirs, bare):
     so that reducing a target in the span leaves minus its solution on
     the tags.  A row pivots on its leading monomial in the graded order
     (block_weight, monomial), so reducing a target never raises its
-    weight.
+    weight.  The basis of one direction ("s", for normal_form) keeps its
+    rows {column: ExactScalar} for reduce_row; the basis of two ("ts",
+    for the peel) keeps each row as its integer view (table, d), the
+    pivot's entry being (d, 0).
     """
     cands = tuple(m for w in weights for m in enumerate_monomials(content, w, dirs)
                   if bare or not _bare(m))
@@ -729,15 +820,43 @@ def _image_basis(content, weights, dirs, bare):
     rows = []
     for j, d in enumerate(dirs):
         for k, m in enumerate(cands):
-            row = DiffPoly({m: ONE}).D(d).coeffs
+            image = {}
+            _total_d({m: (1, 0)}, d, image)
+            row = {key: _reduced(x, y, 1) for key, (x, y) in image.items() if x or y}
             rows.append({**row, j * len(cands) + k: ONE} if tagged else row)
-    return cands, echelon(rows, lambda row: max(
+    basis = echelon(rows, lambda row: max(
         (key for key in row if type(key) is not int),
         key=lambda m: (block_weight(m, dirs), m), default=None))
+    if tagged:
+        basis = {col: _integer_view(row) for col, row in basis.items()}
+    return cands, basis
 
 
-def _solve_total_derivative(q: DiffPoly):
-    """Find (P, Q) with q = D_tau Q - D_sigma P by graded peeling.
+def _reduce_table(target, D, basis) -> tuple:
+    """(rest, D'): the integer table target over D minus the combination
+    of the integer basis rows that clears every pivot, in one pass over
+    the basis in the order it was built, as reduce_row does; D' is D
+    times the denominator of each row whose pivot the pass meets.  rest
+    may hold zero entries."""
+    out = {m: [x, y] for m, (x, y) in target.items()}
+    for col, (row, d) in basis.items():
+        cur = out.get(col)
+        if cur is None or not (cur[0] or cur[1]):
+            continue
+        u, v = cur
+        if d != 1:
+            for entry in out.values():
+                entry[0] *= d
+                entry[1] *= d
+            D *= d
+        for k, (x, y) in row.items():
+            _add(out, k, v * y - u * x, -u * y - v * x)
+    return out, D
+
+
+def _peel(q, D) -> tuple:
+    """(P, Q, D'): integer tables over one D', a multiple of D, with
+    q / D = D_tau Q - D_sigma P for an integer table q, by graded peeling.
 
     Candidates live in the same content block as q with weight one
     lower (weight equal as well when a nonzero trig mode lets D_sigma
@@ -747,24 +866,39 @@ def _solve_total_derivative(q: DiffPoly):
     candidate list is the fallback.  The tags of what reduction leaves
     are minus the coefficients of D_tau Q and D_sigma P.
     """
-    P, Q = {}, {}
+    solved = []
     for content, target in _blocks(q, "ts"):
         shifts = (1,) if content[0] == 0 else (1, 0)
         weights = tuple(sorted({w for m in target for d in shifts
                                 if (w := block_weight(m, "ts") - d) >= 0}))
         for bare in (False, True):
             cands, basis = _image_basis(content, weights, "ts", bare)
-            rest = reduce_row(target, basis)
-            if all(type(key) is int for key in rest):
+            rest, d = _reduce_table(target, D, basis)
+            if all(type(key) is int for key, (x, y) in rest.items() if x or y):
                 break
         else:
             raise NotASymmetry(
                 f"no total-derivative representation in content block {content}"
             )
-        n = len(cands)
-        Q.update((m, -rest[k]) for k, m in enumerate(cands) if k in rest)
-        P.update((m, rest[n + k]) for k, m in enumerate(cands) if n + k in rest)
-    return DiffPoly(P), DiffPoly(Q)
+        solved.append((cands, rest, d))
+    top = lcm(D, *(d for _, _, d in solved))
+    P, Q = {}, {}
+    for cands, rest, d in solved:
+        n, s = len(cands), top // d
+        for k, m in enumerate(cands):
+            x, y = rest.get(k, (0, 0))
+            if x or y:
+                Q[m] = [-x * s, -y * s]
+            x, y = rest.get(n + k, (0, 0))
+            if x or y:
+                P[m] = [x * s, y * s]
+    return P, Q, top
+
+
+def _solve_total_derivative(q: DiffPoly):
+    """(P, Q) with q = D_tau Q - D_sigma P: the peel of a DiffPoly."""
+    P, Q, D = _peel(*_integer_view(q.coeffs))
+    return _as_poly(P, D), _as_poly(Q, D)
 
 
 def _wave_jets(jets):
@@ -780,40 +914,73 @@ def _wave_jets(jets):
     return sign, out
 
 
+def _wave_table(table) -> dict:
+    """The integer table with every jet of a >= 2 rewritten by
+    d_tau^2 x = -d_sigma^2 x; it may hold zero entries."""
+    out = {}
+    for mono, (x, y) in table.items():
+        sign, jets = _wave_jets(mono.jets)
+        _add(out, Monomial(mono.mode, mono.syms, tuple(sorted(jets))), sign * x, sign * y)
+    return out
+
+
 def wave_reduce_poly(poly: DiffPoly) -> DiffPoly:
     """Rewrite every jet with a >= 2 via d_tau^2 x = -d_sigma^2 x."""
-    out = {}
-    for mono, coeff in poly.coeffs.items():
-        sign, jets = _wave_jets(mono.jets)
-        mono2 = Monomial(mono.mode, mono.syms, tuple(sorted(jets)))
-        add_into(out, mono2, coeff if sign == 1 else -coeff)
-    return poly._like(out)
+    table, D = _integer_view(poly.coeffs)
+    return _as_poly(_wave_table(table), D)
 
 
 def noether(L: Lagrangian, generator) -> VariationalForm:
     """Noether current of a symmetry: alpha - iota_{x-hat} gamma.
 
-    Solves x-hat(L) = d(alpha) by graded peeling and certifies that the
-    returned current is closed on shell (the horizontal differential
-    reduces to zero under the wave rewrite).  By the Noether identity
+    Runs on integer tables: the generator's F_i over one denominator per
+    call, the partials of L over one per Lagrangian, and q = x-hat(L)
+    summed in ints from each jet image D_tau^a D_sigma^b F_i.  Solves
+    q = D_tau Q - D_sigma P by graded peeling and checks it exactly; the
+    current is t dtau + s dsigma with t = P + sum_i dl/d(u_sigma^i) F_i
+    and s = Q - sum_i dl/d(u_tau^i) F_i, each coefficient reduced once,
+    and it is certified closed on shell: D_tau s - D_sigma t reduces to
+    zero under the wave rewrite.  By the Noether identity
     d(alpha - iota_{x-hat} gamma) = sum_i F_i E_i, which the wave rewrite
-    sends to zero once the peel is exact, so a failed certificate is a
-    library bug and raises InvariantError.
+    sends to zero once the peel is exact, so a failed check is a library
+    bug and raises InvariantError.
     """
-    q = prolong(generator, L.density)
-    P, Q = _solve_total_derivative(q)
-    check = Q.D("t") - P.D("s")
-    if not (check - q).is_zero():
+    parts, DL = L._partial_view
+    fields = sorted({i for (i, _, _) in parts})
+    comps, DF = _integer_views([_component(generator, i).coeffs for i in fields])
+    F = dict(zip(fields, comps))
+    q = {}
+    for (i, a, b), part in parts.items():
+        image = F[i]
+        for d in "s" * b + "t" * a:
+            image, prev = {}, image
+            _total_d(prev, d, image)
+        _mul_into(q, part, image)
+    D = DL * DF
+    q = {m: v for m, v in q.items() if v[0] or v[1]}
+    P, Q, top = _peel(q, D)
+    M = top // D
+    check = {}
+    _total_d(Q, "t", check)
+    _total_d(P, "s", check, -1)
+    for m, (x, y) in q.items():
+        _add(check, m, -x * M, -y * M)
+    if any(x or y for x, y in check.values()):
         raise InvariantError("internal: peel produced an incorrect representation")
-    alpha = VariationalForm({((), ("t",)): P, ((), ("s",)): Q})
-    current = alpha - contract(generator, L.gamma)
+    t, s = P, Q
+    for i in fields:
+        _mul_into(t, parts.get((i, 0, 1), {}), F[i], M)
+        _mul_into(s, parts.get((i, 1, 0), {}), F[i], -M)
     if L._wave_fault:
         raise NonLinearEL(L._wave_fault)
-    d_current = current.horizontal_differential()
-    residual = wave_reduce_poly(d_current.component((), ("t", "s")))
-    if not residual.is_zero():
+    d_current = {}
+    _total_d(s, "t", d_current)
+    _total_d(t, "s", d_current, -1)
+    if any(x or y for x, y in _wave_table(d_current).values()):
         raise InvariantError("internal: on-shell certificate failed for the computed current")
-    return current
+    current = ((("t",), _as_poly(t, top)), (("s",), _as_poly(s, top)))
+    return VariationalForm._trusted(coeffs={((), h): poly for h, poly in current
+                                            if not poly.is_zero()})
 
 
 def restrict_to_sol0(expr, L: Lagrangian | None = None):

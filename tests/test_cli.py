@@ -138,6 +138,15 @@ class TestNoether:
         charge = out.splitlines()[2].removeprefix("charge integrand: ")
         assert parse_expr(charge) == parse_expr("-i*g*dzb.x1^2")
 
+    # every generator at B != 0 on a metric with an off-diagonal entry
+    TORUS_N2 = ["--lagrangian", "torus", "--metric", "[[2,1],[1,3]]",
+                "--bfield", '[[0,"1/2"],["-1/2",0]]', "--format", "text"]
+
+    @pytest.mark.parametrize("generator", ["dt", "ds", "x1", "conformal", "anticonformal"])
+    def test_torus_b_field_golden(self, generator, capsys):
+        rc, out, err = invoke(["noether", *self.TORUS_N2, "--generator", generator], capsys)
+        assert (rc, out, err) == (0, golden(f"noether_torus_n2_{generator}.txt"), "")
+
     def test_unknown_generator_exit1(self, capsys):
         rc, _, err = invoke(["noether", "--generator", "bogus"], capsys)
         assert rc == 1 and "generator" in err
@@ -1088,7 +1097,7 @@ class TestExitCodes:
         assert (rc, out, err) == (3, "", "error: internal: check failed\n")
 
     def test_failed_noether_certificate_exits_3(self, monkeypatch, capsys):
-        monkeypatch.setattr(jetcalc, "wave_reduce_poly", lambda p: jetcalc.DiffPoly.const(1))
+        monkeypatch.setattr(jetcalc, "_wave_table", lambda table: {jetcalc.UNIT_MONO: [1, 0]})
         rc, out, err = invoke(["noether", "--generator", "dt"], capsys)
         assert (rc, out, err) == (
             3, "", "error: internal: on-shell certificate failed for the computed current\n")

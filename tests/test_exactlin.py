@@ -353,6 +353,13 @@ class TestExactScalarAgainstReference:
 
 
 class TestRationalMatrix:
+    def test_product_with_a_foreign_operand_is_not_implemented(self):
+        m = RationalMatrix.identity(2)
+        assert m.__mul__(object()) is NotImplemented
+        assert m.__mul__([[1, 0], [0, 1]]) is NotImplemented
+        with pytest.raises(TypeError):
+            m * object()
+
     def test_identity_inverts_to_itself(self):
         m = RationalMatrix.identity(3)
         assert m.inverse() == m
@@ -540,6 +547,13 @@ class TestAltTensor:
     def test_repeated_index_evaluates_to_zero(self):
         t = AltTensor(2, 3, {(1, 2): 5})
         assert t.evaluate((1, 1)) == ExactScalar(0)
+
+    def test_vector_valued_key_without_entry_evaluates_to_a_zero_column(self):
+        t = AltTensor(2, 3, {(1, 2): [5, 0]}, valdim=2)
+        zero = (ExactScalar(0), ExactScalar(0))
+        assert t.evaluate((1, 3)) == t.evaluate((3, 2)) == t.evaluate((2, 2)) == zero
+        assert t.evaluate((1, 3)).is_zero()
+        assert t.evaluate((2, 1)) + t.evaluate((1, 3)) == (ExactScalar(-5), ExactScalar(0))
 
     def test_antisymmetry_of_evaluation(self):
         t = AltTensor(2, 3, {(1, 2): 5, (2, 3): -7})
@@ -841,6 +855,14 @@ def test_printed_form(make, text):
     QSeries({}, 1), DeltaExpansion(), VariationalForm()])
 def test_empty_table_prints_zero(zero):
     assert str(zero) == repr(zero) == "0"
+
+
+def test_table_equality_with_a_foreign_operand_is_not_implemented():
+    # DiffPoly turns numbers into constants; anything else is foreign
+    x1 = DiffPoly.jet(1, 0, 0)
+    assert x1.__eq__("x1") is NotImplemented
+    assert VariationalForm().__eq__(0) is NotImplemented
+    assert x1 != "x1" and not VariationalForm() == 0
 
 
 def table_items(cls):

@@ -25,6 +25,7 @@ from chiraltorus.exactlin import (
     ChiraltorusError,
     DimensionMismatch,
     ExactScalar,
+    InvariantError,
     RationalMatrix,
 )
 from chiraltorus.fockq import (
@@ -722,6 +723,16 @@ class TestVirasoro:
         ]
         for g in metrics:
             assert vacuum_bracket_oracle(g) == S(Fraction(g.rows, 2))
+
+    def test_central_charge_refuses_an_off_diagonal_vacuum_column(self, monkeypatch):
+        # only a broken operator can leave the vacuum column off the diagonal
+        real = SparseOp.column
+        monkeypatch.setattr(SparseOp, "column", lambda op, col: {**real(op, col), col + 1: S(1)})
+        with pytest.raises(InvariantError,
+                           match="^central measurement is not diagonal on the vacuum$") as info:
+            central_charge(build_model(1, [["1"]], [["0"]], [["1"]]))
+        assert type(info.value) is InvariantError
+        assert info.value.exit_code == 3
 
     def test_central_charge_counts_bosons(self):
         m1 = build_model(1, [["5/4"]], [["0"]], [["1"]])

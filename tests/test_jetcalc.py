@@ -46,6 +46,7 @@ from chiraltorus.jetcalc import (
     wave_reduce_poly,
 )
 
+import noether_oracle
 import peel_oracle as oracle
 import scanner_oracle
 from test_exactlin import rand_scalar
@@ -183,7 +184,12 @@ class TestRingAndPartials:
          "field index 0 is below 1"),
         (lambda: contract(gen_tau(2), VariationalForm({(((-1, 0, 0),), ()): const(1)})),
          "field index -1 is below 1"),
-    ], ids=["0", "-2", "contract-delta-x0", "prolong-delta-x0", "contract-delta-x-1"])
+        # a raw monomial key goes through the same rule as DiffPoly.jet
+        (lambda: DiffPoly({Monomial(0, (), ((0, 1, 0),)): 1}), "field index 0 is below 1"),
+        (lambda: DiffPoly([(Monomial(1, (), ((1, 0, 0), (-1, 0, 2))), 2)]),
+         "field index -1 is below 1"),
+    ], ids=["0", "-2", "contract-delta-x0", "prolong-delta-x0", "contract-delta-x-1",
+            "raw-monomial-x0", "raw-monomial-x-1"])
     def test_jet_field_index_below_one_is_refused(self, build, message):
         with pytest.raises(ChiraltorusError, match=f"^{message}$") as info:
             build()
@@ -416,11 +422,10 @@ class TestEulerLagrange:
             Lagrangian(jet(1, 2, 0))
 
     def test_field_index_below_one_is_refused(self):
-        # DiffPoly.jet refuses field 0 itself, so the density is built from
-        # its monomial to reach the Lagrangian's own check
-        density = DiffPoly({Monomial(0, (), ((0, 1, 0), (0, 1, 0))): 1})
+        # the DiffPoly constructor checks every jet key of a raw monomial,
+        # so a density on field 0 never reaches the Lagrangian
         with pytest.raises(ChiraltorusError, match="^field index 0 is below 1$") as info:
-            Lagrangian(density)
+            Lagrangian(DiffPoly({Monomial(0, (), ((0, 1, 0), (0, 1, 0))): 1}))
         assert type(info.value) is ChiraltorusError
         assert info.value.exit_code == 1
 
@@ -697,8 +702,16 @@ class TestNoether:
 
     def test_failed_certificate_is_an_invariant_error(self, monkeypatch):
         # only a broken wave rewrite can leave a residual after an exact peel
-        monkeypatch.setattr(jetcalc, "wave_reduce_poly", lambda p: DiffPoly.const(1))
+        monkeypatch.setattr(jetcalc, "_wave_table", lambda table: {jetcalc.UNIT_MONO: [1, 0]})
         with pytest.raises(InvariantError, match="on-shell certificate failed") as info:
+            noether(boson_circle_lagrangian(), gen_tau(1))
+        assert type(info.value) is InvariantError
+        assert info.value.exit_code == 3
+
+    def test_failed_peel_identity_is_an_invariant_error(self, monkeypatch):
+        # a peel that drops its solution leaves D_tau Q - D_sigma P != x-hat(L)
+        monkeypatch.setattr(jetcalc, "_peel", lambda q, D: ({}, {}, D))
+        with pytest.raises(InvariantError, match="peel produced an incorrect") as info:
             noether(boson_circle_lagrangian(), gen_tau(1))
         assert type(info.value) is InvariantError
         assert info.value.exit_code == 3
@@ -843,3 +856,100 @@ class TestPeel:
     ])
     def test_insert_h(self, c, hkeys, want):
         assert jetcalc._insert_h(c, hkeys) == want
+
+
+def _outcome(run, L, generator):
+    """(error type, message, None) for a refused Noether call, and
+    (None, the current's text, the current) otherwise."""
+    try:
+        current = run(L, generator)
+    except ChiraltorusError as exc:
+        return type(exc), str(exc), None
+    return None, repr(current), current
+
+
+# rationals with small denominators: singular and indefinite metrics come
+# up, and so does the NonLinearEL refusal
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def torus_lagrangians(draw):
+    n = draw(st.integers(1, 3))
+    g = [[0] * n for _ in range(n)]
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(small_fractions)
+            if j > i:
+                b[i][j] = draw(small_fractions)
+                b[j][i] = -b[i][j]
+    return torus_lagrangian(g, b if draw(st.booleans()) else None)
+
+
+@st.composite
+def torus_generators(draw, n):
+    kind = draw(st.sampled_from(("dt", "ds", "x", "conformal", "anticonformal")))
+    if kind == "dt":
+        return gen_tau(n)
+    if kind == "ds":
+        return gen_sigma(n)
+    if kind == "x":
+        return gen_translation(n, draw(st.integers(1, n)))
+    return gen_conformal(n, holomorphic=kind == "conformal",
+                         with_symbol=draw(st.booleans()))
+
+
+class TestNoetherOracle:
+    """noether on integer tables against the ExactScalar path of
+    tests/noether_oracle.py, built from the public bicomplex operations."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), L=torus_lagrangians())
+    def test_torus_currents_equal_the_oracle(self, data, L):
+        generator = data.draw(torus_generators(L.n))
+        got = _outcome(noether, L, generator)
+        want = _outcome(noether_oracle.noether, L, generator)
+        assert got == want
+
+    # random first-order Lagrangians and generators: most pairs are refused,
+    # and each refusal must come first on the same input in both paths
+    @settings(max_examples=60, deadline=None)
+    @given(density=first_order_polys, generator=st.lists(first_order_polys, min_size=1,
+                                                         max_size=3))
+    def test_refusals_come_in_the_oracle_order(self, density, generator):
+        L = Lagrangian(density, n=2)
+        got = _outcome(noether, L, generator)
+        want = _outcome(noether_oracle.noether, L, generator)
+        assert got[0] is want[0]
+        # peel_oracle names a content block in its own format
+        if got[0] is not NotASymmetry:
+            assert got[1:] == want[1:]
+
+    @pytest.mark.parametrize("L, generator, error, message", [
+        (boson_circle_lagrangian(), [jet(1, 0, 0) ** 2], NotASymmetry,
+         "no total-derivative representation in content block "
+         "(0, ((1, 0, 0), (1, 0, 0), (1, 0, 0)), ())"),
+        (Lagrangian((jet(1, 1, 0) ** 2 - jet(1, 0, 1) ** 2).scale(I / S(2))), gen_tau(1),
+         NonLinearEL, "d_tau^2 and d_sigma^2 blocks differ"),
+        (torus_lagrangian([[1, 0], [0, 2]]), gen_tau(1), ChiraltorusError,
+         "no generator component for field 2"),
+        (Lagrangian(jet(1, 1, 0) * jet(1, 0, 1)), gen_translation(1, 1), NonLinearEL,
+         "Euler-Lagrange system is not the flat wave system"),
+        # several faults at once: the first check to meet one decides
+        (Lagrangian(jet(1, 1, 0) * jet(1, 0, 1)), [jet(1, 0, 0) ** 2], NotASymmetry,
+         "no total-derivative representation in content block "
+         "(0, ((1, 0, 0), (1, 0, 0), (1, 0, 0)), ())"),
+        (Lagrangian(jet(1, 1, 0) * jet(2, 0, 1)), [jet(1, 0, 0) ** 2], ChiraltorusError,
+         "no generator component for field 2"),
+        (Lagrangian(jet(1, 1, 0) * jet(1, 0, 1), n=2), [1.5], TypeError,
+         "cannot coerce 1.5 to ExactScalar"),
+    ], ids=["not-a-symmetry", "non-linear-el", "short-generator", "non-wave-el",
+            "peel-before-el", "generator-before-peel", "inexact-component"])
+    def test_refusals_match_the_oracle(self, L, generator, error, message):
+        for run in (noether, noether_oracle.noether):
+            with pytest.raises(error) as info:
+                run(L, generator)
+            assert type(info.value) is error
+            if run is noether or error is not NotASymmetry:
+                assert str(info.value) == message
