@@ -675,6 +675,25 @@ def _fock_basis(n: int, N: int) -> tuple:
             tuple(levels))
 
 
+@lru_cache(maxsize=1024)
+def _word_map(n: int, N: int, edits: tuple) -> tuple:
+    """The hits (col, row, multiplicity) of the word edits on the basis of
+    _fock_basis(n, N): row is the column's state after _edited, and a
+    column whose image lies above level N, or that lacks a part to
+    remove, has none.  Every truncation of one (n, N) shares the map,
+    which carries no coefficient."""
+    basis, index, levels = _fock_basis(n, N)
+    # the word lowers the level by the sum of its modes
+    top, hits = N + sum(m for _, m in edits), []
+    for col, vec in enumerate(basis):
+        if levels[col] > top:
+            break
+        new, mult = _edited(vec, edits)
+        if mult:
+            hits.append((col, index[new], mult))
+    return tuple(hits)
+
+
 class FockTruncation(Frozen):
     """Level-truncated highest-weight module over the mode algebra.
 
@@ -708,18 +727,16 @@ class FockTruncation(Frozen):
         k = _integer(k, "level")
         return [i for i, level in enumerate(self.levels) if level <= k]
 
-    def _operator(self, terms, k) -> SparseOp:
-        """The operator sum c * edits over terms (c, edits) that each lower
-        the level by k, edits acting in order on a column's partition state
-        as in _edited.  A column whose image would lie above level N is
-        left out.
+    def _operator(self, terms) -> SparseOp:
+        """The operator sum c * edits over terms (c, edits), edits acting
+        in order on a column's partition state as in _edited.  A column
+        whose image would lie above level N is left out.
 
         Equal words are merged first, a pair of creations or of
-        annihilations sorted since they commute.  Each column then applies
-        a first edit once for all the words that start with it, and skips
-        them together when it lacks the part to remove.  Coefficients are
-        integers over one common denominator, so every row is summed in
-        ints, and each distinct sum is normalised once."""
+        annihilations sorted since they commute.  Each word's hits come
+        from _word_map, which every truncation of this (n, N) shares.
+        Coefficients are integers over one common denominator, so every
+        entry is summed in ints, and each distinct sum is normalised once."""
         words = {}
         for c, edits in terms:
             if len(edits) == 2 and (edits[0][1] < 0) == (edits[1][1] < 0):
@@ -727,35 +744,17 @@ class FockTruncation(Frozen):
             words[edits] = words.get(edits, ZERO) + c
         words = {edits: c for edits, c in words.items() if not c.is_zero()}
         re, im, den = _over_common(list(words.values()))
-        groups = {}
+        n, acc = self.model.n, {}
         for edits, a, b in zip(words, re, im):
-            first = edits[:1]
-            # (i, m) when the first edit removes part m from colour i;
-            # (0, 0) marks a group that every column applies
-            i, m = first[0] if first and first[0][1] > 0 else (0, 0)
-            groups.setdefault((i, m, first), []).append((edits[1:], a, b))
-        index, top, scalars, table = self.index, self.N + k, {}, {}
-        for col, vec in enumerate(self.basis):
-            if self.levels[col] > top:
-                break
-            acc, out = {}, {}
-            for (i, m, first), rest in groups.items():
-                if m and m not in vec[i]:
-                    continue
-                head, mult = _edited(vec, first)
-                for edits, a, b in rest:
-                    new, count = _edited(head, edits) if edits else (head, 1)
-                    if count:
-                        row, count = index[new], count * mult
-                        x, y = acc.get(row, (0, 0))
-                        acc[row] = x + a * count, y + b * count
-            for row, xy in acc.items():
-                if xy != (0, 0):
-                    if xy not in scalars:
-                        scalars[xy] = _reduced(*xy, den)
-                    out[row] = scalars[xy]
-            if out:
-                table[col] = out
+            for col, row, mult in _word_map(n, self.N, edits):
+                x, y = acc.get((col, row), (0, 0))
+                acc[col, row] = x + a * mult, y + b * mult
+        scalars, table = {}, {}
+        for (col, row), xy in acc.items():
+            if xy != (0, 0):
+                if xy not in scalars:
+                    scalars[xy] = _reduced(*xy, den)
+                table.setdefault(col, {})[row] = scalars[xy]
         return SparseOp._trusted(dim=self.dim, table=table)
 
     def alpha(self, i: int, m: int) -> SparseOp:
@@ -773,7 +772,7 @@ class FockTruncation(Frozen):
                          for j in range(self.model.n)]
             else:
                 terms = [(self.zero_modes[i - 1], ())]
-            self._alpha_cache[key] = self._operator(terms, m)
+            self._alpha_cache[key] = self._operator(terms)
         return self._alpha_cache[key]
 
     def virasoro(self, k: int) -> SparseOp:
@@ -820,7 +819,7 @@ class FockTruncation(Frozen):
                 terms += [(HALF * (p + q) * lam[a], ((a, p + q),)) for a in colours]
             else:
                 terms.append((HALF * sum(map(mul, w, lam), ZERO), ()))
-        return self._operator(terms, k)
+        return self._operator(terms)
 
 
 def central_charge(model: LatticeModel, N: int = 3) -> ExactScalar:

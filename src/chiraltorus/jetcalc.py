@@ -189,8 +189,19 @@ class DiffPoly(CoeffTable):
     terms = property(lambda self: self.coeffs, doc="Read-only alias of coeffs.")
 
     def _entry(self, mono, value):
-        for jet in mono[2]:
+        # a raw key passes the rules of DiffPoly.jet, DiffPoly.symbol and
+        # DiffPoly.trig, and is canonical: equal monomials must be equal keys
+        mode, syms, jets = mono
+        _integer(mode, "mode")
+        for jet in jets:
             _jet_key(*jet)
+        for name, order in syms:
+            if name not in SYMBOL_KINDS:
+                raise ChiraltorusError(f"unknown symbol {name!r}")
+            _natural(order, "symbol order")
+        for what, factors in (("jets", jets), ("symbols", syms)):
+            if factors != tuple(sorted(factors)):
+                raise ChiraltorusError(f"monomial {what} must be sorted, got {factors!r}")
         return mono, S.coerce(value)
 
     def _operand(self, other):

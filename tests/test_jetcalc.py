@@ -195,6 +195,32 @@ class TestRingAndPartials:
             build()
         assert info.value.exit_code == 1
 
+    # a raw monomial key is canonical and names only the symbols that
+    # DiffPoly.symbol builds, so equal polynomials are equal tables and D
+    # finds a rule for every symbol
+    @pytest.mark.parametrize("mono,message", [
+        (Monomial(0, (), ((2, 0, 0), (1, 0, 0))),
+         "monomial jets must be sorted, got ((2, 0, 0), (1, 0, 0))"),
+        (Monomial(1, (("phi", 0), ("f", 1)), ()),
+         "monomial symbols must be sorted, got (('phi', 0), ('f', 1))"),
+        (Monomial(0, (("h", 0),), ()), "unknown symbol 'h'"),
+        (Monomial(0, (("f", -1),), ()), "symbol order must be nonnegative, got -1"),
+        (Monomial(1.5, (), ()), "mode must be an integer, got 1.5"),
+        (Monomial(True, (), ((1, 0, 0),)), "mode must be an integer, got True"),
+    ], ids=["unsorted-jets", "unsorted-symbols", "unknown-symbol", "symbol-order--1",
+            "mode-1.5", "mode-True"])
+    def test_non_canonical_raw_key_is_refused(self, mono, message):
+        with pytest.raises(ChiraltorusError, match=f"^{re.escape(message)}$") as info:
+            DiffPoly({mono: 1})
+        assert info.value.exit_code == 1
+
+    def test_sorted_raw_key_equals_the_product(self):
+        raw = DiffPoly({Monomial(0, (("f", 1), ("phi", 0)), ((1, 0, 0), (2, 0, 0))): 1})
+        built = (jet(2, 0, 0) * DiffPoly.symbol("phi") * jet(1, 0, 0)
+                 * DiffPoly.symbol("f", 1))
+        assert raw == built
+        assert str(raw) == str(built)
+
     # a form key is a pair of a sequence of delta factors and one of the
     # four horizontal factors, and each delta-factor key three indices
     # under DiffPoly.jet's rule, a field index of 0 or below included
