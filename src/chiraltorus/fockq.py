@@ -582,8 +582,7 @@ class SparseOp(Frozen):
     def __add__(self, other):
         if not isinstance(other, SparseOp):
             return NotImplemented
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"operator dimensions differ: {self.dim} and {other.dim}")
+        self._check_dim(other)
         # columns are never mutated once built, so untouched ones are shared
         out = dict(self.table)
         for c, col in other.table.items():
@@ -613,20 +612,54 @@ class SparseOp(Frozen):
         """self after other."""
         if not isinstance(other, SparseOp):
             return NotImplemented
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"operator dimensions differ: {self.dim} and {other.dim}")
-        out = {}
-        for col, column in other.table.items():
-            acc = {}
-            for mid, v in column.items():
-                for r, w in self.table.get(mid, {}).items():
-                    add_into(acc, r, v * w)
-            if acc:
-                out[col] = acc
-        return SparseOp._trusted(dim=self.dim, table=out)
+        self._check_dim(other)
+        table = {}
+        self._product_into(other, table)
+        return SparseOp._trusted(dim=self.dim, table=table)
 
     def commutator(self, other):
-        return (self @ other) - (other @ self)
+        """[self, other] = self @ other - other @ self, both products
+        summed into one table.  A plain method, so a foreign operand is a
+        TypeError here and never NotImplemented."""
+        if not isinstance(other, SparseOp):
+            raise TypeError("unsupported operand type(s) for commutator: "
+                            f"'SparseOp' and '{type(other).__name__}'")
+        self._check_dim(other)
+        table = {}
+        self._product_into(other, table)
+        other._product_into(self, table, negate=True)
+        return SparseOp._trusted(dim=self.dim, table=table)
+
+    def _check_dim(self, other):
+        if other.dim != self.dim:
+            raise DimensionMismatch(f"operator dimensions differ: {self.dim} and {other.dim}")
+
+    def _product_into(self, right, table, negate=False, cols=None):
+        """Add self @ right, negated if asked, into table, a zero-pruned
+        {col: {row: ExactScalar}} whose columns are summed in place, so
+        only this kernel may have built them; only right's columns cols
+        are formed, all of them by default.  Each product is summed where
+        it lands, and an entry is dropped when its sum cancels."""
+        left, rights = self.table, right.table
+        for col in rights if cols is None else cols:
+            acc = table.get(col, {})
+            for mid, v in rights.get(col, {}).items():
+                image = left.get(mid)
+                if image:
+                    if negate:
+                        v = -v
+                    for r, w in image.items():
+                        x = acc.get(r)
+                        if x is None:
+                            acc[r] = v * w
+                        elif (x := x + v * w).is_zero():
+                            del acc[r]
+                        else:
+                            acc[r] = x
+            if acc:
+                table[col] = acc
+            else:
+                table.pop(col, None)
 
     def __hash__(self):
         return hash((self.dim, tuple(sorted(
@@ -732,20 +765,27 @@ class FockTruncation(Frozen):
         in order on a column's partition state as in _edited.  A column
         whose image would lie above level N is left out.
 
-        Equal words are merged first, a pair of creations or of
-        annihilations sorted since they commute.  Each word's hits come
-        from _word_map, which every truncation of this (n, N) shares.
-        Coefficients are integers over one common denominator, so every
-        entry is summed in ints, and each distinct sum is normalised once."""
+        Coefficients are put over one common denominator first, and equal
+        words are merged as integer pairs [re, im], a pair of creations or
+        of annihilations sorted since they commute; a word whose sum is
+        zero is dropped.  Each word's hits come from _word_map, which every
+        truncation of this (n, N) shares, so every entry is summed in ints
+        and each distinct sum is normalised once."""
+        re, im, den = _over_common([c for c, _ in terms])
         words = {}
-        for c, edits in terms:
+        for (_, edits), a, b in zip(terms, re, im):
             if len(edits) == 2 and (edits[0][1] < 0) == (edits[1][1] < 0):
                 edits = tuple(sorted(edits))
-            words[edits] = words.get(edits, ZERO) + c
-        words = {edits: c for edits, c in words.items() if not c.is_zero()}
-        re, im, den = _over_common(list(words.values()))
+            ab = words.get(edits)
+            if ab is None:
+                words[edits] = [a, b]
+            else:
+                ab[0] += a
+                ab[1] += b
         n, acc = self.model.n, {}
-        for edits, a, b in zip(words, re, im):
+        for edits, (a, b) in words.items():
+            if not (a or b):
+                continue
             for col, row, mult in _word_map(n, self.N, edits):
                 x, y = acc.get((col, row), (0, 0))
                 acc[col, row] = x + a * mult, y + b * mult
@@ -824,14 +864,20 @@ class FockTruncation(Frozen):
 
 def central_charge(model: LatticeModel, N: int = 3) -> ExactScalar:
     """Measure c on the vacuum module: ([L_2, L_-2] - 4 L_0) acts there
-    by c/2."""
+    by c/2.  Only the vacuum column of that operator is built, through
+    the product kernel of SparseOp, and any entry off its diagonal is an
+    InvariantError."""
     fock = FockTruncation(model, [0] * model.n, N)
-    l2 = fock.virasoro(2)
-    lm2 = fock.virasoro(-2)
-    l0 = fock.virasoro(0)
-    op = l2.commutator(lm2) - l0.scale(4)
+    l2, lm2, l0 = fock.virasoro(2), fock.virasoro(-2), fock.virasoro(0)
     vac = fock.index[((),) * model.n]
-    column = op.column(vac)
+    # only the vacuum column is formed: [L_2, L_-2] there, then L_0 applied
+    # to -4 times the vacuum
+    table, cols = {}, (vac,)
+    l2._product_into(lm2, table, cols=cols)
+    lm2._product_into(l2, table, negate=True, cols=cols)
+    l0._product_into(SparseOp._trusted(dim=fock.dim, table={vac: {vac: S(-4)}}),
+                     table, cols=cols)
+    column = SparseOp._trusted(dim=fock.dim, table=table).column(vac)
     value = column.get(vac, ZERO)
     if set(column) - {vac}:
         raise InvariantError("central measurement is not diagonal on the vacuum")

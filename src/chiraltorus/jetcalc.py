@@ -191,6 +191,8 @@ class DiffPoly(CoeffTable):
     def _entry(self, mono, value):
         # a raw key passes the rules of DiffPoly.jet, DiffPoly.symbol and
         # DiffPoly.trig, and is canonical: equal monomials must be equal keys
+        if not isinstance(mono, Monomial):
+            raise ChiraltorusError(f"a DiffPoly key must be a Monomial, got {mono!r}")
         mode, syms, jets = mono
         _integer(mode, "mode")
         for jet in jets:

@@ -1,5 +1,6 @@
 """The per-term Fock kernel, kept as the reference path for
-FockTruncation._operator.
+FockTruncation._operator, and the full-matrix paths that SparseOp's
+product kernel replaced in commutator and central_charge.
 
 alpha and virasoro list the same terms (coefficient, edits) as the
 library, and operator walks every column once per term: it applies each
@@ -8,13 +9,19 @@ every part removed, and adds the product into the column with one
 ExactScalar sum per hit.  No word is merged, no first edit is shared and
 no sum is deferred, so each entry of the library's grouped integer kernel
 can be checked against a plain sum of scalars.
+
+product forms every entry of a product as a sum over the whole basis;
+commutator is the two products and a difference, as SparseOp formed it
+before the products were summed into one table; central_charge builds
+the whole operator [L_2, L_-2] - 4 L_0 from the per-term Virasoro modes
+and reads its vacuum column.
 """
 
 from fractions import Fraction
 from operator import mul
 
-from chiraltorus.exactlin import ExactScalar, add_into
-from chiraltorus.fockq import SparseOp
+from chiraltorus.exactlin import ExactScalar, InvariantError, add_into
+from chiraltorus.fockq import FockTruncation, SparseOp
 
 S = ExactScalar
 HALF = S(Fraction(1, 2))
@@ -103,3 +110,35 @@ def virasoro(fock, k: int) -> SparseOp:
         else:
             terms.append((HALF * sum(map(mul, w, lam), ZERO), ()))
     return operator(fock, terms, k)
+
+
+def product(left, right) -> SparseOp:
+    """left after right, entry by entry: the (row, col) entry is the sum
+    of left[row, m] * right[m, col] over every m of the basis."""
+    dim = left.dim
+
+    def entry(op, row, col):
+        return op.table.get(col, {}).get(row, ZERO)
+
+    return SparseOp(dim, {col: {row: sum((entry(left, row, m) * entry(right, m, col)
+                                          for m in range(dim)), ZERO)
+                                for row in range(dim)}
+                          for col in range(dim)})
+
+
+def commutator(a, b) -> SparseOp:
+    """[a, b] as two whole products and a difference."""
+    return (a @ b) - (b @ a)
+
+
+def central_charge(model, N: int) -> ExactScalar:
+    """c read off the vacuum column of the whole operator [L_2, L_-2] -
+    4 L_0, which acts by c/2 there; InvariantError when that column has
+    an entry off the diagonal."""
+    fock = FockTruncation(model, [0] * model.n, N)
+    op = commutator(virasoro(fock, 2), virasoro(fock, -2)) - virasoro(fock, 0).scale(4)
+    vac = fock.index[((),) * model.n]
+    column = op.column(vac)
+    if set(column) - {vac}:
+        raise InvariantError("central measurement is not diagonal on the vacuum")
+    return column.get(vac, ZERO) * 2

@@ -10,6 +10,11 @@ zero-mode terms and the imaginary integer sums, which the vacuum module
 never reaches, are exercised.  Truncations that share maps are built side
 by side with different metrics, weights and cutoffs, so a map that kept a
 coefficient or a cutoff of the truncation that built it would show.
+
+SparseOp sums both products of a commutator into one table, and
+central_charge forms only the vacuum column of [L_2, L_-2] - 4 L_0;
+fock_oracle keeps the whole products, their difference and the
+full-matrix reading, and both must agree entry for entry.
 """
 
 from fractions import Fraction
@@ -22,7 +27,13 @@ from hypothesis import strategies as st
 
 import fock_oracle
 from chiraltorus.exactlin import ExactScalar
-from chiraltorus.fockq import FockTruncation, LatticeModel, _word_map
+from chiraltorus.fockq import (
+    FockTruncation,
+    LatticeModel,
+    SparseOp,
+    _word_map,
+    central_charge,
+)
 from test_sector_tables import metrics, small
 from test_sugawara import same
 
@@ -111,3 +122,61 @@ def test_workload_shapes_equal_the_per_term_oracle(g, weight):
     fock = FockTruncation(model_of(g), w, {1: 7, 2: 5, 3: 4}[n])
     for call, oracle in calls(fock):
         same(call(), oracle())
+
+
+# entries whose sums cancel exactly, on the real and the imaginary axis
+entries = st.sampled_from([S(1), S(-1), S(Fraction(1, 2)), S(Fraction(-1, 2)),
+                           S(0, 1), S(0, -1), S(Fraction(1, 3), -2)])
+
+
+@st.composite
+def operators(draw, dim, support):
+    """An operator of dimension dim whose columns and rows lie in support."""
+    if not support:
+        return SparseOp(dim)
+    index = st.sampled_from(support)
+    return SparseOp(dim, draw(st.dictionaries(
+        index, st.dictionaries(index, entries, max_size=len(support)),
+        max_size=len(support))))
+
+
+@st.composite
+def operator_pairs(draw):
+    """(a, b, kind): b is drawn on its own ("free"), is a itself ("equal"),
+    is a polynomial in a ("commuting"), or lives on basis vectors that a
+    never touches ("disjoint"); in the last three [a, b] is zero."""
+    dim = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["free", "equal", "commuting", "disjoint"]))
+    if kind == "disjoint":
+        k = draw(st.integers(0, dim))
+        return (draw(operators(dim, range(k))), draw(operators(dim, range(k, dim))),
+                kind)
+    a = draw(operators(dim, range(dim)))
+    if kind == "free":
+        b = draw(operators(dim, range(dim)))
+    elif kind == "equal":
+        b = a
+    else:
+        b = (fock_oracle.product(a, a).scale(draw(entries)) + a
+             + SparseOp.identity(dim, draw(entries)))
+    return a, b, kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(operator_pairs())
+def test_commutator_equals_two_products_and_a_difference(pair):
+    a, b, kind = pair
+    same(a @ b, fock_oracle.product(a, b))
+    same(a.commutator(b), fock_oracle.commutator(a, b))
+    if kind != "free":
+        assert a.commutator(b) == SparseOp.zero(a.dim)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(metrics(n), st.integers(2, 4))))
+def test_central_charge_equals_the_full_matrix_reading(drawn):
+    g, N = drawn
+    model = model_of(g)
+    c = central_charge(model, N)
+    assert c == fock_oracle.central_charge(model, N)
+    assert c == S(model.n)

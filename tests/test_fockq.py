@@ -638,14 +638,20 @@ class TestFock:
             with pytest.raises(DimensionMismatch, match="dimensions differ"):
                 op(large, small)
 
-    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.matmul])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.matmul,
+                                    SparseOp.commutator])
     def test_foreign_operands_are_a_type_error(self, op):
         one = SparseOp.identity(2)
         for other in (1, S(1), RationalMatrix.identity(2)):
             with pytest.raises(TypeError, match="unsupported operand"):
                 op(one, other)
-            with pytest.raises(TypeError, match="unsupported operand"):
-                op(other, one)
+            if op is not SparseOp.commutator:
+                with pytest.raises(TypeError, match="unsupported operand"):
+                    op(other, one)
+        if op is SparseOp.commutator:
+            # a plain method: only its argument can be foreign, and it
+            # raises rather than returning NotImplemented
+            return
         # UnitScalar takes plain numbers in every operation, and nothing else
         u = UnitScalar.unit(1)
         for other in ("1/2", None, DiffPoly.jet(1, 0, 0)):

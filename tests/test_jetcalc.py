@@ -207,11 +207,15 @@ class TestRingAndPartials:
         (Monomial(0, (("f", -1),), ()), "symbol order must be nonnegative, got -1"),
         (Monomial(1.5, (), ()), "mode must be an integer, got 1.5"),
         (Monomial(True, (), ((1, 0, 0),)), "mode must be an integer, got True"),
+        # a plain tuple built, then broke str; a short one raised a raw ValueError
+        ((0, (), ()), "a DiffPoly key must be a Monomial, got (0, (), ())"),
+        ((0, ()), "a DiffPoly key must be a Monomial, got (0, ())"),
     ], ids=["unsorted-jets", "unsorted-symbols", "unknown-symbol", "symbol-order--1",
-            "mode-1.5", "mode-True"])
+            "mode-1.5", "mode-True", "plain-tuple", "short-tuple"])
     def test_non_canonical_raw_key_is_refused(self, mono, message):
         with pytest.raises(ChiraltorusError, match=f"^{re.escape(message)}$") as info:
             DiffPoly({mono: 1})
+        assert type(info.value) is ChiraltorusError
         assert info.value.exit_code == 1
 
     def test_sorted_raw_key_equals_the_product(self):
