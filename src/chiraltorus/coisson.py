@@ -39,7 +39,6 @@ from .exactlin import (
     _natural,
     _torus_matrices,
     add_into,
-    reduce_row,
     signed_sort,
 )
 from .jetcalc import (
@@ -53,6 +52,7 @@ from .jetcalc import (
     _jet_factors,
     _jet_rows,
     _mono_mul,
+    _reduce_table,
     _total_d,
     block_weight,
     dz_jet,
@@ -119,15 +119,15 @@ def normal_form(density) -> DiffPoly:
     D_sigma is injective on the block (above weight 0 with no trig mode),
     so no row from the target's top weight pivots at or below it; with
     no trig mode a row is homogeneous, so weight w needs weight w - 1."""
-    poly = as_density(density)
+    table, D = _integer_view(as_density(density).coeffs)
     out = {}
-    for content, target in _blocks(poly, "s"):
+    for content, target in _blocks(table, "s"):
         weights = {block_weight(m, "s") for m in target}
         layers = (range(max(max(weights), 1)) if content[0]
                   else sorted(w - 1 for w in weights if w))
         _, basis = _image_basis(content, tuple(layers), "s", True)
-        out.update(reduce_row(target, basis))
-    return poly._like(out)
+        out.update(_as_poly(*_reduce_table(target, D, basis)).coeffs)
+    return DiffPoly._trusted(coeffs=out)
 
 
 class FourierClass(Frozen):

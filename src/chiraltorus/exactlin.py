@@ -645,41 +645,6 @@ def add_into(table, key, value):
         table[key] = value
 
 
-def echelon(rows, lead) -> dict:
-    """Echelon basis {pivot: row scaled to 1 there} of the span of rows.
-
-    Rows are zero-pruned dicts {column: ExactScalar} and are not
-    modified.  Each row is reduced against the basis built so far; lead
-    picks the pivot column of a nonzero remainder, or returns None when
-    the remainder has no admissible column, and the row is then
-    dropped.  There is no back-substitution: a basis row is zero at the
-    pivots of the rows before it, which is all reduce_row needs.
-    """
-    basis = {}
-    for row in rows:
-        row = reduce_row(row, basis)
-        if not row:
-            continue
-        col = lead(row)
-        if col is None:
-            continue
-        inv = ONE / row[col]
-        basis[col] = {k: v * inv for k, v in row.items()}
-    return basis
-
-
-def reduce_row(row, basis) -> dict:
-    """row minus the combination of basis rows that is zero at every
-    pivot, in one pass over the basis in the order it was built."""
-    out = dict(row)
-    for col, brow in basis.items():
-        if col in out:
-            c = -out[col]
-            for k, v in brow.items():
-                add_into(out, k, c * v)
-    return out
-
-
 class CoeffTable(Frozen):
     """A frozen, zero-pruned table {key: coefficient} of exact values.
 

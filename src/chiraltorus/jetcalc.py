@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import groupby
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .exactlin import (
@@ -36,12 +36,9 @@ from .exactlin import (
     S,
     _integer,
     _natural,
-    _over_common,
     _reduced,
     _torus_matrices,
-    add_into,
     compositions,
-    echelon,
     signed_sort,
 )
 
@@ -64,13 +61,14 @@ class NonLinearEL(PreconditionError):
 #   sigma   phi(sigma): D_tau phi = 0, D_sigma phi = phi'
 SYMBOL_KINDS = {"f": "hol", "g": "antihol", "phi": "sigma", "psi": "sigma"}
 
+# the factor (re, im) a symbol's total derivative carries, None for zero
 _D_RULES = {
-    ("hol", "t"): ONE,
-    ("hol", "s"): IMAG,
-    ("antihol", "t"): ONE,
-    ("antihol", "s"): -IMAG,
+    ("hol", "t"): (1, 0),
+    ("hol", "s"): (0, 1),
+    ("antihol", "t"): (1, 0),
+    ("antihol", "s"): (0, -1),
     ("sigma", "t"): None,
-    ("sigma", "s"): ONE,
+    ("sigma", "s"): (1, 0),
 }
 
 
@@ -114,18 +112,23 @@ def _jet_key(i, a, b) -> tuple:
 # Noether path compute in, each output coefficient reduced once
 # ----------------------------------------------------------------------
 
+def _over(coeffs, D) -> dict:
+    """The numerators {key: (re, im)} of a coefficient table {key:
+    ExactScalar} over D, a multiple of every denominator."""
+    return {m: (c.a * (D // c.d), c.b * (D // c.d)) for m, c in coeffs.items()}
+
+
 def _integer_views(tables) -> tuple:
-    """([table, ...], D): each coefficient table {key: ExactScalar} as
-    numerators (re, im) over D, the lcm of all their denominators."""
-    re, im, D = _over_common([c for table in tables for c in table.values()])
-    parts = iter(zip(re, im))
-    return [dict(zip(table, parts)) for table in tables], D
+    """([table, ...], D): each coefficient table over D, the lcm of all
+    their denominators."""
+    D = lcm(*[c.d for table in tables for c in table.values()])
+    return [_over(table, D) for table in tables], D
 
 
 def _integer_view(coeffs) -> tuple:
     """(table, D): one coefficient table over the lcm D of its denominators."""
-    (table,), D = _integer_views([coeffs])
-    return table, D
+    D = lcm(*[c.d for c in coeffs.values()])
+    return _over(coeffs, D), D
 
 
 def _as_poly(table, D) -> "DiffPoly":
@@ -167,8 +170,9 @@ def _total_d(table, direction: str, out, sign: int = 1):
         for k, (name, order) in enumerate(syms):
             f = _D_RULES[SYMBOL_KINDS[name], direction]
             if f is not None:
+                fa, fb = f
                 moved = tuple(sorted(syms[:k] + ((name, order + 1),) + syms[k + 1:]))
-                _add(out, Monomial(mode, moved, jets), x * f.a - y * f.b, x * f.b + y * f.a)
+                _add(out, Monomial(mode, moved, jets), x * fa - y * fb, x * fb + y * fa)
         for k, (i, a, b) in enumerate(jets):
             jet = (i, a + 1, b) if tau else (i, a, b + 1)
             _add(out, Monomial(mode, syms, tuple(sorted(jets[:k] + (jet,) + jets[k + 1:]))),
@@ -261,23 +265,10 @@ class DiffPoly(CoeffTable):
         """Total derivative D_tau (direction 't') or D_sigma ('s')."""
         if direction not in ("t", "s"):
             raise ChiraltorusError("direction must be 't' or 's'")
+        table, D = _integer_view(self.coeffs)
         out = {}
-        for mono, coeff in self.coeffs.items():
-            if direction == "s" and mono.mode != 0:
-                add_into(out, mono, coeff * IMAG * S(mono.mode))
-            for k, (name, order) in enumerate(mono.syms):
-                factor = _D_RULES[(SYMBOL_KINDS[name], direction)]
-                if factor is None:
-                    continue
-                syms = list(mono.syms)
-                syms[k] = (name, order + 1)
-                add_into(out, Monomial(mono.mode, tuple(sorted(syms)), mono.jets),
-                         coeff * factor)
-            for k, (i, a, b) in enumerate(mono.jets):
-                jets = list(mono.jets)
-                jets[k] = (i, a + 1, b) if direction == "t" else (i, a, b + 1)
-                add_into(out, Monomial(mono.mode, mono.syms, tuple(sorted(jets))), coeff)
-        return self._like(out)
+        _total_d(table, direction, out)
+        return _as_poly(out, D)
 
     def partials(self) -> dict:
         """{key: d self / d key, never zero} over the jet variables key =
@@ -796,21 +787,21 @@ def _bare(mono: Monomial) -> bool:
     return any(a + b == 0 for (_, a, b) in mono.jets)
 
 
-def _blocks(poly, dirs: str):
-    """[(content, {mono: coeff})] of a DiffPoly, or of a table {mono:
-    coeff}, by block_content, sorted."""
+def _blocks(table, dirs: str):
+    """[(content, {mono: coeff})] of an integer table by block_content,
+    sorted."""
     blocks = {}
-    for mono, coeff in getattr(poly, "coeffs", poly).items():
+    for mono, coeff in table.items():
         blocks.setdefault(block_content(mono, dirs), {})[mono] = coeff
     return sorted(blocks.items())
 
 
 # bounded: a basis holds up to hundreds of monomials, and each caller asks
 # only for the weights that can pivot on its target's terms.  The seed-401
-# mode_algebra list makes 10,106 calls on 546 keys and rebuilds 244 evicted
-# bases; the Noether peel makes 4,480 of the calls, on 18 keys, and its
-# integer rows live in those entries.  At 1,024 the list read 1,822 vs
-# 1,741 items/s, 35.4 vs 34.2 MB peak RSS, before the peel ran in ints
+# mode_algebra list makes 13,065 calls on 564 keys, 4,480 of them from the
+# Noether peel on 18 keys; 361 of its 925 misses rebuild an evicted basis,
+# 0.02-0.03 s of 1.5-1.9 s of item time, where a bound of 1,024 would
+# leave only the 564 first builds (2-vCPU host, Python 3.11)
 @lru_cache(maxsize=256)
 def _image_basis(content, weights, dirs, bare):
     """(candidates, echelon basis of their total-derivative images),
@@ -820,37 +811,40 @@ def _image_basis(content, weights, dirs, bare):
     only when bare is true.  Row j * len(candidates) + k is D_{dirs[j]}
     of candidate k, tagged with that int when dirs has two directions,
     so that reducing a target in the span leaves minus its solution on
-    the tags.  A row pivots on its leading monomial in the graded order
-    (block_weight, monomial), so reducing a target never raises its
-    weight.  The basis of one direction ("s", for normal_form) keeps its
-    rows {column: ExactScalar} for reduce_row; the basis of two ("ts",
-    for the peel) keeps each row as its integer view (table, d), the
-    pivot's entry being (d, 0).
+    the tags.  Each row is reduced by _reduce_table against the rows
+    before it and pivots on the leading monomial of what is left, in the
+    graded order (block_weight, monomial), so reducing a target never
+    raises its weight; a remainder with no monomial is dropped.  A basis
+    row is {pivot: (table, d)}: the row scaled to 1 at its pivot, as
+    numerators over d in lowest terms, the pivot's entry being (d, 0).
     """
     cands = tuple(m for w in weights for m in enumerate_monomials(content, w, dirs)
                   if bare or not _bare(m))
-    tagged = len(dirs) > 1
-    rows = []
+    basis = {}
     for j, d in enumerate(dirs):
         for k, m in enumerate(cands):
-            image = {}
-            _total_d({m: (1, 0)}, d, image)
-            row = {key: _reduced(x, y, 1) for key, (x, y) in image.items() if x or y}
-            rows.append({**row, j * len(cands) + k: ONE} if tagged else row)
-    basis = echelon(rows, lambda row: max(
-        (key for key in row if type(key) is not int),
-        key=lambda m: (block_weight(m, dirs), m), default=None))
-    if tagged:
-        basis = {col: _integer_view(row) for col, row in basis.items()}
+            row = {}
+            _total_d({m: (1, 0)}, d, row)
+            if len(dirs) > 1:
+                row[j * len(cands) + k] = [1, 0]
+            rest, _ = _reduce_table(row, 1, basis)
+            col = max((key for key, (x, y) in rest.items() if (x or y) and type(key) is not int),
+                      key=lambda mono: (block_weight(mono, dirs), mono), default=None)
+            if col is None:
+                continue
+            u, v = rest[col]  # times (u - iv) / (u^2 + v^2): 1 at the pivot
+            n = u * u + v * v
+            rest = {key: (x * u + y * v, y * u - x * v) for key, (x, y) in rest.items() if x or y}
+            g = gcd(n, *(z for pair in rest.values() for z in pair))
+            basis[col] = ({key: (x // g, y // g) for key, (x, y) in rest.items()}, n // g)
     return cands, basis
 
 
 def _reduce_table(target, D, basis) -> tuple:
     """(rest, D'): the integer table target over D minus the combination
     of the integer basis rows that clears every pivot, in one pass over
-    the basis in the order it was built, as reduce_row does; D' is D
-    times the denominator of each row whose pivot the pass meets.  rest
-    may hold zero entries."""
+    the basis in the order it was built; D' is D times the denominator
+    of each row whose pivot the pass meets.  rest may hold zero entries."""
     out = {m: [x, y] for m, (x, y) in target.items()}
     for col, (row, d) in basis.items():
         cur = out.get(col)
@@ -906,12 +900,6 @@ def _peel(q, D) -> tuple:
             if x or y:
                 P[m] = [x * s, y * s]
     return P, Q, top
-
-
-def _solve_total_derivative(q: DiffPoly):
-    """(P, Q) with q = D_tau Q - D_sigma P: the peel of a DiffPoly."""
-    P, Q, D = _peel(*_integer_view(q.coeffs))
-    return _as_poly(P, D), _as_poly(Q, D)
 
 
 def _wave_jets(jets):

@@ -1,11 +1,12 @@
 """The ExactScalar bracket calculus, kept as the reference path for the
 integer kernel of chiraltorus.coisson.
 
-variational_derivative runs the Horner loop in -D_sigma on DiffPolys, so
-every coefficient operation is one ExactScalar operation with its own
-gcd; _pairing multiplies and sums whole DiffPolys; jacobi_residual takes
-all six Euler operators of its inner brackets' arguments afresh and
-reduces each inner bracket before the outer one.  Nothing is shared or
+variational_derivative runs the Horner loop in -D_sigma on DiffPolys,
+through total_derivative_oracle, so every coefficient operation is one
+ExactScalar operation with its own gcd; _pairing multiplies and sums
+whole DiffPolys; jacobi_residual takes all six Euler operators of its
+inner brackets' arguments afresh and reduces each inner bracket before
+the outer one.  Nothing is shared or
 deferred, so each coefficient of the library's integer tables can be
 checked against a plain sum of scalars.
 """
@@ -14,6 +15,8 @@ from math import comb
 
 from chiraltorus.coisson import FourierClass, as_density
 from chiraltorus.jetcalc import DiffPoly
+
+from total_derivative_oracle import total_derivative
 
 
 def _slot_partials(poly: DiffPoly):
@@ -33,7 +36,7 @@ def variational_derivative(poly, k: int = 0) -> dict:
         acc = DiffPoly.zero()
         for m in range(max(parts), k - 1, -1):  # Horner in -D_sigma
             part = parts.get(m, DiffPoly.zero())
-            acc = (part.scale(comb(m, k)) if k else part) - acc.D("s")
+            acc = (part.scale(comb(m, k)) if k else part) - total_derivative(acc, "s")
         if not acc.is_zero():
             out[slot] = acc
     return out

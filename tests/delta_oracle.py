@@ -16,6 +16,8 @@ from chiraltorus.coisson import DeltaExpansion, FourierClass, LocalDensity, as_d
 from chiraltorus.exactlin import S
 from chiraltorus.jetcalc import DiffPoly, Monomial
 
+from total_derivative_oracle import total_derivative
+
 
 def coefficient(E: DeltaExpansion, k: int) -> DiffPoly:
     return E.coeffs.get(k, DiffPoly.zero())
@@ -31,7 +33,7 @@ def d_sigma_prime(E: DeltaExpansion) -> DeltaExpansion:
     d_sigma' delta = -d_sigma delta."""
     items = []
     for k, p in E.coeffs.items():
-        items += [(k, p.D("s")), (k + 1, -p)]
+        items += [(k, total_derivative(p, "s")), (k + 1, -p)]
     return DeltaExpansion(items)
 
 
@@ -42,7 +44,7 @@ def transport(E: DeltaExpansion, poly: DiffPoly) -> DeltaExpansion:
     poly = as_density(poly)
     derivs = [poly]
     for _ in range(max(E.coeffs, default=0)):
-        derivs.append(derivs[-1].D("s"))
+        derivs.append(total_derivative(derivs[-1], "s"))
     items = []
     for k, c in E.coeffs.items():
         for j in range(k + 1):

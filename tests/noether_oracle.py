@@ -6,13 +6,14 @@ components and the Lagrangian's partials once, sums x-hat(L) in ints,
 peels it against integer basis rows and builds the current directly as
 t = P + sum_i dl/d(u_sigma^i) F_i and s = Q - sum_i dl/d(u_tau^i) F_i.
 This module takes the long way through the public bicomplex operations:
-x-hat(L) by prolong, the peel by peel_oracle, the current as
-alpha - iota_{x-hat} gamma by contract, and the on-shell certificate from
-horizontal_differential and wave_reduce_poly.  Its checks and refusals
-come in the order the library's do: a missing generator component while
-prolonging, NotASymmetry from the peel, the peel identity, NonLinearEL,
-then the certificate.  peel_oracle names a failing content block in its
-own format, so a NotASymmetry message differs from the library's.
+x-hat(L) by prolong, the peel by peel_oracle and its identity through
+total_derivative_oracle, the current as alpha - iota_{x-hat} gamma by
+contract, and the on-shell certificate from horizontal_differential and
+wave_reduce_poly.  Its checks and refusals come in the order the
+library's do: a missing generator component while prolonging,
+NotASymmetry from the peel, the peel identity, NonLinearEL, then the
+certificate.  peel_oracle names a failing content block in its own
+format, so a NotASymmetry message differs from the library's.
 """
 
 from chiraltorus.exactlin import InvariantError
@@ -27,12 +28,13 @@ from chiraltorus.jetcalc import (
 )
 
 import peel_oracle
+from total_derivative_oracle import total_derivative
 
 
 def noether(L: Lagrangian, generator) -> VariationalForm:
     q = prolong(generator, L.density)
     P, Q = peel_oracle.solve_total_derivative(q)
-    if Q.D("t") - P.D("s") != q:
+    if total_derivative(Q, "t") - total_derivative(P, "s") != q:
         raise InvariantError("internal: peel produced an incorrect representation")
     alpha = VariationalForm({((), ("t",)): P, ((), ("s",)): Q})
     current = alpha - contract(generator, L.gamma)

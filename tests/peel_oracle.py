@@ -7,9 +7,12 @@ every distribution that leaves a jet of order zero.  solve_total_derivative
 enumerates the candidates of each content block twice, first without
 bare-x factors and then with them, deduplicating across weights with a
 seen set, and solves each system from scratch with _solve_in_span, which
-pivots on the least monomial.  The library enumerates each block once,
-from one composition per monomial, caches the echelon basis of each
-candidate pool and pivots on the leading monomial in the graded order.
+pivots on the least monomial.  Its columns come from total_derivative_oracle
+and its elimination from echelon and reduce_row below, over ExactScalar, one
+normalised scalar per step.  The library enumerates each block once, from
+one composition per monomial, caches the echelon basis of each candidate
+pool in Gaussian integers and pivots on the leading monomial in the graded
+order.
 
 A content here is (mode, field index multiset, symbol names), and the
 weight of a monomial is the sum of its jet and symbol orders.
@@ -17,8 +20,45 @@ weight of a monomial is the sum of its jet and symbol orders.
 
 from itertools import product
 
-from chiraltorus.exactlin import ONE, ZERO, S, compositions, echelon, reduce_row
+from chiraltorus.exactlin import ONE, ZERO, S, add_into, compositions
 from chiraltorus.jetcalc import DiffPoly, Monomial, NotASymmetry
+
+from total_derivative_oracle import total_derivative
+
+
+def echelon(rows, lead) -> dict:
+    """Echelon basis {pivot: row scaled to 1 there} of the span of rows.
+
+    Rows are zero-pruned dicts {column: ExactScalar} and are not
+    modified.  Each row is reduced against the basis built so far; lead
+    picks the pivot column of a nonzero remainder, or returns None when
+    the remainder has no admissible column, and the row is then
+    dropped.  There is no back-substitution: a basis row is zero at the
+    pivots of the rows before it, which is all reduce_row needs.
+    """
+    basis = {}
+    for row in rows:
+        row = reduce_row(row, basis)
+        if not row:
+            continue
+        col = lead(row)
+        if col is None:
+            continue
+        inv = ONE / row[col]
+        basis[col] = {k: v * inv for k, v in row.items()}
+    return basis
+
+
+def reduce_row(row, basis) -> dict:
+    """row minus the combination of basis rows that is zero at every
+    pivot, in one pass over the basis in the order it was built."""
+    out = dict(row)
+    for col, brow in basis.items():
+        if col in out:
+            c = -out[col]
+            for k, v in brow.items():
+                add_into(out, k, c * v)
+    return out
 
 
 def monomial_weight(m: Monomial) -> int:
@@ -94,8 +134,8 @@ def solve_total_derivative(q: DiffPoly):
             if not cands:
                 continue
             cand_polys = [DiffPoly({m: ONE}) for m in cands]
-            columns = [cp.D("t") for cp in cand_polys]
-            columns += [cp.D("s").scale(S(-1)) for cp in cand_polys]
+            columns = [total_derivative(cp, "t") for cp in cand_polys]
+            columns += [total_derivative(cp, "s").scale(S(-1)) for cp in cand_polys]
             sol = _solve_in_span(columns, target)
             if sol is not None:
                 for k, cp in enumerate(cand_polys):

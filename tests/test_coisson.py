@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 from chiraltorus import coisson
 from chiraltorus.exactlin import ChiraltorusError, DimensionMismatch, NotAntisymmetric
 from chiraltorus.exactlin import ExactScalar as S
-from chiraltorus.exactlin import reduce_row
 from chiraltorus.jetcalc import (
     DiffPoly,
+    _as_poly,
     _blocks,
     _image_basis,
+    _integer_view,
+    _reduce_table,
     block_weight,
     boson_circle_lagrangian,
     gen_tau,
@@ -358,13 +360,13 @@ def every_layer_normal_form(density) -> DiffPoly:
     """normal_form with each block's basis built over every weight from 0
     to the target's top, where normal_form builds only the layers its
     reduction can pivot on."""
-    poly = coisson.as_density(density)
-    out = {}
-    for content, target in _blocks(poly, "s"):
+    table, D = _integer_view(coisson.as_density(density).coeffs)
+    out = DiffPoly.zero()
+    for content, target in _blocks(table, "s"):
         top = max(block_weight(m, "s") for m in target)
         _, basis = _image_basis(content, tuple(range(top + 1)), "s", True)
-        out.update(reduce_row(target, basis))
-    return poly._like(out)
+        out = out + _as_poly(*_reduce_table(target, D, basis))
+    return out
 
 
 # the densities fourier_bracket normalizes, on every twist, and a density

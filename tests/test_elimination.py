@@ -1,15 +1,20 @@
 """The exact eliminators and integer kernels against dense references.
 
-normal_form and the span solver of the peel oracle run on
-exactlin.echelon / reduce_row; det, inverse, matrix products, apply and
-alt_pullback run on Gaussian integers over a common denominator.  The
-reference oracles below share neither: they are dense routines over
-ExactScalar arithmetic, one normalised scalar per step: a dense
-determinant, a Gauss-Jordan inverse, sum-of-products matrix and vector
-products, a Gauss-Jordan span solver, an incrementally fully reduced
-image basis with repeated leading-term reduction over the sigma-jet
-ring's own enumerator, and a pullback that takes a fresh determinant for
-every minor.  Every result is unique, so both sides must agree exactly.
+normal_form and the Noether peel reduce against jetcalc._image_basis,
+whose rows are built and reduced in Gaussian integers by _reduce_table;
+det, inverse, matrix products, apply and alt_pullback run on Gaussian
+integers over a common denominator.  The span solver of the peel oracle
+runs on the ExactScalar echelon / reduce_row kept in tests/peel_oracle.py,
+and those two are the oracle for the image basis, row for row.  The
+reference oracles below share none of the integer kernels: they are
+dense routines over ExactScalar arithmetic, one normalised scalar per
+step: a dense determinant, a Gauss-Jordan inverse, sum-of-products
+matrix and vector products, a Gauss-Jordan span solver, an
+incrementally fully reduced image basis with repeated leading-term
+reduction over the sigma-jet ring's own enumerator, and a pullback that
+takes a fresh determinant for every minor.  Their total derivatives come
+from tests/total_derivative_oracle.py.  Every result is unique, so both
+sides must agree exactly.
 """
 
 from itertools import combinations
@@ -31,12 +36,21 @@ from chiraltorus.exactlin import (
     _integer_rows,
     alt_pullback,
     compositions,
-    echelon,
 )
 from chiraltorus.fockq import _check_positive_definite
-from chiraltorus.jetcalc import DiffPoly, Monomial, _image_basis, enumerate_monomials
+from chiraltorus.jetcalc import (
+    UNIT_MONO,
+    DiffPoly,
+    Monomial,
+    _image_basis,
+    _integer_view,
+    _reduce_table,
+    block_weight,
+    enumerate_monomials,
+)
 
-from peel_oracle import _solve_in_span
+from peel_oracle import _solve_in_span, echelon
+from total_derivative_oracle import total_derivative
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +207,7 @@ def ref_reduced_image_basis(content, max_weight):
     for w in range(max_weight + 1):
         gens.extend(xp_enumerate(content, w))
     for mono in gens:
-        img = DiffPoly({mono: ONE}).D("s")
+        img = total_derivative(DiffPoly({mono: ONE}), "s")
         img = ref_reduce_poly(img, pivots)
         if img.is_zero():
             continue
@@ -217,6 +231,20 @@ def ref_normal_form(poly: DiffPoly) -> DiffPoly:
         top = max(xp_weight(m) for m in target.coeffs)
         out = out + ref_reduce_poly(target, ref_reduced_image_basis(content, top))
     return out
+
+
+def ref_image_basis(cands, dirs):
+    """The echelon basis of the images of cands along dirs, over
+    ExactScalar: rows in _image_basis's order, tagged alike, under the
+    same lead rule."""
+    rows = []
+    for j, d in enumerate(dirs):
+        for k, m in enumerate(cands):
+            row = dict(total_derivative(DiffPoly({m: ONE}), d).coeffs)
+            rows.append({**row, j * len(cands) + k: ONE} if len(dirs) > 1 else row)
+    return echelon(rows, lambda row: max(
+        (key for key in row if type(key) is not int),
+        key=lambda m: (block_weight(m, dirs), m), default=None))
 
 
 def ref_alt_pullback(k: int, mu: RationalMatrix, t: AltTensor) -> AltTensor:
@@ -359,6 +387,20 @@ def densities(draw):
 
 
 @st.composite
+def image_blocks(draw):
+    """(content, weights, dirs, bare) of an _image_basis call: jets of
+    tau-order 0 or 1 on the sigma-jet ring ("s"), bare jets for the
+    peel ("ts"), hol/antihol and circle symbols, and trig modes, so that
+    pivots i*m and i occur beside real ones."""
+    dirs = draw(st.sampled_from(["s", "ts"]))
+    fields = draw(st.lists(st.integers(1, 2), max_size=2))
+    jets = tuple(sorted((i, 0 if dirs == "ts" else draw(st.integers(0, 1)), 0) for i in fields))
+    names = tuple(sorted(draw(st.lists(st.sampled_from(["f", "g", "phi", "psi"]), max_size=2))))
+    weights = tuple(sorted(draw(st.sets(st.integers(0, 3), max_size=2))))
+    return (draw(st.integers(-2, 2)), jets, names), weights, dirs, draw(st.booleans())
+
+
+@st.composite
 def pullback_cases(draw):
     k = draw(st.sampled_from([2, 3]))
     n = draw(st.integers(k, 4))
@@ -455,6 +497,43 @@ class TestSpanSolver:
         assert echelon([{}], min) == {}
         assert echelon([{0: ONE}], lambda row: None) == {}
         assert echelon([{}, {1: ExactScalar(2)}], min) == {1: {1: ONE}}
+
+
+class TestImageBasis:
+    """_image_basis in Gaussian integers against echelon over ExactScalar."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(block=image_blocks())
+    def test_rows_match_the_exact_scalar_echelon(self, block):
+        content, weights, dirs, bare = block
+        cands, basis = _image_basis(content, weights, dirs, bare)
+        want = ref_image_basis(cands, dirs)
+        assert list(basis) == list(want)  # the same pivots, in the same order
+        for col, (table, d) in basis.items():
+            # the row scaled to 1 at its pivot, over the lcm of its denominators
+            assert table[col] == (d, 0)
+            assert (table, d) == _integer_view(want[col])
+
+    def test_a_zero_image_is_dropped(self):
+        # D_sigma(1) = 0: the unit monomial's row is empty
+        cands, basis = _image_basis((0, (), ()), (0,), "s", True)
+        assert cands == (UNIT_MONO,)
+        assert basis == {} == ref_image_basis(cands, "s")
+
+    def test_a_remainder_of_tags_alone_is_dropped(self):
+        # D_sigma(dt.x1) = D_tau(ds.x1) = dt.ds.x1: the last of the four
+        # rows reduces to its tag minus the tag of the first
+        def jet(a, b):
+            return Monomial(0, (), ((1, a, b),))
+
+        cands, basis = _image_basis((0, ((1, 0, 0),), ()), (1,), "ts", False)
+        assert cands == (jet(0, 1), jet(1, 0))
+        assert list(basis) == [jet(1, 1), jet(2, 0), jet(0, 2)]
+        assert basis == {col: _integer_view(row)
+                         for col, row in ref_image_basis(cands, "ts").items()}
+        rest, d = _reduce_table({jet(1, 1): (1, 0), 3: (1, 0)}, 1, basis)
+        assert d == 1
+        assert {k: v for k, v in rest.items() if v != [0, 0]} == {0: [-1, 0], 3: [1, 0]}
 
 
 class TestNormalForm:
