@@ -651,11 +651,11 @@ class CoeffTable(Frozen):
     This is the one representation of every sparse exact type in the
     package: canonical keys, no stored zero, so two equal elements have
     equal tables and equal hashes.  Subclasses adjust it through small
-    hooks: _entry canonicalises one (key, value) pair of the public
-    constructor, _operand turns the other operand of +, - and ==, on
-    either side, into a table of the same type, _like rebuilds extra
-    shape fields, and _term(key, value) prints one entry of the
-    " + "-joined text form, whose order _terms sets.
+    hooks: _entry, which every subclass defines, canonicalises one (key,
+    value) pair of the public constructor, _operand turns the other
+    operand of +, - and ==, on either side, into a table of the same
+    type, _like rebuilds extra shape fields, and _term(key, value) prints
+    one entry of the " + "-joined text form, whose order _terms sets.
     """
 
     __slots__ = ("coeffs",)
@@ -670,10 +670,6 @@ class CoeffTable(Frozen):
             if entry is not None:
                 add_into(table, *entry)
         object.__setattr__(self, "coeffs", table)
-
-    def _entry(self, key, value):
-        """The canonical (key, value) for one input pair, or None to drop it."""
-        return key, ExactScalar.coerce(value)
 
     def _like(self, table):
         """A new table of this type around a table that is already

@@ -733,7 +733,8 @@ class FockTruncation(Frozen):
     Basis vectors are n-colored partitions applied to the weight vector;
     creation operators append parts, annihilation removes them with the
     -1/2 g^{ij} m coefficient, and the zero modes act by the scalars
-    zero_modes = -1/2 g^{-1} w of the weight covector w.
+    zero_modes = -1/2 g^{-1} w of the weight covector w.  A sector's a_plus
+    or a_minus serves as w once no unit power is left in it.
     """
 
     __slots__ = ("model", "weight", "N", "basis", "index", "levels",
@@ -741,7 +742,8 @@ class FockTruncation(Frozen):
 
     def __init__(self, model: LatticeModel, weight, N: int):
         _natural(N, "cutoff")
-        weight = tuple(S.coerce(w) for w in weight)
+        weight = tuple(w.as_exact() if isinstance(w, UnitScalar) else S.coerce(w)
+                       for w in weight)
         if len(weight) != model.n:
             raise DimensionMismatch("weight covector has wrong length")
         basis, index, levels = _fock_basis(model.n, N)
@@ -891,6 +893,8 @@ class TwoSidedFock(Frozen):
     __slots__ = ("plus", "minus")
 
     def __init__(self, plus: FockTruncation, minus: FockTruncation):
+        if plus.model != minus.model:
+            raise ModelMismatch("truncations from different models")
         self._set(plus=plus, minus=minus)
 
     @property

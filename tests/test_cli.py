@@ -255,6 +255,15 @@ class TestBracket:
         assert rc == 0
         assert json.loads(out) == {"bracket": "-3/2*i", "is_zero": False}
 
+    @pytest.mark.parametrize("bare,moded", [
+        (["heis+", "heis-"], ["heis+:0", "heis-:0"]),
+        (["vir+", "heis+:1"], ["vir+:0", "heis+:1"]),
+    ], ids=["heis", "vir"])
+    def test_family_without_a_mode_is_mode_zero(self, bare, moded, capsys):
+        out = invoke(["bracket", *bare], capsys)
+        assert out == invoke(["bracket", *moded], capsys)
+        assert out[0] == 0 and out[2] == ""
+
     def test_vir_pair_golden(self, capsys):
         rc, out, _ = invoke(["bracket", "vir+:2", "vir+:-1"], capsys)
         assert rc == 0

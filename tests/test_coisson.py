@@ -166,6 +166,11 @@ class TestBracketTable:
         with pytest.raises(ValueError):
             BracketTable(twist={(1, 2, 3): "p1"})
 
+    def test_zero_twist_value_leaves_no_entry(self):
+        t = BracketTable(twist={(1, 2, 3): "0", (1, 2, 4): "x1 - x1"})
+        assert t.twist == {}
+        assert t.momentum_momentum(1, 2).is_zero()
+
     @pytest.mark.parametrize("twist,message", [
         ({(1, 2, 3): 5}, "twist value must be a string or a DiffPoly, got 5"),
         ({(1, 2, 3): None}, "twist value must be a string or a DiffPoly, got None"),
@@ -601,6 +606,20 @@ class TestModeFamilies:
         for fa in fams:
             for fb in fams:
                 assert tab[(fa, fb)] == -swapped[(fb, fa)]
+
+    def test_structure_constants_read_the_given_table(self):
+        fams = ["heis+", "vir+", "hamiltonian"]
+        table = BracketTable(twist={(1, 2, 3): "x1"})
+        tab = mode_structure_constants(fams, 2, -1, table)
+        for fa in fams:
+            for fb in fams:
+                expected = fourier_bracket(generator_density(fa, 2),
+                                           generator_density(fb, -1), table)
+                assert tab[(fa, fb)] == expected
+        # scale +1 against the boson table's -1: every bracket changes sign
+        default = mode_structure_constants(fams, 2, -1)
+        assert tab == {key: -value for key, value in default.items()}
+        assert any(not value.is_zero() for value in tab.values())
 
 
 # ----------------------------------------------------------------------

@@ -528,6 +528,34 @@ class TestFock:
             expected = zero_mode_oracle(m.g_inv, weight, i)
             assert op == SparseOp.identity(fock.dim, expected)
 
+    # at g = (1) and weight (2) the zero mode is h = -1, and L_0 acts on
+    # level k by k - 1: the level-1 entry sums to 1/2 + 1/2 - 1 = 0 and is
+    # left out of the table
+    def test_virasoro_entry_that_sums_to_zero_is_absent(self):
+        m = build_model(1, [["1"]], [["0"]], [["1"]])
+        fock = FockTruncation(m, [2], 2)
+        assert fock.zero_modes == (S(-1),)
+        assert fock.virasoro(0).table == {3: {3: S(1)}, 2: {2: S(1)}, 0: {0: S(-1)}}
+        assert fock.index[((1,),)] == 1
+
+    def test_sector_weight_covector_is_a_weight(self):
+        m = build_model(1, [["2"]], [["0"]], [["1"]])
+        a_plus = m.sector([1], [0]).a_plus
+        assert all(type(a) is UnitScalar for a in a_plus)
+        fock = FockTruncation(m, a_plus, 2)
+        exact = FockTruncation(m, [a.as_exact() for a in a_plus], 2)
+        assert fock.weight == exact.weight == (S(2),)
+        assert fock.zero_modes == exact.zero_modes == (S("-1/2"),)
+        numeric = build_model(2, G_OFFDIAG, B_STANDARD, RationalMatrix.identity(2))
+        sector = numeric.sector([1, -1], [0, 2])
+        for weight in (sector.a_plus, sector.a_minus):
+            fock = FockTruncation(numeric, weight, 1)
+            assert fock.weight == tuple(a.as_exact() for a in weight)
+        formal = one_dim_model()
+        with pytest.raises(FormalUnitValue, match="unresolved unit powers") as info:
+            FockTruncation(formal, formal.sector([1], [0]).a_plus, 2)
+        assert info.value.exit_code == 2
+
     def test_creation_appends_parts(self):
         m = build_model(1, [["1"]], [["0"]], [["1"]])
         fock = FockTruncation(m, [0], 3)
@@ -768,6 +796,14 @@ class TestVirasoro:
                         b = two.alpha(j, nn, "-")
                         assert a.commutator(b) == zero
         assert two.virasoro(1, "+").commutator(two.virasoro(-1, "-")) == zero
+
+    def test_truncations_of_different_models_are_refused(self):
+        m1, m2 = one_dim_model(1), build_model(2, G_OFFDIAG, ZERO2, RationalMatrix.identity(2))
+        with pytest.raises(ModelMismatch, match="^truncations from different models$") as info:
+            TwoSidedFock(FockTruncation(m1, [0], 1), FockTruncation(m2, [0, 0], 1))
+        assert info.value.exit_code == 2
+        with pytest.raises(ModelMismatch):
+            TwoSidedFock(FockTruncation(m1, [0], 1), FockTruncation(one_dim_model(2), [0], 1))
 
     def test_unknown_side_refused(self):
         m = one_dim_model(1)
