@@ -732,7 +732,7 @@ class CoeffTable(Frozen):
         return self._like(out)
 
     def _terms(self):
-        return (self._term(key, self.coeffs[key]) for key in sorted(self.coeffs))
+        return (self._term(key, c) for key, c in sorted(self.coeffs.items(), key=itemgetter(0)))
 
     def __str__(self):
         return " + ".join(self._terms()) or "0"

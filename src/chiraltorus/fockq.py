@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from itertools import product as iter_product
 from math import lcm
 from operator import add, mul
@@ -298,15 +298,32 @@ def load_model(data) -> LatticeModel:
 _UNIT = UnitScalar()
 
 
-def _unit_at(parts, x, den) -> UnitScalar:
-    """sum_p u^p (re . x + i im . x) / den over integer rows (p, re, im)."""
-    table = {}
-    for p, re, im in parts:
-        a = sum(map(mul, re, x))
-        b = sum(map(mul, im, x)) if im else 0
+def _unit_of(parts, sums, den) -> UnitScalar:
+    """sum_p u^p (a + i b) / den over parts (p, re, im), reading a, then b if im, from sums."""
+    table, sums = {}, iter(sums)
+    for p, _, im in parts:
+        a, b = next(sums), next(sums) if im else 0
         if a or b:
             table[p] = _reduced(a, b, den)
     return _UNIT._like(table)
+
+
+def _unit_at(parts, x, den) -> UnitScalar:
+    """sum_p u^p (re . x + i im . x) / den over integer rows (p, re, im)."""
+    return _unit_of(parts, [sum(map(mul, r, x)) for p in parts for r in p[1:] if r], den)
+
+
+def _box_sums(r, rng) -> list:
+    """r . y for every y in rng^len(r), in enumerate_sectors order."""
+    sums = [0]
+    for rj in r:
+        sums = [s + rj * t for s in sums for t in rng]
+    return sums
+
+
+def _box_keys(parts, rng) -> list:
+    """The sums _unit_of reads from parts, one tuple per y in the box."""
+    return list(zip(*[_box_sums(r, rng) for p in parts for r in p[1:] if r]))
 
 
 def _row_times(x, rows) -> tuple:
@@ -363,11 +380,11 @@ class IntegerForm(Frozen):
         """x^T M y from row = times(x)."""
         return _unit_at(row, y, self.den)
 
-    def text(self, row, y, seen) -> str:
-        """str(at(row, y)), keyed in seen by its integer sums, one (re, im)
-        per power of u: equal sums print equal text, so each prints once."""
-        key = tuple([(sum(map(mul, re, y)), im and sum(map(mul, im, y))) for _, re, im in row])
-        return seen.get(key) or seen.setdefault(key, str(_unit_at(row, y, self.den)))
+    def text(self, row, rng, seen) -> list:
+        """str(at(row, y)) for every y in the box rng^2n, keyed in seen by its
+        flat integer sums: equal sums print equal text, so each prints once."""
+        return [seen.get(key) or seen.setdefault(key, str(_unit_of(row, key, self.den)))
+                for key in _box_keys(row, rng)]
 
     def half_square(self, x) -> UnitScalar:
         """1/2 x^T M x."""
@@ -444,10 +461,14 @@ class Sector(Frozen):
         }
 
 
+def _box_range(cutoff) -> range:
+    return range(-_natural(cutoff, "cutoff"), cutoff + 1)
+
+
 def enumerate_sectors(model: LatticeModel, cutoff: int):
     """All sectors with coordinate sup-norm at most cutoff, in
     lexicographic order."""
-    rng = range(-_natural(cutoff, "cutoff"), cutoff + 1)
+    rng = _box_range(cutoff)
     return [Sector(model, lc, sc) for lc in iter_product(rng, repeat=model.n)
             for sc in iter_product(rng, repeat=model.n)]
 
@@ -478,23 +499,24 @@ def locality_pairs(model: LatticeModel, cutoff: int):
     exponents, as (s1, s2, hol, antihol, hol - antihol): locality_rows
     with the sectors as cells and each exponent read as a UnitScalar.
     The locality certificate runs first, so the difference is the int
-    pairing <l1, l2*> + <l1*, l2>; hol and antihol are one dot product each."""
-    return locality_rows(model, cutoff, lambda s: s, lambda form, row, y, seen: form.at(row, y))
+    pairing <l1, l2*> + <l1*, l2>; hol and antihol come from integer sums."""
+    return locality_rows(model, cutoff, lambda s: s, lambda form, row, rng, seen: [
+        _unit_of(row, key, form.den) for key in _box_keys(row, rng)])
 
 
 def locality_rows(model: LatticeModel, cutoff: int, cells, exponent=IntegerForm.text):
     """Every locality pair from one walk of the box, as (cells(s1), cells(s2),
-    hol, antihol, diff), each exponent read by exponent(form, row, y, seen),
-    by default IntegerForm.text: printed once per distinct value in this call."""
+    hol, antihol, diff); exponent(form, row, rng, seen) reads those of one s1
+    against the whole box, by default IntegerForm.text: one print per value."""
     model.certify_locality()
     box = [(s.coords, s.lstar_coords + s.l_coords, cells(s))
            for s in enumerate_sectors(model, cutoff)]
+    rng, column = _box_range(cutoff), [c for _, _, c in box]
     h_plus, h_minus, plus, minus = model.h_plus_form, model.h_minus_form, {}, {}
     for x, swapped, c1 in box:
-        r_plus, r_minus = h_plus.times(x), h_minus.times(x)
-        for y, _, c2 in box:
-            yield (c1, c2, exponent(h_plus, r_plus, y, plus),
-                   exponent(h_minus, r_minus, y, minus), sum(map(mul, swapped, y)))
+        yield from zip(repeat(c1), column, exponent(h_plus, h_plus.times(x), rng, plus),
+                       exponent(h_minus, h_minus.times(x), rng, minus),
+                       _box_sums(swapped, rng))
 
 
 def ko_locality(model: LatticeModel, cutoff: int):
@@ -522,11 +544,13 @@ def t_dual(model: LatticeModel) -> LatticeModel:
 
 
 def chiral_sectors(model: LatticeModel, cutoff: int):
-    """Sectors whose antichiral weight vanishes: l* = B(l) - g(l)."""
-    return [
-        s for s in enumerate_sectors(model, cutoff)
-        if all(a.is_zero() for a in s.a_minus)
-    ]
+    """Sectors whose antichiral weight vanishes: l* = B(l) - g(l), decided on
+    the integer sums of a_minus over the box; only those become Sectors."""
+    rng, n = _box_range(cutoff), model.n
+    rows = [r for _, re, im in model.a_minus_form.parts for r in (*re, *(im or ()))]
+    return [Sector(model, y[:n], y[n:]) for y, sums in zip(
+        iter_product(rng, repeat=2 * n), zip(*[_box_sums(r, rng) for r in rows]))
+        if not any(sums)]
 
 
 # ----------------------------------------------------------------------
@@ -1019,9 +1043,9 @@ def partition_function(model: LatticeModel, cutoff: int, order: int,
                        sector_filter=None) -> BiSeries:
     """Sum of q^{h+k} qbar^{hbar+kbar} with colored-partition multiplicities,
     over enumerated sectors and oscillator levels up to order, summed as
-    ints at exponent numerators over D, the lcm of the weight denominators;
-    built in the order of those int keys, over D > 0 that of the exponent
-    pairs, so each rendering's sort finds its keys already in order."""
+    ints at exponent numerators over D, the lcm of the weight denominators,
+    one Fraction per distinct numerator, in the order of the int keys (over
+    D > 0 that of the exponents: a rendering's sort finds them in order)."""
     counts = colored_partition_counts(model.n, order)
     weights, _, D = _over_common([
         w for s in enumerate_sectors(model, cutoff)
@@ -1033,5 +1057,5 @@ def partition_function(model: LatticeModel, cutoff: int, order: int,
             for kb in range(order + 1):
                 key = (e + k * D, eb + kb * D)
                 sums[key] = sums.get(key, 0) + counts[k] * counts[kb]
-    return BiSeries()._like({(Fraction(e, D), Fraction(eb, D)): S(c)
-                             for (e, eb), c in sorted(sums.items())})
+    q = {e: Fraction(e, D) for key in sums for e in key}
+    return BiSeries()._like({(q[e], q[eb]): S(c) for (e, eb), c in sorted(sums.items())})

@@ -17,6 +17,7 @@ import json
 from fractions import Fraction
 from itertools import islice
 from itertools import product as iter_product
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, assume, given, settings
@@ -34,6 +35,7 @@ from chiraltorus.fockq import (
     LatticeModel,
     UnitScalar,
     chiral_sectors,
+    enumerate_sectors,
     ko_locality,
     load_model,
     locality_pairs,
@@ -340,6 +342,21 @@ class TestLocalityAndChiral:
         assert model.plus_matrices[2] - model.minus_matrices[2] == hyperbolic
         # the first 800 pairs of the cutoff-1 box: all 81 for n = 1
         for s1, s2, hol, antihol, diff in islice(locality_pairs(model, 1), 800):
+            assert type(diff) is int
+            assert hol - antihol == UnitScalar.coerce(diff)
+
+    # the UnitScalar stream pair by pair against vertex_exponents, with no
+    # random draw: a model with B != 0, and a circle whose unit stays formal
+    @pytest.mark.parametrize("name, cutoff", [("lattice_model_n2.json", 1),
+                                              ("lattice_model_circle_formal.json", 2)])
+    def test_locality_pairs_equal_vertex_exponents(self, name, cutoff):
+        model = load_model(json.loads((Path(__file__).parent / "golden" / name).read_text()))
+        box = [s.key() for s in enumerate_sectors(model, cutoff)]
+        streamed = list(locality_pairs(model, cutoff))
+        assert [(s1.key(), s2.key()) for s1, s2, *_ in streamed] == \
+            [(k1, k2) for k1 in box for k2 in box]
+        for s1, s2, hol, antihol, diff in streamed:
+            assert (hol, antihol) == vertex_exponents(s1, s2)
             assert type(diff) is int
             assert hol - antihol == UnitScalar.coerce(diff)
 
