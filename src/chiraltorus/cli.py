@@ -18,7 +18,7 @@ import io
 import json
 import sys
 from contextlib import contextmanager
-from functools import cache
+from functools import lru_cache
 
 from fractions import Fraction
 
@@ -490,7 +490,7 @@ def _add_common(sub, *, model=False, cutoff=False, level=False,
         sub.add_argument("--sign-convention", default="-1", dest="sign")
 
 
-@cache
+@lru_cache(maxsize=1)
 def build_parser() -> _Parser:
     """The command line's one schema: every flag and its default."""
     parser = _Parser(prog="chiraltorus", add_help=True)

@@ -54,7 +54,7 @@ from .jetcalc import (
     _mono_mul,
     _reduce_table,
     _total_d,
-    block_weight,
+    block_key,
     dz_jet,
     dzb_jet,
     gen_sigma,
@@ -122,7 +122,7 @@ def normal_form(density) -> DiffPoly:
     table, D = _integer_view(as_density(density).coeffs)
     out = {}
     for content, target in _blocks(table, "s"):
-        weights = {block_weight(m, "s") for m in target}
+        weights = {block_key(m, "s")[1] for m in target}
         layers = (range(max(max(weights), 1)) if content[0]
                   else sorted(w - 1 for w in weights if w))
         _, basis = _image_basis(content, tuple(layers), "s", True)

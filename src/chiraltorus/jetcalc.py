@@ -81,6 +81,18 @@ class Monomial(NamedTuple):
 UNIT_MONO = Monomial(0, (), ())
 
 
+# bounds of the caches of the pure maps of one Monomial (or one pair) that
+# the integer kernels below call, so that each distinct key is worked out
+# once.  The timed items of the mode_algebra benchmark lists of seeds 0,
+# 401 and 7 ask for 8,304-8,714 distinct products, 1,115-1,293 keys of
+# each single-monomial map and 1,669-1,875 block keys, and 90-99.5% of the
+# calls of each map hit (ROADMAP, "Caches and their bounds")
+_MUL_BOUND = 4096
+_MONO_BOUND = 1024
+_BLOCK_BOUND = 2048
+
+
+@lru_cache(maxsize=_MUL_BOUND)
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return Monomial(
         m1.mode + m2.mode,
@@ -89,14 +101,16 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     )
 
 
-def _jet_factors(mono: Monomial):
-    """(key, count, rest) for each distinct jet key of mono: its power
-    count and mono with one factor key taken out, so that d mono / d key
-    is count * rest."""
-    jets = mono.jets
+@lru_cache(maxsize=_MONO_BOUND)
+def _jet_factors(mono: Monomial) -> tuple:
+    """((key, count, rest), ...) over the distinct jet keys of mono: its
+    power count and mono with one factor key taken out, so that d mono /
+    d key is count * rest."""
+    jets, out = mono.jets, []
     for key in dict.fromkeys(jets):
         k = jets.index(key)
-        yield key, jets.count(key), Monomial(mono.mode, mono.syms, jets[:k] + jets[k + 1:])
+        out.append((key, jets.count(key), Monomial(mono.mode, mono.syms, jets[:k] + jets[k + 1:])))
+    return tuple(out)
 
 
 def _jet_key(i, a, b) -> tuple:
@@ -155,28 +169,38 @@ def _mul_into(out, ta, tb, c: int = 1):
             _add(out, _mono_mul(ma, mb), ax * bx - ay * by, ax * by + ay * bx)
 
 
+@lru_cache(maxsize=_MONO_BOUND)
+def _d_terms(mono: Monomial, direction: str) -> tuple:
+    """D_tau (direction 't') or D_sigma ('s') of one monomial as ((image,
+    re, im), ...): a trig factor e(m) gives i*m under D_sigma, a symbol
+    the Gaussian integer of its _D_RULES entry, and a jet its order
+    raised along the direction; equal images are merged in the order
+    they are first met."""
+    tau = direction == "t"
+    mode, syms, jets = mono
+    out = {}
+    if mode and not tau:
+        out[mono] = [0, mode]
+    for k, (name, order) in enumerate(syms):
+        f = _D_RULES[SYMBOL_KINDS[name], direction]
+        if f is not None:
+            moved = tuple(sorted(syms[:k] + ((name, order + 1),) + syms[k + 1:]))
+            _add(out, Monomial(mode, moved, jets), *f)
+    for k, (i, a, b) in enumerate(jets):
+        jet = (i, a + 1, b) if tau else (i, a, b + 1)
+        _add(out, Monomial(mode, syms, tuple(sorted(jets[:k] + (jet,) + jets[k + 1:]))), 1, 0)
+    return tuple((image, x, y) for image, (x, y) in out.items())
+
+
 def _total_d(table, direction: str, out, sign: int = 1):
     """Add sign times the total derivative D_tau (direction 't') or
-    D_sigma ('s') of an integer table into out: a trig factor e(m) gives
-    i*m under D_sigma, a symbol the Gaussian integer of its _D_RULES entry,
-    and a jet its order raised along the direction."""
-    tau = direction == "t"
+    D_sigma ('s') of an integer table into out, one _d_terms per
+    monomial."""
     for mono, (x, y) in table.items():
         if sign != 1:
             x, y = sign * x, sign * y
-        mode, syms, jets = mono
-        if mode and not tau:
-            _add(out, mono, -y * mode, x * mode)
-        for k, (name, order) in enumerate(syms):
-            f = _D_RULES[SYMBOL_KINDS[name], direction]
-            if f is not None:
-                fa, fb = f
-                moved = tuple(sorted(syms[:k] + ((name, order + 1),) + syms[k + 1:]))
-                _add(out, Monomial(mode, moved, jets), x * fa - y * fb, x * fb + y * fa)
-        for k, (i, a, b) in enumerate(jets):
-            jet = (i, a + 1, b) if tau else (i, a, b + 1)
-            _add(out, Monomial(mode, syms, tuple(sorted(jets[:k] + (jet,) + jets[k + 1:]))),
-                 x, y)
+        for image, fa, fb in _d_terms(mono, direction):
+            _add(out, image, x * fa - y * fb, x * fb + y * fa)
 
 
 # the largest exponent a DiffPoly power takes, "^" of the expression
@@ -486,13 +510,18 @@ class _Parser:
 
 
 def _apply_prefix(prefix, target: DiffPoly) -> DiffPoly:
-    if prefix == "dt":
-        return target.D("t")
-    if prefix == "ds":
-        return target.D("s")
-    if prefix == "dz":
-        return (target.D("t") - target.D("s").scale(IMAG)).scale(HALF)
-    return (target.D("t") + target.D("s").scale(IMAG)).scale(HALF)
+    if prefix in ("dt", "ds"):
+        return target.D(prefix[1])
+    # dz and dzb: (D_tau -+ i D_sigma)/2 of one integer view, over 2D; the
+    # entries keep the order of D_tau's nonzero ones, then D_sigma's
+    table, D = _integer_view(target.coeffs)
+    dt, ds = {}, {}
+    _total_d(table, "t", dt)
+    _total_d(table, "s", ds, -1 if prefix == "dz" else 1)
+    out = {m: v for m, v in dt.items() if v[0] or v[1]}
+    for m, (x, y) in ds.items():
+        _add(out, m, -y, x)
+    return _as_poly(out, 2 * D)
 
 
 def parse_expr(text: str) -> DiffPoly:
@@ -746,24 +775,21 @@ def variational_one_form(L: Lagrangian) -> VariationalForm:
 # the Noether peel solves q = D_tau Q - D_sigma P (dirs "ts")
 # ----------------------------------------------------------------------
 
-def block_content(mono: Monomial, dirs: str):
-    """The data the total derivatives along dirs ("s" or "ts") preserve:
-    the trig mode, each jet with its orders along dirs cleared, and the
-    symbol names."""
-    clear_tau = "t" in dirs
-    jets = sorted((i, 0 if clear_tau else a, 0) for (i, a, _) in mono.jets)
-    return mono.mode, tuple(jets), tuple(n for (n, _) in mono.syms)
-
-
-def block_weight(mono: Monomial, dirs: str) -> int:
-    """The jet orders along dirs plus the symbol orders."""
+@lru_cache(maxsize=_BLOCK_BOUND)
+def block_key(mono: Monomial, dirs: str) -> tuple:
+    """(content, weight) of mono under the total derivatives along dirs
+    ("s" or "ts").  The content is the data they preserve: the trig
+    mode, each jet with its orders along dirs cleared, and the symbol
+    names.  The weight is the jet orders along dirs plus the symbol
+    orders."""
     tau = "t" in dirs
-    return (sum(b + (a if tau else 0) for (_, a, b) in mono.jets)
-            + sum(o for (_, o) in mono.syms))
+    jets = tuple(sorted((i, 0 if tau else a, 0) for (i, a, _) in mono.jets))
+    return ((mono.mode, jets, tuple(n for (n, _) in mono.syms)),
+            sum(b + (a if tau else 0) for (_, a, b) in mono.jets) + sum(o for (_, o) in mono.syms))
 
 
 def enumerate_monomials(content, weight, dirs):
-    """All monomials of the block_content and block_weight given.
+    """All monomials of the content and weight given, as block_key reads them.
 
     Each composition of the weight into len(dirs)*f + s parts, read as
     (tau orders if "t" is in dirs, sigma orders, symbol orders) over the
@@ -788,20 +814,21 @@ def _bare(mono: Monomial) -> bool:
 
 
 def _blocks(table, dirs: str):
-    """[(content, {mono: coeff})] of an integer table by block_content,
-    sorted."""
+    """[(content, {mono: coeff})] of an integer table by the content of
+    block_key, sorted."""
     blocks = {}
     for mono, coeff in table.items():
-        blocks.setdefault(block_content(mono, dirs), {})[mono] = coeff
+        blocks.setdefault(block_key(mono, dirs)[0], {})[mono] = coeff
     return sorted(blocks.items())
 
 
 # bounded: a basis holds up to hundreds of monomials, and each caller asks
-# only for the weights that can pivot on its target's terms.  The seed-401
-# mode_algebra list makes 13,065 calls on 564 keys, 4,480 of them from the
-# Noether peel on 18 keys; 361 of its 925 misses rebuild an evicted basis,
-# 0.02-0.03 s of 1.5-1.9 s of item time, where a bound of 1,024 would
-# leave only the 564 first builds (2-vCPU host, Python 3.11)
+# only for the weights that can pivot on its target's terms.  The timed
+# items of the seed-401 mode_algebra list make 10,106 calls on 546 keys,
+# 4,480 of them from the Noether peel on 18 keys; 244 of its 790 misses
+# rebuild an evicted basis, about 0.02 s of 1.0 s of item time, where a
+# bound of 1,024 would leave only the 546 first builds (2-vCPU host,
+# Python 3.11)
 @lru_cache(maxsize=256)
 def _image_basis(content, weights, dirs, bare):
     """(candidates, echelon basis of their total-derivative images),
@@ -813,7 +840,7 @@ def _image_basis(content, weights, dirs, bare):
     so that reducing a target in the span leaves minus its solution on
     the tags.  Each row is reduced by _reduce_table against the rows
     before it and pivots on the leading monomial of what is left, in the
-    graded order (block_weight, monomial), so reducing a target never
+    graded order (weight, monomial), so reducing a target never
     raises its weight; a remainder with no monomial is dropped.  A basis
     row is {pivot: (table, d)}: the row scaled to 1 at its pivot, as
     numerators over d in lowest terms, the pivot's entry being (d, 0).
@@ -823,13 +850,12 @@ def _image_basis(content, weights, dirs, bare):
     basis = {}
     for j, d in enumerate(dirs):
         for k, m in enumerate(cands):
-            row = {}
-            _total_d({m: (1, 0)}, d, row)
+            row = {image: [x, y] for image, x, y in _d_terms(m, d)}
             if len(dirs) > 1:
                 row[j * len(cands) + k] = [1, 0]
             rest, _ = _reduce_table(row, 1, basis)
             col = max((key for key, (x, y) in rest.items() if (x or y) and type(key) is not int),
-                      key=lambda mono: (block_weight(mono, dirs), mono), default=None)
+                      key=lambda mono: (block_key(mono, dirs)[1], mono), default=None)
             if col is None:
                 continue
             u, v = rest[col]  # times (u - iv) / (u^2 + v^2): 1 at the pivot
@@ -877,7 +903,7 @@ def _peel(q, D) -> tuple:
     for content, target in _blocks(q, "ts"):
         shifts = (1,) if content[0] == 0 else (1, 0)
         weights = tuple(sorted({w for m in target for d in shifts
-                                if (w := block_weight(m, "ts") - d) >= 0}))
+                                if (w := block_key(m, "ts")[1] - d) >= 0}))
         for bare in (False, True):
             cands, basis = _image_basis(content, weights, "ts", bare)
             rest, d = _reduce_table(target, D, basis)
@@ -915,13 +941,20 @@ def _wave_jets(jets):
     return sign, out
 
 
+@lru_cache(maxsize=_MONO_BOUND)
+def _wave_mono(mono: Monomial) -> tuple:
+    """(sign, image) of one monomial under d_tau^2 x = -d_sigma^2 x."""
+    sign, jets = _wave_jets(mono.jets)
+    return sign, Monomial(mono.mode, mono.syms, tuple(sorted(jets)))
+
+
 def _wave_table(table) -> dict:
     """The integer table with every jet of a >= 2 rewritten by
     d_tau^2 x = -d_sigma^2 x; it may hold zero entries."""
     out = {}
     for mono, (x, y) in table.items():
-        sign, jets = _wave_jets(mono.jets)
-        _add(out, Monomial(mono.mode, mono.syms, tuple(sorted(jets))), sign * x, sign * y)
+        sign, image = _wave_mono(mono)
+        _add(out, image, sign * x, sign * y)
     return out
 
 

@@ -18,6 +18,7 @@ from chiraltorus import chiral_fm, cli, coisson, exactlin, fockq, jetcalc
 from chiraltorus.cli import dump_json, main
 from chiraltorus.fockq import load_model, one_dim_model, partition_function, t_dual
 from chiraltorus.jetcalc import parse_expr
+from test_jetcalc import clear_jetcalc_caches
 
 GOLDEN = Path(__file__).parent / "golden"
 # inputs nested deeper than the interpreter's recursion limit
@@ -146,6 +147,18 @@ class TestNoether:
     def test_torus_b_field_golden(self, generator, capsys):
         rc, out, err = invoke(["noether", *self.TORUS_N2, "--generator", generator], capsys)
         assert (rc, out, err) == (0, golden(f"noether_torus_n2_{generator}.txt"), "")
+
+    @pytest.mark.parametrize("args,name", [
+        (["bracket", "vir+:2", "vir+:-1"], "bracket_vir_2_m1.json"),
+        (["noether", "--generator", "conformal"], "noether_conformal_circle.json"),
+        (["noether", *TORUS_N2, "--generator", "anticonformal"],
+         "noether_torus_n2_anticonformal.txt"),
+    ], ids=["bracket", "noether-circle", "noether-torus"])
+    def test_golden_bytes_cold_and_warm(self, args, name, capsys):
+        # every jetcalc cache emptied, then the same call again on warm ones
+        clear_jetcalc_caches()
+        cold = invoke(args, capsys)
+        assert cold == invoke(args, capsys) == (0, golden(name), "")
 
     def test_unknown_generator_exit1(self, capsys):
         rc, _, err = invoke(["noether", "--generator", "bogus"], capsys)

@@ -21,7 +21,7 @@ from chiraltorus.jetcalc import (
     _image_basis,
     _integer_view,
     _reduce_table,
-    block_weight,
+    block_key,
     boson_circle_lagrangian,
     gen_tau,
     noether,
@@ -368,7 +368,7 @@ def every_layer_normal_form(density) -> DiffPoly:
     table, D = _integer_view(coisson.as_density(density).coeffs)
     out = DiffPoly.zero()
     for content, target in _blocks(table, "s"):
-        top = max(block_weight(m, "s") for m in target)
+        top = max(block_key(m, "s")[1] for m in target)
         _, basis = _image_basis(content, tuple(range(top + 1)), "s", True)
         out = out + _as_poly(*_reduce_table(target, D, basis))
     return out

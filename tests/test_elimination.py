@@ -45,7 +45,7 @@ from chiraltorus.jetcalc import (
     _image_basis,
     _integer_view,
     _reduce_table,
-    block_weight,
+    block_key,
     enumerate_monomials,
 )
 
@@ -244,7 +244,7 @@ def ref_image_basis(cands, dirs):
             rows.append({**row, j * len(cands) + k: ONE} if len(dirs) > 1 else row)
     return echelon(rows, lambda row: max(
         (key for key in row if type(key) is not int),
-        key=lambda m: (block_weight(m, dirs), m), default=None))
+        key=lambda m: (block_key(m, dirs)[1], m), default=None))
 
 
 def ref_alt_pullback(k: int, mu: RationalMatrix, t: AltTensor) -> AltTensor:

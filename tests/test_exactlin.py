@@ -1,6 +1,8 @@
 """Exact linear algebra substrate: scalars, inverses, alternating tensors."""
 
+import importlib
 import operator
+import pkgutil
 import random
 import re
 from fractions import Fraction
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chiraltorus
 from chiraltorus.chiral_fm import CdoIsoClass, CdoMorphism, NondegClass, TdoIsoClass
 from chiraltorus.coisson import (
     BracketTable,
@@ -169,6 +172,25 @@ class TestExactScalar:
         for x in (a + a, a - 1, a * a, a / 3, -a, a.conjugate(), a ** 3):
             assert type(x.a) is int and type(x.b) is int and type(x.d) is int
             assert x.d > 0
+
+    def test_plain_number_operands_are_coerced(self):
+        x = ExactScalar(Fraction(1, 3), 2)
+        assert x + 1 == 1 + x == ExactScalar(Fraction(4, 3), 2)
+        assert x + Fraction(1, 2) == ExactScalar(Fraction(5, 6), 2)
+        assert 1 - x == ExactScalar(Fraction(2, 3), -2)
+        assert 2 / ExactScalar(0, 2) == ExactScalar(0, -1)
+        assert Fraction(1, 2) / ExactScalar(2) == ExactScalar(Fraction(1, 4))
+
+    def test_equality_with_ints_and_fractions(self):
+        assert ExactScalar(3) == 3 and ExactScalar(3) != 4
+        assert ExactScalar(3, 1) != 3 and ExactScalar(Fraction(3, 2)) != 1
+        assert ExactScalar(Fraction(3, 2)) == Fraction(3, 2)
+        assert ExactScalar(Fraction(3, 2), 1) != Fraction(3, 2)
+        assert ExactScalar(2) != Fraction(2, 3)
+
+    def test_a_complex_value_hashes_as_its_pair_of_parts(self):
+        x = ExactScalar(Fraction(1, 3), -2)
+        assert hash(x) == hash((Fraction(1, 3), Fraction(-2)))
 
 
 # ----------------------------------------------------------------------
@@ -744,6 +766,20 @@ def _frozen_classes(base=Frozen):
 def test_every_frozen_class_has_an_immutability_case():
     names = {cls.__name__ for cls in _frozen_classes()} - {"CoeffTable"}
     assert names == set(FROZEN_CASES)
+
+
+def test_every_cache_is_bounded():
+    # no input can grow a cache without limit
+    caches = {}
+    for info in pkgutil.iter_modules(chiraltorus.__path__):
+        module = importlib.import_module(f"chiraltorus.{info.name}")
+        for owner in [module, *(v for v in vars(module).values() if isinstance(v, type))]:
+            for name, value in vars(owner).items():
+                if hasattr(value, "cache_info"):
+                    caches[f"{module.__name__}.{name}"] = value.cache_info().maxsize
+    assert {"chiraltorus.fockq._word_map", "chiraltorus.jetcalc._image_basis",
+            "chiraltorus.jetcalc._mono_mul", "chiraltorus.jetcalc._d_terms"} <= set(caches)
+    assert all(isinstance(bound, int) for bound in caches.values()), caches
 
 
 def test_a_type_without_fields_compares_by_identity():

@@ -180,3 +180,14 @@ def test_central_charge_equals_the_full_matrix_reading(drawn):
     c = central_charge(model, N)
     assert c == fock_oracle.central_charge(model, N)
     assert c == S(model.n)
+
+
+def test_fixed_sum_and_product_against_the_oracle():
+    # a column that cancels to nothing leaves the sum, and the product
+    # runs on operators no draw has to reach
+    a = SparseOp(3, {0: {0: 1, 1: S(Fraction(1, 2))}, 2: {1: S(0, 1)}})
+    b = SparseOp(3, {0: {0: -1, 2: 2}, 1: {2: 3}})
+    assert a - a == SparseOp.zero(3) and not (a - a).table
+    assert (a + b).table == {0: {1: S(Fraction(1, 2)), 2: S(2)}, 1: {2: S(3)}, 2: {1: S(0, 1)}}
+    same(a @ b, fock_oracle.product(a, b))
+    same(b @ a, fock_oracle.product(b, a))

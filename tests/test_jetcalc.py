@@ -5,17 +5,18 @@ Expected values that are not forced by an identity were derived by hand
 once and frozen here as parseable strings.
 """
 
+import heapq
 import operator
 import random
 import re
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chiraltorus import jetcalc
-from chiraltorus.exactlin import ChiraltorusError, ExactScalar, InvariantError
+from chiraltorus.exactlin import ChiraltorusError, ExactScalar, InvariantError, add_into
 from chiraltorus.jetcalc import (
     MAX_EXPONENT,
     DiffPoly,
@@ -321,6 +322,86 @@ def partial_scan(poly, key):
             jets.remove(key)
             out = out + DiffPoly({Monomial(mono.mode, mono.syms, tuple(jets)): coeff * mult})
     return out
+
+
+# raw monomials with a nonzero trig mode, symbols and jets drawn from
+# few values, so that a symbol or a jet often repeats in one monomial
+repeating_monomials = st.builds(
+    lambda mode, syms, jets: Monomial(mode, tuple(sorted(syms)), tuple(sorted(jets))),
+    st.integers(-3, 3).filter(bool),
+    st.lists(st.tuples(st.sampled_from(["f", "g", "phi"]), st.integers(0, 1)), max_size=3),
+    st.lists(st.tuples(st.integers(1, 2), st.integers(0, 3), st.integers(0, 1)), max_size=4),
+)
+repeating_polynomials = st.lists(st.tuples(repeating_monomials, coefficients),
+                                 max_size=4).map(DiffPoly)
+
+
+def clear_jetcalc_caches():
+    for f in vars(jetcalc).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+
+
+def product_merge(p, q):
+    """p * q with each product monomial's sorted factor tuples merged by
+    heapq.merge: the reference for the cached _mono_mul."""
+    out = {}
+    for m1, c1 in p.coeffs.items():
+        for m2, c2 in q.coeffs.items():
+            mono = Monomial(m1.mode + m2.mode, tuple(heapq.merge(m1.syms, m2.syms)),
+                            tuple(heapq.merge(m1.jets, m2.jets)))
+            add_into(out, mono, c1 * c2)
+    return DiffPoly(out)
+
+
+def wave_loop(poly):
+    """Each jet's tau-order lowered two at a time by d_tau^2 x =
+    -d_sigma^2 x, one ExactScalar sign flip per step: the reference for
+    the cached _wave_mono."""
+    out = {}
+    for mono, coeff in poly.coeffs.items():
+        jets = []
+        for i, a, b in mono.jets:
+            while a >= 2:
+                a, b, coeff = a - 2, b + 2, -coeff
+            jets.append((i, a, b))
+        add_into(out, Monomial(mono.mode, mono.syms, tuple(sorted(jets))), coeff)
+    return DiffPoly(out)
+
+
+class TestPerMonomialCaches:
+    """The cached maps under the integer kernels against references that
+    share none of them, once on cleared caches and once warm."""
+
+    @staticmethod
+    def computed(p, q):
+        return (p.D("t"), p.D("s"), p * q, list(p.partials().items()), wave_reduce_poly(p))
+
+    @staticmethod
+    def wanted(p, q):
+        support = sorted({key for mono in p.coeffs for key in mono.jets})
+        return (total_derivative(p, "t"), total_derivative(p, "s"), product_merge(p, q),
+                [(key, partial_scan(p, key)) for key in support], wave_loop(p))
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=repeating_polynomials, q=repeating_polynomials)
+    def test_cold_and_warm_match_the_references(self, p, q):
+        want = self.wanted(p, q)
+        clear_jetcalc_caches()
+        assert self.computed(p, q) == want
+        assert self.computed(p, q) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.one_of(repeating_polynomials, polynomials))
+    # D_tau cancels on e(1)*dt.x1*dt.x2, where D_sigma does not
+    @example(p=parse_expr("e(1)*(x1*dt.x2 - dt.x1*x2 + dt.x1*dt.x2)"))
+    def test_light_cone_prefixes_match_the_scalar_formula(self, p):
+        # the former ExactScalar path, key order included
+        dt, ds = p.D("t"), p.D("s").scale(I)
+        for prefix, want in (("dz", dt - ds), ("dzb", dt + ds)):
+            want = want.scale(S(1) / 2)
+            got = jetcalc._apply_prefix(prefix, p)
+            assert list(got.coeffs.items()) == list(want.coeffs.items())
 
 
 class TestPartials:
