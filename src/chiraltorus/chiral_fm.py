@@ -18,7 +18,9 @@ from .exactlin import (
     RationalMatrix,
     SingularMatrix,
     _integer,
+    _integer_rows,
     _pullback_by_inverse,
+    _sandwich,
 )
 
 
@@ -114,34 +116,33 @@ class TdoIsoClass(Frozen):
 class NondegClass(Frozen):
     """A nondegenerate element mu of Hom(g, g-hat); indexes the transform.
 
-    mu^{-1} is computed once, when the class is built, and doubles as
-    the nondegeneracy check; a class made by inverse_class is handed the
-    mu it came from instead.  The stored inverse is not part of the
-    value, and not an argument of the constructor.
+    The constructor forms mu^{-1}, which doubles as the nondegeneracy
+    check; mu keeps it (RationalMatrix.inverse memoises both ways), so
+    mu_inverse, inverse_class and fm_linear(mu) all read that one
+    inverse, and the inverse of the inverse class is mu itself.
     """
 
-    __slots__ = ("mu", "_inv")
-    _fields = ("mu",)
+    __slots__ = _fields = ("mu",)
 
     def __init__(self, mu: RationalMatrix):
         if mu.rows != mu.cols:
             raise DimensionMismatch("mu must be square")
         try:
-            inv = mu.inverse()
+            mu.inverse()
         except SingularMatrix:
             raise SingularMatrix("mu must be nondegenerate") from None
-        self._set(mu=mu, _inv=inv)
+        self._set(mu=mu)
 
     @property
     def n(self) -> int:
         return self.mu.rows
 
     def mu_inverse(self) -> RationalMatrix:
-        """mu^{-1}, as stored when the class was built."""
-        return self._inv
+        """mu^{-1}, as formed when the class was built."""
+        return self.mu.inverse()
 
     def inverse_class(self) -> "NondegClass":
-        return NondegClass._trusted(mu=self._inv, _inv=self.mu)
+        return NondegClass._trusted(mu=self.mu.inverse())
 
     def to_json(self):
         return {"mu": self.mu.to_json()}
@@ -166,11 +167,11 @@ def fm_linear(a: RationalMatrix) -> RationalMatrix:
 
 def fm_linear_differential(a: RationalMatrix, b: RationalMatrix):
     """Differential of fm_linear at a in direction b, read off F = fm_linear:
-    (F(a), F(a) b F(a)), which is (-a^{-1}, a^{-1} b a^{-1})."""
+    (F(a), F(a) b F(a)), which is (-a^{-1}, a^{-1} b a^{-1}); the second
+    is one integer triple product over the inverse that F(a) formed."""
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise DimensionMismatch("direction must have the same shape as the base point")
-    f = fm_linear(a)
-    return (f, f * b * f)
+    return (fm_linear(a), _sandwich(_integer_rows(a.inverse()), b))
 
 
 def fm_cdo(mu: NondegClass, x: CdoIsoClass) -> CdoIsoClass:
@@ -182,16 +183,16 @@ def fm_cdo(mu: NondegClass, x: CdoIsoClass) -> CdoIsoClass:
     """
     if mu.n != x.n:
         raise DimensionMismatch("mu and class dimensions differ")
-    inv = mu.mu_inverse()
-    return CdoIsoClass(x.n, _pullback_by_inverse(inv, x.lam),
-                       _pullback_by_inverse(inv, x.nu, on_values=True))
+    view = (*_integer_rows(mu.mu_inverse()), {})
+    return CdoIsoClass(x.n, _pullback_by_inverse(view, x.lam),
+                       _pullback_by_inverse(view, x.nu, on_values=True))
 
 
 def fm_cdo_morphism(mu: NondegClass, m: CdoMorphism) -> CdoMorphism:
     """Transport a morphism: h pulls back along mu^{-1} as a 2-form."""
     if mu.n != m.h.dim:
         raise DimensionMismatch("mu and morphism dimensions differ")
-    return CdoMorphism(_pullback_by_inverse(mu.mu_inverse(), m.h))
+    return CdoMorphism(_pullback_by_inverse((*_integer_rows(mu.mu_inverse()), {}), m.h))
 
 
 def fm_tdo(mu: NondegClass, x: TdoIsoClass) -> TdoIsoClass:
@@ -203,5 +204,5 @@ def fm_tdo(mu: NondegClass, x: TdoIsoClass) -> TdoIsoClass:
     """
     if mu.n != x.c.rows:
         raise DimensionMismatch("mu and class dimensions differ")
-    inv = mu.mu_inverse()
-    return TdoIsoClass(inv * x.c * inv, _pullback_by_inverse(inv, x.omega))
+    rows = _integer_rows(mu.mu_inverse())
+    return TdoIsoClass(_sandwich(rows, x.c), _pullback_by_inverse((*rows, {}), x.omega))

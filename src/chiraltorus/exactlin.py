@@ -60,12 +60,15 @@ class NotAntisymmetric(PreconditionError):
 
 
 class Frozen:
-    """Base of the package's immutable types: attributes are set once,
-    while the instance is built, and never reassigned.
+    """Base of the package's immutable types: the attributes of the value
+    are set once, while the instance is built, and never reassigned.
 
     A subclass that names the attributes making up its value in _fields
     compares and hashes by them and prints as Name(f1=..., f2=...);
-    without _fields an instance is equal only to itself."""
+    without _fields an instance is equal only to itself.  A private slot
+    outside _fields may memoise something computed from the value, as
+    RationalMatrix._inv keeps the inverse; it is filled through _set, at
+    most once, and never changes ==, hash or repr."""
 
     __slots__ = ()
     _fields = None
@@ -361,13 +364,19 @@ def _over_common(xs) -> tuple:
     return re, im, D
 
 
+def _gaussian_dot(xr, xi, yr, yi) -> tuple:
+    """(re, im) of sum_k x_k y_k for two Gaussian-integer sequences of
+    equal length, given by their re and im parts."""
+    return (sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)),
+            sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)))
+
+
 def _dot(x, y) -> ExactScalar:
     """sum_k x_k y_k of two integer views of equal length, summed in ints
     and normalised once."""
     xr, xi, dx = x
     yr, yi, dy = y
-    return _reduced(sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)),
-                    sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)), dx * dy)
+    return _reduced(*_gaussian_dot(xr, xi, yr, yi), dx * dy)
 
 
 def _integer_rows(m) -> tuple:
@@ -482,7 +491,8 @@ def signed_sort(keys) -> tuple:
 class RationalMatrix(Frozen):
     """A rows x cols matrix over ExactScalar, immutable after construction."""
 
-    __slots__ = ("rows", "cols", "entries")
+    # _inv: the inverse once inverse() has formed it, not part of the value
+    __slots__ = ("rows", "cols", "entries", "_inv")
     _fields = ("entries",)
 
     def __init__(self, entries):
@@ -575,7 +585,12 @@ class RationalMatrix(Frozen):
 
         Gauss-Jordan by _bareiss on [D*A | D*I] leaves the row that
         pivots on column k as q X_k, one q for every row, with X_k row k
-        of the inverse; each entry is normalised once."""
+        of the inverse; each entry is normalised once.  The inverse is
+        kept on both matrices, each as the other's, so every later call
+        on either returns it without eliminating again."""
+        inv = getattr(self, "_inv", None)
+        if inv is not None:
+            return inv
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
@@ -588,8 +603,11 @@ class RationalMatrix(Frozen):
         qr, qi = pivots[-1]
         norm = qr * qr + qi * qi
         # x/q = x conj(q) / |q|^2
-        return _matrix([_reduced(x * qr + y * qi, y * qr - x * qi, norm)
-                        for x, y in zip(*rows[r])] for r in order)
+        inv = _matrix([_reduced(x * qr + y * qi, y * qr - x * qi, norm)
+                       for x, y in zip(*rows[r])] for r in order)
+        self._set(_inv=inv)
+        inv._set(_inv=self)
+        return inv
 
     def __str__(self):
         body = "; ".join(
@@ -899,34 +917,53 @@ def alt_pullback(k: int, mu: RationalMatrix, t: AltTensor) -> AltTensor:
         raise DimensionMismatch(f"tensor degree {t.degree} does not match k={k}")
     if t.dim != mu.rows:
         raise DimensionMismatch("tensor dim does not match matrix size")
-    return _pullback_by_inverse(mu.inverse(), t)
+    return _pullback_by_inverse((*_integer_rows(mu.inverse()), {}), t)
 
 
-def _pullback_by_inverse(inv: RationalMatrix, t: AltTensor,
+def _sandwich(rows: tuple, c: RationalMatrix) -> RationalMatrix:
+    """inv c inv, rows = (mr, mi, D) the _integer_rows of inv: with inv =
+    M/D and c = C/E, one Gaussian-integer triple product M C M over
+    D^2 E, each entry normalised once."""
+    mr, mi, D = rows
+    cr, ci, E = _integer_rows(c)
+    den = D * D * E
+    ccols = list(zip(zip(*cr), zip(*ci)))
+    mcols = list(zip(zip(*mr), zip(*mi)))
+    out = []
+    for xr, xi in zip(mr, mi):
+        pr, pi = zip(*[_gaussian_dot(xr, xi, yr, yi) for yr, yi in ccols])
+        out.append([_reduced(*_gaussian_dot(pr, pi, yr, yi), den) for yr, yi in mcols])
+    return _matrix(out)
+
+
+def _pullback_by_inverse(view: tuple, t: AltTensor,
                          on_values: bool = False) -> AltTensor:
-    """alt_pullback given inv = mu^{-1}, for a tensor t of matching dim
+    """alt_pullback along inv = mu^{-1}, for a tensor t of matching dim
     and degree k = t.degree; with on_values, each value column is also
-    sent through inv.
+    sent through inv.  view is (mr, mi, D, tables): the _integer_rows of
+    inv and a dict of 2x2 minor tables that the call fills as it goes.
 
     inv is read as M/D and the values of t as integers over T, both
     Gaussian integers over a common denominator, so the coefficient on
     I is sum_J t_J M_{J,I} / (T D^k), M_{J,I} the (J, I) minor of M.
     The sums run in ints and each output entry is normalised once.
     Only the keys J of t are walked.  The 2x2 minors of a row pair are
-    tabulated once over every column pair: for k = 2 they are the (J, I)
-    minors, and for k = 3 each minor is the Laplace expansion along J's
-    first row over the table of its last two rows, shared by every I and
-    by every J that ends in the same pair.
+    tabulated over every column pair the first time a key ends in that
+    pair: for k = 2 they are the (J, I) minors, and for k = 3 each minor
+    is the Laplace expansion along J's first row over the table of its
+    last two rows, shared by every I and by every J that ends in the
+    same pair.  A caller that pulls back more than one tensor along the
+    same inv passes them all one view, so each table is formed at most
+    once per call; no view outlives the call that made it.
     """
-    n, k = inv.rows, t.degree
-    mr, mi, D = _integer_rows(inv)
+    mr, mi, D, tables = view
+    k = t.degree
     width = t.valdim or 1
     values = t.coeffs.values()
     vr, vi, T = _over_common(
         [x for v in values for x in v] if t.valdim else list(values))
-    pairs = list(combinations(range(n), 2))
-    triples = list(combinations(range(n), 3))
-    tables = {}
+    pairs = list(combinations(range(len(mr)), 2))
+    triples = list(combinations(range(len(mr)), 3))
     acc = {}
     for pos, key in enumerate(t.coeffs):
         pair = key[-2:]

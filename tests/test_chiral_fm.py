@@ -412,6 +412,24 @@ class TestInverseClass:
         with pytest.raises(TypeError):
             NondegClass(RationalMatrix([[1, 1], [1, 1]]), RationalMatrix.identity(2))
 
+    def test_the_class_and_its_inverse_share_one_inverse(self):
+        m = RationalMatrix([["1/2", "1+1/3 i", "0"], ["3/4 i", "2", "1/5"],
+                            ["-1", "0", "1-1/2 i"]])
+        mu = NondegClass(m)
+        inv = mu.inverse_class()
+        assert inv.mu is mu.mu_inverse() is m.inverse()
+        assert inv.mu_inverse() is m
+        assert inv.inverse_class().mu is m
+        # fm_linear(mu) negates the inverse the class formed
+        assert fm_linear(m) == -inv.mu
+
+    def test_a_singular_mu_keeps_no_inverse(self):
+        m = RationalMatrix([["1", "2"], ["1/2", "1"]])
+        for _ in range(2):
+            with pytest.raises(SingularMatrix, match="^mu must be nondegenerate$"):
+                NondegClass(m)
+        assert getattr(m, "_inv", None) is None
+
     @settings(max_examples=40, deadline=None)
     @given(m=st.integers(1, 5).flatmap(nondeg_matrices))
     def test_inverse_of_inverse_class_is_mu(self, m):

@@ -261,6 +261,18 @@ class TestFm:
         )
         assert rc == 1 and "absent.json" in err
 
+    # n = 4 on a Gaussian-rational mu with mixed denominators: every
+    # pullback kernel, the c' product and the inverse, byte for byte
+    @pytest.mark.parametrize("kind,cls", [
+        ("cdo", "fm_cdo_class_n4.json"),
+        ("tdo", "fm_tdo_class_n4.json"),
+        ("linear", "fm_linear_a_n4.json"),
+    ], ids=["cdo", "tdo", "linear"])
+    def test_n4_gaussian_golden(self, kind, cls, capsys):
+        args = ["fm", "--kind", kind, "--mu", str(GOLDEN / "fm_mu_n4.json"),
+                "--input", str(GOLDEN / cls)]
+        assert invoke(args, capsys) == (0, golden(f"fm_{kind}_n4.json"), "")
+
 
 class TestBracket:
     def test_heisenberg_constant(self, capsys):

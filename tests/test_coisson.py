@@ -94,6 +94,12 @@ class TestDeltaExpansion:
         assert oracle.coefficient(E, 1) == F.D("s").scale(-2)
         assert oracle.coefficient(E, 0) == F.D("s").D("s")
 
+    def test_zero_is_the_empty_expansion(self):
+        zero = DeltaExpansion.zero()
+        assert zero == DeltaExpansion() and zero.is_zero() and str(zero) == "0"
+        E = DeltaExpansion({1: P("p1"), 0: P("x1")})
+        assert E + zero == E and E - E == zero
+
     def test_transport_of_constant_is_multiplication(self):
         E = DeltaExpansion({1: P("p1"), 0: P("x1")})
         assert oracle.transport(E, DiffPoly.const(5)) == E.scale(5)

@@ -29,6 +29,8 @@ from chiraltorus.exactlin import (
     Frozen,
     RationalMatrix,
     SingularMatrix,
+    _integer_rows,
+    _pullback_by_inverse,
     alt_pullback,
     compositions,
     signed_sort,
@@ -191,6 +193,14 @@ class TestExactScalar:
     def test_a_complex_value_hashes_as_its_pair_of_parts(self):
         x = ExactScalar(Fraction(1, 3), -2)
         assert hash(x) == hash((Fraction(1, 3), Fraction(-2)))
+
+    def test_truth_order_key_and_json_form(self):
+        assert not ExactScalar(0) and ExactScalar(0, 1) and ExactScalar(Fraction(-1, 2))
+        xs = [ExactScalar(1), ExactScalar(0, -3), ExactScalar(Fraction(-1, 2), Fraction(3, 4))]
+        assert [x.sort_key() for x in xs] == [
+            (1, 0), (0, -3), (Fraction(-1, 2), Fraction(3, 4))]
+        assert sorted(xs, key=ExactScalar.sort_key) == [xs[2], xs[1], xs[0]]
+        assert [ExactScalar.from_json(x) for x in ("1", "-3 i", "-1/2+3/4 i")] == xs
 
 
 # ----------------------------------------------------------------------
@@ -401,12 +411,38 @@ class TestRationalMatrix:
         rng = random.Random(12)
         for _ in range(10):
             m = rand_invertible(rng, 3)
-            assert m.inverse().inverse() == m
+            # a fresh matrix of the same entries keeps no inverse, so the
+            # second inverse is eliminated again rather than read back
+            assert RationalMatrix(m.inverse().entries).inverse() == m
+
+    def test_inverse_is_kept_both_ways(self):
+        m = RationalMatrix([["1/2", "1+1/3 i"], ["3/4 i", "2"]])
+        inv = m.inverse()
+        assert m.inverse() is inv and inv.inverse() is m
+        assert inv == RationalMatrix(inv.entries)
+
+    def test_kept_inverse_leaves_the_value_alone(self):
+        m = RationalMatrix([["1/2", "1+1/3 i"], ["3/4 i", "2"]])
+        fresh = RationalMatrix(m.entries)
+        before = (hash(m), repr(m), m.to_json())
+        m.inverse()
+        assert m == fresh and fresh == m
+        assert (hash(m), repr(m), m.to_json()) == before == (
+            hash(fresh), repr(fresh), fresh.to_json())
+
+    def test_negation_and_products_keep_no_inverse(self):
+        m = RationalMatrix([["2", "1"], ["1", "1"]])
+        m.inverse()
+        for out in (-m, m * RationalMatrix.identity(2), m.transpose(), m + m):
+            assert getattr(out, "_inv", None) is None
 
     def test_singular_matrix_raises(self):
         m = RationalMatrix([[1, 2], [2, 4]])
-        with pytest.raises(SingularMatrix):
-            m.inverse()
+        for _ in range(2):
+            # every call eliminates and raises: a failed inverse is not kept
+            with pytest.raises(SingularMatrix):
+                m.inverse()
+            assert getattr(m, "_inv", None) is None
 
     def test_det_multiplicative(self):
         rng = random.Random(13)
@@ -620,6 +656,25 @@ class TestAltTensor:
         rng = random.Random(21)
         t = rand_tensor(rng, 2, 3)
         assert alt_pullback(2, RationalMatrix.identity(3), t) == t
+
+    @pytest.mark.parametrize("k,n,valdim", [(2, 1, None), (2, 1, 1), (3, 1, None),
+                                            (3, 2, None), (3, 2, 2)])
+    def test_pullback_with_no_keys_is_zero(self, k, n, valdim):
+        # n = 1 has no row pair, and n = 2 no key of degree three
+        mu = RationalMatrix([["1/2+1 i"]] if n == 1 else [["1", "2 i"], ["1/3", "1"]])
+        out = alt_pullback(k, mu, AltTensor(k, n, {}, valdim))
+        assert out == AltTensor(k, n, {}, valdim) and out.is_zero()
+        assert (out.degree, out.dim, out.valdim) == (k, n, valdim)
+
+    @pytest.mark.parametrize("k, key", [(2, (2, 4)), (3, (1, 3, 5))])
+    def test_pullback_tabulates_only_the_row_pairs_its_keys_end_in(self, k, key):
+        # one key at n = 5: one 2x2 minor table, not all C(5, 2) of them
+        rng = random.Random(24)
+        mu = rand_invertible(rng, 5)
+        t = AltTensor(k, 5, {key: ExactScalar(Fraction(2, 3), -1)})
+        view = (*_integer_rows(mu.inverse()), {})
+        assert _pullback_by_inverse(view, t) == alt_pullback(k, mu, t)
+        assert list(view[3]) == [key[-2:]]
 
     def test_scaled_identity_degree_three(self):
         # t(e1/2, e2/2, e3/2) = 1/8

@@ -60,6 +60,16 @@ class TestJsonRoundTrips:
         assert {type(obj) for obj in case} == {
             NondegClass, CdoIsoClass, TdoIsoClass, CdoMorphism}
 
+    def test_fixed_transform_classes(self):
+        h = AltTensor(2, 3, {(1, 2): "1/2", (2, 3): "-1+2/3 i"})
+        mu = NondegClass(RationalMatrix([["1", "1/2 i"], ["0", "3"]]))
+        cdo = CdoIsoClass(3, AltTensor(3, 3, {(1, 2, 3): "-2 i"}),
+                          AltTensor(2, 3, {(1, 3): ["1", "0", "1/4"]}, 3))
+        tdo = TdoIsoClass(mu.mu, AltTensor(2, 2, {(1, 2): "5/3"}))
+        for obj in (mu, cdo, tdo, CdoMorphism(h), CdoMorphism.identity(2)):
+            assert type(obj).from_json(through_json(obj.to_json())) == obj
+        assert CdoMorphism(h).to_json() == {"h": h.to_json()}
+
     @settings(max_examples=100, deadline=None)
     @given(model=models())
     @example(model=LatticeModel(1, [["3"]], [["0"]], [["2"]], unit_exponent=0,
