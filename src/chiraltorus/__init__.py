@@ -32,7 +32,6 @@ from .chiral_fm import (
     fm_linear,
     fm_linear_differential,
     fm_tdo,
-    vertex_algebroid_pairing,
 )
 from .jetcalc import (
     DiffPoly,
@@ -61,11 +60,9 @@ from .coisson import (
     LocalDensity,
     NotADensity,
     UnknownFamily,
-    b_shift,
     boson_table,
     density_bracket,
     dz_density,
-    dzb_density,
     fourier_bracket,
     from_tau_jets,
     generator_density,
@@ -88,7 +85,6 @@ from .fockq import (
     Sector,
     SingularLattice,
     SparseOp,
-    TwoSidedFock,
     UnitScalar,
     build_model,
     central_charge,
@@ -97,7 +93,6 @@ from .fockq import (
     enumerate_sectors,
     ko_locality,
     load_model,
-    locality_pairs,
     one_dim_model,
     partition_function,
     spectrum_point,

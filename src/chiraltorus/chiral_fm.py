@@ -152,14 +152,6 @@ class NondegClass(Frozen):
         return NondegClass(RationalMatrix.from_json(data["mu"]))
 
 
-def vertex_algebroid_pairing(lam: AltTensor, x: int, y: int):
-    """The covector z |-> lambda(x, y, z) attached to a pair of basis
-    directions; skew in (x, y) because lambda is alternating."""
-    if lam.degree != 3:
-        raise DimensionMismatch("pairing requires a 3-tensor")
-    return tuple(lam.evaluate((x, y, z)) for z in range(1, lam.dim + 1))
-
-
 def fm_linear(a: RationalMatrix) -> RationalMatrix:
     """Transform on period matrices: A |-> -A^{-1}."""
     return -a.inverse()

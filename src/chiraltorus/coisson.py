@@ -56,7 +56,6 @@ from .jetcalc import (
     _total_d,
     block_key,
     dz_jet,
-    dzb_jet,
     gen_sigma,
     gen_tau,
     parse_expr,
@@ -176,10 +175,6 @@ class DeltaExpansion(CoeffTable):
 
     def _entry(self, k, poly):
         return k, as_density(poly)
-
-    @staticmethod
-    def zero() -> "DeltaExpansion":
-        return DeltaExpansion()
 
     def _terms(self):
         for k in sorted(self.coeffs, reverse=True):
@@ -396,22 +391,6 @@ def jacobi_residual(table: BracketTable, a, b, c) -> FourierClass:
     return FourierClass(_as_poly(out, D))
 
 
-def b_shift(density, alpha_rows) -> DiffPoly:
-    """The substitution p_j -> p_j + alpha_ji d_sigma x^i for an
-    antisymmetric constant matrix: an automorphism of the untwisted
-    bracket."""
-    poly = as_density(density)
-    alpha = RationalMatrix(alpha_rows)
-    if alpha.rows != alpha.cols:
-        raise DimensionMismatch("shift matrix must be square")
-    top = max((i for mono in poly.coeffs for (i, a, _) in mono.jets if a), default=0)
-    if top > alpha.rows:
-        raise DimensionMismatch(f"momentum index {top} exceeds the shift matrix size {alpha.rows}")
-    shift = _jet_rows(alpha.entries, gen_sigma(alpha.rows))
-    return substitute_jets(poly, {
-        (j, 1): p + s for j, (p, s) in enumerate(zip(gen_tau(alpha.rows), shift), 1)})
-
-
 # ----------------------------------------------------------------------
 # model densities and mode families
 # ----------------------------------------------------------------------
@@ -436,11 +415,6 @@ def from_tau_jets(poly: DiffPoly, g_rows=None, b_rows=None) -> DiffPoly:
 def dz_density(i: int = 1, g_rows=None, b_rows=None) -> DiffPoly:
     """d_z x^i on the time-zero slice, in x and p."""
     return from_tau_jets(dz_jet(i), g_rows, b_rows)
-
-
-def dzb_density(i: int = 1, g_rows=None, b_rows=None) -> DiffPoly:
-    """d_zbar x^i on the time-zero slice, in x and p."""
-    return from_tau_jets(dzb_jet(i), g_rows, b_rows)
 
 
 FAMILIES = ("heis+", "heis-", "vir+", "vir-", "hamiltonian", "momentum", "winding")

@@ -265,9 +265,6 @@ class ExactScalar(Frozen):
             n >>= 1
         return out
 
-    def conjugate(self) -> "ExactScalar":
-        return _triple(self.a, -self.b, self.d)
-
     def is_zero(self) -> bool:
         return not self.a and not self.b
 
@@ -300,9 +297,6 @@ class ExactScalar(Frozen):
     def __bool__(self):
         return not self.is_zero()
 
-    def sort_key(self):
-        return (self.re, self.im)
-
     # -- display -----------------------------------------------------
 
     def __str__(self):
@@ -316,10 +310,6 @@ class ExactScalar(Frozen):
 
     def to_json(self) -> str:
         return str(self)
-
-    @staticmethod
-    def from_json(s: str) -> "ExactScalar":
-        return ExactScalar.from_string(s)
 
 
 _set_a = ExactScalar.a.__set__

@@ -435,13 +435,6 @@ class Sector(Frozen):
         self._set(model=model, l_coords=l_coords, lstar_coords=lstar_coords,
                   coords=l_coords + lstar_coords)
 
-    def one_dim_labels(self):
-        """The chiral/antichiral module labels a_pm / 2 of a circle
-        sector: (l - l*) / 2 and -(l + l*) / 2."""
-        if self.model.n != 1:
-            raise DimensionMismatch("labels specific to one dimension")
-        return (self.a_plus[0] * HALF, self.a_minus[0] * HALF)
-
     def key(self):
         return (self.l_coords, self.lstar_coords)
 
@@ -494,29 +487,19 @@ def vertex_exponents(s1: Sector, s2: Sector):
                  for h in (model.h_plus_form, model.h_minus_form))
 
 
-def locality_pairs(model: LatticeModel, cutoff: int):
-    """Every ordered pair of sectors within the cutoff with its branch
-    exponents, as (s1, s2, hol, antihol, hol - antihol): locality_rows
-    with the sectors as cells and each exponent read as a UnitScalar.
-    The locality certificate runs first, so the difference is the int
-    pairing <l1, l2*> + <l1*, l2>; hol and antihol come from integer sums."""
-    return locality_rows(model, cutoff, lambda s: s, lambda form, row, rng, seen: [
-        _unit_of(row, key, form.den) for key in _box_keys(row, rng)])
-
-
-def locality_rows(model: LatticeModel, cutoff: int, cells, exponent=IntegerForm.text):
+def locality_rows(model: LatticeModel, cutoff: int, cells):
     """Every locality pair from one walk of the box, as (cells(s1), cells(s2),
-    hol, antihol, diff); exponent(form, row, rng, seen) reads those of one s1
-    against the whole box, by default IntegerForm.text: one print per value."""
+    hol, antihol, diff): hol and antihol as text, read by IntegerForm.text
+    for one s1 against the whole box (one print per value), and diff the
+    int pairing <l1, l2*> + <l1*, l2> from integer sums."""
     model.certify_locality()
     box = [(s.coords, s.lstar_coords + s.l_coords, cells(s))
            for s in enumerate_sectors(model, cutoff)]
     rng, column = _box_range(cutoff), [c for _, _, c in box]
     h_plus, h_minus, plus, minus = model.h_plus_form, model.h_minus_form, {}, {}
     for x, swapped, c1 in box:
-        yield from zip(repeat(c1), column, exponent(h_plus, h_plus.times(x), rng, plus),
-                       exponent(h_minus, h_minus.times(x), rng, minus),
-                       _box_sums(swapped, rng))
+        yield from zip(repeat(c1), column, h_plus.text(h_plus.times(x), rng, plus),
+                       h_minus.text(h_minus.times(x), rng, minus), _box_sums(swapped, rng))
 
 
 def ko_locality(model: LatticeModel, cutoff: int):
@@ -908,40 +891,6 @@ def central_charge(model: LatticeModel, N: int = 3) -> ExactScalar:
     if set(column) - {vac}:
         raise InvariantError("central measurement is not diagonal on the vacuum")
     return value + value
-
-
-class TwoSidedFock(Frozen):
-    """Product of a chiral and an antichiral truncation, for checking
-    that the two mode families literally commute as matrices."""
-
-    __slots__ = ("plus", "minus")
-
-    def __init__(self, plus: FockTruncation, minus: FockTruncation):
-        if plus.model != minus.model:
-            raise ModelMismatch("truncations from different models")
-        self._set(plus=plus, minus=minus)
-
-    @property
-    def dim(self):
-        return self.plus.dim * self.minus.dim
-
-    def _lift(self, side: str, op_of) -> SparseOp:
-        if side not in ("+", "-"):
-            raise ChiraltorusError(f"side must be '+' or '-', got {side!r}")
-        op = op_of(self.plus if side == "+" else self.minus)
-        # basis (a, b) -> a * dim_minus + b: a "+" operator moves a with
-        # stride dim_minus, a "-" operator moves b with stride 1
-        dm = self.minus.dim
-        stride, offsets = (dm, range(dm)) if side == "+" else (1, range(0, self.dim, dm))
-        return SparseOp._trusted(dim=self.dim, table={
-            col * stride + o: {r * stride + o: v for r, v in column.items()}
-            for col, column in op.table.items() for o in offsets})
-
-    def alpha(self, i: int, m: int, side: str = "+") -> SparseOp:
-        return self._lift(side, lambda fock: fock.alpha(i, m))
-
-    def virasoro(self, k: int, side: str = "+") -> SparseOp:
-        return self._lift(side, lambda fock: fock.virasoro(k))
 
 
 # ----------------------------------------------------------------------

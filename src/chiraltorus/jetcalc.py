@@ -6,8 +6,7 @@ variables dtau^a dsigma^b x^i, coefficient symbols (holomorphic f,
 antiholomorphic g, circle functions phi/psi, a trig factor e^{im sigma}),
 with Gaussian-rational coefficients.  On top of it sits the variational
 bicomplex: forms with vertical (delta x) and horizontal (dtau, dsigma)
-factors, the two supercommuting differentials, contraction with and
-prolongation of evolutionary vector fields, and the Noether machinery
+factors and the horizontal differential, and the Noether machinery
 that turns a symmetry of a first-order Lagrangian into a conserved
 current with an on-shell certificate.
 """
@@ -595,7 +594,7 @@ class VariationalForm(CoeffTable):
         vkeys = tuple(tuple(k) for k in vkeys)
         return self.coeffs.get((vkeys, tuple(hkeys)), DiffPoly.zero())
 
-    # -- the two differentials -----------------------------------------
+    # -- the horizontal differential -----------------------------------
 
     def horizontal_differential(self) -> "VariationalForm":
         """d = dtau ^ D_tau + dsigma ^ D_sigma, dc wedged from the left."""
@@ -612,14 +611,6 @@ class VariationalForm(CoeffTable):
                     bumped = list(vkeys)
                     bumped[k] = (i, a + 1, b) if c == "t" else (i, a, b + 1)
                     items.append(((bumped, newh), poly.scale(total_sign)))
-        return VariationalForm(items)
-
-    def vertical_differential(self) -> "VariationalForm":
-        """delta = sum_J delta u_J ^ d/du_J, the new factor wedged leftmost."""
-        items = []
-        for (vkeys, hkeys), poly in self.coeffs.items():
-            for key, part in poly.partials().items():
-                items.append((((key,) + vkeys, hkeys), part))
         return VariationalForm(items)
 
     def _terms(self):
@@ -640,60 +631,13 @@ def _component(generator, i) -> DiffPoly:
     return image if isinstance(image, DiffPoly) else DiffPoly.const(image)
 
 
-def _jet_image(generator, key) -> DiffPoly:
-    """x-hat(d^a_tau d^b_sigma x^i) = D_tau^a D_sigma^b F_i for the
-    generator (F_1, ..., F_n), climbed in a loop: D_sigma b times from
-    F_i, then D_tau a times (total derivatives commute)."""
-    i, a, b = key
-    image = _component(generator, i)
-    for d in "s" * b + "t" * a:
-        image = image.D(d)
-    return image
-
-
-def prolong(generator, target):
-    """Apply the evolutionary vector field of the generator.
-
-    On a DiffPoly this is the derivation x-hat; on a VariationalForm it
-    also pushes through the vertical factors via delta(x-hat u_J).
-    """
-    if isinstance(target, DiffPoly):
-        return sum((part * _jet_image(generator, key) for key, part in target.partials().items()),
-                   DiffPoly.zero())
-    if not isinstance(target, VariationalForm):
-        raise TypeError(f"cannot prolong a {type(target).__name__}: "
-                        "expected DiffPoly or VariationalForm")
-    items = []
-    for (vkeys, hkeys), poly in target.coeffs.items():
-        items.append(((vkeys, hkeys), prolong(generator, poly)))
-        for k, key in enumerate(vkeys):
-            for new_key, part in _jet_image(generator, key).partials().items():
-                newv = list(vkeys)
-                newv[k] = new_key
-                items.append(((newv, hkeys), poly * part))
-    return VariationalForm(items)
-
-
-def contract(generator, form: VariationalForm) -> VariationalForm:
-    """Interior product iota_{x-hat}: odd derivation, delta u_J |-> x-hat(u_J)."""
-    if not isinstance(form, VariationalForm):
-        raise TypeError(f"cannot contract a {type(form).__name__}: expected VariationalForm")
-    items = []
-    for (vkeys, hkeys), poly in form.coeffs.items():
-        for k, key in enumerate(vkeys):
-            rest = vkeys[:k] + vkeys[k + 1:]
-            sgn = ONE if k % 2 == 0 else S(-1)
-            items.append(((rest, hkeys), (poly * _jet_image(generator, key)).scale(sgn)))
-    return VariationalForm(items)
-
-
 # ----------------------------------------------------------------------
 # Lagrangians, Euler-Lagrange, Noether
 # ----------------------------------------------------------------------
 
 class Lagrangian(Frozen):
     """A first-order Lagrangian density in the fields 1..n; the form is
-    density * dtau^dsigma.  Immutable, so its one-form and wave-model
+    density * dtau^dsigma.  Immutable, so its partials and wave-model
     check are computed once (in the instance dict: no __slots__)."""
 
     def __init__(self, density: DiffPoly, n: int | None = None):
@@ -707,14 +651,6 @@ class Lagrangian(Frozen):
         if fields and fields[-1] > n:
             raise ChiraltorusError("field index exceeds declared number of fields")
         self._set(n=n, density=density)
-
-    def form(self) -> VariationalForm:
-        return VariationalForm({((), ("t", "s")): self.density})
-
-    @cached_property
-    def gamma(self) -> VariationalForm:
-        """The variational one-form, as variational_one_form gives it."""
-        return variational_one_form(self)
 
     @cached_property
     def _partial_view(self) -> tuple:

@@ -74,7 +74,7 @@ def slot_bracket(a, b, table) -> DeltaExpansion:
     derivatives of the generator bracket K_uv(sigma') delta."""
     A = as_density(a)
     B = as_density(b)
-    out = DeltaExpansion.zero()
+    out = DeltaExpansion()
     for mono_a, ca in A.coeffs.items():
         for mono_b, cb in B.coeffs.items():
             for pos_a, (ia, aa, ba) in enumerate(mono_a.jets):

@@ -17,12 +17,15 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from chiraltorus.exactlin import AltTensor, ExactScalar, RationalMatrix
+from chiraltorus.exactlin import AltTensor, ExactScalar, RationalMatrix, alt_pullback
 from chiraltorus.chiral_fm import (
+    CdoMorphism,
     NondegClass,
     TdoIsoClass,
     fm_cdo,
+    fm_cdo_morphism,
     fm_linear,
+    fm_linear_differential,
     fm_tdo,
 )
 from chiraltorus.jetcalc import (
@@ -67,7 +70,7 @@ from chiraltorus.fockq import (
     vertex_exponents,
 )
 
-from test_exactlin import rand_invertible
+from test_exactlin import rand_invertible, rand_scalar, rand_tensor
 from test_chiral_fm import make_cdo
 from test_coisson import rand_density
 from test_fockq import pairing_oracle, u_poly
@@ -132,7 +135,23 @@ def test_c01_transform_involution():
         assert back == x, f"instance {k} (n={n})"
         a = mu.mu
         assert fm_linear(fm_linear(a)) == a, f"linear instance {k}"
-    print("criterion 1 PASS: transform involution on 200 random classes, dims 2-4")
+    # morphisms: transport along mu keeps composition and the identity,
+    # transport along mu^{-1} undoes it, and transport along nu after mu
+    # is the pullback along (nu mu)^{-1}
+    rng = random.Random(1011)
+    for k in range(60):
+        n = rng.randint(2, 4)
+        mu, nu = (NondegClass(rand_invertible(rng, n)) for _ in range(2))
+        f, g = (CdoMorphism(rand_tensor(rng, 2, n)) for _ in range(2))
+        along = fm_cdo_morphism(mu, f)
+        assert fm_cdo_morphism(mu, f.compose(g)) == along.compose(fm_cdo_morphism(mu, g)), \
+            f"morphism instance {k}"
+        assert fm_cdo_morphism(mu, CdoMorphism.identity(n)) == CdoMorphism.identity(n)
+        assert fm_cdo_morphism(mu.inverse_class(), along) == f, f"morphism instance {k}"
+        assert fm_cdo_morphism(nu, along).h == alt_pullback(2, nu.mu * mu.mu, f.h), \
+            f"morphism instance {k}"
+    print("criterion 1 PASS: transform involution on 200 random classes, dims 2-4; "
+          "morphism transport functorial and undone along mu^(-1) on 60 random morphisms")
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +170,19 @@ def test_c02_linear_avatar_inverts_the_base_point():
         assert out.c == mu.mu.inverse(), f"instance {k}"
         assert fm_linear(mu.mu) == out.c.scale(S(-1)), f"instance {k}"
         assert out.omega == AltTensor(2, n, {})
-    print("criterion 2 PASS: degree-one transform realizes c -> -c^(-1) on 50 random base points")
+    # the differential (1.2.3): dF(A, B) = (-A^{-1}, A^{-1} B A^{-1}), and
+    # dF undoes itself on pairs as F does on base points
+    rng = random.Random(1012)
+    for k in range(50):
+        n = rng.randint(2, 4)
+        a = rand_invertible(rng, n)
+        b = RationalMatrix([[rand_scalar(rng) for _ in range(n)] for _ in range(n)])
+        inv = a.inverse()
+        d = fm_linear_differential(a, b)
+        assert d == (-inv, inv * b * inv), f"differential instance {k}"
+        assert fm_linear_differential(*d) == (a, b), f"differential instance {k}"
+    print("criterion 2 PASS: degree-one transform realizes c -> -c^(-1) on 50 random base points; "
+          "dF(A, B) = (-A^(-1), A^(-1) B A^(-1)) and dF o dF = id on 50 random pairs")
 
 
 # ----------------------------------------------------------------------

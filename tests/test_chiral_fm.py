@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from chiraltorus.exactlin import (
     AltTensor,
-    ChiraltorusError,
     DimensionMismatch,
     ExactScalar,
     RationalMatrix,
@@ -26,7 +25,6 @@ from chiraltorus.chiral_fm import (
     fm_linear,
     fm_linear_differential,
     fm_tdo,
-    vertex_algebroid_pairing,
 )
 
 from test_elimination import (
@@ -174,39 +172,6 @@ class TestFmLinearDifferential:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             fm_linear_differential(RationalMatrix.identity(2), RationalMatrix([[1]]))
-
-
-class TestVertexAlgebroidPairing:
-    def test_zero_class(self):
-        lam = AltTensor(3, 3, {})
-        assert vertex_algebroid_pairing(lam, 1, 2) == (ZERO, ZERO, ZERO)
-
-    def test_volume_form(self):
-        lam = AltTensor(3, 3, {(1, 2, 3): 1})
-        assert vertex_algebroid_pairing(lam, 1, 2) == (ZERO, ZERO, ONE)
-
-    def test_repeated_argument(self):
-        lam = AltTensor(3, 3, {(1, 2, 3): 1})
-        assert vertex_algebroid_pairing(lam, 1, 1) == (ZERO, ZERO, ZERO)
-
-    @pytest.mark.parametrize("x, y, err", [
-        (1.5, 2, ChiraltorusError), (True, 2, ChiraltorusError),
-        (0, 2, DimensionMismatch), (1, 4, DimensionMismatch),
-    ])
-    def test_bad_basis_index_refused(self, x, y, err):
-        lam = AltTensor(3, 3, {(1, 2, 3): 1})
-        with pytest.raises(err) as info:
-            vertex_algebroid_pairing(lam, x, y)
-        assert type(info.value) is err
-
-    def test_skew(self):
-        rng = random.Random(34)
-        lam = rand_tensor(rng, 3, 4)
-        for x in range(1, 5):
-            for y in range(1, 5):
-                cxy = vertex_algebroid_pairing(lam, x, y)
-                cyx = vertex_algebroid_pairing(lam, y, x)
-                assert all(p == -q for p, q in zip(cxy, cyx))
 
 
 class TestFmCdo:
@@ -456,7 +421,6 @@ class TestClassValues:
         (lambda: TdoIsoClass(RationalMatrix.identity(2), AltTensor(2, 3)),
          "omega must be a scalar 2-tensor of matching dim"),
         (lambda: NondegClass(RationalMatrix([[1, 2]])), "mu must be square"),
-        (lambda: vertex_algebroid_pairing(AltTensor(2, 3), 1, 2), "pairing requires a 3-tensor"),
         (lambda: fm_cdo(NondegClass(RationalMatrix.identity(2)), CdoIsoClass.zero(3)),
          "mu and class dimensions differ"),
         (lambda: fm_cdo_morphism(NondegClass(RationalMatrix.identity(2)),
@@ -465,7 +429,7 @@ class TestClassValues:
         (lambda: fm_tdo(NondegClass(RationalMatrix.identity(2)), TdoIsoClass.zero(3)),
          "mu and class dimensions differ"),
     ], ids=["cdo-lambda", "cdo-nu", "morphism", "tdo-c", "tdo-omega", "nondeg-mu",
-            "pairing", "fm-cdo", "fm-cdo-morphism", "fm-tdo"])
+            "fm-cdo", "fm-cdo-morphism", "fm-tdo"])
     def test_shapes_that_do_not_fit_are_refused(self, build, message):
         with pytest.raises(DimensionMismatch, match=f"^{message}$"):
             build()

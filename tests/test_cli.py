@@ -1151,6 +1151,43 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+def _names_read(tree) -> set:
+    """Every identifier that tree reads as a name or an attribute, less
+    the reads inside a function or class of that same name."""
+    found = set()
+
+    def walk(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        else:
+            name = None
+        if name is not None and name not in enclosing:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            walk(child, enclosing)
+
+    walk(tree, frozenset())
+    return found
+
+
+def test_every_exported_name_has_a_caller_outside_the_unit_tests():
+    # a caller is the library itself (beyond the definition and the
+    # re-export in __init__), a demo, the benchmark or the acceptance gate
+    root = Path(__file__).resolve().parent.parent
+    paths = [p for p in sorted((root / "src" / "chiraltorus").glob("*.py"))
+             if p.name != "__init__.py"]
+    paths += sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    paths.append(root / "tests" / "test_acceptance.py")
+    read = set()
+    for path in paths:
+        read |= _names_read(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(set(chiraltorus.__all__) - read) == []
+
+
 class TestParserReuse:
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from chiraltorus import coisson
 from chiraltorus.exactlin import ChiraltorusError, DimensionMismatch, NotAntisymmetric
+from chiraltorus.exactlin import RationalMatrix
 from chiraltorus.exactlin import ExactScalar as S
 from chiraltorus.jetcalc import (
     DiffPoly,
@@ -20,13 +21,17 @@ from chiraltorus.jetcalc import (
     _blocks,
     _image_basis,
     _integer_view,
+    _jet_rows,
     _reduce_table,
     block_key,
     boson_circle_lagrangian,
+    dzb_jet,
+    gen_sigma,
     gen_tau,
     noether,
     parse_expr,
     restrict_to_sol0,
+    substitute_jets,
 )
 from chiraltorus.coisson import (
     BracketTable,
@@ -36,11 +41,9 @@ from chiraltorus.coisson import (
     NotADensity,
     UnknownFamily,
     as_density,
-    b_shift,
     boson_table,
     density_bracket,
     dz_density,
-    dzb_density,
     fourier_bracket,
     from_tau_jets,
     generator_density,
@@ -95,8 +98,8 @@ class TestDeltaExpansion:
         assert oracle.coefficient(E, 0) == F.D("s").D("s")
 
     def test_zero_is_the_empty_expansion(self):
-        zero = DeltaExpansion.zero()
-        assert zero == DeltaExpansion() and zero.is_zero() and str(zero) == "0"
+        zero = DeltaExpansion()
+        assert zero == DeltaExpansion({}) and zero.is_zero() and str(zero) == "0"
         E = DeltaExpansion({1: P("p1"), 0: P("x1")})
         assert E + zero == E and E - E == zero
 
@@ -208,7 +211,7 @@ class TestDensityBracket:
         for i in (1, 2):
             for j in (1, 2):
                 E = density_bracket(
-                    dz_density(i, g, b), dzb_density(j, g, b), TABLE
+                    dz_density(i, g, b), from_tau_jets(dzb_jet(j), g, b), TABLE
                 )
                 assert E.is_zero()
 
@@ -724,6 +727,22 @@ class TestJacobi:
         r = jacobi_residual(t, P("phi*p1"), P("psi*p2"), P("p3"))
         assert r == FourierClass("-phi*psi*ds.x4")
         assert not r.is_zero()
+
+
+def b_shift(density, alpha_rows) -> DiffPoly:
+    """The substitution p_j -> p_j + alpha_ji d_sigma x^i for a constant
+    matrix alpha: an automorphism of the untwisted bracket when alpha is
+    antisymmetric."""
+    poly = as_density(density)
+    alpha = RationalMatrix(alpha_rows)
+    if alpha.rows != alpha.cols:
+        raise DimensionMismatch("shift matrix must be square")
+    top = max((i for mono in poly.coeffs for (i, a, _) in mono.jets if a), default=0)
+    if top > alpha.rows:
+        raise DimensionMismatch(f"momentum index {top} exceeds the shift matrix size {alpha.rows}")
+    shift = _jet_rows(alpha.entries, gen_sigma(alpha.rows))
+    return substitute_jets(poly, {
+        (j, 1): p + s for j, (p, s) in enumerate(zip(gen_tau(alpha.rows), shift), 1)})
 
 
 class TestBShift:

@@ -40,7 +40,6 @@ from chiraltorus.fockq import (
     FockTruncation,
     QSeries,
     SparseOp,
-    TwoSidedFock,
     UnitScalar,
     one_dim_model,
 )
@@ -171,7 +170,7 @@ class TestExactScalar:
 
     def test_arithmetic_results_stay_fractions(self):
         a = ExactScalar(Fraction(1, 3), 2)
-        for x in (a + a, a - 1, a * a, a / 3, -a, a.conjugate(), a ** 3):
+        for x in (a + a, a - 1, a * a, a / 3, -a, a ** 3):
             assert type(x.a) is int and type(x.b) is int and type(x.d) is int
             assert x.d > 0
 
@@ -194,13 +193,11 @@ class TestExactScalar:
         x = ExactScalar(Fraction(1, 3), -2)
         assert hash(x) == hash((Fraction(1, 3), Fraction(-2)))
 
-    def test_truth_order_key_and_json_form(self):
+    def test_truth_and_json_form(self):
         assert not ExactScalar(0) and ExactScalar(0, 1) and ExactScalar(Fraction(-1, 2))
         xs = [ExactScalar(1), ExactScalar(0, -3), ExactScalar(Fraction(-1, 2), Fraction(3, 4))]
-        assert [x.sort_key() for x in xs] == [
-            (1, 0), (0, -3), (Fraction(-1, 2), Fraction(3, 4))]
-        assert sorted(xs, key=ExactScalar.sort_key) == [xs[2], xs[1], xs[0]]
-        assert [ExactScalar.from_json(x) for x in ("1", "-3 i", "-1/2+3/4 i")] == xs
+        assert [x.to_json() for x in xs] == ["1", "0-3 i", "-1/2+3/4 i"]
+        assert [ExactScalar.from_string(x) for x in ("1", "-3 i", "-1/2+3/4 i")] == xs
 
 
 # ----------------------------------------------------------------------
@@ -302,10 +299,9 @@ class TestExactScalarAgainstReference:
 
     @settings(max_examples=200, deadline=None)
     @given(x=gaussians, n=st.integers(-4, 4))
-    def test_negation_conjugate_and_powers(self, x, n):
+    def test_negation_and_powers(self, x, n):
         rx = RefQi.of(x)
         assert as_pair(-x) == (-rx.re, -rx.im)
-        assert as_pair(x.conjugate()) == (rx.re, -rx.im)
         if rx.pair() == (0, 0) and n < 0:
             with pytest.raises(ZeroDivisionError):
                 x ** n
@@ -314,12 +310,10 @@ class TestExactScalarAgainstReference:
 
     @settings(max_examples=200, deadline=None)
     @given(x=gaussians, y=gaussians)
-    def test_equality_and_order_key(self, x, y):
+    def test_equality_and_truth(self, x, y):
         rx, ry = RefQi.of(x), RefQi.of(y)
         assert (x == y) == (rx.pair() == ry.pair())
         assert (x != y) == (rx.pair() != ry.pair())
-        assert x.sort_key() == rx.pair()
-        assert (x.sort_key() < y.sort_key()) == (rx.pair() < ry.pair())
         assert x.is_zero() == (rx.pair() == (0, 0))
         assert bool(x) == (rx.pair() != (0, 0))
         assert x.is_rational() == (rx.im == 0)
@@ -345,7 +339,6 @@ class TestExactScalarAgainstReference:
         assert repr(x) == str(x)
         assert x.to_json() == str(x)
         assert ExactScalar.from_string(str(x)) == x
-        assert ExactScalar.from_json(x.to_json()) == x
 
     @settings(max_examples=300, deadline=None)
     @given(x=gaussians)
@@ -361,7 +354,7 @@ class TestExactScalarAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(x=gaussians, y=exact_operands, n=st.integers(-3, 3))
     def test_stored_triple_is_canonical(self, x, y, n):
-        results = [x, -x, x.conjugate(), x + y, y + x, x - y, y - x, x * y, y * x]
+        results = [x, -x, x + y, y + x, x - y, y - x, x * y, y * x]
         if not ExactScalar.coerce(y).is_zero():
             results.append(x / y)
         if not x.is_zero():
@@ -802,7 +795,6 @@ FROZEN_CASES = {
     "IntegerForm": (lambda: one_dim_model().a_plus_form, "parts"),
     "SparseOp": (lambda: SparseOp.identity(2), "table"),
     "FockTruncation": (_fock, "basis"),
-    "TwoSidedFock": (lambda: TwoSidedFock(_fock(), _fock()), "plus"),
     "QSeries": (lambda: QSeries({0: 1}, 2), "cap"),
     "BiSeries": (lambda: BiSeries({(0, 0): 1}), "coeffs"),
     "NondegClass": (lambda: NondegClass(RationalMatrix.identity(2)), "mu"),

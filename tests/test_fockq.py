@@ -42,7 +42,6 @@ from chiraltorus.fockq import (
     Sector,
     SingularLattice,
     SparseOp,
-    TwoSidedFock,
     UnitScalar,
     build_model,
     central_charge,
@@ -189,14 +188,12 @@ def _n2_model():
     (lambda: one_dim_model(0), SingularLattice, "scale must be positive", 2),
     (lambda: one_dim_model(1).sector([1, 0], [0]), DimensionMismatch,
      "expected 1 coordinates", 2),
-    (lambda: _n2_model().sector([0, 0], [0, 0]).one_dim_labels(), DimensionMismatch,
-     "labels specific to one dimension", 2),
     (lambda: FockTruncation(_n2_model(), [0], 2), DimensionMismatch,
      "weight covector has wrong length", 2),
     (lambda: FockTruncation(_n2_model(), [0, 0], 2).alpha(3, 1), DimensionMismatch,
      "no color 3", 2),
 ], ids=["complex-metric", "metric-not-n-by-n", "unit-exponent-2", "radius-0",
-        "sector-coordinate-count", "one-dim-labels-n2", "fock-weight-length", "alpha-colour-3"])
+        "sector-coordinate-count", "fock-weight-length", "alpha-colour-3"])
 def test_arguments_that_do_not_fit_the_model_are_refused(build, cls, message, code):
     with pytest.raises(cls, match=f"^{message}$") as info:
         build()
@@ -357,10 +354,9 @@ class TestSector:
     def test_one_dim_chiral_labels(self):
         m = one_dim_model()
         s = Sector(m, [2], [3])
-        plus, minus = s.one_dim_labels()
-        # (l - l*)/2 and -(l + l*)/2 with l = 2u, l* = 3/u
-        assert plus == u_poly({1: 1, -1: "-3/2"})
-        assert minus == u_poly({1: -1, -1: "-3/2"})
+        # a+ = l - l* and a- = -(l + l*) with l = 2u, l* = 3/u
+        assert s.a_plus == (u_poly({1: 2, -1: -3}),)
+        assert s.a_minus == (u_poly({1: -2, -1: -3}),)
         assert str(s) == "sector l=(2,) l*=(3,)"
         # equal sectors hash alike, through Frozen's hash of the value
         assert s == Sector(m, [2], [3]) and hash(s) == hash(Sector(m, [2], [3]))
@@ -599,8 +595,7 @@ class TestFock:
         lambda m: FockTruncation(m, [0], 2).alpha(1, False),
         lambda m: FockTruncation(m, [0], 2).virasoro(2.0),
         lambda m: FockTruncation(m, [0], 2).virasoro(True),
-        lambda m: TwoSidedFock(FockTruncation(m, [0], 1),
-                               FockTruncation(m, [0], 1)).alpha(1.0, 1),
+        lambda m: FockTruncation(m, [0], 1).alpha(1.0, 1),
         lambda m: central_charge(m, N=3.0),
         lambda m: FockTruncation(m, [0], 2).vectors_up_to_level(True),
         lambda m: FockTruncation(m, [0], 2).vectors_up_to_level(1.5),
@@ -623,7 +618,7 @@ class TestFock:
         lambda m: UnitScalar({1.5: 1}),
         lambda m: UnitScalar.unit(True),
     ], ids=["N-bool", "N-float", "colour-bool", "mode-float", "mode-bool",
-            "virasoro-float", "virasoro-bool", "two-sided-colour-float", "central-N-float",
+            "virasoro-float", "virasoro-bool", "colour-float", "central-N-float",
             "level-bool", "level-float", "level-str", "partition-cutoff-bool",
             "partition-order-bool", "partition-cutoff-float", "partition-order-str",
             "locality-cutoff-bool", "character-order-bool", "model-n-bool", "cdo-n-bool",
@@ -781,38 +776,6 @@ class TestVirasoro:
             - fock.virasoro(0).scale(S(4))
         vac = fock.index[((), ())]
         assert op.column(vac) == {vac: vacuum_bracket_oracle(m.g)}
-
-    def test_chiral_families_commute(self):
-        m = build_model(2, G_OFFDIAG, ZERO2, RationalMatrix.identity(2))
-        plus = FockTruncation(m, [S(1), S(0)], 2)
-        minus = FockTruncation(m, [S(0), S("1/2")], 2)
-        two = TwoSidedFock(plus, minus)
-        zero = SparseOp.zero(two.dim)
-        for i in (1, 2):
-            for mm in (-1, 0, 2):
-                for j in (1, 2):
-                    for nn in (-2, 1):
-                        a = two.alpha(i, mm, "+")
-                        b = two.alpha(j, nn, "-")
-                        assert a.commutator(b) == zero
-        assert two.virasoro(1, "+").commutator(two.virasoro(-1, "-")) == zero
-
-    def test_truncations_of_different_models_are_refused(self):
-        m1, m2 = one_dim_model(1), build_model(2, G_OFFDIAG, ZERO2, RationalMatrix.identity(2))
-        with pytest.raises(ModelMismatch, match="^truncations from different models$") as info:
-            TwoSidedFock(FockTruncation(m1, [0], 1), FockTruncation(m2, [0, 0], 1))
-        assert info.value.exit_code == 2
-        with pytest.raises(ModelMismatch):
-            TwoSidedFock(FockTruncation(m1, [0], 1), FockTruncation(one_dim_model(2), [0], 1))
-
-    def test_unknown_side_refused(self):
-        m = one_dim_model(1)
-        two = TwoSidedFock(FockTruncation(m, [1], 1), FockTruncation(m, [0], 1))
-        for side in ("x", "", "+-", None):
-            with pytest.raises(ChiraltorusError, match="side must be"):
-                two.alpha(1, -1, side)
-            with pytest.raises(ChiraltorusError, match="side must be"):
-                two.virasoro(0, side)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Round trips through the JSON forms, and the T-duality involution.
 
-Every to_json/from_json pair must give back an equal value after the
-output has passed through real JSON text, and t_dual applied twice
-must give back the model it started from."""
+Every to_json/from_json pair (to_json/from_string for ExactScalar) must
+give back an equal value after the output has passed through real JSON
+text, and t_dual applied twice must give back the model it started from."""
 
 import json
 from fractions import Fraction
@@ -40,7 +40,7 @@ class TestJsonRoundTrips:
     @settings(max_examples=200, deadline=None)
     @given(x=gaussians)
     def test_exact_scalar(self, x):
-        assert ExactScalar.from_json(through_json(x.to_json())) == x
+        assert ExactScalar.from_string(through_json(x.to_json())) == x
 
     @settings(max_examples=100, deadline=None)
     @given(m=matrices())

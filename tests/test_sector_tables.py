@@ -38,7 +38,7 @@ from chiraltorus.fockq import (
     enumerate_sectors,
     ko_locality,
     load_model,
-    locality_pairs,
+    locality_rows,
     one_dim_model,
     partition_function,
     spectrum_point,
@@ -268,15 +268,17 @@ class TestLocalityAndChiral:
         report = ko_locality(model, cutoff)
         assert report["pairs"] == want
         assert report["all_integral"] is all(r["integral"] for r in want)
-        streamed = list(locality_pairs(model, cutoff))
+        streamed = list(locality_rows(model, cutoff, lambda s: s))
         assert len(streamed) == len(want)
         for (s1, s2, hol, antihol, diff), row in zip(streamed, want):
             assert (list(s1.l_coords), list(s1.lstar_coords),
                     list(s2.l_coords), list(s2.lstar_coords)) == \
                 (row["l1"], row["lstar1"], row["l2"], row["lstar2"])
-            assert (str(hol), str(antihol), str(diff)) == \
-                (row["hol"], row["antihol"], row["difference"])
-            assert hol - antihol == UnitScalar.coerce(diff)
+            assert (hol, antihol, str(diff)) == (row["hol"], row["antihol"], row["difference"])
+            assert type(diff) is int
+            h, hbar = vertex_exponents(s1, s2)
+            assert (str(h), str(hbar)) == (hol, antihol)
+            assert h - hbar == UnitScalar.coerce(diff)
 
     # n = 1 and n = 2 are drawn apart, so each run checks a fixed number of
     # n = 2 models; a failure is reported as found, without shrinking
@@ -341,24 +343,27 @@ class TestLocalityAndChiral:
                                      for i in range(n2)])
         assert model.plus_matrices[2] - model.minus_matrices[2] == hyperbolic
         # the first 800 pairs of the cutoff-1 box: all 81 for n = 1
-        for s1, s2, hol, antihol, diff in islice(locality_pairs(model, 1), 800):
+        for s1, s2, hol, antihol, diff in islice(locality_rows(model, 1, lambda s: s), 800):
             assert type(diff) is int
-            assert hol - antihol == UnitScalar.coerce(diff)
+            h, hbar = vertex_exponents(s1, s2)
+            assert (str(h), str(hbar)) == (hol, antihol)
+            assert h - hbar == UnitScalar.coerce(diff)
 
-    # the UnitScalar stream pair by pair against vertex_exponents, with no
+    # the locality rows pair by pair against vertex_exponents, with no
     # random draw: a model with B != 0, and a circle whose unit stays formal
     @pytest.mark.parametrize("name, cutoff", [("lattice_model_n2.json", 1),
                                               ("lattice_model_circle_formal.json", 2)])
     def test_locality_pairs_equal_vertex_exponents(self, name, cutoff):
         model = load_model(json.loads((Path(__file__).parent / "golden" / name).read_text()))
         box = [s.key() for s in enumerate_sectors(model, cutoff)]
-        streamed = list(locality_pairs(model, cutoff))
+        streamed = list(locality_rows(model, cutoff, lambda s: s))
         assert [(s1.key(), s2.key()) for s1, s2, *_ in streamed] == \
             [(k1, k2) for k1 in box for k2 in box]
         for s1, s2, hol, antihol, diff in streamed:
-            assert (hol, antihol) == vertex_exponents(s1, s2)
+            h, hbar = vertex_exponents(s1, s2)
+            assert (hol, antihol) == (str(h), str(hbar))
             assert type(diff) is int
-            assert hol - antihol == UnitScalar.coerce(diff)
+            assert h - hbar == UnitScalar.coerce(diff)
 
     @staticmethod
     def _corrupted(model):
@@ -372,7 +377,7 @@ class TestLocalityAndChiral:
         with pytest.raises(InvariantError, match="hyperbolic form"):
             ko_locality(model, 0)
         with pytest.raises(InvariantError):
-            next(locality_pairs(model, 1))
+            next(locality_rows(model, 1, lambda s: s))
         s = model.sector([1, 0], [0, 1])
         with pytest.raises(InvariantError):
             vertex_exponents(s, s)

@@ -24,7 +24,6 @@ from chiraltorus.fockq import (
     FockTruncation,
     LatticeModel,
     SparseOp,
-    TwoSidedFock,
 )
 from test_sector_tables import metrics, small
 
@@ -111,21 +110,6 @@ def ref_virasoro(fock, k: int) -> SparseOp:
     return total
 
 
-def ref_lift(op: SparseOp, dim_plus: int, dim_minus: int, side: str) -> SparseOp:
-    """op tensored with the identity of the other factor, basis index
-    plus * dim_minus + minus."""
-    table = {}
-    for col, column in op.table.items():
-        for other in range(dim_minus if side == "+" else dim_plus):
-            if side == "+":
-                table[col * dim_minus + other] = {
-                    r * dim_minus + other: v for r, v in column.items()}
-            else:
-                table[other * dim_minus + col] = {
-                    other * dim_minus + r: v for r, v in column.items()}
-    return SparseOp(dim_plus * dim_minus, table)
-
-
 def same(got: SparseOp, want: SparseOp):
     """Equal operators, and equal sorted (column, row, str) listings."""
     assert got == want
@@ -154,8 +138,8 @@ def weights(draw, n):
 
 
 @st.composite
-def truncations(draw, max_n=3):
-    n = draw(st.integers(1, max_n))
+def truncations(draw):
+    n = draw(st.integers(1, 3))
     g = draw(metrics(n))
     zero = [[0] * n for _ in range(n)]
     ident = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -196,18 +180,3 @@ class TestSugawaraKernel:
         for k in (fock.N + 1, -fock.N - 1):
             with pytest.raises(CutoffExceeded):
                 fock.virasoro(k)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.data())
-    def test_two_sided_virasoro_on_both_sides(self, data):
-        plus = data.draw(truncations(max_n=2))
-        model = plus.model
-        N = data.draw(st.integers(0, min(plus.N, 2)))
-        minus = FockTruncation(model, data.draw(weights(model.n)), N)
-        two = TwoSidedFock(plus, minus)
-        for side, fock in (("+", plus), ("-", minus)):
-            for k in range(-fock.N, fock.N + 1):
-                same(two.virasoro(k, side),
-                     ref_lift(ref_virasoro(fock, k), plus.dim, minus.dim, side))
-            with pytest.raises(CutoffExceeded):
-                two.virasoro(fock.N + 1, side)
