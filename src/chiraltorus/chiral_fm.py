@@ -78,13 +78,6 @@ class CdoMorphism(Frozen):
     def identity(n: int) -> "CdoMorphism":
         return CdoMorphism(AltTensor(2, n, {}))
 
-    def to_json(self):
-        return {"h": self.h.to_json()}
-
-    @staticmethod
-    def from_json(data) -> "CdoMorphism":
-        return CdoMorphism(AltTensor.from_json(data["h"]))
-
 
 class TdoIsoClass(Frozen):
     """A class of twisted differential operators: (c, omega)."""

@@ -36,23 +36,23 @@ from .exactlin import (
     RationalMatrix,
     S,
     _integer,
-    _natural,
     _torus_matrices,
-    add_into,
     signed_sort,
 )
 from .jetcalc import (
     DiffPoly,
     SYMBOL_KINDS,
+    UNIT_MONO,
     _add,
     _as_poly,
     _blocks,
     _image_basis,
     _integer_view,
-    _jet_factors,
     _jet_rows,
     _mono_mul,
+    _mul_into,
     _reduce_table,
+    _slot_partials,
     _total_d,
     block_key,
     dz_jet,
@@ -272,12 +272,8 @@ def _euler(view, k: int = 0) -> tuple:
     - D_sigma)^m d/d u^(m) of an integer view, slot by slot over its own
     D, zero entries and slots left out."""
     table, D = view
-    slots = {}  # {slot: {m: d/d u^(m)}}: distinct monomials leave distinct rests
-    for mono, (x, y) in table.items():
-        for (i, kind, m), count, rest in _jet_factors(mono):
-            slots.setdefault((i, kind), {}).setdefault(m, {})[rest] = [x * count, y * count]
     out = {}
-    for slot, parts in slots.items():
+    for slot, parts in _slot_partials(table).items():
         acc = {}
         for m in range(max(parts), k - 1, -1):  # Horner in -D_sigma
             c = comb(m, k)
@@ -312,45 +308,37 @@ def _pair(ea, eb, table: BracketTable, out: dict) -> tuple:
     return out, da * db * L
 
 
-def variational_derivative(poly, k: int = 0) -> dict:
-    """The coefficient of lambda^k in sum_m (lambda - D_sigma)^m d poly /
-    d u^(m), slot by slot: {(i, kind): DiffPoly}, zero slots left out.
-
-    At k = 0 this is the Euler operator delta/delta u = sum_m (-D_sigma)^m
-    d/d u^(m), which kills every total sigma-derivative, trig modes and
-    circle symbols included."""
-    k = _natural(k, "k")
-    slots, D = _euler(_integer_view(as_density(poly).coeffs), k)
-    return {slot: _as_poly(table, D) for slot, table in slots.items()}
-
-
 def density_bracket(a, b, table: BracketTable) -> DeltaExpansion:
     """{a(sigma) dsigma, b(sigma') dsigma'} = sum_k c_k(sigma') d_sigma^k
     delta(sigma - sigma'), where c_k is the lambda^k coefficient of
     {a_lambda b} = sum_{B,n} d b/d u_B^(n) (D_sigma - lambda)^n {a_lambda u_B}
-    and {a_lambda u_B} = sum_A K_AB sum_m (lambda - D_sigma)^m d a/d u_A^(m)."""
-    a = as_density(a)
-    top = max((m for mono in a.coeffs for (_, _, m) in mono.jets), default=0)
-    va = [variational_derivative(a, k) for k in range(top + 1)]
-    out, slots = {}, {}  # slots: {(i, kind): {m: d b / d u^(m)}}, u = x^i or p_i
-    for (i, kind, m), part in as_density(b).partials().items():
-        slots.setdefault((i, kind), {})[m] = part
-    for slot_b, parts in slots.items():
-        w = {}  # {a_lambda u_B} as {k: lambda^k coefficient}
-        for k, v in enumerate(va):
-            for slot_a, vk in v.items():
-                add_into(w, k, table.base_bracket(slot_a, slot_b) * vk)
+    and {a_lambda u_B} = sum_A K_AB sum_m (lambda - D_sigma)^m d a/d u_A^(m).
+
+    Runs on integer tables: each lambda^k Euler coefficient of a, over
+    its denominator Da, is paired by _pair with the unit table of the
+    slot u_B, so {a_lambda u_B} is over Da L; the partials of b, over
+    Db, multiply in, and each c_k is reduced once over Da L Db."""
+    view = _integer_view(as_density(a).coeffs)
+    top = max((m for mono in view[0] for (_, _, m) in mono.jets), default=0)
+    ea = [_euler(view, k) for k in range(top + 1)]
+    tb, Db = _integer_view(as_density(b).coeffs)
+    out = {}  # {k: integer table of c_k}
+    for slot_b, parts in _slot_partials(tb).items():
+        unit = ({slot_b: {UNIT_MONO: (1, 0)}}, 1)
+        w = [_pair(e, unit, table, {})[0] for e in ea]  # {a_lambda u_B} by powers of lambda
         for n in range(max(parts) + 1):
-            if n:  # w becomes (D_sigma - lambda)^n {a_lambda u_B}
-                step = {}
-                for k, c in w.items():
-                    add_into(step, k, c.D("s"))
-                    add_into(step, k + 1, -c)
+            if n:  # w becomes (D_sigma - lambda) w
+                step = [{} for _ in range(len(w) + 1)]
+                for k, c in enumerate(w):
+                    _total_d(c, "s", step[k])
+                    for m, (x, y) in c.items():
+                        _add(step[k + 1], m, -x, -y)
                 w = step
             if n in parts:
-                for k, c in w.items():
-                    add_into(out, k, parts[n] * c)
-    return DeltaExpansion(out)
+                for k, c in enumerate(w):
+                    _mul_into(out.setdefault(k, {}), parts[n], c)
+    D = view[1] * table._den * Db
+    return DeltaExpansion({k: _as_poly(c, D) for k, c in out.items()})
 
 
 def _pairing(a, b, table: BracketTable) -> DiffPoly:

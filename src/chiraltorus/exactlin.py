@@ -806,17 +806,13 @@ class AltTensor(CoeffTable):
         self._set(degree=degree, dim=dim, valdim=valdim)
         super().__init__(coeffs)
 
-    def _index(self, key) -> tuple:
-        """key as a tuple of degree int indices in 1..dim, or an error."""
+    def _entry(self, key, val):
+        # key: degree int indices in 1..dim, strictly increasing
         key = tuple(_integer(i, "tensor index") for i in key)
         if len(key) != self.degree:
             raise DimensionMismatch(f"key {key} has wrong length for degree {self.degree}")
         if any(not (1 <= i <= self.dim) for i in key):
             raise DimensionMismatch(f"key {key} out of range for dim {self.dim}")
-        return key
-
-    def _entry(self, key, val):
-        key = self._index(key)
         if any(a >= b for a, b in zip(key, key[1:])):
             raise DimensionMismatch(f"key {key} is not strictly increasing")
         return key, _as_value(val, self.valdim)
@@ -825,19 +821,6 @@ class AltTensor(CoeffTable):
         out = super()._like(table)
         out._set(degree=self.degree, dim=self.dim, valdim=self.valdim)
         return out
-
-    def evaluate(self, idx):
-        """Value on an arbitrary index tuple, by antisymmetrization."""
-        sign, key = signed_sort(self._index(idx))
-        val = self.coeffs.get(key)  # key is None for a repeated index
-        if val is None:
-            return self._zero_value()
-        return val if sign > 0 else -val
-
-    def _zero_value(self):
-        if self.valdim is None:
-            return ZERO
-        return _Column(ZERO for _ in range(self.valdim))
 
     __eq__ = Frozen.__eq__
     __hash__ = CoeffTable.__hash__

@@ -106,10 +106,6 @@ class UnitScalar(CoeffTable):
             return x
         return UnitScalar({0: S.coerce(x)})
 
-    @staticmethod
-    def unit(power: int = 1, coeff=1) -> "UnitScalar":
-        return UnitScalar({power: S.coerce(coeff)})
-
     def _entry(self, e, c):
         return _integer(e, "unit power"), S.coerce(c)
 
@@ -926,25 +922,11 @@ class QSeries(CoeffTable):
         out._set(cap=self.cap)
         return out
 
-    def leading(self):
-        return min(self.coeffs, default=None)
-
     def __add__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
         return QSeries(chain(self.coeffs.items(), other.coeffs.items()),
                        min(self.cap, other.cap))
-
-    def __mul__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        lead_s = self.leading()
-        lead_o = other.leading()
-        if lead_s is None or lead_o is None:
-            return QSeries({}, min(self.cap, other.cap))
-        # the constructor's _entry drops the terms above the new cap
-        cap = min(self.cap + lead_o, other.cap + lead_s)
-        return QSeries(self._convolve(other, add).coeffs, cap)
 
     def _term(self, e, c):
         return _power_term("q", e, c)

@@ -150,6 +150,18 @@ def _as_poly(table, D) -> "DiffPoly":
                                      if x or y})
 
 
+def _slot_partials(table) -> dict:
+    """{(i, a): {b: d table / d (i, a, b)}} over the jets of an integer
+    table, each partial an integer table over the table's own
+    denominator: taking one factor key out of distinct monomials leaves
+    distinct monomials."""
+    out = {}
+    for mono, (x, y) in table.items():
+        for (i, a, b), count, rest in _jet_factors(mono):
+            out.setdefault((i, a), {}).setdefault(b, {})[rest] = [x * count, y * count]
+    return out
+
+
 def _add(table, mono, x, y):
     """Add x + y*i into table[mono], kept as a mutable [re, im]."""
     cur = table.get(mono)
@@ -295,17 +307,11 @@ class DiffPoly(CoeffTable):
 
     def partials(self) -> dict:
         """{key: d self / d key, never zero} over the jet variables key =
-        (i, a, b) of self, in sorted order, from one pass: taking one
-        factor key out of distinct monomials leaves distinct monomials."""
-        out = {}
-        for mono, coeff in self.coeffs.items():
-            for key, count, rest in _jet_factors(mono):
-                out.setdefault(key, {})[rest] = coeff * S(count)
-        return {key: self._like(out[key]) for key in sorted(out)}
-
-    def partial(self, key) -> "DiffPoly":
-        """Partial derivative with respect to the jet variable key=(i,a,b)."""
-        return self.partials().get(tuple(key)) or DiffPoly()
+        (i, a, b) of self, in sorted order."""
+        table, D = _integer_view(self.coeffs)
+        return {(i, a, b): _as_poly(part, D)
+                for (i, a), parts in sorted(_slot_partials(table).items())
+                for b, part in sorted(parts.items())}
 
     def max_jet_order(self) -> int:
         return max((a + b for mono in self.coeffs for (_, a, b) in mono.jets), default=0)
@@ -655,10 +661,11 @@ class Lagrangian(Frozen):
     @cached_property
     def _partial_view(self) -> tuple:
         """({jet: integer table of dl/d jet}, D): every partial of the
-        density, in sorted order, over one denominator, for noether."""
-        parts = self.density.partials()
-        tables, D = _integer_views([part.coeffs for part in parts.values()])
-        return dict(zip(parts, tables)), D
+        density, in sorted order, over the density's denominator, for
+        noether."""
+        table, D = _integer_view(self.density.coeffs)
+        return {(i, a, b): part for (i, a), parts in sorted(_slot_partials(table).items())
+                for b, part in sorted(parts.items())}, D
 
     @cached_property
     def _wave_fault(self) -> str | None:

@@ -8,8 +8,9 @@ import inspect
 import io
 import json
 import sys
+from functools import cached_property
 from pathlib import Path
-from types import ModuleType
+from types import FunctionType, ModuleType
 
 import pytest
 
@@ -1151,41 +1152,77 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
-def _names_read(tree) -> set:
-    """Every identifier that tree reads as a name or an attribute, less
-    the reads inside a function or class of that same name."""
-    found = set()
+def _reads(tree) -> tuple:
+    """(names, members): every identifier that tree reads as a name or an
+    attribute, and every one that it reads as an attribute or through a
+    getattr/hasattr string, less the reads inside a function or class of
+    that same name."""
+    names, members = set(), set()
 
     def walk(node, enclosing):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             enclosing = enclosing | {node.name}
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            name = node.id
+            names.update({node.id} - enclosing)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            name = node.attr
-        else:
-            name = None
-        if name is not None and name not in enclosing:
-            found.add(name)
+            names.update({node.attr} - enclosing)
+            members.update({node.attr} - enclosing)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "hasattr") and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)
+              and isinstance(node.args[1].value, str)):
+            members.update({node.args[1].value} - enclosing)
         for child in ast.iter_child_nodes(node):
             walk(child, enclosing)
 
     walk(tree, frozenset())
-    return found
+    return names, members
 
 
-def test_every_exported_name_has_a_caller_outside_the_unit_tests():
-    # a caller is the library itself (beyond the definition and the
-    # re-export in __init__), a demo, the benchmark or the acceptance gate
+def _caller_reads() -> tuple:
+    """_reads over every caller outside the unit tests: the library itself
+    (beyond the re-export in __init__), the demos, the benchmark and the
+    acceptance gate."""
     root = Path(__file__).resolve().parent.parent
     paths = [p for p in sorted((root / "src" / "chiraltorus").glob("*.py"))
              if p.name != "__init__.py"]
     paths += sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
     paths.append(root / "tests" / "test_acceptance.py")
-    read = set()
+    names, members = set(), set()
     for path in paths:
-        read |= _names_read(ast.parse(path.read_text(encoding="utf-8")))
-    assert sorted(set(chiraltorus.__all__) - read) == []
+        n, m = _reads(ast.parse(path.read_text(encoding="utf-8")))
+        names |= n
+        members |= m
+    return names, members
+
+
+def exported_members() -> dict:
+    """{"Class.member": member name} over the public methods and
+    properties of every class in chiraltorus.__all__, each named by the
+    package class that defines it."""
+    kinds = (FunctionType, staticmethod, classmethod, property, cached_property)
+    out = {}
+    for name in chiraltorus.__all__:
+        obj = getattr(chiraltorus, name)
+        for cls in inspect.getmro(obj) if inspect.isclass(obj) else ():
+            if cls.__module__.startswith("chiraltorus."):
+                out.update({f"{cls.__name__}.{m}": m for m, v in vars(cls).items()
+                            if not m.startswith("_") and isinstance(v, kinds)})
+    return out
+
+
+def test_every_exported_name_has_a_caller_outside_the_unit_tests():
+    # beyond the definition: a read inside a function or class of the same
+    # name does not count
+    names, _ = _caller_reads()
+    assert sorted(set(chiraltorus.__all__) - names) == []
+
+
+def test_every_exported_member_has_a_caller_outside_the_unit_tests():
+    # matched by name, so a member that shares its name with another
+    # (zero, to_json) counts as read when either is
+    _, members = _caller_reads()
+    assert sorted(k for k, m in exported_members().items() if m not in members) == []
 
 
 class TestParserReuse:

@@ -151,8 +151,8 @@ class TestUnitScalar:
             u_poly({1: 1}).as_exact()
 
     def test_unit_product_is_rational(self):
-        u = UnitScalar.unit(1)
-        uinv = UnitScalar.unit(-1)
+        u = UnitScalar({1: 1})
+        uinv = UnitScalar({-1: 1})
         assert (u * uinv).as_exact() == S(1)
 
     def test_canon_folds_declared_square(self):
@@ -616,7 +616,7 @@ class TestFock:
         lambda m: gen_tau(True),
         lambda m: gen_translation(2, True),
         lambda m: UnitScalar({1.5: 1}),
-        lambda m: UnitScalar.unit(True),
+        lambda m: UnitScalar({True: 1}),
     ], ids=["N-bool", "N-float", "colour-bool", "mode-float", "mode-bool",
             "virasoro-float", "virasoro-bool", "colour-float", "central-N-float",
             "level-bool", "level-float", "level-str", "partition-cutoff-bool",
@@ -676,7 +676,7 @@ class TestFock:
             # raises rather than returning NotImplemented
             return
         # UnitScalar takes plain numbers in every operation, and nothing else
-        u = UnitScalar.unit(1)
+        u = UnitScalar({1: 1})
         for other in ("1/2", None, DiffPoly.jet(1, 0, 0)):
             for f in (op, operator.mul):
                 with pytest.raises(TypeError):
@@ -932,26 +932,13 @@ class TestChiralSectors:
 # ----------------------------------------------------------------------
 
 class TestCharacters:
-    def test_qseries_product_matches_counting(self):
-        order = 6
-        tower = QSeries({0: 1}, order)
-        for k in range(1, order + 1):
-            geom = QSeries({k * j: 1 for j in range(order // k + 1)}, order)
-            tower = tower * geom
-        counts = colored_partition_counts(1, order)
-        assert tower == QSeries({k: counts[k] for k in range(order + 1)}, order)
-
     def test_qseries_truncation_consistency(self):
         a = QSeries({Fraction(-1, 2): 1, Fraction(1, 2): 2}, Fraction(5, 2))
         b = QSeries({0: 1, 1: 1, 2: 1, 3: 1}, 3)
-        c = QSeries({0: 1, 1: -1}, 3)
-        assert (a * b) * c == a * (b * c)
-        # a sum keeps the smaller cap, and so does a product with zero
+        # a sum keeps the smaller cap
         total = a + b
         assert total == QSeries({"-1/2": 1, 0: 1, "1/2": 2, 1: 1, 2: 1}, 3)
         assert total.cap == Fraction(5, 2)
-        empty = a * QSeries({}, 3)
-        assert empty.is_zero() and empty.cap == Fraction(5, 2)
 
     def test_exponents_follow_the_literal_rule(self):
         assert QSeries({"1/2": 1, 1: 2}, "3/2") == QSeries({Fraction(1, 2): 1, 1: 2}, Fraction(3, 2))
@@ -997,7 +984,7 @@ class TestCharacters:
         s = Sector(m, [1], [-1])
         ch = character(m, s, 2)
         assert ch == QSeries({-1: 1, 0: 1, 1: 2}, 1)
-        assert ch.leading() == Fraction(-1)
+        assert min(ch.coeffs) == Fraction(-1)
 
     def test_formal_model_has_no_character(self):
         m = one_dim_model()

@@ -160,8 +160,7 @@ class TestTotalDerivative:
 class TestRingAndPartials:
     def test_partial_multiplicity(self):
         p = jet(1, 1, 0) ** 3
-        assert p.partial((1, 1, 0)) == jet(1, 1, 0) ** 2 * 3
-        assert p.partial((1, 0, 1)) == DiffPoly.zero()
+        assert p.partials() == {(1, 1, 0): jet(1, 1, 0) ** 2 * 3}
 
     @pytest.mark.parametrize("other", ["x", 0.5, [1], None])
     def test_unsupported_operand_is_a_type_error(self, other):
@@ -415,8 +414,7 @@ class TestPartials:
         for key, part in parts.items():
             assert part == partial_scan(poly, key)
             assert not part.is_zero()
-            assert poly.partial(key) == part
-        assert poly.partial((4, 0, 0)) == DiffPoly.zero()
+        assert (4, 0, 0) not in parts
 
 
 class TestParserPrinter:

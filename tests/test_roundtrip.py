@@ -10,7 +10,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chiraltorus.chiral_fm import CdoIsoClass, CdoMorphism, NondegClass, TdoIsoClass
+from chiraltorus.chiral_fm import CdoIsoClass, NondegClass, TdoIsoClass
 from chiraltorus.exactlin import AltTensor, ExactScalar, RationalMatrix
 from chiraltorus.fockq import LatticeModel, load_model, t_dual
 
@@ -55,10 +55,9 @@ class TestJsonRoundTrips:
     @settings(max_examples=40, deadline=None)
     @given(case=fm_cases())
     def test_transform_classes(self, case):
-        for obj in case:
+        mu, cdo, tdo, morphism = case
+        for obj in (mu, cdo, tdo, morphism.h):
             assert type(obj).from_json(through_json(obj.to_json())) == obj
-        assert {type(obj) for obj in case} == {
-            NondegClass, CdoIsoClass, TdoIsoClass, CdoMorphism}
 
     def test_fixed_transform_classes(self):
         h = AltTensor(2, 3, {(1, 2): "1/2", (2, 3): "-1+2/3 i"})
@@ -66,9 +65,8 @@ class TestJsonRoundTrips:
         cdo = CdoIsoClass(3, AltTensor(3, 3, {(1, 2, 3): "-2 i"}),
                           AltTensor(2, 3, {(1, 3): ["1", "0", "1/4"]}, 3))
         tdo = TdoIsoClass(mu.mu, AltTensor(2, 2, {(1, 2): "5/3"}))
-        for obj in (mu, cdo, tdo, CdoMorphism(h), CdoMorphism.identity(2)):
+        for obj in (mu, cdo, tdo, h, AltTensor(2, 2)):
             assert type(obj).from_json(through_json(obj.to_json())) == obj
-        assert CdoMorphism(h).to_json() == {"h": h.to_json()}
 
     @settings(max_examples=100, deadline=None)
     @given(model=models())

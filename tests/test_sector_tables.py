@@ -73,14 +73,14 @@ def ref_udot(a: tuple, b: tuple) -> UnitScalar:
 def ref_lattice_vector(model, coords) -> tuple:
     raw = ref_mat_uvec(model.Lbasis, ref_uvec(coords))
     e = model.unit_exponent
-    u = UnitScalar.unit(e) if e else UnitScalar.coerce(1)
+    u = UnitScalar({e: 1}) if e else UnitScalar.coerce(1)
     return tuple(model.canon(v * u) for v in raw)
 
 
 def ref_dual_vector(model, coords) -> tuple:
     raw = ref_mat_uvec(model.LstarBasis, ref_uvec(coords))
     e = model.unit_exponent
-    u = UnitScalar.unit(-e) if e else UnitScalar.coerce(1)
+    u = UnitScalar({-e: 1}) if e else UnitScalar.coerce(1)
     return tuple(model.canon(v * u) for v in raw)
 
 
