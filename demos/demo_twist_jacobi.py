@@ -40,7 +40,7 @@ def main():
     t = BracketTable(twist={(1, 2, 3): "x4"})
     for idx in ((1, 2, 3), (2, 1, 3), (2, 3, 1), (1, 3, 2)):
         print(f"  h_{idx} = {t.twist_coefficient(*idx)}")
-    print("  momentum bracket {p_1, p_2} =", t.momentum_momentum(1, 2))
+    print("  momentum bracket {p_1, p_2} =", t.base_bracket((1, 1), (2, 1)))
     print()
 
     print(LINE)

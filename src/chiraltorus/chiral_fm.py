@@ -111,7 +111,7 @@ class NondegClass(Frozen):
 
     The constructor forms mu^{-1}, which doubles as the nondegeneracy
     check; mu keeps it (RationalMatrix.inverse memoises both ways), so
-    mu_inverse, inverse_class and fm_linear(mu) all read that one
+    the transforms, inverse_class and fm_linear(mu) all read that one
     inverse, and the inverse of the inverse class is mu itself.
     """
 
@@ -129,10 +129,6 @@ class NondegClass(Frozen):
     @property
     def n(self) -> int:
         return self.mu.rows
-
-    def mu_inverse(self) -> RationalMatrix:
-        """mu^{-1}, as formed when the class was built."""
-        return self.mu.inverse()
 
     def inverse_class(self) -> "NondegClass":
         return NondegClass._trusted(mu=self.mu.inverse())
@@ -168,7 +164,7 @@ def fm_cdo(mu: NondegClass, x: CdoIsoClass) -> CdoIsoClass:
     """
     if mu.n != x.n:
         raise DimensionMismatch("mu and class dimensions differ")
-    view = (*_integer_rows(mu.mu_inverse()), {})
+    view = (*_integer_rows(mu.mu.inverse()), {})
     return CdoIsoClass(x.n, _pullback_by_inverse(view, x.lam),
                        _pullback_by_inverse(view, x.nu, on_values=True))
 
@@ -177,7 +173,7 @@ def fm_cdo_morphism(mu: NondegClass, m: CdoMorphism) -> CdoMorphism:
     """Transport a morphism: h pulls back along mu^{-1} as a 2-form."""
     if mu.n != m.h.dim:
         raise DimensionMismatch("mu and morphism dimensions differ")
-    return CdoMorphism(_pullback_by_inverse((*_integer_rows(mu.mu_inverse()), {}), m.h))
+    return CdoMorphism(_pullback_by_inverse((*_integer_rows(mu.mu.inverse()), {}), m.h))
 
 
 def fm_tdo(mu: NondegClass, x: TdoIsoClass) -> TdoIsoClass:
@@ -189,5 +185,5 @@ def fm_tdo(mu: NondegClass, x: TdoIsoClass) -> TdoIsoClass:
     """
     if mu.n != x.c.rows:
         raise DimensionMismatch("mu and class dimensions differ")
-    rows = _integer_rows(mu.mu_inverse())
+    rows = _integer_rows(mu.mu.inverse())
     return TdoIsoClass(_sandwich(rows, x.c), _pullback_by_inverse((*rows, {}), x.omega))

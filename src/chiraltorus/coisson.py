@@ -49,8 +49,8 @@ from .jetcalc import (
     _image_basis,
     _integer_view,
     _jet_rows,
-    _mono_mul,
     _mul_into,
+    _over,
     _reduce_table,
     _slot_partials,
     _total_d,
@@ -196,7 +196,7 @@ class BracketTable(Frozen):
     antisymmetry automatic.
     """
 
-    __slots__ = ("scale", "twist", "_momenta", "_den")
+    __slots__ = ("scale", "twist", "_rows", "_den")
 
     def __init__(self, scale=1, twist=None):
         scale = S.coerce(scale)
@@ -216,9 +216,9 @@ class BracketTable(Frozen):
             if not poly.is_zero():
                 table[(i, j, k)] = poly
         # every K_AB coefficient is +-scale or +-a twist coefficient, so _den
-        # is their common denominator; _momenta keeps each {p_i, p_j} the
+        # is their common denominator; _rows keeps each row of K the
         # bracket calculus has asked for
-        self._set(scale=scale, twist=table, _momenta={}, _den=lcm(scale.d, *(
+        self._set(scale=scale, twist=table, _rows={}, _den=lcm(scale.d, *(
             c.d for poly in table.values() for c in poly.coeffs.values())))
 
     def twist_coefficient(self, i: int, j: int, k: int) -> DiffPoly:
@@ -229,25 +229,27 @@ class BracketTable(Frozen):
             return DiffPoly.zero()
         return base if sign > 0 else -base
 
-    def momentum_momentum(self, i: int, j: int) -> DiffPoly:
-        """{p_i(sigma), p_j(sigma')} coefficient at sigma', built on the
-        first call for (i, j)."""
-        out = self._momenta.get((i, j))
-        if out is None:
-            ks = {k for triple in self.twist for k in triple}
-            out = self._momenta[i, j] = sum(
-                (self.twist_coefficient(i, j, k) * DiffPoly.jet(k, 0, 1) for k in ks),
-                DiffPoly.zero())
-        return out
+    def _row(self, slot) -> dict:
+        """{slot_b: K_AB} for the slot A over its nonzero K_AB only, each
+        an integer table over _den, built on the first call for A:
+        -scale from x^i to p_i, scale from p_i to x^i, and sum_k h_ijk
+        d_sigma x^k from p_i to p_j."""
+        row = self._rows.get(slot)
+        if row is None:
+            i, a = slot
+            K = {(i, 1 - a): DiffPoly.const(self.scale if a else -self.scale)}
+            ks = {k for triple in self.twist for k in triple} if a else ()
+            K.update({(j, 1): sum((self.twist_coefficient(i, j, k) * DiffPoly.jet(k, 0, 1)
+                                   for k in ks), DiffPoly.zero()) for j in ks})
+            row = self._rows[slot] = {b: _over(poly.coeffs, self._den)
+                                      for b, poly in K.items() if not poly.is_zero()}
+        return row
 
     def base_bracket(self, slot_a, slot_b) -> DiffPoly:
         """K_AB in {u_A(sigma), u_B(sigma')} = K_AB(sigma') delta(sigma -
         sigma') for two ring generators; a slot is (field index, kind)
         with kind 0 for x and 1 for p."""
-        (i, a), (j, b) = slot_a, slot_b
-        if a != b:
-            return DiffPoly.const(self.scale if a else -self.scale) if i == j else DiffPoly.zero()
-        return self.momentum_momentum(i, j) if a else DiffPoly.zero()
+        return _as_poly(self._row(slot_a).get(slot_b, {}), self._den)
 
 
 def boson_table(twist=None) -> BracketTable:
@@ -267,45 +269,40 @@ def boson_table(twist=None) -> BracketTable:
 # reduced once per output coefficient
 # ----------------------------------------------------------------------
 
-def _euler(view, k: int = 0) -> tuple:
-    """({(i, kind): table}, D): the lambda^k coefficient of sum_m (lambda
-    - D_sigma)^m d/d u^(m) of an integer view, slot by slot over its own
-    D, zero entries and slots left out."""
+def _euler(view, top: int = 0) -> list:
+    """[({(i, kind): table}, D) for k = 0..top]: the lambda^k coefficients
+    of sum_m (lambda - D_sigma)^m d/d u^(m) of an integer view, slot by
+    slot over its own D, zero entries and slots left out; the partials
+    are taken once and only read."""
     table, D = view
-    out = {}
+    out = [{} for _ in range(top + 1)]
     for slot, parts in _slot_partials(table).items():
-        acc = {}
-        for m in range(max(parts), k - 1, -1):  # Horner in -D_sigma
-            c = comb(m, k)
-            step = parts.get(m, {})
-            if c != 1:
-                step = {rest: [x * c, y * c] for rest, (x, y) in step.items()}
-            _total_d(acc, "s", step, -1)
-            acc = step
-        acc = {m: v for m, v in acc.items() if v[0] or v[1]}
-        if acc:
-            out[slot] = acc
-    return out, D
+        for k, slots in enumerate(out):
+            acc = {}
+            for m in range(max(parts), k - 1, -1):  # Horner in -D_sigma
+                c = comb(m, k)
+                step = {rest: [x * c, y * c] for rest, (x, y) in parts.get(m, {}).items()}
+                _total_d(acc, "s", step, -1)
+                acc = step
+            acc = {m: v for m, v in acc.items() if v[0] or v[1]}
+            if acc:
+                slots[slot] = acc
+    return [(slots, D) for slots in out]
 
 
 def _pair(ea, eb, table: BracketTable, out: dict) -> tuple:
     """(out, Da * Db * L): sum_AB (delta a/delta u_A) K_AB (delta b/delta
     u_B) added into the integer table out from the Euler operators of a
-    and b, L being the common denominator of the K_AB; a slot pair with
-    K_AB = 0 adds nothing."""
+    and b, L being the common denominator of the K_AB: for each slot A
+    of a, one product by each nonzero K_AB whose slot B b has."""
     (va, da), (vb, db) = ea, eb
-    L = table._den
     for sa, ta in va.items():
-        for sb, tb in vb.items():
-            for mk, c in table.base_bracket(sa, sb).coeffs.items():
-                s = L // c.d
-                kx, ky = c.a * s, c.b * s
-                for ma, (ax, ay) in ta.items():
-                    m = _mono_mul(ma, mk)
-                    px, py = ax * kx - ay * ky, ax * ky + ay * kx
-                    for mb, (bx, by) in tb.items():
-                        _add(out, _mono_mul(m, mb), px * bx - py * by, px * by + py * bx)
-    return out, da * db * L
+        for sb, k in table._row(sa).items():
+            if sb in vb:
+                ak = {}
+                _mul_into(ak, ta, k)
+                _mul_into(out, ak, vb[sb])
+    return out, da * db * table._den
 
 
 def density_bracket(a, b, table: BracketTable) -> DeltaExpansion:
@@ -320,7 +317,7 @@ def density_bracket(a, b, table: BracketTable) -> DeltaExpansion:
     Db, multiply in, and each c_k is reduced once over Da L Db."""
     view = _integer_view(as_density(a).coeffs)
     top = max((m for mono in view[0] for (_, _, m) in mono.jets), default=0)
-    ea = [_euler(view, k) for k in range(top + 1)]
+    ea = _euler(view, top)
     tb, Db = _integer_view(as_density(b).coeffs)
     out = {}  # {k: integer table of c_k}
     for slot_b, parts in _slot_partials(tb).items():
@@ -344,7 +341,7 @@ def density_bracket(a, b, table: BracketTable) -> DeltaExpansion:
 def _pairing(a, b, table: BracketTable) -> DiffPoly:
     """sum_AB (delta a/delta u_A) K_AB (delta b/delta u_B): a density
     whose class is {integral a, integral b}."""
-    ea, eb = (_euler(_integer_view(as_density(u).coeffs)) for u in (a, b))
+    ea, eb = (_euler(_integer_view(as_density(u).coeffs))[0] for u in (a, b))
     return _as_poly(*_pair(ea, eb, table, {}))
 
 
@@ -372,10 +369,10 @@ def jacobi_residual(table: BracketTable, a, b, c) -> FourierClass:
     linear and sees only their classes.  The three cyclic terms are
     summed over one denominator, each coefficient is reduced once, and
     one normal form of the sum decides the residual."""
-    ea, eb, ec = (_euler(_integer_view(as_density(u).coeffs)) for u in (a, b, c))
+    ea, eb, ec = (_euler(_integer_view(as_density(u).coeffs))[0] for u in (a, b, c))
     out = {}
     for u, v, w in ((ea, eb, ec), (eb, ec, ea), (ec, ea, eb)):
-        _, D = _pair(_euler(_pair(u, v, table, {})), w, table, out)  # D = Da Db Dc L^2
+        _, D = _pair(_euler(_pair(u, v, table, {}))[0], w, table, out)  # D = Da Db Dc L^2
     return FourierClass(_as_poly(out, D))
 
 

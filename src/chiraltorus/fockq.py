@@ -200,10 +200,6 @@ class LatticeModel(Frozen):
     # (A_pm, M_pm, H_pm) without their powers of u, and the forms built from them
     plus_matrices = cached_property(lambda m: _weight_matrices(m, 1))
     minus_matrices = cached_property(lambda m: _weight_matrices(m, -1))
-    l_form = cached_property(lambda m: IntegerForm(m, _hstack(
-        m.Lbasis, RationalMatrix.zeros(m.n, m.n))))
-    lstar_form = cached_property(lambda m: IntegerForm(m, _hstack(
-        RationalMatrix.zeros(m.n, m.n), m.LstarBasis)))
     a_plus_form = cached_property(lambda m: IntegerForm(m, m.plus_matrices[0]))
     a_minus_form = cached_property(lambda m: IntegerForm(m, m.minus_matrices[0]))
     p_plus_form = cached_property(lambda m: IntegerForm(m, m.plus_matrices[1]))
@@ -387,13 +383,10 @@ class IntegerForm(Frozen):
         return _unit_at(self.times(x), x, 2 * self.den)
 
 
-def _hstack(left: RationalMatrix, right: RationalMatrix) -> RationalMatrix:
-    return _matrix(a + b for a, b in zip(left.entries, right.entries))
-
-
 def _weight_matrices(m: LatticeModel, sign) -> tuple:
     """(A_pm, M_pm, H_pm) for sign = +-1, without their powers of u."""
-    a = _hstack((m.B.transpose() + m.g.scale(sign)) * m.Lbasis, -m.LstarBasis)
+    a = _matrix(x + y for x, y in zip(((m.B.transpose() + m.g.scale(sign)) * m.Lbasis).entries,
+                                      (-m.LstarBasis).entries))
     p = m.g_inv * a * MINUS_HALF
     return a, p, a.transpose() * p
 
@@ -416,8 +409,6 @@ class Sector(Frozen):
     __slots__ = ("model", "l_coords", "lstar_coords", "coords")
     _fields = ("model", "l_coords", "lstar_coords")
 
-    l = property(lambda s: s.model.l_form.apply(s.coords))
-    lstar = property(lambda s: s.model.lstar_form.apply(s.coords))
     a_plus = property(lambda s: s.model.a_plus_form.apply(s.coords))
     a_minus = property(lambda s: s.model.a_minus_form.apply(s.coords))
     p_plus = property(lambda s: s.model.p_plus_form.apply(s.coords))

@@ -382,8 +382,8 @@ class TestInverseClass:
                             ["-1", "0", "1-1/2 i"]])
         mu = NondegClass(m)
         inv = mu.inverse_class()
-        assert inv.mu is mu.mu_inverse() is m.inverse()
-        assert inv.mu_inverse() is m
+        assert inv.mu is mu.mu.inverse() is m.inverse()
+        assert inv.mu.inverse() is m
         assert inv.inverse_class().mu is m
         # fm_linear(mu) negates the inverse the class formed
         assert fm_linear(m) == -inv.mu

@@ -295,6 +295,12 @@ class TestBracket:
         assert rc == 0
         assert out == golden("bracket_vir_2_m1.json")
 
+    def test_rational_sign_golden(self, capsys):
+        # the K rows of a table carry its scale
+        rc, out, err = invoke(["bracket", "vir+:2", "heis+:-1", "--sign-convention=-2/3"], capsys)
+        assert (rc, err) == (0, "")
+        assert out == golden("bracket_vir_2_heis_m1_sign.json")
+
     def test_opposite_chiralities_commute(self, capsys):
         rc, out, _ = invoke(["bracket", "vir+:2", "vir-:3"], capsys)
         assert rc == 0
@@ -1152,11 +1158,16 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+# the names the CLI and the benchmark give their argparse namespaces: an
+# option read off one (cfg.l) is not a read of a library member
+NAMESPACES = ("cfg", "args")
+
+
 def _reads(tree) -> tuple:
     """(names, members): every identifier that tree reads as a name or an
-    attribute, and every one that it reads as an attribute or through a
-    getattr/hasattr string, less the reads inside a function or class of
-    that same name."""
+    attribute, and every one that it reads as an attribute of anything
+    but an argparse namespace or through a getattr/hasattr string, less
+    the reads inside a function or class of that same name."""
     names, members = set(), set()
 
     def walk(node, enclosing):
@@ -1166,7 +1177,8 @@ def _reads(tree) -> tuple:
             names.update({node.id} - enclosing)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.update({node.attr} - enclosing)
-            members.update({node.attr} - enclosing)
+            if not (isinstance(node.value, ast.Name) and node.value.id in NAMESPACES):
+                members.update({node.attr} - enclosing)
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id in ("getattr", "hasattr") and len(node.args) > 1
               and isinstance(node.args[1], ast.Constant)

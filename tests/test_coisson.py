@@ -67,7 +67,7 @@ def P(text):
 def euler(poly, k=0):
     """The lambda^k coefficient of sum_m (lambda - D_sigma)^m d poly /
     d u^(m), slot by slot, as {(i, kind): DiffPoly}, read off _euler."""
-    slots, D = coisson._euler(_integer_view(as_density(poly).coeffs), k)
+    slots, D = coisson._euler(_integer_view(as_density(poly).coeffs), k)[k]
     return {slot: _as_poly(table, D) for slot, table in slots.items()}
 
 
@@ -168,10 +168,10 @@ class TestBracketTable:
 
     def test_twisted_momentum_bracket(self):
         t = BracketTable(twist={(1, 2, 3): "x4"})
-        assert t.momentum_momentum(1, 2) == P("x4*ds.x3")
-        assert t.momentum_momentum(2, 1) == P("-x4*ds.x3")
-        assert t.momentum_momentum(1, 3) == P("-x4*ds.x2")
-        assert t.momentum_momentum(1, 4).is_zero()
+        assert t.base_bracket((1, 1), (2, 1)) == P("x4*ds.x3")
+        assert t.base_bracket((2, 1), (1, 1)) == P("-x4*ds.x3")
+        assert t.base_bracket((1, 1), (3, 1)) == P("-x4*ds.x2")
+        assert t.base_bracket((1, 1), (4, 1)).is_zero()
 
     def test_twist_validation(self):
         with pytest.raises(ValueError):
@@ -184,7 +184,7 @@ class TestBracketTable:
     def test_zero_twist_value_leaves_no_entry(self):
         t = BracketTable(twist={(1, 2, 3): "0", (1, 2, 4): "x1 - x1"})
         assert t.twist == {}
-        assert t.momentum_momentum(1, 2).is_zero()
+        assert t.base_bracket((1, 1), (2, 1)).is_zero()
 
     @pytest.mark.parametrize("twist,message", [
         ({(1, 2, 3): 5}, "twist value must be a string or a DiffPoly, got 5"),
@@ -347,6 +347,57 @@ class TestEulerOperator:
         jacobi_residual(ORACLE_TABLES["x1"], *args)
         assert len(seen) == 6
         assert [sum(poly == arg for poly in seen) for arg in args] == [1, 1, 1]
+
+
+KERNEL_TABLES = {
+    "plain": boson_table,
+    "constant": lambda: boson_table(twist={(1, 2, 3): "1"}),
+    "x4": lambda: boson_table(twist={(1, 2, 3): "x4"}),
+}
+
+
+class TestBracketRows:
+    """The bracket calculus reads K_AB from the table's integer rows."""
+
+    A, B, C = P("e(1)*p1*ds.x2 + x4*ds.ds.p3"), P("p2*ds.p1 + e(-1)*x3"), P("phi*p3*x1")
+
+    def brackets(self, table):
+        return (fourier_bracket(self.A, self.B, table), density_bracket(self.A, self.B, table),
+                jacobi_residual(table, self.A, self.B, self.C))
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_TABLES))
+    def test_brackets_never_build_a_base_bracket(self, name, monkeypatch):
+        want = self.brackets(KERNEL_TABLES[name]())
+
+        def refuse(*args):
+            raise AssertionError("base_bracket called")
+
+        monkeypatch.setattr(BracketTable, "base_bracket", refuse)
+        assert self.brackets(KERNEL_TABLES[name]()) == want
+
+    def test_density_bracket_takes_each_operands_partials_once(self, monkeypatch):
+        calls = []
+        real = coisson._slot_partials
+        monkeypatch.setattr(coisson, "_slot_partials",
+                            lambda table: calls.append(1) or real(table))
+        a = P("phi*ds.ds.x1*p2 + e(1)*ds.p1")
+        assert max(m for mono in a.coeffs for (_, _, m) in mono.jets) == 2
+        density_bracket(a, P("ds.p1*x2"), TABLE)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("scale", [-1, 0, "2/3"])
+    @pytest.mark.parametrize("twist", [None, {(1, 2, 3): "x4"}], ids=["plain", "x4"])
+    def test_rows_hold_only_nonzero_entries_of_slots_asked_for(self, scale, twist):
+        t = BracketTable(scale=scale, twist=twist)
+        fourier_bracket(self.A, self.B, t)
+        density_bracket(self.A, self.B, t)
+        assert t._rows
+        assert set(t._rows) <= {(i, a) for mono in self.A.coeffs for (i, a, _) in mono.jets}
+        for row in t._rows.values():
+            for table in row.values():
+                assert table and all(x or y for x, y in table.values())
+        if scale == 0 and twist is None:
+            assert all(row == {} for row in t._rows.values())
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_TABLES))

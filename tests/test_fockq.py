@@ -324,6 +324,17 @@ class TestModelBuild:
 # sectors and weights
 # ----------------------------------------------------------------------
 
+def lattice_vectors(m, s) -> tuple:
+    """(l, l*) of a sector from the model's bases: l = Lbasis l_coords u^e
+    and l* = LstarBasis lstar_coords u^-e, e the unit exponent."""
+    def vector(basis, coords, power):
+        return [m.canon(UnitScalar({power: sum((basis[(i, j)] * c for j, c in enumerate(coords)),
+                                               S(0))})) for i in range(m.n)]
+
+    e = m.unit_exponent
+    return vector(m.Lbasis, s.l_coords, e), vector(m.LstarBasis, s.lstar_coords, -e)
+
+
 class TestSector:
     def test_weight_identities(self):
         models = [
@@ -335,20 +346,21 @@ class TestSector:
         ]
         for m in models:
             for s in enumerate_sectors(m, 1):
+                l, lstar = lattice_vectors(m, s)
                 gl = [
-                    sum((s.l[j] * m.g[(i, j)] for j in range(m.n)),
+                    sum((l[j] * m.g[(i, j)] for j in range(m.n)),
                         UnitScalar())
                     for i in range(m.n)
                 ]
                 bl = [
-                    sum((s.l[j] * m.B[(j, i)] for j in range(m.n)),
+                    sum((l[j] * m.B[(j, i)] for j in range(m.n)),
                         UnitScalar())
                     for i in range(m.n)
                 ]
                 for i in range(m.n):
                     two_gl = m.canon(gl[i] + gl[i])
                     assert s.a_plus[i] - s.a_minus[i] == two_gl
-                    both = m.canon(bl[i] - s.lstar[i] + bl[i] - s.lstar[i])
+                    both = m.canon(bl[i] - lstar[i] + bl[i] - lstar[i])
                     assert s.a_plus[i] + s.a_minus[i] == both
 
     def test_one_dim_chiral_labels(self):

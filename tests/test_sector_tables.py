@@ -224,7 +224,7 @@ class TestSectorViews:
     def test_views_equal_the_reference(self, case):
         model, [(lc, sc)] = case
         got, want = model.sector(lc, sc), RefSector(model, lc, sc)
-        for name in ("l", "lstar", "a_plus", "a_minus", "h", "hbar"):
+        for name in ("a_plus", "a_minus", "h", "hbar"):
             same(getattr(got, name), getattr(want, name))
         assert got.to_json() == {
             "l": list(want.l_coords), "lstar": list(want.lstar_coords),
@@ -257,7 +257,7 @@ class TestSectorViews:
     def test_views_hold_no_cache(self):
         s = one_dim_model().sector([1], [2])
         assert not hasattr(s, "__dict__")
-        for name in ("l", "lstar", "a_plus", "a_minus", "p_plus", "p_minus", "h", "hbar"):
+        for name in ("a_plus", "a_minus", "p_plus", "p_minus", "h", "hbar"):
             assert getattr(s, name) == getattr(s, name)
 
 
