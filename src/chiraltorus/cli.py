@@ -338,7 +338,9 @@ def _label(s) -> str:
 
 def run_spectrum(cfg: argparse.Namespace) -> str:
     model = _model_from(cfg)
-    points = [(s, s.p_plus, s.p_minus) for s in enumerate_sectors(model, cfg.cutoff)]
+    points = zip(enumerate_sectors(model, cfg.cutoff),
+                 model.p_plus_form.apply_box(cfg.cutoff),
+                 model.p_minus_form.apply_box(cfg.cutoff))
     if cfg.format == "csv":
         return dump_csv(["l", "lstar", "p_plus", "p_minus"], (
             [_join(s.l_coords, " "), _join(s.lstar_coords, " "),
@@ -358,18 +360,26 @@ def run_states(cfg: argparse.Namespace) -> str:
     model = _model_from(cfg)
     sectors = enumerate_sectors(model, cfg.cutoff)
     counts = colored_partition_counts(model.n, cfg.level)
+    h = model.h_plus_form.half_square_box(cfg.cutoff)
+    hbar = model.h_minus_form.half_square_box(cfg.cutoff)
+    if cfg.format == "text":
+        return dump_text([f"oscillator level counts: {counts}"] + [
+            f"{_label(s)}  h={w}  hbar={wb}" for s, w, wb in zip(sectors, h, hbar)])
+    rows = zip(sectors, model.a_plus_form.apply_box(cfg.cutoff),
+               model.a_minus_form.apply_box(cfg.cutoff), h, hbar)
     if cfg.format == "csv":
         return dump_csv(["l", "lstar", "a_plus", "a_minus", "h", "hbar"], (
             [_join(s.l_coords, " "), _join(s.lstar_coords, " "),
-             _join(s.a_plus, "; "), _join(s.a_minus, "; "), str(s.h), str(s.hbar)]
-            for s in sectors))
-    if cfg.format == "text":
-        return dump_text([f"oscillator level counts: {counts}"] + [
-            f"{_label(s)}  h={s.h}  hbar={s.hbar}" for s in sectors])
+             _join(a_plus, "; "), _join(a_minus, "; "), str(w), str(wb)]
+            for s, a_plus, a_minus, w, wb in rows))
     return dump_json({
         "cutoff": cfg.cutoff,
         "level_counts": counts,
-        "sectors": [s.to_json() for s in sectors],
+        "sectors": [{"l": list(s.l_coords), "lstar": list(s.lstar_coords),
+                     "a_plus": [a.to_json() for a in a_plus],
+                     "a_minus": [a.to_json() for a in a_minus],
+                     "h": w.to_json(), "hbar": wb.to_json()}
+                    for s, a_plus, a_minus, w, wb in rows],
     })
 
 

@@ -42,7 +42,6 @@ from .exactlin import (
 from .jetcalc import (
     DiffPoly,
     SYMBOL_KINDS,
-    UNIT_MONO,
     _add,
     _as_poly,
     _blocks,
@@ -311,18 +310,20 @@ def density_bracket(a, b, table: BracketTable) -> DeltaExpansion:
     {a_lambda b} = sum_{B,n} d b/d u_B^(n) (D_sigma - lambda)^n {a_lambda u_B}
     and {a_lambda u_B} = sum_A K_AB sum_m (lambda - D_sigma)^m d a/d u_A^(m).
 
-    Runs on integer tables: each lambda^k Euler coefficient of a, over
-    its denominator Da, is paired by _pair with the unit table of the
-    slot u_B, so {a_lambda u_B} is over Da L; the partials of b, over
-    Db, multiply in, and each c_k is reduced once over Da L Db."""
+    Runs on integer tables: each lambda^k Euler coefficient of a, over its
+    denominator Da, takes one product by K_AB, read from the row of each
+    slot A, so {a_lambda u_B} is over Da L; the partials of b, over Db,
+    multiply in, and each c_k is reduced once over Da L Db."""
     view = _integer_view(as_density(a).coeffs)
     top = max((m for mono in view[0] for (_, _, m) in mono.jets), default=0)
     ea = _euler(view, top)
     tb, Db = _integer_view(as_density(b).coeffs)
     out = {}  # {k: integer table of c_k}
     for slot_b, parts in _slot_partials(tb).items():
-        unit = ({slot_b: {UNIT_MONO: (1, 0)}}, 1)
-        w = [_pair(e, unit, table, {})[0] for e in ea]  # {a_lambda u_B} by powers of lambda
+        w = [{} for _ in ea]  # {a_lambda u_B} by powers of lambda
+        for c, (va, _) in zip(w, ea):
+            for sa, ta in va.items():
+                _mul_into(c, ta, table._row(sa).get(slot_b, {}))
         for n in range(max(parts) + 1):
             if n:  # w becomes (D_sigma - lambda) w
                 step = [{} for _ in range(len(w) + 1)]

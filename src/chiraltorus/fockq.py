@@ -18,9 +18,10 @@ with Virasoro operators normalized by the commutation constraint
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from itertools import product as iter_product
 from math import lcm
 from operator import add, mul
@@ -41,6 +42,7 @@ from .exactlin import (
     PreconditionError,
     RationalMatrix,
     S,
+    SingularMatrix,
     _bareiss,
     _integer,
     _integer_rows,
@@ -172,8 +174,10 @@ class LatticeModel(Frozen):
         if _integer(unit_exponent, "unit exponent") not in (-1, 0, 1):
             raise ChiraltorusError("unit exponent must be -1, 0, or 1")
         _check_positive_definite(g)
-        if L.det().is_zero():
-            raise SingularLattice("lattice generators are dependent")
+        try:
+            Lstar = L.transpose().inverse()
+        except SingularMatrix:
+            raise SingularLattice("lattice generators are dependent") from None
         if u_square is not None:
             u_square = exact_fraction(u_square, "u_square")
             if unit_exponent and not u_square:
@@ -181,7 +185,7 @@ class LatticeModel(Frozen):
             if unit_exponent == -1:
                 # u^{-1} = u / u^2, so a declared unit square lets the basis
                 # absorb the inverted unit; canonical form keeps exponent +1.
-                L = L.scale(S(1 / u_square))
+                L, Lstar = L.scale(S(1 / u_square)), Lstar.scale(S(u_square))
                 unit_exponent = 1
             if not unit_exponent:
                 # with no unit in the basis, u^2 reaches no observable
@@ -191,7 +195,7 @@ class LatticeModel(Frozen):
             g=g,
             B=B,
             Lbasis=L,
-            LstarBasis=L.transpose().inverse(),
+            LstarBasis=Lstar,
             g_inv=g.inverse(),
             unit_exponent=unit_exponent,
             u_square=u_square,
@@ -318,6 +322,12 @@ def _box_keys(parts, rng) -> list:
     return list(zip(*[_box_sums(r, rng) for p in parts for r in p[1:] if r]))
 
 
+def _by_key(keys, seen, make) -> list:
+    """make(key) for every key, made once per distinct key and kept in seen;
+    every value must be truthy (a UnitScalar, or its non-empty text)."""
+    return [seen.get(key) or seen.setdefault(key, make(key)) for key in keys]
+
+
 def _row_times(x, rows) -> tuple:
     return tuple(sum(map(mul, x, col)) for col in zip(*rows))
 
@@ -363,6 +373,14 @@ class IntegerForm(Frozen):
         """M x, one UnitScalar per row."""
         return tuple(_unit_at(row, x, self.den) for row in self._rows)
 
+    def apply_box(self, cutoff) -> list:
+        """apply(y) for every y in the box, in enumerate_sectors order: one
+        UnitScalar per distinct _box_keys sums, which rows of equal powers share."""
+        rng, seen = _box_range(cutoff), {}
+        return list(zip(*[_by_key(_box_keys(row, rng), seen,
+                                  lambda key: _unit_of(row, key, self.den))
+                          for row in self._rows]))
+
     def times(self, x) -> tuple:
         """x^T M as integer parts, for at()."""
         return tuple((p, _row_times(x, re), im and _row_times(x, im))
@@ -375,12 +393,22 @@ class IntegerForm(Frozen):
     def text(self, row, rng, seen) -> list:
         """str(at(row, y)) for every y in the box rng^2n, keyed in seen by its
         flat integer sums: equal sums print equal text, so each prints once."""
-        return [seen.get(key) or seen.setdefault(key, str(_unit_of(row, key, self.den)))
-                for key in _box_keys(row, rng)]
+        return _by_key(_box_keys(row, rng), seen,
+                       lambda key: str(_unit_of(row, key, self.den)))
 
     def half_square(self, x) -> UnitScalar:
         """1/2 x^T M x."""
         return _unit_at(self.times(x), x, 2 * self.den)
+
+    def half_square_box(self, cutoff) -> list:
+        """half_square(y) for every y in the box, in enumerate_sectors order: per
+        part sum_i y_i (row_i . y) from _box_sums, one UnitScalar per distinct sums."""
+        rng = _box_range(cutoff)
+        box = list(iter_product(rng, repeat=len(self._rows)))
+        squares = [[sum(map(mul, y, row_y)) for y, row_y in
+                    zip(box, zip(*[_box_sums(r, rng) for r in m]))]
+                   for _, re, im in self.parts for m in (re, im) if m]
+        return _by_key(zip(*squares), {}, lambda key: _unit_of(self.parts, key, 2 * self.den))
 
 
 def _weight_matrices(m: LatticeModel, sign) -> tuple:
@@ -410,7 +438,6 @@ class Sector(Frozen):
     _fields = ("model", "l_coords", "lstar_coords")
 
     a_plus = property(lambda s: s.model.a_plus_form.apply(s.coords))
-    a_minus = property(lambda s: s.model.a_minus_form.apply(s.coords))
     p_plus = property(lambda s: s.model.p_plus_form.apply(s.coords))
     p_minus = property(lambda s: s.model.p_minus_form.apply(s.coords))
     h = property(lambda s: s.model.h_plus_form.half_square(s.coords))
@@ -429,16 +456,6 @@ class Sector(Frozen):
         return f"sector l={self.l_coords} l*={self.lstar_coords}"
 
     __repr__ = __str__
-
-    def to_json(self):
-        return {
-            "l": list(self.l_coords),
-            "lstar": list(self.lstar_coords),
-            "a_plus": [a.to_json() for a in self.a_plus],
-            "a_minus": [a.to_json() for a in self.a_minus],
-            "h": self.h.to_json(),
-            "hbar": self.hbar.to_json(),
-        }
 
 
 def _box_range(cutoff) -> range:
@@ -727,8 +744,8 @@ class FockTruncation(Frozen):
     Basis vectors are n-colored partitions applied to the weight vector;
     creation operators append parts, annihilation removes them with the
     -1/2 g^{ij} m coefficient, and the zero modes act by the scalars
-    zero_modes = -1/2 g^{-1} w of the weight covector w.  A sector's a_plus
-    or a_minus serves as w once no unit power is left in it.
+    zero_modes = -1/2 g^{-1} w of the weight covector w.  A sector's weight
+    covector a_pm serves as w once no unit power is left in it.
     """
 
     __slots__ = ("model", "weight", "N", "basis", "index", "levels",
@@ -963,21 +980,24 @@ class BiSeries(CoeffTable):
 
 def partition_function(model: LatticeModel, cutoff: int, order: int,
                        sector_filter=None) -> BiSeries:
-    """Sum of q^{h+k} qbar^{hbar+kbar} with colored-partition multiplicities,
-    over enumerated sectors and oscillator levels up to order, summed as
-    ints at exponent numerators over D, the lcm of the weight denominators,
-    one Fraction per distinct numerator, in the order of the int keys (over
-    D > 0 that of the exponents: a rendering's sort finds them in order)."""
+    """Sum of q^{h+k} qbar^{hbar+kbar} with colored-partition multiplicities
+    over the box and oscillator levels up to order: h and hbar read over the
+    whole box (a Sector is built only for sector_filter), each distinct pair
+    taken once, summed as ints at numerators over D, the lcm of the weight
+    denominators, with one Fraction per distinct numerator and one scalar per
+    distinct count, in int key order (over D > 0 that of the exponents)."""
     counts = colored_partition_counts(model.n, order)
-    weights, _, D = _over_common([
-        w for s in enumerate_sectors(model, cutoff)
-        if sector_filter is None or sector_filter(s)
-        for w in (_q_exponent(s.h), _q_exponent(s.hbar))])
+    pairs = zip(model.h_plus_form.half_square_box(cutoff),
+                model.h_minus_form.half_square_box(cutoff))
+    if sector_filter is not None:
+        pairs = compress(pairs, [sector_filter(s) for s in enumerate_sectors(model, cutoff)])
+    weights, _, D = _over_common([_q_exponent(w) for pair in pairs for w in pair])
     sums = {}
-    for e, eb in zip(weights[::2], weights[1::2]):
-        for k in range(order + 1):
-            for kb in range(order + 1):
+    for (e, eb), m in Counter(zip(weights[::2], weights[1::2])).items():
+        for k, ck in enumerate(counts):
+            for kb, ckb in enumerate(counts):
                 key = (e + k * D, eb + kb * D)
-                sums[key] = sums.get(key, 0) + counts[k] * counts[kb]
-    q = {e: Fraction(e, D) for key in sums for e in key}
-    return BiSeries()._like({(q[e], q[eb]): S(c) for (e, eb), c in sorted(sums.items())})
+                sums[key] = sums.get(key, 0) + m * ck * ckb
+    q = {e: Fraction(e, D) for e in {e for key in sums for e in key}}
+    scalars = {c: S(c) for c in set(sums.values())}
+    return BiSeries()._like({(q[e], q[eb]): scalars[c] for (e, eb), c in sorted(sums.items())})

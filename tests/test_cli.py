@@ -439,6 +439,29 @@ class TestSpectrumStates:
         assert out == golden("spectrum_circle_cutoff1.csv")
         assert len(built) == len(out.splitlines()) - 1
 
+    @pytest.mark.parametrize("args,name", [
+        (["--model", str(GOLDEN / "lattice_model_n2.json"), "--cutoff", "1", "--level", "2",
+          "--format", "json"], "states_n2_cutoff1.json"),
+        (["--model", str(GOLDEN / "lattice_model_n2.json"), "--cutoff", "1", "--level", "2",
+          "--format", "text"], "states_n2_cutoff1.txt"),
+        (["--radius-unit", "1/2", "--cutoff", "2", "--level", "3", "--format", "csv"],
+         "states_circle_half_cutoff2.csv"),
+    ], ids=["json", "text", "csv"])
+    def test_states_builds_each_sector_once_and_reads_no_view(
+            self, args, name, capsys, monkeypatch):
+        # every per-sector view goes through IntegerForm.apply or half_square
+        built = []
+        init = fockq.Sector.__init__
+        monkeypatch.setattr(fockq.Sector, "__init__",
+                            lambda self, *a: built.append(a[1:]) or init(self, *a))
+        for view in ("apply", "half_square"):
+            monkeypatch.setattr(fockq.IntegerForm, view, None)
+        rc, out, _ = invoke(["states", *args], capsys)
+        assert rc == 0
+        assert out == golden(name)
+        cutoff, n = int(args[args.index("--cutoff") + 1]), 2 if "--model" in args else 1
+        assert len(built) == len(set(built)) == (2 * cutoff + 1) ** (2 * n)
+
     def test_spectrum_json_vacuum(self, capsys):
         rc, out, _ = invoke(["spectrum", "--radius-unit", "1"], capsys)
         data = json.loads(out)
@@ -592,7 +615,8 @@ class TestLatticeGoldens:
     with B and a non-identity basis, and on the circle with u = 1/2.
     Two locality reports pin exponents with every part a printed value
     can carry: a formal-unit circle (u^-2, u^0 and u^2) and an n = 1
-    model with a Gaussian basis (imaginary parts)."""
+    model with a Gaussian basis (imaginary parts); the states report on
+    the formal-unit circle pins a± and weights with unit powers."""
 
     MODEL = str(GOLDEN / "lattice_model_n2.json")
     FORMAL_CIRCLE = str(GOLDEN / "lattice_model_circle_formal.json")
@@ -630,6 +654,8 @@ class TestLatticeGoldens:
          "locality_circle_formal_cutoff2.csv"),
         (["locality", "--model", GAUSSIAN, "--cutoff", "2", "--format", "json"],
          "locality_n1_gaussian_cutoff2.json"),
+        (["states", "--model", FORMAL_CIRCLE, "--cutoff", "2", "--format", "json"],
+         "states_circle_formal_cutoff2.json"),
     )
 
     @pytest.mark.parametrize("args,name", CASES, ids=[c[1] for c in CASES])

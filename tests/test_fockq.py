@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chiraltorus import exactlin, fockq
 from chiraltorus.chiral_fm import CdoIsoClass
 from chiraltorus.coisson import BracketTable
 from chiraltorus.exactlin import (
@@ -263,6 +264,21 @@ class TestModelBuild:
         with pytest.raises(SingularLattice, match="^lattice generators are dependent$"):
             LatticeModel(1, [[1]], [[0]], [[0]], unit_exponent=unit_exponent, u_square=0)
 
+    # Sylvester's criterion, the dual basis and g^{-1} take one elimination
+    # each: inverting L^T also decides that the generators are independent
+    @pytest.mark.parametrize("n,unit_exponent,u_square", [
+        (2, 0, None), (1, 1, None), (1, -1, Fraction(4, 9))])
+    def test_a_model_takes_three_eliminations(self, monkeypatch, n, unit_exponent, u_square):
+        calls = []
+        real = exactlin._bareiss
+        for module in (exactlin, fockq):
+            monkeypatch.setattr(module, "_bareiss", lambda *a: calls.append(1) or real(*a))
+        basis = [["1", "1"], ["0", "2"]] if n == 2 else [["2/3"]]
+        m = LatticeModel(n, G_OFFDIAG if n == 2 else [[3]], ZERO2 if n == 2 else [[0]],
+                         basis, unit_exponent=unit_exponent, u_square=u_square)
+        assert len(calls) == 3
+        assert m.pairing_matrix() == RationalMatrix.identity(n)
+
     def test_self_dual_circle_pairing(self):
         m = one_dim_model(1)
         assert m.pairing_matrix() == RationalMatrix([["1"]])
@@ -357,18 +373,19 @@ class TestSector:
                         UnitScalar())
                     for i in range(m.n)
                 ]
+                a_minus = m.a_minus_form.apply(s.coords)
                 for i in range(m.n):
                     two_gl = m.canon(gl[i] + gl[i])
-                    assert s.a_plus[i] - s.a_minus[i] == two_gl
+                    assert s.a_plus[i] - a_minus[i] == two_gl
                     both = m.canon(bl[i] - lstar[i] + bl[i] - lstar[i])
-                    assert s.a_plus[i] + s.a_minus[i] == both
+                    assert s.a_plus[i] + a_minus[i] == both
 
     def test_one_dim_chiral_labels(self):
         m = one_dim_model()
         s = Sector(m, [2], [3])
         # a+ = l - l* and a- = -(l + l*) with l = 2u, l* = 3/u
         assert s.a_plus == (u_poly({1: 2, -1: -3}),)
-        assert s.a_minus == (u_poly({1: -2, -1: -3}),)
+        assert m.a_minus_form.apply(s.coords) == (u_poly({1: -2, -1: -3}),)
         assert str(s) == "sector l=(2,) l*=(3,)"
         # equal sectors hash alike, through Frozen's hash of the value
         assert s == Sector(m, [2], [3]) and hash(s) == hash(Sector(m, [2], [3]))
@@ -426,7 +443,7 @@ class TestSector:
                                                RationalMatrix.identity(2))):
             s = Sector(m, [0] * m.n, [0] * m.n)
             assert all(a.is_zero() for a in s.a_plus)
-            assert all(a.is_zero() for a in s.a_minus)
+            assert all(a.is_zero() for a in m.a_minus_form.apply(s.coords))
             assert s.h.is_zero() and s.hbar.is_zero()
 
     def test_non_integer_coordinates_rejected(self):
@@ -556,7 +573,7 @@ class TestFock:
         assert fock.zero_modes == exact.zero_modes == (S("-1/2"),)
         numeric = build_model(2, G_OFFDIAG, B_STANDARD, RationalMatrix.identity(2))
         sector = numeric.sector([1, -1], [0, 2])
-        for weight in (sector.a_plus, sector.a_minus):
+        for weight in (sector.a_plus, numeric.a_minus_form.apply(sector.coords)):
             fock = FockTruncation(numeric, weight, 1)
             assert fock.weight == tuple(a.as_exact() for a in weight)
         formal = one_dim_model()

@@ -14,6 +14,7 @@ a formal unit, so only these tests pin the u-power split and the fold.
 import contextlib
 import io
 import json
+import tempfile
 from fractions import Fraction
 from itertools import islice
 from itertools import product as iter_product
@@ -47,6 +48,7 @@ from chiraltorus.fockq import (
 )
 
 S = ExactScalar
+GOLDEN = Path(__file__).parent / "golden"
 MINUS_HALF = S(Fraction(-1, 2))
 MINUS_QUARTER = S(Fraction(-1, 4))
 
@@ -224,14 +226,9 @@ class TestSectorViews:
     def test_views_equal_the_reference(self, case):
         model, [(lc, sc)] = case
         got, want = model.sector(lc, sc), RefSector(model, lc, sc)
-        for name in ("a_plus", "a_minus", "h", "hbar"):
+        for name in ("a_plus", "h", "hbar"):
             same(getattr(got, name), getattr(want, name))
-        assert got.to_json() == {
-            "l": list(want.l_coords), "lstar": list(want.lstar_coords),
-            "a_plus": [a.to_json() for a in want.a_plus],
-            "a_minus": [a.to_json() for a in want.a_minus],
-            "h": want.h.to_json(), "hbar": want.hbar.to_json(),
-        }
+        same(model.a_minus_form.apply(got.coords), want.a_minus)
 
     @settings(max_examples=150, deadline=None)
     @given(model_and_coords())
@@ -257,8 +254,117 @@ class TestSectorViews:
     def test_views_hold_no_cache(self):
         s = one_dim_model().sector([1], [2])
         assert not hasattr(s, "__dict__")
-        for name in ("a_plus", "a_minus", "p_plus", "p_minus", "h", "hbar"):
+        for name in ("a_plus", "p_plus", "p_minus", "h", "hbar"):
             assert getattr(s, name) == getattr(s, name)
+
+
+# models whose box readers meet every part a value can carry: a formal
+# unit (u^-2, u^0, u^2), a declared u^2, an inverted unit, B != 0 with a
+# non-identity basis, a Gaussian basis (imaginary rows) and n = 3
+BOX_MODELS = {
+    "formal_circle": (lambda: one_dim_model(), 2),
+    "declared_u_square": (lambda: one_dim_model(Fraction(1, 2)), 2),
+    "inverted_unit": (CHIRAL_MODELS["inverted_unit_circle"], 2),
+    "n2_b_basis": (CHIRAL_MODELS["n2_b_basis"], 1),
+    "gaussian": (lambda: load_model(json.loads(
+        (GOLDEN / "lattice_model_n1_gaussian.json").read_text(encoding="utf-8"))), 2),
+    "n3_b": (lambda: load_model({
+        "n": 3, "g": [["2", "1", "0"], ["1", "3", "1"], ["0", "1", "2"]],
+        "B": [["0", "1", "0"], ["-1", "0", "1/2"], ["0", "-1/2", "0"]],
+        "L": [["1", "1", "0"], ["0", "2", "1"], ["1", "0", "1"]]}), 1),
+}
+
+
+def states_rows(model, cutoff):
+    """The sector rows of `states --format json` on the model."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(model.to_json()), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["states", "--model", str(path), "--cutoff", str(cutoff),
+                         "--format", "json"]) == 0
+    return json.loads(out.getvalue())["sectors"]
+
+
+class TestBoxReaders:
+    """IntegerForm.apply_box and half_square_box give, at every sector of
+    the box and in enumerate_sectors order, what the per-sector views give
+    (a_minus, which has no Sector view, through a_minus_form.apply) and
+    what the reference gives, with the same str; the states JSON rows,
+    built from the box values, are the reference's to_json texts."""
+
+    @staticmethod
+    def _check(model, cutoff):
+        assert model.pairing_matrix() == RationalMatrix.identity(model.n)
+        sectors = enumerate_sectors(model, cutoff)
+        box = {
+            "a_plus": model.a_plus_form.apply_box(cutoff),
+            "a_minus": model.a_minus_form.apply_box(cutoff),
+            "p_plus": model.p_plus_form.apply_box(cutoff),
+            "p_minus": model.p_minus_form.apply_box(cutoff),
+            "h": model.h_plus_form.half_square_box(cutoff),
+            "hbar": model.h_minus_form.half_square_box(cutoff),
+        }
+        assert {len(values) for values in box.values()} == {len(sectors)}
+        rows = states_rows(model, cutoff)
+        for k, s in enumerate(sectors):
+            ref = RefSector(model, s.l_coords, s.lstar_coords)
+            want = {
+                "a_plus": ref.a_plus, "a_minus": ref.a_minus,
+                "p_plus": tuple(model.canon(v * MINUS_HALF) for v in ref.ga_plus),
+                "p_minus": tuple(model.canon(v * MINUS_HALF) for v in ref.ga_minus),
+                "h": ref.h, "hbar": ref.hbar,
+            }
+            views = {"a_plus": s.a_plus, "a_minus": model.a_minus_form.apply(s.coords),
+                     "p_plus": s.p_plus, "p_minus": s.p_minus, "h": s.h, "hbar": s.hbar}
+            for name, w in want.items():
+                same(box[name][k], w)
+                same(views[name], w)
+            assert rows[k] == {
+                "l": list(s.l_coords), "lstar": list(s.lstar_coords),
+                "a_plus": [a.to_json() for a in ref.a_plus],
+                "a_minus": [a.to_json() for a in ref.a_minus],
+                "h": ref.h.to_json(), "hbar": ref.hbar.to_json(),
+            }
+
+    @settings(max_examples=60, deadline=None)
+    @given(models(max_n=2))
+    def test_box_values_equal_the_views_and_the_reference(self, model):
+        self._check(model, 1)
+
+    @pytest.mark.parametrize("name", BOX_MODELS)
+    def test_box_values_on_known_models(self, name):
+        build, cutoff = BOX_MODELS[name]
+        self._check(build(), cutoff)
+
+    def test_partition_function_builds_no_sector_without_a_filter(self, monkeypatch):
+        built = []
+        real = fockq.Sector.__init__
+        monkeypatch.setattr(fockq.Sector, "__init__",
+                            lambda s, *args: built.append(args[1:]) or real(s, *args))
+        model = CHIRAL_MODELS["n2_b_basis"]()
+        got = partition_function(model, 1, 2)
+        assert built == []
+        assert got == partition_oracle.partition_function(model, 1, 2)
+
+    def test_partition_function_calls_the_filter_once_per_box_sector(self, monkeypatch):
+        built, seen = [], []
+        real = fockq.Sector.__init__
+        monkeypatch.setattr(fockq.Sector, "__init__",
+                            lambda s, *args: built.append(args[1:]) or real(s, *args))
+        model = one_dim_model(1)
+
+        def odd(s):
+            seen.append(s.key())
+            return sum(s.coords) % 2 == 1
+
+        got = partition_function(model, 2, 3, sector_filter=odd)
+        keys = [((lc,), (sc,)) for lc in range(-2, 3) for sc in range(-2, 3)]
+        assert seen == keys
+        assert built == keys
+        assert got == partition_oracle.partition_function(
+            model, 2, 3, sector_filter=lambda s: sum(s.coords) % 2 == 1)
 
 
 class TestLocalityAndChiral:
@@ -447,7 +553,8 @@ class TestTDuality:
                 s = model.sector(lc, sc)
                 d = dual.sector([-x for x in sc], [-x for x in lc])
                 assert d.a_plus == ref_mat_uvec(turn, s.a_plus), (lc, sc)
-                assert d.a_minus == tuple(-a for a in s.a_minus), (lc, sc)
+                assert dual.a_minus_form.apply(d.coords) == \
+                    tuple(-a for a in model.a_minus_form.apply(s.coords)), (lc, sc)
                 assert (d.h, d.hbar) == (s.h, s.hbar), (lc, sc)
 
     @settings(max_examples=60, deadline=None)
@@ -528,7 +635,7 @@ class TestLaziness:
         model.certify_locality()
         model.certify_locality()
         s = model.sector([1, 0], [0, 1])
-        s.a_minus, s.p_minus, s.hbar, vertex_exponents(s, s)
+        model.a_minus_form.apply(s.coords), s.p_minus, s.hbar, vertex_exponents(s, s)
         assert built == [1, -1]
         assert set(model.__dict__) == {
             "plus_matrices", "minus_matrices", "locality_certified", "a_plus_form",
